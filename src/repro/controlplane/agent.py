@@ -132,6 +132,11 @@ class EndpointAgent:
     version_regressions: int = 0
     _last_poll_slot: int = field(default=-1, repr=False)
     _was_degraded: bool = field(default=False, repr=False)
+    _config_key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Every poll that sees a new version reads this key.
+        self._config_key = config_key(self.endpoint_id)
 
     def next_poll_time(self, now: float) -> float:
         """The first scheduled poll at or after ``now``."""
@@ -181,9 +186,7 @@ class EndpointAgent:
             self.last_refresh_s = now
             return False
         try:
-            config, _ = database.get(
-                config_key(self.endpoint_id), now=now
-            )
+            config, _ = database.get(self._config_key, now=now)
         except KeyError:
             # No config for this endpoint in the new version (it sources
             # no flows); track the version so we stop re-pulling.

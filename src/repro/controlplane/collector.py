@@ -14,6 +14,7 @@ the interval into Gbps demands, and tags each pair with its QoS class
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -51,6 +52,45 @@ class FlowRecord:
             raise ValueError("bytes_sent must be non-negative")
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _group_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Exact int64 sum of each run of ``values`` beginning at ``starts``.
+
+    Raises:
+        OverflowError: when a run's sum does not fit int64 (where a bare
+            ``np.add.reduceat`` would wrap silently).
+    """
+    sums = np.add.reduceat(values, starts)
+    longest = max(
+        int(np.diff(starts).max(initial=0)), values.size - int(starts[-1])
+    )
+    if max(int(values.max()), -int(values.min())) * longest > _INT64_MAX:
+        # A run may have wrapped.  Summing the 32-bit halves separately
+        # cannot, and their carry-adjusted high half says whether the
+        # true sum fits.
+        high = np.add.reduceat(values >> 32, starts) + (
+            np.add.reduceat(values & 0xFFFFFFFF, starts) >> 32
+        )
+        if ((high < -(2**31)) | (high >= 2**31)).any():
+            raise OverflowError(
+                "per-flow byte sum does not fit the int64 accumulator"
+            )
+    return sums
+
+
+def _no_rows() -> tuple[np.ndarray, ...]:
+    """Empty ``(src, dst, bytes, qos, k)`` columns."""
+    return (
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int8),
+        np.empty(0, dtype=np.int64),
+    )
+
+
 class DemandCollector:
     """Aggregates per-interval flow records into a demand matrix.
 
@@ -59,9 +99,16 @@ class DemandCollector:
             ordering the matrix must align with.
         interval_seconds: TE interval length (converts bytes → Gbps).
 
-    Records for endpoint pairs whose site pair has no tunnels in the
-    catalog are counted in :attr:`unroutable_bytes` instead of the matrix
-    (the optimizer could not act on them anyway).
+    :meth:`ingest` only validates a report and appends it to four typed
+    column buffers.  Everything per-flow — endpoint→site resolution,
+    site-pair lookup, unroutable accounting and same-``(src, dst)``
+    aggregation — happens vectorised in one *drain* that
+    :meth:`build_matrix`, :attr:`num_flows` and :attr:`unroutable_bytes`
+    trigger.
+
+    Records for endpoint pairs whose site pair is not in the catalog are
+    counted in :attr:`unroutable_bytes` instead of the matrix (the
+    optimizer could not act on them anyway).
     """
 
     def __init__(
@@ -73,28 +120,54 @@ class DemandCollector:
             raise ValueError("interval must be positive")
         self.topology = topology
         self.interval_seconds = interval_seconds
-        # (src_ep, dst_ep) -> [bytes, qos value, site-pair index k].
-        # The site-pair index is resolved once at ingest (the layout is
-        # static within an interval), so build_matrix never re-walks the
-        # endpoint -> site mapping.
-        self._flows: dict[tuple[int, int], list] = {}
-        self.unroutable_bytes = 0
+        self._num_endpoints = topology.layout.num_endpoints
+        # Reports not drained yet, one typed column each.  ``_dst`` is
+        # appended last, so its length is the count of whole reports.
+        self._src = array("q")
+        self._dst = array("q")
+        self._bytes = array("q")
+        self._qos = array("b")
+        # Drained reports as (src, dst, bytes, qos, k) columns: one row
+        # per distinct (src, dst), ordered (site pair k, src, dst), with
+        # exact int64 byte sums.
+        self._drained = _no_rows()
+        self._unroutable_bytes = 0
+        # Sorted ``src_site * S + dst_site`` keys of the catalog's pairs
+        # and the pair index of each (built at the first drain).
+        self._pair_keys: np.ndarray | None = None
+        self._pair_of_key: np.ndarray | None = None
 
     def ingest(self, record: FlowRecord) -> None:
-        """Add one agent report (same-pair reports accumulate)."""
-        src_site = self.topology.layout.site_of(record.src_endpoint)
-        dst_site = self.topology.layout.site_of(record.dst_endpoint)
-        if not self.topology.catalog.has_pair(src_site, dst_site):
-            self.unroutable_bytes += record.bytes_sent
-            return
-        key = (record.src_endpoint, record.dst_endpoint)
-        entry = self._flows.get(key)
-        if entry is None:
-            k = self.topology.catalog.pair_index(src_site, dst_site)
-            self._flows[key] = [record.bytes_sent, record.qos.value, k]
-        else:
-            entry[0] += record.bytes_sent
-            entry[1] = record.qos.value  # latest registration wins
+        """Add one agent report (same-pair reports accumulate).
+
+        Raises:
+            IndexError: for an endpoint id outside the layout.
+            OverflowError: for a byte count beyond int64.
+        """
+        self._append(
+            record.src_endpoint,
+            record.dst_endpoint,
+            record.bytes_sent,
+            record.qos,
+        )
+
+    def _append(self, src: int, dst: int, sent: int, qos: int) -> None:
+        n = self._num_endpoints
+        if not 0 <= src < n:
+            raise IndexError(f"endpoint {src} out of range")
+        if not 0 <= dst < n:
+            raise IndexError(f"endpoint {dst} out of range")
+        try:
+            self._bytes.append(sent)
+            self._qos.append(qos)
+            self._src.append(src)
+            self._dst.append(dst)
+        except (OverflowError, TypeError):
+            # Drop the partial row so the columns stay aligned.
+            whole = len(self._dst)
+            for column in (self._bytes, self._qos, self._src):
+                del column[whole:]
+            raise
 
     def ingest_host_report(
         self,
@@ -110,22 +183,115 @@ class DemandCollector:
                 the tenant's connection registry).
             qos_of: Optional instance id -> QoS class.
         """
+        qos_of = qos_of or {}
         for instance, byte_count in volumes_by_instance.items():
+            if byte_count < 0:
+                raise ValueError("bytes_sent must be non-negative")
             if instance not in destination_of:
-                self.unroutable_bytes += byte_count
+                self._unroutable_bytes += byte_count
                 continue
-            self.ingest(
-                FlowRecord(
-                    src_endpoint=instance,
-                    dst_endpoint=destination_of[instance],
-                    bytes_sent=byte_count,
-                    qos=(qos_of or {}).get(instance, QoSClass.CLASS2),
-                )
+            self._append(
+                instance,
+                destination_of[instance],
+                byte_count,
+                qos_of.get(instance, QoSClass.CLASS2),
             )
 
     @property
     def num_flows(self) -> int:
-        return len(self._flows)
+        """Distinct routable ``(src, dst)`` pairs reported so far."""
+        self._drain()
+        return int(self._drained[0].size)
+
+    @property
+    def unroutable_bytes(self) -> int:
+        """Bytes reported for pairs the catalog cannot route (cumulative)."""
+        self._drain()
+        return self._unroutable_bytes
+
+    def _site_pairs(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Catalog pair index of each ``(src, dst)`` row, ``-1`` if none."""
+        catalog = self.topology.catalog
+        layout = self.topology.layout
+        sites = layout.sites
+        if self._pair_keys is None or (
+            self._pair_keys.size != catalog.num_pairs + 1
+        ):
+            index = {site: i for i, site in enumerate(sites)}
+            keys = np.array(
+                [
+                    index[a] * len(sites) + index[b]
+                    if a in index and b in index
+                    else -1
+                    for a, b in catalog.pairs
+                ],
+                dtype=np.int64,
+            )
+            order = np.argsort(keys, kind="stable")
+            # A sentinel past every real key keeps searchsorted's
+            # insertion point a valid index.
+            self._pair_keys = np.append(keys[order], _INT64_MAX)
+            self._pair_of_key = np.append(order, -1)
+        key = layout.site_indices(src)
+        key *= len(sites)
+        key += layout.site_indices(dst)
+        at = np.searchsorted(self._pair_keys, key)
+        return np.where(
+            self._pair_keys[at] == key, self._pair_of_key[at], -1
+        )
+
+    def _drain(self) -> None:
+        """Fold the buffered reports into the drained flow rows.
+
+        A byte sum that does not fit int64 raises ``OverflowError`` and
+        leaves both the buffers and the drained rows as they were.
+        """
+        if not self._dst:
+            return
+        src = np.frombuffer(self._src, dtype=np.int64)
+        dst = np.frombuffer(self._dst, dtype=np.int64)
+        sent = np.frombuffer(self._bytes, dtype=np.int64)
+        qos = np.frombuffer(self._qos, dtype=np.int8)
+        k = self._site_pairs(src, dst)
+        rows = (src, dst, sent, qos, k)
+        unroutable = 0
+        routable = k >= 0
+        if not routable.all():
+            # Summed in 32-bit halves, which cannot wrap, into a Python
+            # int, which cannot either.
+            lost = sent[~routable]
+            unroutable = (int((lost >> 32).sum()) << 32) + int(
+                (lost & 0xFFFFFFFF).sum()
+            )
+            rows = tuple(column[routable] for column in rows)
+        if self._drained[0].size:
+            # Earlier rows first: the stable sort below then leaves each
+            # (src, dst) group in report order.
+            rows = tuple(
+                np.concatenate(both) for both in zip(self._drained, rows)
+            )
+        src, dst, _, _, k = rows
+        # lexsort's last key is primary: (k, src, dst) order.  Indexing
+        # by it also copies the rows out of the report buffers.
+        order = np.lexsort((dst, src, k))
+        src, dst, sent, qos, k = (column[order] for column in rows)
+        new_group = np.ones(k.size, dtype=bool)
+        np.not_equal(src[1:], src[:-1], out=new_group[1:])
+        new_group[1:] |= dst[1:] != dst[:-1]
+        if not new_group.all():
+            # Several reports for one (src, dst): sum their bytes; the
+            # last one's qos (the latest registration) wins.
+            first = np.flatnonzero(new_group)
+            sent = _group_sums(sent, first)
+            qos = qos[np.append(first[1:], k.size) - 1]
+            src, dst, k = src[first], dst[first], k[first]
+        self._drained = (src, dst, sent, qos, k)
+        self._unroutable_bytes += unroutable
+        # Fresh buffers: the old ones stay pinned by the views above.
+        self._src = array("q")
+        self._dst = array("q")
+        self._bytes = array("q")
+        self._qos = array("b")
 
     def build_matrix(self, clear: bool = True) -> DemandMatrix:
         """The interval's demand matrix, aligned with the catalog.
@@ -133,53 +299,33 @@ class DemandCollector:
         Byte counts convert to Gbps:
         ``bytes * 8 / interval_seconds / 1e9``.
 
-        The matrix is emitted columnar — the accumulated records are
-        flattened into one :class:`~repro.core.flowtable.FlowTable`
-        directly, with no per-pair rebuild — and **deterministically
-        ordered**: flows are sorted by ``(site pair, src endpoint,
-        dst endpoint)``, so the same set of reports yields the same
-        matrix regardless of ingest order.
+        The matrix is emitted columnar — the drained rows become one
+        :class:`~repro.core.flowtable.FlowTable` directly, with no
+        per-pair rebuild — and **deterministically ordered**: flows are
+        sorted by ``(site pair, src endpoint, dst endpoint)``, so the
+        same set of reports yields the same matrix regardless of ingest
+        order.
 
         Args:
             clear: Reset the accumulator for the next interval.
         """
-        with get_tracer().span(
-            "collector.build_matrix", num_flows=len(self._flows)
-        ) as sp:
-            catalog = self.topology.catalog
-            num_pairs = catalog.num_pairs
-            n = len(self._flows)
-            src = np.empty(n, dtype=np.int64)
-            dst = np.empty(n, dtype=np.int64)
-            byte_counts = np.empty(n, dtype=np.float64)
-            qos = np.empty(n, dtype=np.int8)
-            ks = np.empty(n, dtype=np.int64)
-            for i, ((s, d), entry) in enumerate(self._flows.items()):
-                src[i] = s
-                dst[i] = d
-                byte_counts[i] = entry[0]
-                qos[i] = entry[1]
-                ks[i] = entry[2]
-
-            # Canonical order: (k, src, dst) — determinism regardless of
-            # the order agents reported in.  lexsort's last key is
-            # primary.
-            order = np.lexsort((dst, src, ks))
-            ks = ks[order]
-            volumes = (
-                byte_counts[order] * 8.0 / self.interval_seconds / 1e9
+        with get_tracer().span("collector.build_matrix") as sp:
+            self._drain()
+            src, dst, sent, qos, k = self._drained
+            sp.set_attribute("num_flows", int(k.size))
+            counts = np.bincount(
+                k, minlength=self.topology.catalog.num_pairs
             )
-            counts = np.bincount(ks, minlength=num_pairs)
             table = FlowTable(
                 csr_offsets(counts),
-                volumes,
-                qos[order],
-                src[order],
-                dst[order],
+                sent * 8.0 / self.interval_seconds / 1e9,
+                qos,
+                src,
+                dst,
                 has_endpoints=counts > 0,
             )
             if clear:
-                self._flows.clear()
+                self._drained = _no_rows()
         registry = get_registry()
         if registry.enabled:
             registry.histogram(
@@ -190,5 +336,5 @@ class DemandCollector:
             registry.counter(
                 "megate_collector_flows_total",
                 "Flow records flattened into demand matrices",
-            ).inc(n)
+            ).inc(int(k.size))
         return DemandMatrix.from_table(table)

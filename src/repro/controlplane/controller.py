@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .database import TEDatabase
 if TYPE_CHECKING:
     from ..core.types import TEResult
     from ..topology.contraction import TwoLayerTopology
+    from ..topology.tunnels import CatalogArrays, TunnelCatalog
     from ..traffic.demand import DemandMatrix
 
 __all__ = ["EndpointConfig", "TEController", "VERSION_KEY"]
@@ -49,6 +51,13 @@ def config_key(endpoint_id: int) -> str:
     return f"te:cfg:{endpoint_id}"
 
 
+#: A published row's sort key packs ``(src, dst)`` as ``src << 32 | dst``,
+#: so endpoint ids must lie in ``[0, 2**31)``.
+_DST_BITS = 32
+_DST_MASK = 2**_DST_BITS - 1
+_MAX_ENDPOINT_ID = 2 ** (63 - _DST_BITS) - 1
+
+
 class TEController:
     """Periodic TE recomputation + versioned publication.
 
@@ -70,7 +79,20 @@ class TEController:
         #: Skip database writes for endpoints whose paths did not change
         #: since the last publish (most endpoints, most intervals).
         self.delta_publish = delta_publish
-        self._published_paths: dict[int, dict[int, tuple[str, ...]]] = {}
+        # The rows last written to the database, one per (src, dst):
+        # packed key (ascending) and interned path id.  This is what
+        # delta publish diffs the next assignment against.
+        self._pub_key = np.empty(0, dtype=np.int64)
+        self._pub_path = np.empty(0, dtype=np.int64)
+        # Site paths interned to integer ids (insertion order is id
+        # order), so rows compare as integers and an id means the same
+        # path under every catalog this controller publishes from —
+        # tunnel indices shift between a catalog and its
+        # ``with_failures`` projections, paths do not.
+        self._path_ids: dict[tuple[str, ...], int] = {}
+        self._tunnel_path_ids: WeakKeyDictionary[
+            CatalogArrays, np.ndarray
+        ] = WeakKeyDictionary()
         #: Endpoint configs written during the most recent publish.
         self.last_publish_writes = 0
 
@@ -100,52 +122,141 @@ class TEController:
         Only endpoints that actually source flows get a config entry, and
         with ``delta_publish`` only endpoints whose paths *changed* since
         the last publish are rewritten — the common case in production,
-        where successive intervals repin few flows.  The version key is
-        written **last** so an agent that sees the new version is
-        guaranteed to find the new configs (write ordering is the paper's
-        eventual-consistency correctness argument).
+        where successive intervals repin few flows.  An endpoint with no
+        publishable flow this interval (every flow unassigned, or none
+        reported) is neither rewritten nor forgotten: its last config
+        stays in the database.  Configs are written in ascending endpoint
+        order and the version key **last**, so an agent that sees the new
+        version is guaranteed to find the new configs (write ordering is
+        the paper's eventual-consistency correctness argument).
+
+        Raises:
+            IndexError: when an assigned tunnel index is not in its site
+                pair's tunnel set under ``topology``'s catalog.
+            ValueError: for an endpoint id outside ``[0, 2**31)``.
         """
-        catalog = topology.catalog
         next_version = self.current_version + 1
-        per_endpoint: dict[int, dict[int, tuple[str, ...]]] = {}
-        # One pass over the flat assignment: flows with a tunnel whose
-        # pair carries endpoint ids, in ascending flow order (pair-major,
-        # matching the legacy per-pair iteration).
-        table = result.demands.table
-        assigned = result.assignment.assigned_tunnel
-        pair_of_flow = table.pair_ids()
-        publishable = (assigned >= 0) & table.has_endpoints[pair_of_flow]
-        paths_of: dict[int, list[tuple[str, ...]]] = {}
-        for i in np.flatnonzero(publishable):
-            k = int(pair_of_flow[i])
-            paths = paths_of.get(k)
-            if paths is None:
-                paths = paths_of[k] = [
-                    t.path for t in catalog.tunnels(k)
-                ]
-            src = int(table.src_endpoints[i])
-            dst = int(table.dst_endpoints[i])
-            per_endpoint.setdefault(src, {})[dst] = paths[int(assigned[i])]
-        writes = 0
-        for endpoint_id, paths in per_endpoint.items():
-            if (
-                self.delta_publish
-                and self._published_paths.get(endpoint_id) == paths
-            ):
-                continue
-            self.database.put(
-                config_key(endpoint_id),
-                EndpointConfig(
-                    endpoint_id=endpoint_id,
-                    version=next_version,
-                    paths=paths,
-                ),
-                now=now,
+        key, path = self._publishable_rows(topology.catalog, result)
+        # Endpoints sourcing flows this interval, ascending, with where
+        # each one's rows start and how many it has.
+        src = key >> _DST_BITS
+        first = np.ones(src.size, dtype=bool)
+        np.not_equal(src[1:], src[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        counts = np.diff(starts, append=src.size)
+        endpoints = src[starts]
+        changed = np.ones(endpoints.size, dtype=bool)
+        if self.delta_publish and endpoints.size and self._pub_key.size:
+            # Unchanged: every row is among the published rows with the
+            # same path, and the endpoint has no other published row.
+            at = np.searchsorted(self._pub_key, key)
+            at[at == self._pub_key.size] = 0
+            same = (self._pub_key[at] == key) & (self._pub_path[at] == path)
+            low = endpoints << _DST_BITS
+            published = np.searchsorted(
+                self._pub_key, low | _DST_MASK, side="right"
+            ) - np.searchsorted(self._pub_key, low)
+            changed = ~np.logical_and.reduceat(same, starts) | (
+                published != counts
             )
-            self._published_paths[endpoint_id] = paths
-            writes += 1
+
+        # Only the changed endpoints' rows leave the arrays.
+        rows = np.repeat(changed, counts)
+        dsts = (key[rows] & _DST_MASK).tolist()
+        path_of_id = list(self._path_ids)
+        site_paths = [path_of_id[p] for p in path[rows].tolist()]
+        bounds = np.append(0, np.cumsum(counts[changed])).tolist()
+        to_write = endpoints[changed]
+        writes = 0
+        try:
+            for endpoint_id, lo, hi in zip(
+                to_write.tolist(), bounds, bounds[1:]
+            ):
+                self.database.put(
+                    config_key(endpoint_id),
+                    EndpointConfig(
+                        endpoint_id=endpoint_id,
+                        version=next_version,
+                        paths=dict(zip(dsts[lo:hi], site_paths[lo:hi])),
+                    ),
+                    now=now,
+                )
+                writes += 1
+        finally:
+            # What was written is published even if a put raised
+            # part-way, so a retry resumes instead of starting over.
+            if writes:
+                self._record_published(to_write[:writes], key, path)
         self.database.put(VERSION_KEY, next_version, now=now)
         self.current_version = next_version
         self.last_result = result
         self.last_publish_writes = writes
         return next_version
+
+    def _record_published(
+        self, written: np.ndarray, key: np.ndarray, path: np.ndarray
+    ) -> None:
+        """Replace the ``written`` endpoints' published rows by theirs
+        among ``(key, path)``; other endpoints' rows stay."""
+        stale = np.isin(self._pub_key >> _DST_BITS, written)
+        fresh = np.isin(key >> _DST_BITS, written)
+        merged = np.concatenate((self._pub_key[~stale], key[fresh]))
+        order = np.argsort(merged, kind="stable")
+        self._pub_key = merged[order]
+        self._pub_path = np.concatenate(
+            (self._pub_path[~stale], path[fresh])
+        )[order]
+
+    def _publishable_rows(
+        self, catalog: "TunnelCatalog", result: "TEResult"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(packed key, path id)`` of the flows a publish can act on.
+
+        Those are the flows with a tunnel whose pair carries endpoint
+        ids.  One row per ``(src, dst)``, ascending; on a duplicate pair
+        the last flow wins.
+        """
+        arrays = catalog.columnar()
+        table = result.demands.table
+        assigned = result.assignment.assigned_tunnel
+        pair = table.pair_ids()
+        flows = np.flatnonzero((assigned >= 0) & table.has_endpoints[pair])
+        pair = pair[flows]
+        tunnel = assigned[flows].astype(np.int64)
+        if (tunnel >= arrays.tunnels_per_pair()[pair]).any():
+            raise IndexError("assigned tunnel index outside the catalog")
+        tunnel += arrays.tunnel_offsets[pair]
+        src = table.src_endpoints[flows]
+        dst = table.dst_endpoints[flows]
+        if flows.size and not (
+            0 <= min(src.min(), dst.min())
+            and max(src.max(), dst.max()) <= _MAX_ENDPOINT_ID
+        ):
+            raise ValueError("endpoint id outside [0, 2**31)")
+        key = (src << _DST_BITS) | dst
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        last = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=last[:-1])
+        return key[last], self._path_ids_of(catalog)[tunnel[order[last]]]
+
+    def _path_ids_of(self, catalog: "TunnelCatalog") -> np.ndarray:
+        """Interned path id of every tunnel, by global tunnel id.
+
+        Computed once per columnar view of a catalog (which the catalog
+        rebuilds whenever its pairs change).
+        """
+        arrays = catalog.columnar()
+        ids = self._tunnel_path_ids.get(arrays)
+        if ids is None:
+            intern = self._path_ids
+            ids = np.fromiter(
+                (
+                    intern.setdefault(tunnel.path, len(intern))
+                    for _, _, tunnel in catalog.all_tunnels()
+                ),
+                dtype=np.int64,
+                count=arrays.num_tunnels,
+            )
+            self._tunnel_path_ids[arrays] = ids
+        return ids

@@ -9,6 +9,7 @@ to sites — the second layer of the contracted topology.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -120,15 +121,24 @@ class EndpointLayout:
         """The site an endpoint hangs off."""
         if not 0 <= endpoint_id < self._total:
             raise IndexError(f"endpoint {endpoint_id} out of range")
-        # Binary search over the first-id offsets.
-        lo, hi = 0, len(self._starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._starts[mid] <= endpoint_id:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self._sites[lo]
+        # The last site whose first id is <= endpoint_id (zero-count
+        # sites share their successor's first id and never match).
+        return self._sites[bisect_right(self._starts, endpoint_id) - 1]
+
+    def site_indices(self, endpoint_ids: np.ndarray) -> np.ndarray:
+        """Index into :attr:`sites` of every endpoint in an id column.
+
+        The columnar twin of :meth:`site_of`; ids must already lie in
+        ``[0, num_endpoints)``.
+        """
+        return (
+            np.searchsorted(
+                np.asarray(self._starts, dtype=np.int64),
+                endpoint_ids,
+                side="right",
+            )
+            - 1
+        )
 
     def scaled(self, factor: float) -> "EndpointLayout":
         """A layout with every site's count scaled by ``factor`` (min 1)."""

@@ -1,0 +1,208 @@
+"""Property tests: the buffered-then-vectorised collector against the
+per-record dict model it replaced.
+
+``DemandCollector.ingest`` only buffers; site resolution, unroutable
+accounting and same-pair aggregation happen in one vectorised drain.
+:class:`ReferenceCollector` below is the implementation that drain
+replaced — one dict probe per record, arbitrary-precision sums — kept
+here as the oracle.  Any interleaving of ingests, peeks and builds must
+give the reference's table column for column (volumes bit for bit) and
+the same cumulative ``unroutable_bytes`` / ``num_flows``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.controlplane import DemandCollector, FlowRecord
+from repro.core.qos import QoSClass
+from repro.topology import SiteNetwork, TwoLayerTopology, build_tunnels
+from repro.topology.endpoints import EndpointLayout
+
+INTERVAL_S = 60.0
+QOS = list(QoSClass)
+
+
+def _topology() -> TwoLayerTopology:
+    """Four sites (one without endpoints), three catalog pairs whose
+    index order differs from their site order, the rest unroutable."""
+    net = SiteNetwork(name="square")
+    for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")):
+        net.add_duplex_link(u, v, capacity=10.0, latency_ms=1.0)
+    catalog = build_tunnels(
+        net,
+        site_pairs=[("c", "a"), ("a", "b"), ("a", "c")],
+        tunnels_per_pair=2,
+    )
+    layout = EndpointLayout({"a": 3, "b": 2, "d": 0, "c": 3})
+    return TwoLayerTopology(network=net, catalog=catalog, layout=layout)
+
+
+TOPOLOGY = _topology()
+NUM_ENDPOINTS = TOPOLOGY.layout.num_endpoints
+
+
+class ReferenceCollector:
+    """The per-record dict collector the vectorised drain replaced."""
+
+    def __init__(self, topology: TwoLayerTopology) -> None:
+        self.topology = topology
+        self.flows: dict[tuple[int, int], list] = {}
+        self.unroutable_bytes = 0
+
+    def ingest(self, src: int, dst: int, sent: int, qos: int) -> None:
+        layout, catalog = self.topology.layout, self.topology.catalog
+        sites = layout.site_of(src), layout.site_of(dst)
+        if not catalog.has_pair(*sites):
+            self.unroutable_bytes += sent
+            return
+        entry = self.flows.get((src, dst))
+        if entry is None:
+            self.flows[(src, dst)] = [sent, qos, catalog.pair_index(*sites)]
+        else:
+            entry[0] += sent
+            entry[1] = qos  # latest registration wins
+
+    def build(self, clear: bool) -> dict[str, np.ndarray]:
+        rows = sorted(
+            (k, src, dst, sent, qos)
+            for (src, dst), (sent, qos, k) in self.flows.items()
+        )
+        ks = np.array([r[0] for r in rows], dtype=np.int64)
+        byte_counts = np.array([r[3] for r in rows], dtype=np.float64)
+        counts = np.bincount(
+            ks, minlength=self.topology.catalog.num_pairs
+        )
+        if clear:
+            self.flows.clear()
+        return {
+            "offsets": np.concatenate(([0], np.cumsum(counts))),
+            "volumes": byte_counts * 8.0 / INTERVAL_S / 1e9,
+            "qos": np.array([r[4] for r in rows], dtype=np.int8),
+            "src_endpoints": np.array([r[1] for r in rows], dtype=np.int64),
+            "dst_endpoints": np.array([r[2] for r in rows], dtype=np.int64),
+            "has_endpoints": counts > 0,
+        }
+
+
+def _assert_same_table(table, want: dict[str, np.ndarray]) -> None:
+    for column, expected in want.items():
+        got = getattr(table, column)
+        assert got.dtype == expected.dtype, column
+        np.testing.assert_array_equal(got, expected, err_msg=column)
+
+
+_endpoint = st.integers(min_value=0, max_value=NUM_ENDPOINTS - 1)
+_record = st.tuples(
+    st.just("ingest"),
+    _endpoint,
+    _endpoint,
+    # Sums of a few dozen of these stay inside int64; the large ones
+    # exceed float64's 53-bit mantissa, so the order of summing and
+    # converting matters.
+    st.one_of(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=0, max_value=2**56),
+    ),
+    st.sampled_from(QOS),
+)
+_ops = st.lists(
+    st.one_of(
+        _record,
+        _record,
+        _record,
+        st.tuples(st.just("build"), st.booleans()),
+        st.tuples(st.just("peek")),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ops)
+def test_collector_matches_reference(ops):
+    collector = DemandCollector(TOPOLOGY, interval_seconds=INTERVAL_S)
+    reference = ReferenceCollector(TOPOLOGY)
+    # A final clearing build covers whatever the drawn ops left behind.
+    for op in [*ops, ("build", False), ("build", True), ("build", True)]:
+        if op[0] == "ingest":
+            _, src, dst, sent, qos = op
+            collector.ingest(FlowRecord(src, dst, sent, qos))
+            reference.ingest(src, dst, sent, qos.value)
+            continue  # stays buffered until a build or a peek drains it
+        if op[0] == "build":
+            _assert_same_table(
+                collector.build_matrix(clear=op[1]).table,
+                reference.build(clear=op[1]),
+            )
+        assert collector.num_flows == len(reference.flows)
+        assert collector.unroutable_bytes == reference.unroutable_bytes
+    assert collector.num_flows == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_record, max_size=30), st.randoms(use_true_random=False))
+def test_ingest_order_only_decides_the_qos_tie(records, rng):
+    """Shuffling the reports changes nothing but which same-pair report
+    came last (whose qos wins) — and the reference agrees on that too."""
+    shuffled = list(records)
+    rng.shuffle(shuffled)
+    tables = []
+    for ordering in (records, shuffled):
+        collector = DemandCollector(TOPOLOGY, interval_seconds=INTERVAL_S)
+        reference = ReferenceCollector(TOPOLOGY)
+        for _, src, dst, sent, qos in ordering:
+            collector.ingest(FlowRecord(src, dst, sent, qos))
+            reference.ingest(src, dst, sent, qos.value)
+        table = collector.build_matrix().table
+        _assert_same_table(table, reference.build(clear=True))
+        tables.append(table)
+    for column in ("offsets", "volumes", "src_endpoints", "dst_endpoints"):
+        np.testing.assert_array_equal(
+            getattr(tables[0], column), getattr(tables[1], column)
+        )
+
+
+def test_empty_interval():
+    collector = DemandCollector(TOPOLOGY, interval_seconds=INTERVAL_S)
+    table = collector.build_matrix().table
+    _assert_same_table(table, ReferenceCollector(TOPOLOGY).build(clear=True))
+    assert table.num_flows == 0
+    assert table.num_pairs == TOPOLOGY.catalog.num_pairs
+    assert not table.has_endpoints.any()
+
+
+def test_catalog_grown_after_construction_is_seen():
+    """The site-pair table follows the catalog it was built from."""
+    topology = _topology()
+    collector = DemandCollector(topology, interval_seconds=INTERVAL_S)
+    b = topology.layout.endpoint_ids("b")[0]
+    c = topology.layout.endpoint_ids("c")[0]
+    collector.ingest(FlowRecord(b, c, 100))
+    assert collector.unroutable_bytes == 100
+    topology.catalog.add_pair(
+        "b", "c", build_tunnels(
+            topology.network, site_pairs=[("b", "c")], tunnels_per_pair=1
+        ).tunnels(0),
+    )
+    collector.ingest(FlowRecord(b, c, 100))
+    assert collector.unroutable_bytes == 100
+    assert collector.num_flows == 1
+    table = collector.build_matrix().table
+    assert table.counts.tolist() == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("clear", [True, False])
+def test_built_table_is_detached_from_later_ingests(clear):
+    """A matrix handed out must not change when the collector moves on."""
+    collector = DemandCollector(TOPOLOGY, interval_seconds=INTERVAL_S)
+    collector.ingest(FlowRecord(0, 3, 1_000))
+    table = collector.build_matrix(clear=clear).table
+    before = {c: getattr(table, c).copy() for c in ("volumes", "qos", "src_endpoints")}
+    collector.ingest(FlowRecord(0, 3, 5_000, QoSClass.CLASS1))
+    collector.ingest(FlowRecord(1, 4, 7))
+    collector.build_matrix()
+    for column, expected in before.items():
+        np.testing.assert_array_equal(getattr(table, column), expected)

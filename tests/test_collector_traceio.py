@@ -113,6 +113,82 @@ class TestDemandCollector:
         )
         assert collector.unroutable_bytes == 123
 
+    def test_host_report_mixes_with_plain_ingest(
+        self, collector, tiny_topology
+    ):
+        """Host reports and plain records share one drain: same-pair
+        bytes add up, the later registration's qos wins, and an instance
+        without a registered destination is unroutable."""
+        a, b = self._eps(tiny_topology)
+        collector.ingest(FlowRecord(a[0], b[0], 1_000, qos=QoSClass.CLASS3))
+        collector.ingest_host_report(
+            volumes_by_instance={a[0]: 5_000, a[1]: 7_000, a[2]: 9},
+            destination_of={a[0]: b[0], a[1]: b[1]},
+            qos_of={a[0]: QoSClass.CLASS1},
+        )
+        collector.ingest(FlowRecord(a[1], b[1], 500))
+        table = collector.build_matrix().table
+        assert collector.unroutable_bytes == 9
+        assert table.src_endpoints.tolist() == [a[0], a[1]]
+        assert table.dst_endpoints.tolist() == [b[0], b[1]]
+        assert table.qos.tolist() == [1, 2]
+        np.testing.assert_array_equal(
+            table.volumes,
+            np.array([6_000, 7_500]) * 8.0 / 100.0 / 1e9,
+        )
+
+    def test_host_report_negative_bytes_rejected(
+        self, collector, tiny_topology
+    ):
+        a, b = self._eps(tiny_topology)
+        with pytest.raises(ValueError):
+            collector.ingest_host_report({a[0]: -1}, {a[0]: b[0]})
+
+    def test_out_of_range_endpoint_raises_at_ingest(
+        self, collector, tiny_topology
+    ):
+        a, b = self._eps(tiny_topology)
+        n = tiny_topology.layout.num_endpoints
+        for src, dst in ((n, b[0]), (a[0], n), (-1, b[0]), (a[0], -1)):
+            with pytest.raises(IndexError):
+                collector.ingest(FlowRecord(src, dst, 1))
+        assert collector.num_flows == 0
+        assert collector.unroutable_bytes == 0
+
+    def test_byte_count_beyond_int64_raises_at_ingest(
+        self, collector, tiny_topology
+    ):
+        a, b = self._eps(tiny_topology)
+        with pytest.raises(OverflowError):
+            collector.ingest(FlowRecord(a[0], b[0], 2**63))
+        # The rejected report left no partial row behind.
+        collector.ingest(FlowRecord(a[1], b[1], 1_000, qos=QoSClass.CLASS1))
+        table = collector.build_matrix().table
+        assert table.src_endpoints.tolist() == [a[1]]
+        assert table.qos.tolist() == [1]
+
+    def test_per_flow_sum_beyond_int64_raises(
+        self, collector, tiny_topology
+    ):
+        """A same-pair byte sum must not wrap silently in the drain."""
+        a, b = self._eps(tiny_topology)
+        collector.ingest(FlowRecord(a[0], b[0], 2**62))
+        collector.ingest(FlowRecord(a[1], b[1], 2**62))
+        collector.ingest(FlowRecord(a[1], b[1], 2**62 - 1))
+        # 2**63 - 1 still fits; the other pairs are untouched by it.
+        assert collector.num_flows == 2
+        collector.ingest(FlowRecord(a[0], b[0], 2**62))
+        with pytest.raises(OverflowError):
+            collector.build_matrix()
+
+    def test_unroutable_total_is_exact_beyond_int64(
+        self, collector, tiny_topology
+    ):
+        a, b = self._eps(tiny_topology)
+        for _ in range(2):
+            collector.ingest(FlowRecord(b[0], a[0], 2**62))
+        assert collector.unroutable_bytes == 2**63
+
     def test_invalid_interval(self, tiny_topology):
         with pytest.raises(ValueError):
             DemandCollector(tiny_topology, interval_seconds=0.0)

@@ -1,0 +1,300 @@
+"""Property tests: array-diff ``TEController.publish`` against the
+dict-of-dicts publisher it replaced.
+
+``publish`` forms ``(src, dst, path id)`` rows from the flat assignment
+and diffs them against the previously published rows as arrays.
+:class:`ReferencePublisher` below is the implementation that replaced —
+one ``{dst: path}`` dict per source endpoint, compared dict to dict —
+kept here as the oracle (it writes in ascending endpoint order, which is
+the order ``publish`` documents).  Over sequences of results on
+alternating healthy / ``with_failures`` topologies — flows going
+unassigned and coming back, duplicate ``(src, dst)`` rows, pairs without
+endpoint ids, delta publish on and off — both must issue the same
+``database.put`` calls in the same order.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.controlplane import (
+    EndpointConfig,
+    QueryRejected,
+    TEController,
+    TEDatabase,
+    VERSION_KEY,
+    config_key,
+)
+from repro.core import FlowAssignment, TEResult
+from repro.core.flowtable import FlowTable, csr_offsets
+from repro.topology import SiteNetwork, TwoLayerTopology, build_tunnels
+from repro.topology.endpoints import EndpointLayout
+from repro.traffic import DemandMatrix
+
+
+def _topologies() -> list[TwoLayerTopology]:
+    """A ring with two tunnels per pair, and the same ring with a->b
+    cut: every pair loses a tunnel, so surviving tunnels' indices shift
+    while their paths do not."""
+    net = SiteNetwork(name="ring")
+    for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")):
+        net.add_duplex_link(u, v, capacity=10.0, latency_ms=1.0)
+    catalog = build_tunnels(
+        net,
+        site_pairs=[("a", "b"), ("a", "c"), ("d", "b")],
+        tunnels_per_pair=2,
+    )
+    layout = EndpointLayout({"a": 4, "b": 4, "c": 4, "d": 4})
+    healthy = TwoLayerTopology(network=net, catalog=catalog, layout=layout)
+    return [healthy, healthy.with_failures([("a", "b")])]
+
+
+TOPOLOGIES = _topologies()
+NUM_PAIRS = TOPOLOGIES[0].catalog.num_pairs
+
+
+def test_the_cut_shifts_tunnel_indices():
+    """The premise of the cross-catalog cases below."""
+    healthy, cut = (t.catalog for t in TOPOLOGIES)
+    shifted = 0
+    for k in range(NUM_PAIRS):
+        assert 0 < len(cut.tunnels(k)) < len(healthy.tunnels(k))
+        shifted += cut.tunnels(k)[0].path != healthy.tunnels(k)[0].path
+    assert shifted
+
+
+class RecordingDatabase(TEDatabase):
+    """A TE database that logs its puts and can reject the n-th one."""
+
+    def __init__(self, reject_put: int | None = None) -> None:
+        super().__init__(enforce_capacity=False)
+        self.puts: list[tuple[str, object]] = []
+        self.reject_put = reject_put
+
+    def put(self, key, value, now=0.0):
+        if len(self.puts) == self.reject_put:
+            self.reject_put = None
+            raise QueryRejected("injected")
+        self.puts.append((key, value))
+        return super().put(key, value, now=now)
+
+
+class ReferencePublisher:
+    """The dict-of-dicts publisher the array diff replaced."""
+
+    def __init__(self, database: TEDatabase, delta_publish: bool) -> None:
+        self.database = database
+        self.delta_publish = delta_publish
+        self.current_version = 0
+        self.published: dict[int, dict[int, tuple[str, ...]]] = {}
+        self.last_publish_writes = 0
+
+    def publish(self, topology, result, now: float = 0.0) -> int:
+        next_version = self.current_version + 1
+        table = result.demands.table
+        assigned = result.assignment.assigned_tunnel
+        per_endpoint: dict[int, dict[int, tuple[str, ...]]] = {}
+        for i, k in enumerate(table.pair_ids().tolist()):
+            if assigned[i] < 0 or not table.has_endpoints[k]:
+                continue
+            path = topology.catalog.tunnels(k)[int(assigned[i])].path
+            src = int(table.src_endpoints[i])
+            per_endpoint.setdefault(src, {})[int(table.dst_endpoints[i])] = path
+        writes = 0
+        for endpoint_id in sorted(per_endpoint):
+            paths = per_endpoint[endpoint_id]
+            if self.delta_publish and self.published.get(endpoint_id) == paths:
+                continue
+            self.database.put(
+                config_key(endpoint_id),
+                EndpointConfig(endpoint_id, next_version, paths),
+                now=now,
+            )
+            self.published[endpoint_id] = paths
+            writes += 1
+        self.database.put(VERSION_KEY, next_version, now=now)
+        self.current_version = next_version
+        self.last_publish_writes = writes
+        return next_version
+
+
+def _result(variant: int, flows, has_endpoints) -> TEResult:
+    """A TEResult over ``flows`` = (pair, src, dst, choice) tuples, where
+    ``choice`` picks unassigned (0) or one of the pair's live tunnels."""
+    catalog = TOPOLOGIES[variant].catalog
+    flows = sorted(flows, key=lambda f: f[0])  # pair-major, draw order kept
+    pair = [f[0] for f in flows]
+    assigned = [
+        -1 if choice == 0 else (choice - 1) % len(catalog.tunnels(k))
+        for k, _, _, choice in flows
+    ]
+    table = FlowTable(
+        csr_offsets(np.bincount(pair, minlength=NUM_PAIRS)),
+        np.ones(len(flows)),
+        np.full(len(flows), 2, dtype=np.int8),
+        np.array([f[1] for f in flows], dtype=np.int64),
+        np.array([f[2] for f in flows], dtype=np.int64),
+        has_endpoints=np.array(has_endpoints, dtype=bool),
+    )
+    return TEResult(
+        scheme="drawn",
+        assignment=FlowAssignment.from_flat(
+            np.array(assigned, dtype=np.int32), table.offsets
+        ),
+        demands=DemandMatrix.from_table(table),
+        satisfied_volume=0.0,
+        runtime_s=0.0,
+    )
+
+
+# Few endpoints and few pairs: duplicate (src, dst) rows, an endpoint's
+# flows all going unassigned, and a config coming back unchanged are all
+# common draws.
+_flow = st.tuples(
+    st.integers(0, NUM_PAIRS - 1),
+    st.integers(0, 4),
+    st.integers(0, 5),
+    st.integers(0, 2),
+)
+_interval = st.tuples(
+    st.integers(0, 1),
+    st.lists(_flow, max_size=12),
+    # Mostly every pair carries endpoint ids.
+    st.lists(
+        st.sampled_from([True, True, True, False]),
+        min_size=NUM_PAIRS,
+        max_size=NUM_PAIRS,
+    ),
+)
+
+
+def _assert_same_puts(got: RecordingDatabase, want: RecordingDatabase) -> None:
+    assert [key for key, _ in got.puts] == [key for key, _ in want.puts]
+    for (key, value), (_, expected) in zip(got.puts, want.puts):
+        assert value == expected, key
+        if isinstance(value, EndpointConfig):
+            assert all(type(dst) is int for dst in value.paths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_interval, min_size=1, max_size=8), st.booleans())
+def test_publish_matches_reference(intervals, delta_publish):
+    database, expected = RecordingDatabase(), RecordingDatabase()
+    controller = TEController(database, delta_publish=delta_publish)
+    reference = ReferencePublisher(expected, delta_publish)
+    for n, (variant, flows, has_endpoints) in enumerate(intervals):
+        result = _result(variant, flows, has_endpoints)
+        topology = TOPOLOGIES[variant]
+        first_put = len(database.puts)
+        version = controller.publish(topology, result, now=float(n))
+        assert version == reference.publish(topology, result, now=float(n))
+        assert controller.last_publish_writes == reference.last_publish_writes
+        _assert_same_puts(database, expected)
+        # Configs first, ascending by endpoint; the version key last.
+        keys = [key for key, _ in database.puts[first_put:]]
+        assert keys[-1] == VERSION_KEY and VERSION_KEY not in keys[:-1]
+        endpoint_ids = [value.endpoint_id for _, value in database.puts[first_put:-1]]
+        assert endpoint_ids == sorted(set(endpoint_ids))
+    assert controller.current_version == len(intervals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_interval, min_size=1, max_size=4),
+    st.integers(0, 6),
+    st.booleans(),
+)
+def test_interrupted_publish_resumes_like_reference(
+    intervals, reject_put, delta_publish
+):
+    """A put rejected part-way leaves what already landed published: the
+    retry rewrites only the rest (under delta publish) and both sides
+    still agree on every later interval."""
+    database = RecordingDatabase(reject_put=reject_put)
+    expected = RecordingDatabase(reject_put=reject_put)
+    controller = TEController(database, delta_publish=delta_publish)
+    reference = ReferencePublisher(expected, delta_publish)
+    for variant, flows, has_endpoints in intervals:
+        result = _result(variant, flows, has_endpoints)
+        for publisher in (controller, reference):
+            try:
+                publisher.publish(TOPOLOGIES[variant], result)
+            except QueryRejected:
+                publisher.publish(TOPOLOGIES[variant], result)
+        assert controller.current_version == reference.current_version
+        assert controller.last_publish_writes == reference.last_publish_writes
+        _assert_same_puts(database, expected)
+
+
+def test_endpoint_with_all_flows_unassigned_keeps_its_config():
+    """The documented edge: no publishable flow this interval means the
+    endpoint is neither rewritten nor forgotten."""
+    database = RecordingDatabase()
+    controller = TEController(database)
+    everything = [True] * NUM_PAIRS
+    controller.publish(
+        TOPOLOGIES[0], _result(0, [(0, 1, 2, 1), (1, 3, 4, 2)], everything)
+    )
+    config, _ = database.get(config_key(1))
+    # Endpoint 1's only flow goes unassigned: nothing is written for it...
+    controller.publish(
+        TOPOLOGIES[0], _result(0, [(0, 1, 2, 0), (1, 3, 4, 2)], everything)
+    )
+    assert controller.last_publish_writes == 0
+    assert database.get(config_key(1))[0] is config
+    # ...and when the flow comes back on the same path, still nothing.
+    controller.publish(
+        TOPOLOGIES[0], _result(0, [(0, 1, 2, 1), (1, 3, 4, 2)], everything)
+    )
+    assert controller.last_publish_writes == 0
+    # On another path it is rewritten.
+    controller.publish(
+        TOPOLOGIES[0], _result(0, [(0, 1, 2, 2), (1, 3, 4, 2)], everything)
+    )
+    assert controller.last_publish_writes == 1
+    assert database.get(config_key(1))[0].paths != config.paths
+
+
+def test_same_path_under_shifted_index_is_not_rewritten():
+    """Path ids, not tunnel indices, are what the diff compares."""
+    healthy, cut = TOPOLOGIES
+    survivor = cut.catalog.tunnels(0)[0].path
+    index = [t.path for t in healthy.catalog.tunnels(0)].index(survivor)
+    assert index != 0
+    controller = TEController(RecordingDatabase())
+    everything = [True] * NUM_PAIRS
+    controller.publish(healthy, _result(0, [(0, 1, 2, 1 + index)], everything))
+    assert controller.last_publish_writes == 1
+    controller.publish(cut, _result(1, [(0, 1, 2, 1)], everything))
+    assert controller.last_publish_writes == 0
+
+
+def test_tunnel_index_outside_the_catalog_is_rejected():
+    """A result solved on the healthy catalog, published on the cut one."""
+    result = _result(0, [(0, 1, 2, 2)], [True] * NUM_PAIRS)
+    assert result.assignment.assigned_tunnel.tolist() == [1]
+    database = RecordingDatabase()
+    with pytest.raises(IndexError):
+        TEController(database).publish(TOPOLOGIES[1], result)
+    assert database.puts == []
+
+
+@pytest.mark.parametrize("bad", [-1, 2**31])
+def test_endpoint_id_that_cannot_be_packed_is_rejected(bad):
+    result = _result(0, [(0, bad, 2, 1)], [True] * NUM_PAIRS)
+    with pytest.raises(ValueError):
+        TEController(RecordingDatabase()).publish(TOPOLOGIES[0], result)
+
+
+def test_largest_packable_endpoint_id_is_diffed_correctly():
+    top = 2**31 - 1
+    database = RecordingDatabase()
+    controller = TEController(database)
+    result = _result(0, [(0, top, top, 1), (0, top, 0, 2)], [True] * NUM_PAIRS)
+    controller.publish(TOPOLOGIES[0], result)
+    assert [key for key, _ in database.puts] == [config_key(top), VERSION_KEY]
+    assert set(database.puts[0][1].paths) == {0, top}
+    controller.publish(TOPOLOGIES[0], result)
+    assert controller.last_publish_writes == 0

@@ -113,6 +113,11 @@ class TestEndpointLayout:
                 assert layout.site_of(ep) == f"s{i}"
             total += c
         assert layout.num_endpoints == total
+        # The columnar lookup agrees with the scalar one on every id.
+        sites = layout.sites
+        assert [
+            sites[i] for i in layout.site_indices(np.arange(total))
+        ] == [layout.site_of(ep) for ep in range(total)]
 
 
 class TestAttachEndpoints:
