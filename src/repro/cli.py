@@ -1013,12 +1013,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--ssp-backend",
-        choices=["scalar", "numpy", "torch", "cupy", "auto"],
+        choices=["scalar", "numpy"],
         default=None,
         help="FastSSP kernel for the contended second stage (default: "
-             "REPRO_SSP_BACKEND env or numpy; 'scalar' keeps the "
-             "per-pair reference path; torch/cupy fall back to numpy "
-             "with a warning when unavailable)",
+             "REPRO_SSP_BACKEND env or numpy, the array-batched "
+             "kernel; 'scalar' keeps the per-pair reference path)",
     )
     p.add_argument(
         "--trace-out", default=None, metavar="FILE",

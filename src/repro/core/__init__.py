@@ -1,22 +1,14 @@
 """MegaTE's core contribution: the contracted two-stage TE optimization."""
 
-from .batch import (
-    BatchSSPInstance,
-    solve_ssp_batch,
-    triage_ssp_batch,
-    triage_ssp_segments,
-)
 from .exact import ExactSolution, solve_max_all_flow
 from .fastssp import FastSSPResult, fast_ssp
 from .fastssp_batch import (
     SSP_BACKEND_ENV,
     SSP_BACKEND_NAMES,
     BatchedSSPResult,
-    cupy_available,
     fast_ssp_batch,
     fill_pairs_batch,
     resolve_ssp_backend_name,
-    torch_available,
 )
 from .flowtable import FlowTable, PairViews, csr_offsets, pair_views
 from .formulation import MaxAllFlowProblem
@@ -26,8 +18,8 @@ from .lp_backend import (
     highspy_available,
     resolve_backend_name,
 )
-from .pairfill import fill_pair, fill_pair_warm_or_cold, fill_pairs
-from .parallel import WORKERS_ENV, parallel_map, resolve_workers
+from .pairfill import fill_pair, fill_pairs
+from .parallel import resolve_workers
 from .qos import PRIORITY_ORDER, QoSClass
 from .sharded import (
     SHARD_WORKERS_ENV,
@@ -68,26 +60,19 @@ __all__ = [
     "solve_max_site_flow",
     "solve_max_all_flow",
     "ExactSolution",
-    "parallel_map",
     "TEResult",
     "FlowAssignment",
     "SiteAllocation",
     "FeasibilityReport",
     "check_feasibility",
     "UNASSIGNED",
-    "BatchSSPInstance",
-    "solve_ssp_batch",
-    "triage_ssp_batch",
-    "triage_ssp_segments",
     "FlowTable",
     "PairViews",
     "csr_offsets",
     "pair_views",
     "SiteFlowSolver",
     "resolve_workers",
-    "WORKERS_ENV",
     "fill_pair",
-    "fill_pair_warm_or_cold",
     "fill_pairs",
     "SSP_BACKEND_ENV",
     "SSP_BACKEND_NAMES",
@@ -95,8 +80,6 @@ __all__ = [
     "fast_ssp_batch",
     "fill_pairs_batch",
     "resolve_ssp_backend_name",
-    "torch_available",
-    "cupy_available",
     "SHARD_WORKERS_ENV",
     "ShardContext",
     "ShardedConfig",

@@ -16,11 +16,8 @@ padded array program over the CSR columns of
   each row's sorted values finds the position where the running total
   crosses the threshold ``M = ε·F/3`` by bisection (trailing
   under-threshold clusters kept, as in the scalar path).
-* **DP** — quantized subset-sum with first-reacher choice tracking: the
-  per-row reference sweep on the host; on device backends the tables of
-  all pairs advance together as one ``(P, cap_buckets)`` boolean sweep
-  over the padded ``(P, m)`` cluster matrix with a vectorized backward
-  reconstruction.
+* **DP** — quantized subset-sum with first-reacher choice tracking, the
+  scalar reference sweep (:func:`repro.core.ssp.dp_ssp`) row by row.
 * **Greedy** — first-fit-decreasing over each pair's residual demands.
 
 Bit-identity contract
@@ -50,22 +47,14 @@ Backends
 --------
 Selection follows :mod:`repro.core.lp_backend`'s pattern — explicit
 argument > ``REPRO_SSP_BACKEND`` env var > ``numpy`` — via
-:func:`resolve_ssp_backend_name`.  ``"scalar"`` routes dispatch layers
-back to the per-pair reference path; ``"torch"`` / ``"cupy"`` offload
-the integer DP sweep and the elementwise greedy column scan (integer,
-boolean, and single elementwise float64 ops are bit-exact on any IEEE
-device), auto-falling back to numpy with a ``RuntimeWarning`` when the
-wheel or device is absent.  ``"auto"`` picks torch > cupy > numpy
-silently.  Floating-point *reductions* (sums, cumsum, sort keys) stay
-on the host numpy path on every backend — reduction order is the one
-thing an accelerator is free to change, so it is never delegated.
+:func:`resolve_ssp_backend_name`.  ``"numpy"`` is this kernel;
+``"scalar"`` routes dispatch layers back to the per-pair reference path
+the property tests compare it against.
 """
 
 from __future__ import annotations
 
-import importlib
 import os
-import warnings
 from bisect import bisect_left
 
 import numpy as np
@@ -81,11 +70,9 @@ __all__ = [
     "SSP_BACKEND_NAMES",
     "SSP_PHASE_KEYS",
     "BatchedSSPResult",
-    "cupy_available",
     "fast_ssp_batch",
     "fill_pairs_batch",
     "resolve_ssp_backend_name",
-    "torch_available",
 ]
 
 #: Environment variable consulted when no backend is passed explicitly
@@ -94,7 +81,7 @@ SSP_BACKEND_ENV = "REPRO_SSP_BACKEND"
 
 #: Valid backend spellings.  ``"scalar"`` means "do not batch at all" —
 #: dispatch layers route it to the per-pair reference path.
-SSP_BACKEND_NAMES = ("scalar", "numpy", "torch", "cupy", "auto")
+SSP_BACKEND_NAMES = ("scalar", "numpy")
 
 #: Keys of the batched kernel's phase-timing breakdown.
 SSP_PHASE_KEYS = (
@@ -108,35 +95,11 @@ SSP_PHASE_KEYS = (
 )
 
 
-def torch_available() -> bool:
-    """True when the optional ``torch`` wheel imports."""
-    try:
-        importlib.import_module("torch")
-    except ImportError:
-        return False
-    return True
-
-
-def cupy_available() -> bool:
-    """True when ``cupy`` imports *and* a CUDA device answers."""
-    try:
-        cupy = importlib.import_module("cupy")
-    except ImportError:
-        return False
-    try:
-        return int(cupy.cuda.runtime.getDeviceCount()) > 0
-    except Exception:
-        return False
-
-
 def resolve_ssp_backend_name(requested: str | None = None) -> str:
     """Resolve the effective SSP backend name.
 
     Precedence: explicit argument > ``REPRO_SSP_BACKEND`` env var >
-    ``"numpy"``.  ``"auto"`` degrades silently (torch > cupy > numpy);
-    an explicit ``"torch"``/``"cupy"`` whose wheel or device is absent
-    falls back to numpy with a :class:`RuntimeWarning` — never an
-    exception, mirroring the LP backend's contract.
+    ``"numpy"``.  Unknown names raise ``ValueError``.
     """
     name = requested if requested is not None else (
         os.environ.get(SSP_BACKEND_ENV) or None
@@ -147,96 +110,7 @@ def resolve_ssp_backend_name(requested: str | None = None) -> str:
             f"unknown SSP backend {name!r}; "
             f"expected one of {SSP_BACKEND_NAMES}"
         )
-    if name in ("scalar", "numpy"):
-        return name
-    if name == "auto":
-        if torch_available():
-            return "torch"
-        if cupy_available():
-            return "cupy"
-        return "numpy"
-    available = torch_available() if name == "torch" else cupy_available()
-    if not available:
-        warnings.warn(
-            f"SSP backend {name!r} is unavailable (wheel or device "
-            "missing); falling back to numpy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "numpy"
     return name
-
-
-# ---------------------------------------------------------------------------
-# Backend kernels.  Only the integer DP sweep and the elementwise greedy
-# scan are delegated — both are bit-exact on any IEEE backend.
-
-
-def _dp_sweep_array(xp, normalized, qcap):
-    """Batched first-reacher subset-sum DP (generic numpy/cupy body).
-
-    One boolean ``(P, C)`` reachability table advances over the padded
-    ``(P, m)`` quantized-cluster matrix; ``choice[p, s]`` records the
-    first cluster that reached sum ``s`` for pair ``p`` (-1 unreachable,
-    -2 the empty sum) — the exact semantics of the scalar
-    :func:`repro.core.ssp.dp_ssp`.  Padding clusters are 0 and skipped
-    by the same ``v == 0`` rule the scalar path uses.
-    """
-    P, m = normalized.shape
-    C = int(qcap.max()) + 1 if qcap.size else 1
-    norm = xp.asarray(normalized)
-    qc = xp.asarray(qcap)
-    reachable = xp.zeros((P, C), dtype=bool)
-    choice = xp.full((P, C), -1, dtype=xp.int64)
-    if P == 0:
-        return reachable, choice
-    reachable[:, 0] = True
-    choice[:, 0] = -2
-    cols = xp.arange(C, dtype=xp.int64)[None, :]
-    col_ok = cols <= qc[:, None]
-    for i in range(m):
-        v = norm[:, i]
-        active = (v != 0) & (v <= qc)
-        if not bool(active.any()):
-            continue
-        idx = cols - v[:, None]
-        valid = (idx >= 0) & active[:, None] & col_ok
-        shifted = xp.take_along_axis(
-            reachable, xp.maximum(idx, 0), axis=1
-        ) & valid
-        newly = shifted & ~reachable
-        choice[newly] = i
-        reachable |= shifted
-    return reachable, choice
-
-
-def _dp_select(reachable, choice, normalized):
-    """Vectorized backward walk: selected-cluster mask per pair.
-
-    ``best`` is each pair's largest reachable quantized sum; the walk
-    follows first-reacher choices downward — because ``choice[s]``
-    records the cluster that *first* made ``s`` reachable, the walk
-    visits strictly decreasing cluster indices and terminates within
-    ``m`` steps with distinct clusters (same argument as the scalar
-    reconstruction).
-    """
-    P, C = reachable.shape
-    m = normalized.shape[1]
-    sel = np.zeros((P, m), dtype=bool)
-    if P == 0 or m == 0:
-        return sel
-    best = (C - 1) - np.argmax(reachable[:, ::-1], axis=1)
-    s = best.astype(np.int64)
-    rows = np.arange(P)
-    for _ in range(m):
-        act = s > 0
-        if not act.any():
-            break
-        i = np.where(act, choice[rows, np.maximum(s, 0)], 0)
-        i_safe = np.maximum(i, 0)
-        sel[rows[act], i_safe[act]] = True
-        s = np.where(act, s - normalized[rows, i_safe], s)
-    return sel
 
 
 def _greedy_row(row: np.ndarray, remaining: float) -> tuple[list, float]:
@@ -268,236 +142,48 @@ def _greedy_row(row: np.ndarray, remaining: float) -> tuple[list, float]:
     return chosen, total
 
 
-def _dp_select_from_sweep(kernels, normalized, qcap):
-    """Selected-cluster mask via a kernel's array sweep + backward walk."""
-    reachable, choice = kernels.dp_sweep(normalized, qcap)
-    return _dp_select(reachable, choice, normalized)
+def _dp_select(normalized, qcap):
+    """Per-row first-reacher DP via the scalar reference sweep.
 
-
-class _NumpyKernels:
-    """Host reference kernels (full bit-identical implementation)."""
-
-    name = "numpy"
-
-    @staticmethod
-    def dp_sweep(normalized, qcap):
-        return _dp_sweep_array(np, normalized, qcap)
-
-    @staticmethod
-    def dp_select(normalized, qcap):
-        """Per-row first-reacher DP via the scalar reference sweep.
-
-        Contended batches are small while cluster counts can reach
-        thousands, so on the host the row-by-row
-        :func:`repro.core.ssp.dp_ssp` (integer, bit-identical by
-        construction — it *is* the scalar DP) beats the padded array
-        sweep, which pays a ``(P, C)`` gather per cluster.  Padding
-        clusters are 0 and skipped by the sweep's own ``v == 0`` rule.
-        """
-        P, m = normalized.shape
-        sel = np.zeros((P, m), dtype=bool)
-        if m == 0:
-            return sel
-        for p in range(P):
-            cap = int(qcap[p])
-            if cap <= 0:
-                continue
-            dp = dp_ssp(normalized[p], cap)
-            if dp.selected:
-                sel[p, np.asarray(dp.selected, dtype=np.int64)] = True
+    Contended batches are small while cluster counts can reach
+    thousands, so the row-by-row :func:`repro.core.ssp.dp_ssp`
+    (integer, bit-identical by construction — it *is* the scalar DP)
+    beats a padded array sweep, which pays a ``(P, C)`` gather per
+    cluster.  Padding clusters are 0 and skipped by the sweep's own
+    ``v == 0`` rule.
+    """
+    P, m = normalized.shape
+    sel = np.zeros((P, m), dtype=bool)
+    if m == 0:
         return sel
-
-    @staticmethod
-    def greedy_scan(svals, resid_mask, remaining0, gate):
-        """Per-row exact FFD over residual positions of the sorted rows.
-
-        Returns ``(fits, totals)``: a boolean mask over *sorted*
-        positions and the per-pair greedy volume.
-        """
-        P, L = svals.shape
-        fits = np.zeros((P, L), dtype=bool)
-        totals = np.zeros(P, dtype=np.float64)
-        for p in np.flatnonzero(gate):
-            pos = np.flatnonzero(resid_mask[p])
-            if pos.size == 0:
-                continue
-            chosen, total = _greedy_row(
-                svals[p, pos], float(remaining0[p])
-            )
-            if chosen:
-                fits[p, pos[np.asarray(chosen, dtype=np.int64)]] = True
-            totals[p] = total
-        return fits, totals
+    for p in range(P):
+        cap = int(qcap[p])
+        if cap <= 0:
+            continue
+        dp = dp_ssp(normalized[p], cap)
+        if dp.selected:
+            sel[p, np.asarray(dp.selected, dtype=np.int64)] = True
+    return sel
 
 
-def _pack_residuals(svals, resid_mask):
-    """Left-align each row's residual positions (order preserved).
+def _greedy_scan(svals, resid_mask, remaining0, gate):
+    """Per-row exact FFD over residual positions of the sorted rows.
 
-    Returns ``(packed_vals, pack_order, lens)`` where ``packed_vals[p,
-    :lens[p]]`` are pair ``p``'s residual values in scan order and
-    ``pack_order`` maps packed columns back to sorted positions.
+    Returns ``(fits, totals)``: a boolean mask over *sorted*
+    positions and the per-pair greedy volume.
     """
-    lens = resid_mask.sum(axis=1).astype(np.int64)
-    W = int(lens.max()) if lens.size else 0
-    pack_order = np.argsort(~resid_mask, axis=1, kind="stable")[:, :W]
-    packed = np.take_along_axis(svals, pack_order, axis=1)
-    return packed, pack_order, lens
-
-
-def _greedy_columns_device(xp, to_host, packed, lens, remaining0, gate):
-    """Column-sequential FFD sweep (device body, numpy-like ``xp``).
-
-    Elementwise float64 subtract/compare per column — bit-exact on any
-    IEEE device.  Rows go inactive once their remaining capacity drops
-    strictly below their smallest scanned value (nothing later fits).
-    """
-    P, W = packed.shape
-    v2 = xp.asarray(packed)
-    lens_d = xp.asarray(lens)
-    remaining = xp.array(np.asarray(remaining0, dtype=np.float64))
-    total = xp.zeros(P, dtype=xp.float64)
-    alive = xp.array(np.asarray(gate, dtype=bool))
-    rows_min = np.where(
-        lens > 0,
-        packed[np.arange(P), np.maximum(lens - 1, 0)],
-        np.inf,
-    )
-    floor = xp.asarray(rows_min)
-    fits = xp.zeros((P, W), dtype=bool)
-    for j in range(W):
-        act = alive & (lens_d > j)
-        if not bool(act.any()):
-            break
-        v = v2[:, j]
-        f = act & (v <= remaining)
-        remaining = xp.where(f, remaining - v, remaining)
-        total = xp.where(f, total + v, total)
-        fits[:, j] = f
-        alive = alive & ~(remaining < floor)
-    return to_host(fits), to_host(total)
-
-
-class _CupyKernels:
-    """CUDA kernels via cupy (DP sweep + greedy column scan on device)."""
-
-    name = "cupy"
-
-    def __init__(self) -> None:
-        self.cp = importlib.import_module("cupy")
-
-    def dp_sweep(self, normalized, qcap):
-        reachable, choice = _dp_sweep_array(self.cp, normalized, qcap)
-        return self.cp.asnumpy(reachable), self.cp.asnumpy(choice)
-
-    def dp_select(self, normalized, qcap):
-        return _dp_select_from_sweep(self, normalized, qcap)
-
-    def greedy_scan(self, svals, resid_mask, remaining0, gate):
-        packed, pack_order, lens = _pack_residuals(svals, resid_mask)
-        P, L = svals.shape
-        fits_sorted = np.zeros((P, L), dtype=bool)
-        if packed.shape[1] == 0 or not gate.any():
-            return fits_sorted, np.zeros(P, dtype=np.float64)
-        fits_packed, totals = _greedy_columns_device(
-            self.cp, self.cp.asnumpy, packed, lens, remaining0, gate
-        )
-        np.put_along_axis(fits_sorted, pack_order, fits_packed, axis=1)
-        return fits_sorted, totals
-
-
-class _TorchKernels:
-    """Torch kernels (CPU or CUDA; float64 elementwise ops are IEEE)."""
-
-    name = "torch"
-
-    def __init__(self) -> None:
-        torch = importlib.import_module("torch")
-        self.torch = torch
-        self.device = "cuda" if torch.cuda.is_available() else "cpu"
-
-    def dp_sweep(self, normalized, qcap):
-        t = self.torch
-        P, m = normalized.shape
-        C = int(qcap.max()) + 1 if qcap.size else 1
-        dev = self.device
-        norm = t.as_tensor(normalized, device=dev)
-        qc = t.as_tensor(qcap, device=dev)
-        reachable = t.zeros((P, C), dtype=t.bool, device=dev)
-        choice = t.full((P, C), -1, dtype=t.int64, device=dev)
-        if P:
-            reachable[:, 0] = True
-            choice[:, 0] = -2
-            cols = t.arange(C, dtype=t.int64, device=dev)[None, :]
-            col_ok = cols <= qc[:, None]
-            for i in range(m):
-                v = norm[:, i]
-                active = (v != 0) & (v <= qc)
-                if not bool(active.any()):
-                    continue
-                idx = cols - v[:, None]
-                valid = (idx >= 0) & active[:, None] & col_ok
-                shifted = t.gather(reachable, 1, idx.clamp_min(0)) & valid
-                newly = shifted & ~reachable
-                choice[newly] = i
-                reachable |= shifted
-        return reachable.cpu().numpy(), choice.cpu().numpy()
-
-    def dp_select(self, normalized, qcap):
-        return _dp_select_from_sweep(self, normalized, qcap)
-
-    def greedy_scan(self, svals, resid_mask, remaining0, gate):
-        t = self.torch
-        packed, pack_order, lens = _pack_residuals(svals, resid_mask)
-        P, L = svals.shape
-        fits_sorted = np.zeros((P, L), dtype=bool)
-        if packed.shape[1] == 0 or not gate.any():
-            return fits_sorted, np.zeros(P, dtype=np.float64)
-        dev = self.device
-        W = packed.shape[1]
-        v2 = t.as_tensor(packed, device=dev)
-        lens_d = t.as_tensor(lens, device=dev)
-        remaining = t.as_tensor(
-            np.asarray(remaining0, dtype=np.float64).copy(), device=dev
-        )
-        total = t.zeros(P, dtype=t.float64, device=dev)
-        alive = t.as_tensor(np.asarray(gate, dtype=bool).copy(), device=dev)
-        rows_min = np.where(
-            lens > 0,
-            packed[np.arange(P), np.maximum(lens - 1, 0)],
-            np.inf,
-        )
-        floor = t.as_tensor(rows_min, device=dev)
-        fits = t.zeros((P, W), dtype=t.bool, device=dev)
-        for j in range(W):
-            act = alive & (lens_d > j)
-            if not bool(act.any()):
-                break
-            v = v2[:, j]
-            f = act & (v <= remaining)
-            remaining = t.where(f, remaining - v, remaining)
-            total = t.where(f, total + v, total)
-            fits[:, j] = f
-            alive = alive & ~(remaining < floor)
-        np.put_along_axis(
-            fits_sorted, pack_order, fits.cpu().numpy(), axis=1
-        )
-        return fits_sorted, total.cpu().numpy()
-
-
-_KERNEL_CACHE: dict[str, object] = {}
-
-
-def _get_kernels(backend: str):
-    kernels = _KERNEL_CACHE.get(backend)
-    if kernels is None:
-        if backend == "torch":
-            kernels = _TorchKernels()
-        elif backend == "cupy":
-            kernels = _CupyKernels()
-        else:
-            kernels = _NumpyKernels()
-        _KERNEL_CACHE[backend] = kernels
-    return kernels
+    P, L = svals.shape
+    fits = np.zeros((P, L), dtype=bool)
+    totals = np.zeros(P, dtype=np.float64)
+    for p in np.flatnonzero(gate):
+        pos = np.flatnonzero(resid_mask[p])
+        if pos.size == 0:
+            continue
+        chosen, total = _greedy_row(svals[p, pos], float(remaining0[p]))
+        if chosen:
+            fits[p, pos[np.asarray(chosen, dtype=np.int64)]] = True
+        totals[p] = total
+    return fits, totals
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +385,7 @@ def _cluster_rounds(svals, elig_len, threshold):
 
 
 def _solve_contended(
-    flat, starts, lens, caps, epsilon, kernels, phase_s, pre_orders=None
+    flat, starts, lens, caps, epsilon, phase_s, pre_orders=None
 ):
     """The padded four-step program over the contended instances.
 
@@ -777,11 +463,9 @@ def _solve_contended(
         ).astype(np.int64)
         qcap[dp_on] = np.floor(ratio[dp_on]).astype(np.int64)
 
-    # Step 3: quantized subset-sum DP — per-row reference sweep on the
-    # host, the batched array sweep + vectorized reconstruction on
-    # device backends.
+    # Step 3: quantized subset-sum DP, the per-row reference sweep.
     t0 = monotonic()
-    sel_clusters = kernels.dp_select(normalized, qcap)
+    sel_clusters = _dp_select(normalized, qcap)
     phase_s["dp"] += monotonic() - t0
     t0 = monotonic()
 
@@ -822,7 +506,7 @@ def _solve_contended(
         (resid_cap > 0.0) | ((resid_cap == 0.0) & (min_resid <= 0.0))
     )
     resid_elig = (cols < elig_len[:, None]) & ~dp_mask
-    greedy_mask, greedy_totals = kernels.greedy_scan(
+    greedy_mask, greedy_totals = _greedy_scan(
         svals, resid_elig, resid_cap, gate
     )
     greedy_vol = np.where(gate, greedy_totals, 0.0)
@@ -907,7 +591,6 @@ def fast_ssp_batch(
         # The kernel itself is the batched path; "scalar" only has
         # meaning for dispatch layers.  Run the host reference.
         resolved = "numpy"
-    kernels = _get_kernels(resolved)
     phase_s = dict.fromkeys(SSP_PHASE_KEYS, 0.0)
 
     lens = offs[1:] - offs[:-1]
@@ -951,7 +634,6 @@ def fast_ssp_batch(
             lens[ks],
             caps[ks],
             epsilon,
-            kernels,
             phase_s,
             pre_orders=(
                 None

@@ -1,14 +1,14 @@
 """The per-site-pair MaxEndpointFlow fill, shared by every dispatch path.
 
-One contended site pair's second-stage solve — walk the tunnels in fill
-order, pack endpoint flows into each tunnel's allocation via FastSSP,
-then reconcile leftovers — used to live as a private optimizer method.
-It is now a module-level function so the serial path, the thread-pool
-path, and the shared-memory shard workers (:mod:`repro.core.sharded`,
-which runs it in *other processes*) all execute byte-for-byte the same
-code; the sharded path's bit-identity contract rests on that.
-
-:func:`fill_pair_warm_or_cold` composes the cold fill with the carried
+:func:`fill_pair` is one contended site pair's second-stage solve — walk
+the tunnels in fill order, pack endpoint flows into each tunnel's
+allocation via FastSSP, then reconcile leftovers.  :func:`fill_pairs`
+is the optimizer's stage-2 seam: the fill callable
+:meth:`MegaTEOptimizer._fill <repro.core.twostage.MegaTEOptimizer>`
+calls in-process, and the function the shared-memory shard workers
+(:mod:`repro.core.sharded`) run in *other processes* — both execute
+byte-for-byte the same code; the sharded path's bit-identity contract
+rests on that.  It composes the cold fill with the carried
 cross-interval warm start (:func:`repro.core.incremental.warm_fill_pair`)
 behind one call, so the worker-side incremental fast path cannot drift
 from the in-process one.
@@ -22,7 +22,7 @@ from .fastssp import fast_ssp
 from .incremental import reconcile_leftovers, warm_fill_pair
 from .types import UNASSIGNED
 
-__all__ = ["fill_pair", "fill_pair_warm_or_cold", "fill_pairs"]
+__all__ = ["fill_pair", "fill_pairs"]
 
 
 def fill_pair(
@@ -73,30 +73,6 @@ def fill_pair(
     return assigned, placed
 
 
-def fill_pair_warm_or_cold(
-    volumes: np.ndarray,
-    alloc_k: np.ndarray,
-    fill_order: np.ndarray,
-    epsilon: float,
-    prev_assigned: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Warm-start one pair from its previous assignment, else solve cold.
-
-    Returns:
-        ``(assigned, placed_per_tunnel, warm)`` where ``warm`` records
-        whether the carried assignment was good enough to skip FastSSP
-        (the :func:`warm_fill_pair` precision gate).
-    """
-    if prev_assigned is not None:
-        warm = warm_fill_pair(
-            volumes, alloc_k, fill_order, prev_assigned, epsilon
-        )
-        if warm is not None:
-            return warm[0], warm[1], True
-    assigned, placed = fill_pair(volumes, alloc_k, fill_order, epsilon)
-    return assigned, placed, False
-
-
 def fill_pairs(
     pair_volumes: list[np.ndarray],
     pair_allocs: list[np.ndarray],
@@ -108,8 +84,8 @@ def fill_pairs(
 ) -> list[tuple[np.ndarray, np.ndarray, bool]]:
     """Fill many site pairs: warm starts per pair, cold fills batched.
 
-    The batched counterpart of :func:`fill_pair_warm_or_cold` — every
-    pair whose carried assignment passes the warm gate reuses it, and
+    Every pair whose carried assignment passes the warm gate
+    (:func:`~repro.core.incremental.warm_fill_pair`) reuses it, and
     the remaining cold pairs run through the array-batched FastSSP
     kernel (:func:`repro.core.fastssp_batch.fill_pairs_batch`) as one
     padded array program per fill-order step.  Used by the in-process

@@ -1,43 +1,28 @@
-"""Parallel dispatch for the per-site-pair MaxEndpointFlow solves.
+"""Worker-count specs for the process-sharded second stage.
 
 The second-stage SSPs of different site pairs are independent (§4.2: "the
 MaxEndpointFlow problem with different site pairs can be solved in
-parallel").  The paper uses a 24-thread Xeon; this container has one core,
-so the default is serial execution, with a thread-pool option for hosts
-where it helps (FastSSP spends its time in NumPy kernels that release the
-GIL).
-
-Work items are dispatched in *chunks*: a contended site-pair solve can be
-microseconds, so handing items to the pool one at a time would drown the
-solve in future/queue overhead.  Each pool task therefore processes a
-contiguous slice of the input serially.
+parallel").  :mod:`repro.core.sharded` runs them in worker processes;
+this module owns the one grammar every worker-count spec (constructor
+argument, ``REPRO_SHARD_WORKERS``, ``--shard-workers``) is parsed with.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
 
-__all__ = ["parallel_map", "resolve_workers", "WORKERS_ENV"]
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-#: Environment variable consulted when a worker spec is left unset.
-WORKERS_ENV = "REPRO_WORKERS"
+__all__ = ["resolve_workers"]
 
 
 def resolve_workers(
-    workers: int | str | None, env: str | None = WORKERS_ENV
+    workers: int | str | None, env: str | None = None
 ) -> int | None:
     """Normalize a worker spec to ``None`` (serial) or an int ``>= 2``.
 
-    Accepted specs: ``None`` (consult the ``env`` variable, default
-    serial), ``"auto"`` (``os.cpu_count()``), a non-negative int (``0``
-    and ``1`` both mean serial and normalize to ``None``), or a string
-    of digits.  Negative counts and any other string raise
+    Accepted specs: ``None`` (consult the ``env`` variable when one is
+    named, default serial), ``"auto"`` (``os.cpu_count()``), a
+    non-negative int (``0`` and ``1`` both mean serial and normalize to
+    ``None``), or a string of digits.  Negative counts and any other string raise
     ``ValueError`` — historically ``-1`` slipped through as "serial"
     because callers only checked ``<= 1``, while ``0`` and ``1``
     resolved to *different* values meaning the same thing; both
@@ -45,9 +30,9 @@ def resolve_workers(
 
     Args:
         workers: The spec to normalize.
-        env: Environment variable consulted when ``workers`` is
-            ``None`` (same grammar, including ``"auto"``); pass
-            ``None`` to disable the env default.
+        env: Name of the environment variable consulted when
+            ``workers`` is ``None`` (same grammar, including
+            ``"auto"``); ``None`` means no env default.
 
     Returns:
         ``None`` for serial execution, else a worker count ``>= 2``.
@@ -90,43 +75,3 @@ def resolve_workers(
             f"got {workers!r}"
         )
     return count if count >= 2 else None
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: int | str | None = None,
-    chunk_size: int | None = None,
-) -> list[R]:
-    """Map ``fn`` over ``items``, optionally with a chunked thread pool.
-
-    Args:
-        fn: The per-item solver (must be thread-safe).
-        items: Work items, e.g. site-pair indices.
-        workers: Thread count; ``None``, 0 or 1 runs serially, ``"auto"``
-            resolves to ``os.cpu_count()``.
-        chunk_size: Items per pool task.  Defaults to splitting the input
-            into ~4 chunks per worker so per-task dispatch overhead stays
-            negligible while the pool can still balance uneven chunks.
-
-    Returns:
-        Results in input order.
-    """
-    workers = resolve_workers(workers)
-    if workers is None or len(items) < 2:
-        return [fn(item) for item in items]
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(items) // (workers * 4)))
-    elif chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    chunks = [
-        items[pos : pos + chunk_size]
-        for pos in range(0, len(items), chunk_size)
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        out: list[R] = []
-        for part in pool.map(
-            lambda chunk: [fn(item) for item in chunk], chunks
-        ):
-            out.extend(part)
-        return out

@@ -15,12 +15,12 @@ loop in the interval hot path.  This module shards that residue across
   :mod:`multiprocessing.shared_memory` segment (:class:`SharedArena`).
 * Workers attach once at pool start; a task message is just
   ``(qos, attribute, epsilon, pair-index range)`` — zero-copy slices
-  replace the chunked ``parallel_map`` hand-off of per-pair arrays.
+  replace a pickled hand-off of per-pair arrays.
 * Each worker reconstructs a pair's class segment exactly the way the
   in-process path does and runs the *same*
-  :func:`repro.core.pairfill.fill_pair_warm_or_cold` code, so the
-  sharded assignment is bit-identical to the serial one (digest-pinned
-  and property-tested).
+  :func:`repro.core.pairfill.fill_pairs` code, so the sharded
+  assignment is bit-identical to the serial one (digest-pinned and
+  property-tested).
 * Workers run their own :mod:`repro.obs` registry; every task returns a
   metrics snapshot that the parent folds back with
   ``MetricsRegistry.merge`` — per-shard phase timings survive into the
@@ -38,6 +38,10 @@ unlinks segments the creating process registered.
 Selection follows the LP-backend pattern: an explicit ``shard_workers``
 argument beats the ``REPRO_SHARD_WORKERS`` environment variable, which
 beats the serial default (:meth:`ShardedConfig.resolve`).
+
+The optimizer sees none of this: :class:`ShardedFill` is the stage-2
+fill strategy it holds, and :meth:`ShardedFill.for_class` hands it a
+callable shaped like :func:`repro.core.pairfill.fill_pairs`.
 """
 
 from __future__ import annotations
@@ -49,12 +53,14 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 import multiprocessing as mp
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from ..obs import get_registry, get_tracer, monotonic
+from .pairfill import fill_pairs
 from .parallel import resolve_workers
 
 __all__ = [
@@ -65,6 +71,7 @@ __all__ = [
     "ShardOutcome",
     "SharedArena",
     "ShardContext",
+    "ShardedFill",
     "plan_shards",
     "live_segment_names",
 ]
@@ -346,6 +353,18 @@ def _worker_init(
     _WORKER = {"arena": arena, "obs": obs_enabled}
 
 
+def _class_flows(arena: SharedArena, k: int, qos_value: int) -> np.ndarray:
+    """Global flow indices of pair ``k``'s flows in one QoS class.
+
+    The one definition of "a pair's class segment" in arena terms —
+    the workers, the warm-state staging and the parent's read-back all
+    use it, so they address the same ``assigned`` / ``prev`` slots.
+    """
+    d_offsets = arena["d_offsets"]
+    lo, hi = int(d_offsets[k]), int(d_offsets[k + 1])
+    return lo + np.flatnonzero(arena["qos"][lo:hi] == qos_value)
+
+
 def _worker_solve_range(
     shard_index: int,
     qos_value: int,
@@ -365,17 +384,13 @@ def _worker_solve_range(
     writes land in segments owned exclusively by this shard's pairs, so
     no synchronization is needed.
     """
-    from .pairfill import fill_pairs
-
     if os.environ.get(SHARD_FAILPOINT_ENV) == str(shard_index):
         os._exit(1)  # injected worker crash (see SHARD_FAILPOINT_ENV)
     state = _WORKER
     assert state is not None, "worker used before initialization"
     arena: SharedArena = state["arena"]
     t_start = monotonic()
-    d_offsets = arena["d_offsets"]
     volumes = arena["volumes"]
-    qos = arena["qos"]
     assigned = arena["assigned"]
     prev_col = arena["prev"]
     prev_flag = arena["prev_flag"]
@@ -391,11 +406,9 @@ def _worker_solve_range(
     pair_gidx: list[np.ndarray] = []
     pair_cols: list[tuple[int, int]] = []
     for k in ks:
-        lo, hi = int(d_offsets[k]), int(d_offsets[k + 1])
-        mask = qos[lo:hi] == qos_value
-        gidx = lo + np.flatnonzero(mask)
+        gidx = _class_flows(arena, k, qos_value)
         o0, o1 = int(t_offsets[k]), int(t_offsets[k + 1])
-        pair_vols.append(volumes[lo:hi][mask])
+        pair_vols.append(volumes[gidx])
         pair_allocs.append(alloc[o0:o1])
         pair_orders.append(ordered_cols[o0:o1] - o0)
         pair_prev.append(
@@ -416,14 +429,13 @@ def _worker_solve_range(
         ssp_backend=ssp_backend,
     )
     t1 = monotonic()
-    warm_reused = 0
     for j in range(len(ks)):
-        assigned_k, placed_k, warm = filled[j]
+        assigned_k, placed_k, _ = filled[j]
         assigned[pair_gidx[j]] = assigned_k
         o0, o1 = pair_cols[j]
         placed[o0:o1] = placed_k
-        if warm:
-            warm_reused += 1
+    warm = [bool(f[2]) for f in filled]
+    warm_reused = sum(warm)
     fill_s = t1 - t0
     write_s = monotonic() - t1
 
@@ -462,6 +474,7 @@ def _worker_solve_range(
         "pid": os.getpid(),
         "pairs": len(ks),
         "warm_reused": warm_reused,
+        "warm": warm,
         "seconds": total_s,
         "phase_s": {"fill": fill_s, "writeback": write_s},
         "snapshot": snapshot,
@@ -479,24 +492,22 @@ class ShardOutcome:
     Attributes:
         ks: The contended pair indices that were solved in workers.
             On a partial salvage (a worker died mid-dispatch) this is
-            only the completed shards' pairs — the rest are in
-            ``failed_ks`` and the caller must re-solve them in-process.
-        num_shards: Shards dispatched.
-        warm_reused: Pair solves served by the carried warm state.
-        timings: One entry per completed shard task (pairs, seconds,
-            phase_s).
-        failed_ks: Pair indices of shards lost to a worker crash
-            (``None`` when every shard completed).  Their arena slots
-            hold garbage; their telemetry snapshots never existed, so
+            only the completed shards' pairs — the caller must fill
+            the rest in-process.  The lost shards' arena slots hold
+            garbage; their telemetry snapshots never existed, so
             completed shards' ``megate_shard_*`` series merge exactly
             once and crashed shards contribute nothing.
+        warm: Per entry of ``ks``, whether the carried warm state
+            served the pair (no FastSSP solve).
+        num_shards: Shards dispatched.
+        timings: One entry per completed shard task (pairs, seconds,
+            phase_s).
     """
 
     ks: np.ndarray
+    warm: np.ndarray
     num_shards: int = 0
-    warm_reused: int = 0
     timings: list[dict] = field(default_factory=list)
-    failed_ks: np.ndarray | None = None
 
 
 def _mp_context():
@@ -508,7 +519,7 @@ def _mp_context():
 class ShardContext:
     """Shared arena + worker pool for one (topology, flow population).
 
-    Built lazily by the optimizer on the first sharded solve,
+    Built lazily by :class:`ShardedFill` on the first sharded solve,
     revalidated every interval (same topology object, same CSR
     offsets, same telemetry enablement), and rebuilt when any of those
     change.  ``close()`` is idempotent and runs on every exit path —
@@ -606,16 +617,16 @@ class ShardContext:
     ) -> ShardOutcome | None:
         """Dispatch one class's contended residue to the shard workers.
 
-        Returns ``None`` (caller runs the whole in-process path) when
+        Returns ``None`` (caller fills the whole class in-process) when
         the residue is below the serial cutoff or the pool was already
         broken at submit time.  When a worker dies *mid-dispatch*, the
         shards that completed are salvaged: their arena results and
         telemetry snapshots are kept (merged exactly once — the crashed
         shard recorded nothing, so no ``megate_shard_*`` series can be
-        double-counted), the lost pairs come back in
-        :attr:`ShardOutcome.failed_ks` for the caller to re-solve
-        in-process, and the context is marked broken so the optimizer
-        tears it down after the class.
+        double-counted), the lost pairs are simply absent from
+        :attr:`ShardOutcome.ks` for the caller to fill in-process, and
+        the context is marked broken so
+        :class:`ShardedFill` tears it down after the class.
         """
         if self.broken or attribute not in set(self.attributes):
             return None
@@ -629,11 +640,8 @@ class ShardContext:
             flags = arena["prev_flag"]
             flags[contended_ks] = 0
             prev_col = arena["prev"]
-            d_offsets = arena["d_offsets"]
-            qos_col = arena["qos"]
             for k, prev in warm_prev.items():
-                lo, hi = int(d_offsets[k]), int(d_offsets[k + 1])
-                gidx = lo + np.flatnonzero(qos_col[lo:hi] == qos_value)
+                gidx = _class_flows(arena, k, qos_value)
                 if prev.size != gidx.size:
                     continue  # population changed; cold solve
                 prev_col[gidx] = prev
@@ -647,7 +655,7 @@ class ShardContext:
             # A dead worker surfaces as BrokenProcessPool from submit()
             # (pool already broken — nothing dispatched, degrade whole)
             # or on individual futures (it broke mid-dispatch — salvage
-            # the shards that completed, return the rest as failed_ks).
+            # the shards that completed, leave the rest to the caller).
             try:
                 futures = [
                     self._pool.submit(
@@ -668,32 +676,28 @@ class ShardContext:
             wait(futures)
         results: list[dict] = []
         solved_parts: list[np.ndarray] = []
-        failed_parts: list[np.ndarray] = []
         for part, future in zip(shards, futures):
             exc = future.exception()
             if exc is None:
                 results.append(future.result())
                 solved_parts.append(np.asarray(part))
             elif isinstance(exc, BrokenProcessPool):
-                failed_parts.append(np.asarray(part))
+                self.broken = True
             else:
                 raise exc
-        if failed_parts:
-            self.broken = True
-            if not results:
-                return None
+        if not results:
+            return None
         # Shards are contiguous ascending ranges of contended_ks, so
         # concatenating the surviving parts preserves pair order.
         outcome = ShardOutcome(
             ks=np.concatenate(solved_parts),
-            num_shards=len(shards),
-            failed_ks=(
-                np.concatenate(failed_parts) if failed_parts else None
+            warm=np.array(
+                [w for res in results for w in res.pop("warm")], dtype=bool
             ),
+            num_shards=len(shards),
         )
         registry = get_registry()
         for res in results:
-            outcome.warm_reused += res["warm_reused"]
             snapshot = res.pop("snapshot", None)
             if snapshot is not None and registry.enabled:
                 registry.merge(snapshot)
@@ -708,3 +712,165 @@ def _close_leftovers(pool: ProcessPoolExecutor, arena_name: str) -> None:
     except Exception:  # pragma: no cover
         pass
     _unlink_segment(arena_name)
+
+
+class ShardedFill:
+    """The process-sharded stage-2 fill strategy of one optimizer.
+
+    Owns everything about sharding the optimizer used to inline: the
+    :class:`ShardContext` across intervals (build, revalidate, rebuild,
+    close), reading the workers' results back out of the arena, the
+    in-process re-fill of whatever the workers did not solve (serial
+    cutoff, or the pairs of shards lost to a worker crash), and
+    switching sharding off for good once a pool broke.  The optimizer
+    only calls :meth:`begin_interval` once per solve and then asks
+    :meth:`for_class` for a fill callable per QoS class.
+
+    Attributes:
+        ctx: The live shard context (``None`` = filling in-process).
+        disabled: Set when a worker died; every later interval fills
+            in-process.
+        num_pairs: Pairs the workers solved this interval.
+        timings: One entry per completed shard task this interval.
+    """
+
+    def __init__(self, attributes: tuple[str, ...]) -> None:
+        self.attributes = attributes
+        self.ctx: ShardContext | None = None
+        self.disabled = False
+        self.num_pairs = 0
+        self.timings: list[dict] = []
+
+    def close(self) -> None:
+        """Shut the worker pool down and unlink the arena (idempotent)."""
+        if self.ctx is not None:
+            self.ctx.close()
+            self.ctx = None
+
+    def begin_interval(
+        self, spec: "int | str | ShardedConfig | None", solver, table
+    ) -> int:
+        """Resolve the worker spec and publish the interval's demands.
+
+        Resolved per solve so ``REPRO_SHARD_WORKERS`` is consulted like
+        the LP backend's variable.  Reuses the cached context or
+        rebuilds it when the config, topology or flow population
+        changed.  Returns the worker count (0 = in-process).
+        """
+        self.num_pairs = 0
+        self.timings = []
+        config = None if self.disabled else ShardedConfig.resolve(spec)
+        if config is None:
+            self.close()
+            return 0
+        ctx = self.ctx
+        if ctx is not None and (
+            ctx.config != config or not ctx.matches(solver, table)
+        ):
+            ctx.close()
+            ctx = None
+        if ctx is None:
+            ctx = ShardContext(config, solver, table, self.attributes)
+        self.ctx = ctx
+        ctx.load_interval(table)
+        return config.workers
+
+    def for_class(
+        self,
+        qos_value: int,
+        attribute: str,
+        ks: np.ndarray,
+        alloc_flat: np.ndarray,
+    ):
+        """The fill callable for one class's contended pairs ``ks``.
+
+        Shaped like :func:`repro.core.pairfill.fill_pairs` — which it
+        *is* whenever this interval fills in-process.  ``ks`` (ascending)
+        and ``alloc_flat`` say where the pairs live in the arena; the
+        per-pair lists the callable is then given must align with
+        ``ks``.
+        """
+        if self.ctx is None or ks.size == 0:
+            return fill_pairs
+        return partial(self._fill_class, qos_value, attribute, ks, alloc_flat)
+
+    def _fill_class(
+        self,
+        qos_value: int,
+        attribute: str,
+        ks: np.ndarray,
+        alloc_flat: np.ndarray,
+        pair_volumes: list[np.ndarray],
+        pair_allocs: list[np.ndarray],
+        pair_orders: list[np.ndarray],
+        epsilon: float,
+        prev_assigned: list[np.ndarray | None] | None = None,
+        ssp_backend: str | None = None,
+        phase_out: dict[str, float] | None = None,
+    ) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+        ctx = self.ctx
+        warm_prev = None
+        if prev_assigned is not None:
+            warm_prev = {
+                int(k): prev
+                for k, prev in zip(ks, prev_assigned)
+                if prev is not None
+            } or None
+        weights = np.array([v.size for v in pair_volumes], dtype=np.float64)
+        out = ctx.solve_class(
+            qos_value,
+            attribute,
+            epsilon,
+            ks,
+            weights,
+            alloc_flat,
+            warm_prev,
+            ssp_backend=ssp_backend,
+        )
+        filled: list = [None] * int(ks.size)
+        if out is not None:
+            # Read back owned copies, never views into the arena — the
+            # segment outlives no solve.  Only the completed shards'
+            # pairs have valid slots.
+            arena = ctx.arena
+            t_offsets = arena["tunnel_offsets"]
+            for p, k, warm in zip(
+                np.searchsorted(ks, out.ks).tolist(),
+                out.ks.tolist(),
+                out.warm.tolist(),
+            ):
+                filled[p] = (
+                    arena["assigned"][_class_flows(arena, k, qos_value)],
+                    arena["placed"][t_offsets[k] : t_offsets[k + 1]].copy(),
+                    warm,
+                )
+            self.num_pairs += int(out.ks.size)
+            self.timings.extend(out.timings)
+        if ctx.broken:
+            # A worker died: tear the context down and fill the rest of
+            # this (and every later) interval in-process.
+            self.close()
+            self.disabled = True
+        # Whatever the workers did not solve — the whole class below the
+        # serial cutoff, the pairs of crashed shards — fills in-process
+        # through the same function the workers run, carried
+        # assignments included, so it lands where the in-process path
+        # would have.
+        lost = [p for p, f in enumerate(filled) if f is None]
+        if lost:
+            rescued = fill_pairs(
+                [pair_volumes[p] for p in lost],
+                [pair_allocs[p] for p in lost],
+                [pair_orders[p] for p in lost],
+                epsilon,
+                prev_assigned=(
+                    None
+                    if prev_assigned is None
+                    else [prev_assigned[p] for p in lost]
+                ),
+                ssp_backend=ssp_backend,
+                phase_out=phase_out,
+            )
+            for p, f in zip(lost, rescued):
+                filled[p] = f
+        return filled

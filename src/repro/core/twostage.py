@@ -1,76 +1,62 @@
 """The MegaTE two-stage optimizer (paper Algorithm 1 + §4.1 QoS loop).
 
-Per QoS class, in priority order:
+Per QoS class, in priority order, :meth:`MegaTEOptimizer.solve` runs six
+named steps over one columnar interval context (:class:`_Interval`);
+each step owns its ``te.phase.*`` span and its ``stats["phase_s"]`` key,
+so the phases account for the solve by construction:
 
-1. **SiteMerge** — aggregate the class's endpoint demands to ``D_k``.
-2. **MaxSiteFlow** — site-level LP over residual link capacities, yielding
-   ``F_{k,t}``.
-3. **MaxEndpointFlow** — per site pair, walk the tunnels in ascending
-   weight and fill each tunnel's ``F_{k,t}`` with endpoint flows via
-   :func:`~repro.core.fastssp.fast_ssp`; a flow lands on exactly one tunnel
-   or is rejected.
-4. Subtract the class's placed traffic from link capacities and move to the
-   next class.
+1. **merge** (``site_merge``) — SiteMerge: one mask over the flat qos
+   column gives the class's flow indices, ``searchsorted`` against the
+   CSR offsets recovers each pair's segment, per-pair sums give ``D_k``.
+2. **allocate** (``lp_solve`` | ``delta_patch``) — MaxSiteFlow: the
+   site-level LP over residual link capacities, yielding ``F_{k,t}``;
+   in incremental mode the previous interval's allocation is patched
+   under a demand-delta/headroom guard instead when it can be
+   (:mod:`repro.core.incremental`).  The per-topology
+   :class:`SiteFlowSolver` builds its constraint matrices once.
+3. **triage** (``triage``) — a pair whose class demand fits entirely
+   into its most-preferred positive allocation — the overwhelming
+   majority in production — needs no FastSSP; the rest are *contended*.
+   ``second_stage="serial"``, the reference, passes every pair through.
+4. **fill** (``contended_ssp``) — MaxEndpointFlow for the contended
+   pairs, through the one stage-2 seam: a callable shaped like
+   :func:`repro.core.pairfill.fill_pairs` (pair volumes, allocations,
+   fill orders, carried assignments → ``(assigned, placed, warm)`` per
+   pair).  In-process that callable *is* ``fill_pairs``; with
+   ``shard_workers`` it is :class:`repro.core.sharded.ShardedFill`'s.
+   A flow lands on exactly one tunnel or is rejected.
+5. **scatter** (``scatter``) — write both kinds of pair into the flat
+   assignment / allocation vectors and carry the incremental state.
+6. **residual** (``residual_update``) — subtract the class's placed
+   traffic from link capacities through the precomputed link-tunnel
+   incidence in one ``np.subtract.at`` call — entry order matches the
+   per-tunnel bookkeeping it replaces, so the update is bit-identical.
 
-Interval hot path (§8 "Parallelism in SSP" + GATE/TEAL-style batching,
-on CPU):
-
-* Stage 1 reuses the per-topology :class:`SiteFlowSolver` — constraint
-  matrices are built once per topology, not per class per interval.
-* The interval state is columnar: the demand matrix's CSR
-  :class:`~repro.core.flowtable.FlowTable` supplies flat ``volumes`` /
-  ``qos`` columns, each QoS class is one mask + ``searchsorted`` over the
-  offsets (no per-pair re-flattening), and the assignment / allocation
-  are written through their flat vectors.
-* Stage 2 first *triages* the site pairs in one vectorized pass
-  (:func:`~repro.core.batch.triage_ssp_segments` over the CSR segment
-  bounds): a pair whose class demand fits entirely into its
-  most-preferred positive allocation — the overwhelming majority in
-  production — is resolved without touching FastSSP.  Only the contended
-  residue runs the full sequential tunnel fill, dispatched through
-  :func:`~repro.core.parallel.parallel_map` in chunks.
-* Residual-capacity accounting applies the class's placed volumes
-  through the precomputed link-tunnel incidence in one
-  ``np.subtract.at`` call — entry order matches the per-tunnel
-  bookkeeping it replaces, so the update is bit-identical.
-
-Both second-stage modes (``"batched"`` and the reference ``"serial"``)
-produce identical assignments; ``TEResult.stats["phase_s"]`` carries the
-per-phase timing breakdown.
-
-Incremental mode (``incremental=True``) additionally threads state
-across consecutive ``solve`` calls on the same topology and flow
-population — the TE interval loop — patching the previous interval's
-LP allocation under a demand-delta/headroom guard and warm-starting
-contended second-stage pairs from their previous assignment; see
-:mod:`repro.core.incremental` for the guards and the equivalence
-contract (``delta_threshold=0.0`` is bit-exact with the cold path).
+Every path (``"batched"`` with either SSP backend, the reference
+``"serial"``, sharded, incremental at ``delta_threshold=0.0``) produces
+the identical assignment (digest-pinned and property-tested).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from ..obs import get_registry, get_tracer, monotonic
-from .batch import triage_ssp_segments
+from .fastssp_batch import resolve_ssp_backend_name
 from .formulation import MaxAllFlowProblem
 from .incremental import (
     ClassLPState,
     IncrementalConfig,
     IncrementalState,
     patch_class_allocation,
-    warm_fill_pair,
 )
-from .fastssp_batch import fill_pairs_batch, resolve_ssp_backend_name
 from .lp_backend import resolve_backend_name
-from .pairfill import fill_pair
-from .parallel import parallel_map
 from .qos import PRIORITY_ORDER, QoSClass
-from .sharded import ShardContext, ShardedConfig
+from .sharded import ShardedConfig, ShardedFill
 from .siteflow import SiteFlowSolver
 from .types import (
     PHASE_KEYS,
@@ -83,17 +69,100 @@ from .types import (
 if TYPE_CHECKING:  # imported lazily to avoid a core <-> traffic cycle
     from ..topology.contraction import TwoLayerTopology
     from ..traffic.demand import DemandMatrix
+    from .flowtable import FlowTable
 
 __all__ = ["MegaTEOptimizer", "PHASE_KEYS"]
 
+_SPAN_PREFIX = "te.phase."
+
+#: The per-interval counters of ``TEResult.stats``.
+_COUNT_KEYS = (
+    StatKey.NUM_UNCONTENDED_PAIRS,
+    StatKey.NUM_CONTENDED_PAIRS,
+    StatKey.LP_WARM_START,
+    StatKey.LP_SOLVES,
+    StatKey.LP_SOLVES_SKIPPED,
+    StatKey.PAIRS_DELTA_PATCHED,
+    StatKey.SSP_STATE_REUSED,
+)
+
+
+@contextmanager
+def _timed(phase: dict[str, float], key: str, **attributes) -> Iterator:
+    """Run one step under its ``te.phase.<key>`` span.
+
+    The span's duration is booked under the phase the span is named for
+    *on exit* — the allocate step renames its span once it knows whether
+    the LP or the delta patch ran — so the trace and ``phase_s`` can
+    never disagree.
+    """
+    with get_tracer().span(_SPAN_PREFIX + key, **attributes) as sp:
+        yield sp
+    phase[sp.name.removeprefix(_SPAN_PREFIX)] += sp.duration_s
+
 
 @dataclass
-class _PairOutcome:
-    """Second-stage result for one site pair within one QoS class."""
+class _Interval:
+    """Columnar state of one solve, shared by every step.
 
-    k: int
-    assigned_tunnel: np.ndarray  # over the class's flow indices, -1 = reject
-    placed_per_tunnel: np.ndarray  # volume placed per tunnel
+    The demand table's flat columns are read-only; the steps write
+    ``residual``, the flat ``assignment`` / ``combined`` allocation
+    vectors, the ``phase`` seconds and the ``counts`` (keyed by the
+    :class:`StatKey` each is reported under).  ``warm_fill`` says
+    whether carried second-stage assignments may warm-start the fill.
+    """
+
+    solver: SiteFlowSolver
+    table: "FlowTable"
+    lp_epsilon: float
+    residual: np.ndarray
+    assignment: FlowAssignment
+    combined: SiteAllocation
+    ssp_backend: str
+    shard_workers: int
+    state: IncrementalState | None
+    carried: bool
+    warm_fill: bool
+    phase: dict[str, float]
+    counts: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(_COUNT_KEYS, 0)
+    )
+    ssp_batch_phase: dict[str, float] = field(default_factory=dict)
+    satisfied: float = 0.0
+    satisfied_by_class: dict[int, float] = field(default_factory=dict)
+    lp_backend_used: str | None = None
+
+
+@dataclass
+class _ClassStep:
+    """One QoS class's columns; each step adds the fields the next reads.
+
+    ``idx`` are the class's global flow indices, ``vol`` their volumes
+    (gathered once — triage, the fill and the scatter all slice it),
+    and ``seg[k]:seg[k + 1]`` pair ``k``'s segment of both.
+    """
+
+    qos: QoSClass
+    idx: np.ndarray
+    vol: np.ndarray
+    seg: np.ndarray
+    demands: np.ndarray
+    # allocate
+    attribute: str = field(init=False)
+    orders: list[np.ndarray] = field(init=False)
+    ordered_cols: np.ndarray = field(init=False)
+    alloc_flat: np.ndarray = field(init=False)
+    site_alloc: SiteAllocation = field(init=False)
+    residual_in: np.ndarray | None = field(init=False)
+    population_same: bool = field(init=False)
+    # triage: pair indices, ascending
+    first_cols: np.ndarray = field(init=False)
+    fits: np.ndarray = field(init=False)
+    contended: np.ndarray = field(init=False)
+    # fill: one (assigned, placed, warm) per contended pair
+    filled: list[tuple[np.ndarray, np.ndarray, bool]] = field(init=False)
+    # scatter
+    placed_flat: np.ndarray = field(init=False)
 
 
 def _first_positive_columns(
@@ -140,8 +209,6 @@ class MegaTEOptimizer:
     Args:
         fastssp_epsilon: Precision knob ``ε'`` of FastSSP (App. A.2).
         objective_epsilon: The ``ε`` of objective (1); ``None`` auto-scales.
-        workers: Thread count for the parallel second stage; ``"auto"``
-            resolves to ``os.cpu_count()``, ``None``/0/1 run serially.
         qos_order: Priority order of QoS classes; defaults to the paper's
             class 1 → 2 → 3.
         class_tunnel_attribute: Tunnel attribute each class's allocation
@@ -153,8 +220,9 @@ class MegaTEOptimizer:
             low-cost path".
         second_stage: ``"batched"`` (default) triages uncontended site
             pairs vectorized and runs FastSSP only on the contended
-            residue; ``"serial"`` is the reference per-pair path.  Both
-            produce identical assignments (property-tested).
+            residue; ``"serial"`` is the reference — the same pipeline
+            with every pair passed to the scalar fill.  Both produce
+            identical assignments (property-tested).
         incremental: Carry solve state across consecutive
             :meth:`solve` calls on the same topology and flow
             population (the TE interval loop) — see
@@ -189,16 +257,24 @@ class MegaTEOptimizer:
         ssp_backend: FastSSP kernel for the contended second stage
             (:mod:`repro.core.fastssp_batch`): ``"numpy"`` (the default)
             batches every cold contended pair of a fill-order step into
-            one padded array program, ``"torch"``/``"cupy"`` offload its
-            DP and greedy sweeps (auto-falling back to numpy with a
-            ``RuntimeWarning`` when the wheel or device is absent),
-            ``"auto"`` picks the best available, and ``"scalar"`` keeps
-            the per-pair reference path.  ``None`` consults
-            ``REPRO_SSP_BACKEND``.  Every backend is bit-identical
-            (property-tested); only the batched second stage dispatches
-            to the kernel — ``second_stage="serial"`` always runs the
-            scalar reference.
+            one padded array program and ``"scalar"`` keeps the per-pair
+            reference path.  ``None`` consults ``REPRO_SSP_BACKEND``.
+            Both are bit-identical (property-tested); only the batched
+            second stage dispatches to the kernel —
+            ``second_stage="serial"`` always runs the scalar reference.
+
+    Explicitly passed ``lp_backend`` / ``ssp_backend`` / ``shard_workers``
+    values are validated at construction (``ValueError``).
     """
+
+    scheme_name = "MegaTE"
+
+    #: Default per-class tunnel preference (see class docstring).
+    DEFAULT_CLASS_ATTRIBUTE: dict[QoSClass, str] = {
+        QoSClass.CLASS1: "weight",
+        QoSClass.CLASS2: "weight",
+        QoSClass.CLASS3: "cost_per_gbps",
+    }
 
     scheme_name = "MegaTE"
 
@@ -213,7 +289,6 @@ class MegaTEOptimizer:
         self,
         fastssp_epsilon: float = 0.1,
         objective_epsilon: float | None = None,
-        workers: int | str | None = None,
         qos_order: tuple[QoSClass, ...] = PRIORITY_ORDER,
         class_tunnel_attribute: dict[QoSClass, str] | None = None,
         second_stage: str = "batched",
@@ -231,9 +306,17 @@ class MegaTEOptimizer:
             raise ValueError(
                 "second_stage must be 'batched' or 'serial'"
             )
+        # Explicit selections fail here, at process start, not inside
+        # the first TE interval; ``None`` defers to the REPRO_* env at
+        # solve time.
+        if lp_backend is not None:
+            resolve_backend_name(lp_backend)
+        if ssp_backend is not None:
+            resolve_ssp_backend_name(ssp_backend)
+        if shard_workers is not None:
+            ShardedConfig.resolve(shard_workers)
         self.fastssp_epsilon = fastssp_epsilon
         self.objective_epsilon = objective_epsilon
-        self.workers = workers
         self.qos_order = qos_order
         self.class_tunnel_attribute = dict(
             self.DEFAULT_CLASS_ATTRIBUTE
@@ -255,8 +338,14 @@ class MegaTEOptimizer:
         self.shard_workers = shard_workers
         self.ssp_backend = ssp_backend
         self._state: IncrementalState | None = None
-        self._shard_ctx: ShardContext | None = None
-        self._shard_disabled = False
+        self._sharded = ShardedFill(
+            tuple(
+                {
+                    self.class_tunnel_attribute.get(q, "weight")
+                    for q in self.qos_order
+                }
+            )
+        )
 
     def reset_incremental_state(self) -> None:
         """Drop carried cross-interval state (next solve runs cold)."""
@@ -270,36 +359,13 @@ class MegaTEOptimizer:
         hooks, but calling ``close()`` (or using the optimizer as a
         context manager) releases it deterministically.
         """
-        if self._shard_ctx is not None:
-            self._shard_ctx.close()
-            self._shard_ctx = None
+        self._sharded.close()
 
     def __enter__(self) -> "MegaTEOptimizer":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _ensure_shard_context(
-        self, config: ShardedConfig, solver: SiteFlowSolver, table
-    ) -> ShardContext:
-        """Reuse the cached shard context or rebuild it for this interval."""
-        ctx = self._shard_ctx
-        if ctx is not None and (
-            ctx.config != config or not ctx.matches(solver, table)
-        ):
-            ctx.close()
-            ctx = None
-        if ctx is None:
-            attributes = tuple(
-                {
-                    self.class_tunnel_attribute.get(q, "weight")
-                    for q in self.qos_order
-                }
-            )
-            ctx = ShardContext(config, solver, table, attributes)
-        self._shard_ctx = ctx
-        return ctx
 
     def solve(
         self, topology: TwoLayerTopology, demands: DemandMatrix
@@ -385,555 +451,333 @@ class MegaTEOptimizer:
     def _solve_impl(
         self, topology: TwoLayerTopology, demands: DemandMatrix
     ) -> TEResult:
-        tracer = get_tracer()
-        problem = MaxAllFlowProblem(
-            topology, demands, epsilon=self.objective_epsilon
-        )
         start = monotonic()
-        phase = dict.fromkeys(PHASE_KEYS, 0.0)
-        with tracer.span("te.phase.matrix_build") as sp:
-            solver = SiteFlowSolver.for_topology(topology)
-        phase[StatKey.PHASE_MATRIX_BUILD] = sp.duration_s
-        offsets = solver.tunnel_offsets
-        num_pairs = solver.num_pairs
-        if demands.num_site_pairs != num_pairs:
-            raise ValueError(
-                f"demand matrix has {demands.num_site_pairs} site pairs, "
-                f"catalog has {num_pairs}"
-            )
-
-        residual = problem.capacities.astype(np.float64).copy()
-        # Columnar interval state: the demand table's flat columns and the
-        # flat assignment / allocation vectors every phase reads + writes.
-        table = demands.table
-        d_offsets = table.offsets
-        flat_volumes = table.volumes
-        flat_qos = table.qos
-        assignment = FlowAssignment.rejecting_all(demands)
-        assigned_flat = assignment.assigned_tunnel
-        combined = SiteAllocation.from_flat(
-            np.zeros(solver.num_tunnel_vars, dtype=np.float64), offsets
-        )
-        combined_values = combined.values
-        satisfied = 0.0
-        stage1_s = 0.0
-        stage2_s = 0.0
-        num_uncontended = 0
-        num_contended = 0
-        per_class_satisfied: dict[int, float] = {}
-
-        # Sharded second stage: resolve the worker spec per solve (so the
-        # env var is consulted like the LP backend's), then build or
-        # revalidate the shared-memory arena + worker pool and publish
-        # this interval's demand columns into it.
-        shard_config: ShardedConfig | None = None
-        shard_ctx: ShardContext | None = None
-        if self.second_stage == "batched" and not self._shard_disabled:
-            shard_config = ShardedConfig.resolve(self.shard_workers)
-        if shard_config is not None:
-            shard_ctx = self._ensure_shard_context(
-                shard_config, solver, table
-            )
-            shard_ctx.load_interval(table)
-        num_sharded = 0
-        shard_timings: list[dict] = []
-
-        # Incremental mode: revalidate the carried state against this
-        # interval's topology and flow population; a mismatch (or a
-        # scheduled refresh) solves cold and re-seeds the state.
-        inc = self.incremental
-        state: IncrementalState | None = None
-        carried = False
-        if inc is not None:
-            if self._state is None:
-                self._state = IncrementalState()
-            state = self._state
-            carried = state.revalidate(topology, demands)
-            if (
-                carried
-                and inc.refresh_every > 0
-                and state.interval_index % inc.refresh_every == 0
-            ):
-                carried = False
-        lp_solves = 0
-        lp_solves_skipped = 0
-        lp_warm_starts = 0
-        pairs_delta_patched = 0
-        ssp_state_reused = 0
-        backend_used: str | None = None
-        # SSP kernel backend, resolved per solve (env consulted like the
-        # LP backend's).  The serial reference stage never batches.
-        ssp_backend_used = (
-            resolve_ssp_backend_name(self.ssp_backend)
-            if self.second_stage == "batched"
-            else "scalar"
-        )
-        ssp_batch_phase: dict[str, float] = {}
-
+        iv = self._begin(topology, demands)
         for qos in self.qos_order:
-            # SiteMerge, columnar: one mask over the flat qos column gives
-            # the class's global flow indices; ``searchsorted`` against
-            # the CSR offsets recovers each pair's segment.  ``cls_vol``
-            # gathers the class volumes once — triage, the pair solves,
-            # and the scatter all slice it instead of re-flattening.
-            cls_idx = np.flatnonzero(flat_qos == qos.value)
-            cls_vol = flat_volumes[cls_idx]
-            seg = np.searchsorted(cls_idx, d_offsets)
+            cls = self._merge(iv, qos)
+            if cls is None:
+                continue
+            self._allocate(iv, cls)
+            self._triage(iv, cls)
+            self._fill(iv, cls)
+            self._scatter(iv, cls)
+            self._residual(iv, cls)
+        return self._finish(iv, demands, start)
+
+    def _begin(
+        self, topology: TwoLayerTopology, demands: DemandMatrix
+    ) -> _Interval:
+        """Set-up: per-topology matrices, then the interval context."""
+        phase = dict.fromkeys(PHASE_KEYS, 0.0)
+        with _timed(phase, StatKey.PHASE_MATRIX_BUILD):
+            problem = MaxAllFlowProblem(
+                topology, demands, epsilon=self.objective_epsilon
+            )
+            solver = SiteFlowSolver.for_topology(topology)
+            if demands.num_site_pairs != solver.num_pairs:
+                raise ValueError(
+                    f"demand matrix has {demands.num_site_pairs} site "
+                    f"pairs, catalog has {solver.num_pairs}"
+                )
+            # Incremental mode: revalidate the carried state against
+            # this interval's topology and flow population; a mismatch
+            # (or a scheduled refresh) solves cold and re-seeds it.
+            inc = self.incremental
+            state: IncrementalState | None = None
+            carried = False
+            if inc is not None:
+                if self._state is None:
+                    self._state = IncrementalState()
+                state = self._state
+                carried = state.revalidate(topology, demands) and not (
+                    inc.refresh_every > 0
+                    and state.interval_index % inc.refresh_every == 0
+                )
+            # Only the batched stage shards, runs the array kernel or
+            # warm-starts; the serial reference always fills scalar,
+            # cold, in-process.  The selections are resolved per solve
+            # so the env is consulted like the LP backend's.
+            batched = self.second_stage == "batched"
+            table = demands.table
+            return _Interval(
+                solver=solver,
+                table=table,
+                lp_epsilon=problem.effective_epsilon,
+                residual=problem.capacities.astype(np.float64).copy(),
+                assignment=FlowAssignment.rejecting_all(demands),
+                combined=SiteAllocation.from_flat(
+                    np.zeros(solver.num_tunnel_vars, dtype=np.float64),
+                    solver.tunnel_offsets,
+                ),
+                ssp_backend=(
+                    resolve_ssp_backend_name(self.ssp_backend)
+                    if batched
+                    else "scalar"
+                ),
+                shard_workers=self._sharded.begin_interval(
+                    self.shard_workers if batched else 0, solver, table
+                ),
+                state=state,
+                carried=carried,
+                # Carried second-stage state is disabled at threshold 0
+                # to keep the bit-exactness contract.
+                warm_fill=(
+                    carried
+                    and batched
+                    and inc.carry_ssp_state
+                    and inc.delta_threshold > 0.0
+                ),
+                phase=phase,
+            )
+
+    def _merge(self, iv: _Interval, qos: QoSClass) -> _ClassStep | None:
+        """SiteMerge; ``None`` when the class offers no demand."""
+        with _timed(iv.phase, StatKey.PHASE_SITE_MERGE, qos=qos.value):
+            table = iv.table
+            idx = np.flatnonzero(table.qos == qos.value)
+            vol = table.volumes[idx]
+            seg = np.searchsorted(idx, table.offsets)
             # Per-pair sums (not one reduceat) so each D_k is bit-identical
             # to the legacy per-pair ``volumes.sum()`` feeding the LP.
-            class_demands = np.array(
+            demands = np.array(
                 [
-                    float(cls_vol[seg[k] : seg[k + 1]].sum())
-                    for k in range(num_pairs)
+                    float(vol[seg[k] : seg[k + 1]].sum())
+                    for k in range(iv.solver.num_pairs)
                 ]
             )
-            if not np.any(class_demands > 0):
-                continue
+            if not np.any(demands > 0):
+                return None
+            return _ClassStep(qos, idx, vol, seg, demands)
 
-            # Stage 1 under one span; the span renames itself to the
-            # ``delta_patch`` phase when the fast path absorbed the LP.
-            with tracer.span("te.phase.lp_solve", qos=qos.value) as sp:
-                attribute = self.class_tunnel_attribute.get(qos, "weight")
-                # Overridden weights (e.g. cost for bulk) get a stronger
-                # ε so the LP actively steers toward preferred tunnels;
-                # throughput still dominates (coefficients stay >= 0.7).
-                if attribute == "weight":
-                    class_weights = None
-                    class_epsilon: float | None = problem.effective_epsilon
-                else:
-                    class_weights = solver.tunnel_attribute(attribute)
-                    class_epsilon = None
-                    if class_weights.size:
-                        max_w = float(class_weights.max())
-                        class_epsilon = 0.3 / max_w if max_w > 0 else 0.0
-                orders, ordered_cols = solver.fill_orders(attribute)
-                population_same = (
-                    state.sync_class_population(qos.value, cls_idx)
-                    if state is not None
-                    else False
-                )
-                residual_in = (
-                    residual.copy() if state is not None else None
-                )
-                alloc_flat = None
-                if state is not None and carried:
-                    cls_state = state.lp.get(qos.value)
-                    if cls_state is not None:
-                        patch = patch_class_allocation(
-                            solver,
-                            cls_state,
-                            class_demands,
-                            residual,
-                            ordered_cols,
-                            inc.delta_threshold,
-                        )
-                        if patch.alloc is not None:
-                            alloc_flat = patch.alloc
-                            lp_solves_skipped += 1
-                            pairs_delta_patched += patch.pairs_patched
-                patched = alloc_flat is not None
-                if not patched:
-                    alloc_flat = solver.solve_flat(
-                        class_demands,
-                        capacities=residual,
-                        tunnel_weights=class_weights,
-                        epsilon=class_epsilon,
-                        backend=self.lp_backend,
-                    )
-                    lp_solves += 1
-                    if solver.last_warm_start:
-                        lp_warm_starts += 1
-                    backend_used = solver.last_backend
-                else:
-                    sp.name = "te.phase.delta_patch"
-                site_alloc = solver.split(alloc_flat)
-            dt = sp.duration_s
-            stage1_s += dt
-            phase[
-                StatKey.PHASE_DELTA_PATCH
-                if patched
-                else StatKey.PHASE_LP_SOLVE
-            ] += dt
-            placed_flat = np.zeros(solver.num_tunnel_vars)
-            contrib: dict[int, float] = {}
-
-            if self.second_stage == "serial":
-                with tracer.span(
-                    "te.phase.contended_ssp", qos=qos.value
-                ) as sp:
-                    outcomes = parallel_map(
-                        lambda k: self._solve_pair(
-                            k,
-                            cls_vol[seg[k] : seg[k + 1]],
-                            site_alloc.per_pair[k],
-                            orders[k],
-                        ),
-                        list(range(num_pairs)),
-                        workers=self.workers,
-                    )
-                dt = sp.duration_s
-                stage2_s += dt
-                phase[StatKey.PHASE_CONTENDED_SSP] += dt
-                num_contended += len(outcomes)
+    def _allocate(self, iv: _Interval, cls: _ClassStep) -> None:
+        """MaxSiteFlow: patch the carried allocation, else solve the LP."""
+        solver, state, qos = iv.solver, iv.state, cls.qos
+        with _timed(iv.phase, StatKey.PHASE_LP_SOLVE, qos=qos.value) as sp:
+            attribute = self.class_tunnel_attribute.get(qos, "weight")
+            # Overridden weights (e.g. cost for bulk) get a stronger
+            # ε so the LP actively steers toward preferred tunnels;
+            # throughput still dominates (coefficients stay >= 0.7).
+            if attribute == "weight":
+                class_weights = None
+                class_epsilon: float | None = iv.lp_epsilon
             else:
-                # Triage, columnar: a pair whose whole class demand fits
-                # its first positive-allocation tunnel needs no FastSSP.
-                # Candidates and the fits/contended split come straight
-                # from the CSR segment bounds — no per-instance objects.
-                with tracer.span(
-                    "te.phase.triage", qos=qos.value
-                ) as sp:
-                    first_cols = _first_positive_columns(
-                        alloc_flat, ordered_cols, offsets
-                    )
-                    candidates = np.flatnonzero(
-                        (seg[1:] > seg[:-1]) & (first_cols >= 0)
-                    )
-                    fits_pos, contended_pos = triage_ssp_segments(
-                        class_demands[candidates],
-                        alloc_flat[first_cols[candidates]],
-                    )
-                dt = sp.duration_s
-                stage2_s += dt
-                phase[StatKey.PHASE_TRIAGE] += dt
-
-                # Uncontended pairs: everything rides the preferred
-                # tunnel; scatter the select-all results directly into
-                # the flat assignment / allocation vectors.
-                for k in candidates[fits_pos]:
-                    col = first_cols[k]
-                    t_local = int(col - offsets[k])
-                    total = class_demands[k]
-                    assigned_flat[cls_idx[seg[k] : seg[k + 1]]] = t_local
-                    combined_values[col] += total
-                    placed_flat[col] += total
-                    contrib[int(k)] = float(total)
-                    num_uncontended += 1
-
-                with tracer.span(
-                    "te.phase.contended_ssp", qos=qos.value
-                ) as sp:
-                    contended_ks = [
-                        int(k) for k in candidates[contended_pos]
-                    ]
-                    # Carried second-stage state: re-validate each
-                    # contended pair's previous assignment against the
-                    # new volumes and allocation; pairs whose warm fill
-                    # lands within the FastSSP precision target skip the
-                    # cold solve.  Only sound when the class's flow
-                    # population is unchanged (the assignment indexes
-                    # flow positions) and disabled at threshold 0 to
-                    # keep the bit-exactness contract.
-                    warm_active = (
-                        state is not None
-                        and carried
-                        and population_same
-                        and inc.carry_ssp_state
-                        and inc.delta_threshold > 0.0
-                    )
-                    outcomes: list[_PairOutcome] | None = None
-                    if shard_ctx is not None and contended_ks:
-                        sharded = self._solve_contended_sharded(
-                            shard_ctx,
-                            qos,
-                            attribute,
-                            contended_ks,
-                            seg,
-                            cls_idx,
-                            offsets,
-                            alloc_flat,
-                            state if warm_active else None,
-                            ssp_backend=ssp_backend_used,
-                        )
-                        if sharded is not None:
-                            outcomes, shard_out = sharded
-                            num_sharded += len(shard_out.ks)
-                            ssp_state_reused += shard_out.warm_reused
-                            shard_timings.extend(shard_out.timings)
-                            if shard_out.failed_ks is not None:
-                                # Partial salvage: a worker died but
-                                # the other shards completed — re-solve
-                                # only the lost pairs in-process.
-                                rescued = parallel_map(
-                                    lambda k: self._solve_pair(
-                                        k,
-                                        cls_vol[seg[k] : seg[k + 1]],
-                                        site_alloc.per_pair[k],
-                                        orders[k],
-                                    ),
-                                    shard_out.failed_ks.tolist(),
-                                    workers=self.workers,
-                                )
-                                outcomes = list(outcomes) + list(
-                                    rescued
-                                )
-                        if shard_ctx is not None and shard_ctx.broken:
-                            # A worker died: tear the context down and
-                            # run the rest of this (and every later)
-                            # solve through the in-process path.
-                            self.close()
-                            self._shard_disabled = True
-                            shard_ctx = None
-                    if outcomes is None:
-                        warm_outcomes: list[_PairOutcome] = []
-                        if warm_active:
-                            cold_ks = []
-                            for k in contended_ks:
-                                prev = state.ssp_assigned.get(
-                                    (qos.value, k)
-                                )
-                                warm = (
-                                    warm_fill_pair(
-                                        cls_vol[seg[k] : seg[k + 1]],
-                                        site_alloc.per_pair[k],
-                                        orders[k],
-                                        prev,
-                                        self.fastssp_epsilon,
-                                    )
-                                    if prev is not None
-                                    else None
-                                )
-                                if warm is None:
-                                    cold_ks.append(k)
-                                else:
-                                    warm_outcomes.append(
-                                        _PairOutcome(
-                                            k=k,
-                                            assigned_tunnel=warm[0],
-                                            placed_per_tunnel=warm[1],
-                                        )
-                                    )
-                            contended_ks = cold_ks
-                        if (
-                            ssp_backend_used != "scalar"
-                            and contended_ks
-                        ):
-                            # All cold contended pairs of this class run
-                            # through the array-batched kernel: one
-                            # padded array program per fill-order step
-                            # instead of len(contended_ks) scalar solves
-                            # (bit-identical, property-tested).
-                            filled = fill_pairs_batch(
-                                [
-                                    cls_vol[seg[k] : seg[k + 1]]
-                                    for k in contended_ks
-                                ],
-                                [
-                                    site_alloc.per_pair[k]
-                                    for k in contended_ks
-                                ],
-                                [orders[k] for k in contended_ks],
-                                epsilon=self.fastssp_epsilon,
-                                backend=ssp_backend_used,
-                                phase_out=ssp_batch_phase,
-                            )
-                            outcomes = [
-                                _PairOutcome(
-                                    k=k,
-                                    assigned_tunnel=filled[j][0],
-                                    placed_per_tunnel=filled[j][1],
-                                )
-                                for j, k in enumerate(contended_ks)
-                            ]
-                        else:
-                            outcomes = parallel_map(
-                                lambda k: self._solve_pair(
-                                    k,
-                                    cls_vol[seg[k] : seg[k + 1]],
-                                    site_alloc.per_pair[k],
-                                    orders[k],
-                                ),
-                                contended_ks,
-                                workers=self.workers,
-                            )
-                        if warm_outcomes:
-                            ssp_state_reused += len(warm_outcomes)
-                            outcomes = list(outcomes) + warm_outcomes
-                    sp.set_attribute("num_pairs", len(outcomes))
-                dt = sp.duration_s
-                stage2_s += dt
-                phase[StatKey.PHASE_CONTENDED_SSP] += dt
-                num_contended += len(outcomes)
-
-            for outcome in outcomes:
-                k = outcome.k
-                idx = cls_idx[seg[k] : seg[k + 1]]
-                volumes = cls_vol[seg[k] : seg[k + 1]]
-                mask = outcome.assigned_tunnel >= 0
-                assigned_flat[idx[mask]] = outcome.assigned_tunnel[mask]
-                contrib[k] = float(volumes[mask].sum())
-                combined_values[offsets[k] : offsets[k + 1]] += (
-                    outcome.placed_per_tunnel
+                class_weights = solver.tunnel_attribute(attribute)
+                class_epsilon = None
+                if class_weights.size:
+                    max_w = float(class_weights.max())
+                    class_epsilon = 0.3 / max_w if max_w > 0 else 0.0
+            cls.attribute = attribute
+            cls.orders, cls.ordered_cols = solver.fill_orders(attribute)
+            cls.population_same = (
+                state.sync_class_population(qos.value, cls.idx)
+                if state is not None
+                else False
+            )
+            cls.residual_in = (
+                iv.residual.copy() if state is not None else None
+            )
+            alloc_flat = None
+            prev = state.lp.get(qos.value) if iv.carried else None
+            if prev is not None:
+                patch = patch_class_allocation(
+                    solver,
+                    prev,
+                    cls.demands,
+                    iv.residual,
+                    cls.ordered_cols,
+                    self.incremental.delta_threshold,
                 )
-                placed_flat[offsets[k] : offsets[k + 1]] = (
-                    outcome.placed_per_tunnel
-                )
-
-            if state is not None:
-                state.lp[qos.value] = ClassLPState(
-                    demands=class_demands,
-                    alloc_flat=alloc_flat.copy(),
-                    residual_in=residual_in,
-                )
-                for outcome in outcomes:
-                    state.ssp_assigned[(qos.value, outcome.k)] = (
-                        outcome.assigned_tunnel
+                if patch.alloc is not None:
+                    alloc_flat = patch.alloc
+                    iv.counts[StatKey.LP_SOLVES_SKIPPED] += 1
+                    iv.counts[StatKey.PAIRS_DELTA_PATCHED] += (
+                        patch.pairs_patched
                     )
+                    sp.name = _SPAN_PREFIX + StatKey.PHASE_DELTA_PATCH
+            if alloc_flat is None:
+                alloc_flat = solver.solve_flat(
+                    cls.demands,
+                    capacities=iv.residual,
+                    tunnel_weights=class_weights,
+                    epsilon=class_epsilon,
+                    backend=self.lp_backend,
+                )
+                iv.counts[StatKey.LP_SOLVES] += 1
+                if solver.last_warm_start:
+                    iv.counts[StatKey.LP_WARM_START] += 1
+                iv.lp_backend_used = solver.last_backend
+            cls.alloc_flat = alloc_flat
+            cls.site_alloc = solver.split(alloc_flat)
 
+    def _triage(self, iv: _Interval, cls: _ClassStep) -> None:
+        """Split the pairs into ``fits`` (no FastSSP) and ``contended``."""
+        with _timed(iv.phase, StatKey.PHASE_TRIAGE, qos=cls.qos.value):
+            if self.second_stage == "serial":
+                # The reference stage: every pair takes the full fill.
+                cls.fits = np.empty(0, dtype=np.int64)
+                cls.contended = np.arange(iv.solver.num_pairs)
+                return
+            # A pair whose whole class demand fits its first
+            # positive-allocation tunnel needs no FastSSP.  Candidates
+            # (non-empty class segment, some positive allocation) and
+            # the split come straight from the CSR segment bounds and
+            # the SiteMerge sums — one vectorized comparison, and
+            # bit-identical to summing per pair.
+            seg = cls.seg
+            cls.first_cols = _first_positive_columns(
+                cls.alloc_flat, cls.ordered_cols, iv.solver.tunnel_offsets
+            )
+            candidates = np.flatnonzero(
+                (seg[1:] > seg[:-1]) & (cls.first_cols >= 0)
+            )
+            fits = (
+                cls.demands[candidates]
+                <= cls.alloc_flat[cls.first_cols[candidates]]
+            )
+            cls.fits = candidates[fits]
+            cls.contended = candidates[~fits]
+
+    def _fill(self, iv: _Interval, cls: _ClassStep) -> None:
+        """MaxEndpointFlow for the contended pairs — the stage-2 seam.
+
+        Tunnels are processed in ascending order of the class's
+        preferred attribute — latency for classes 1-2, cost for class 3
+        — so the most preferred tunnel's allocation is filled first
+        (App. A.2's sequential dependency) and each subsequent tunnel
+        chooses among the still-unassigned flows.
+        """
+        qos, seg, state = cls.qos, cls.seg, iv.state
+        with _timed(
+            iv.phase, StatKey.PHASE_CONTENDED_SSP, qos=qos.value
+        ) as sp:
+            ks = cls.contended.tolist()
+            # Carried second-stage state: a pair whose previous
+            # assignment, re-validated against the new volumes and
+            # allocation, lands within the FastSSP precision target
+            # skips the cold solve.  Only sound when the class's flow
+            # population is unchanged (the assignment indexes flow
+            # positions).
+            prev = None
+            if iv.warm_fill and cls.population_same:
+                prev = [state.ssp_assigned.get((qos.value, k)) for k in ks]
+            fill = self._sharded.for_class(
+                qos.value, cls.attribute, cls.contended, cls.alloc_flat
+            )
+            cls.filled = fill(
+                [cls.vol[seg[k] : seg[k + 1]] for k in ks],
+                [cls.site_alloc.per_pair[k] for k in ks],
+                [cls.orders[k] for k in ks],
+                self.fastssp_epsilon,
+                prev_assigned=prev,
+                ssp_backend=iv.ssp_backend,
+                phase_out=iv.ssp_batch_phase,
+            )
+            sp.set_attribute("num_pairs", len(ks))
+            iv.counts[StatKey.NUM_CONTENDED_PAIRS] += len(ks)
+            iv.counts[StatKey.SSP_STATE_REUSED] += sum(
+                warm for _, _, warm in cls.filled
+            )
+
+    def _scatter(self, iv: _Interval, cls: _ClassStep) -> None:
+        """Write the class's pairs into the flat result vectors."""
+        qos, seg = cls.qos, cls.seg
+        with _timed(iv.phase, StatKey.PHASE_SCATTER, qos=qos.value):
+            offsets = iv.solver.tunnel_offsets
+            assigned_flat = iv.assignment.assigned_tunnel
+            combined = iv.combined.values
+            placed_flat = np.zeros(iv.solver.num_tunnel_vars)
+            contrib: dict[int, float] = {}
+            # Uncontended pairs: everything rides the preferred tunnel.
+            for k in cls.fits:
+                col = cls.first_cols[k]
+                total = cls.demands[k]
+                assigned_flat[cls.idx[seg[k] : seg[k + 1]]] = int(
+                    col - offsets[k]
+                )
+                combined[col] += total
+                placed_flat[col] += total
+                contrib[int(k)] = float(total)
+            contended = cls.contended.tolist()
+            for k, (assigned, placed, _) in zip(contended, cls.filled):
+                lo, hi = seg[k], seg[k + 1]
+                mask = assigned >= 0
+                assigned_flat[cls.idx[lo:hi][mask]] = assigned[mask]
+                contrib[k] = float(cls.vol[lo:hi][mask].sum())
+                combined[offsets[k] : offsets[k + 1]] += placed
+                placed_flat[offsets[k] : offsets[k + 1]] = placed
+            cls.placed_flat = placed_flat
+            if iv.state is not None:
+                iv.state.lp[qos.value] = ClassLPState(
+                    demands=cls.demands,
+                    alloc_flat=cls.alloc_flat.copy(),
+                    residual_in=cls.residual_in,
+                )
+                for k, (assigned, _, _) in zip(contended, cls.filled):
+                    iv.state.ssp_assigned[(qos.value, k)] = assigned
             # Accumulate in pair order so the float sum matches the
             # reference loop bit for bit.
-            class_satisfied = 0.0
+            satisfied = 0.0
             for k in sorted(contrib):
-                class_satisfied += contrib[k]
+                satisfied += contrib[k]
+            iv.satisfied += satisfied
+            iv.satisfied_by_class[qos.value] = satisfied
+            iv.counts[StatKey.NUM_UNCONTENDED_PAIRS] += int(cls.fits.size)
 
-            # Consume residual capacity on the links each tunnel uses:
-            # one unbuffered scatter-subtract through the precomputed
-            # incidence, applied in the same entry order as per-tunnel
-            # bookkeeping (hence bit-identical to it).
-            with tracer.span(
-                "te.phase.residual_update", qos=qos.value
-            ) as sp:
-                np.subtract.at(
-                    residual,
-                    solver.incidence_rows,
-                    placed_flat[solver.incidence_cols],
-                )
-                np.maximum(residual, 0.0, out=residual)
-            phase[StatKey.PHASE_RESIDUAL_UPDATE] += sp.duration_s
+    def _residual(self, iv: _Interval, cls: _ClassStep) -> None:
+        """Consume residual capacity on the links each tunnel uses.
 
-            satisfied += class_satisfied
-            per_class_satisfied[qos.value] = class_satisfied
+        One unbuffered scatter-subtract through the precomputed
+        incidence, applied in the same entry order as per-tunnel
+        bookkeeping (hence bit-identical to it).
+        """
+        solver = iv.solver
+        with _timed(
+            iv.phase, StatKey.PHASE_RESIDUAL_UPDATE, qos=cls.qos.value
+        ):
+            np.subtract.at(
+                iv.residual,
+                solver.incidence_rows,
+                cls.placed_flat[solver.incidence_cols],
+            )
+            np.maximum(iv.residual, 0.0, out=iv.residual)
 
-        if state is not None:
-            state.interval_index += 1
-
-        runtime = monotonic() - start
+    def _finish(
+        self, iv: _Interval, demands: DemandMatrix, start: float
+    ) -> TEResult:
+        if iv.state is not None:
+            iv.state.interval_index += 1
+        phase = iv.phase
         return TEResult(
             scheme=self.scheme_name,
-            assignment=assignment,
+            assignment=iv.assignment,
             demands=demands,
-            satisfied_volume=satisfied,
-            runtime_s=runtime,
-            site_allocation=combined,
+            satisfied_volume=iv.satisfied,
+            runtime_s=monotonic() - start,
+            site_allocation=iv.combined,
             stats={
-                StatKey.STAGE1_LP_S: stage1_s,
-                StatKey.STAGE2_SSP_S: stage2_s,
+                **iv.counts,
+                StatKey.STAGE1_LP_S: (
+                    phase[StatKey.PHASE_LP_SOLVE]
+                    + phase[StatKey.PHASE_DELTA_PATCH]
+                ),
+                StatKey.STAGE2_SSP_S: (
+                    phase[StatKey.PHASE_TRIAGE]
+                    + phase[StatKey.PHASE_CONTENDED_SSP]
+                ),
                 StatKey.FASTSSP_EPSILON: self.fastssp_epsilon,
-                StatKey.SATISFIED_BY_CLASS: per_class_satisfied,
+                StatKey.SATISFIED_BY_CLASS: iv.satisfied_by_class,
                 StatKey.PHASE_S: phase,
                 StatKey.SECOND_STAGE: self.second_stage,
-                StatKey.NUM_UNCONTENDED_PAIRS: num_uncontended,
-                StatKey.NUM_CONTENDED_PAIRS: num_contended,
                 StatKey.BACKEND: (
-                    backend_used
-                    if backend_used is not None
+                    iv.lp_backend_used
+                    if iv.lp_backend_used is not None
                     else resolve_backend_name(self.lp_backend)
                 ),
-                StatKey.LP_WARM_START: lp_warm_starts,
-                StatKey.LP_SOLVES: lp_solves,
-                StatKey.LP_SOLVES_SKIPPED: lp_solves_skipped,
-                StatKey.PAIRS_DELTA_PATCHED: pairs_delta_patched,
-                StatKey.SSP_STATE_REUSED: ssp_state_reused,
-                StatKey.INCREMENTAL: inc is not None,
-                StatKey.SHARD_WORKERS: (
-                    shard_config.workers
-                    if shard_config is not None
-                    else 0
-                ),
-                StatKey.NUM_SHARDED_PAIRS: num_sharded,
-                StatKey.SHARD_TIMINGS: shard_timings,
-                StatKey.SSP_BACKEND: ssp_backend_used,
-                StatKey.SSP_BATCH_PHASE_S: ssp_batch_phase,
+                StatKey.INCREMENTAL: self.incremental is not None,
+                StatKey.SHARD_WORKERS: iv.shard_workers,
+                StatKey.NUM_SHARDED_PAIRS: self._sharded.num_pairs,
+                StatKey.SHARD_TIMINGS: self._sharded.timings,
+                StatKey.SSP_BACKEND: iv.ssp_backend,
+                StatKey.SSP_BATCH_PHASE_S: iv.ssp_batch_phase,
             },
-        )
-
-    def _solve_contended_sharded(
-        self,
-        shard_ctx: ShardContext,
-        qos: QoSClass,
-        attribute: str,
-        contended_ks: list[int],
-        seg: np.ndarray,
-        cls_idx: np.ndarray,
-        offsets: np.ndarray,
-        alloc_flat: np.ndarray,
-        state: IncrementalState | None,
-        ssp_backend: str = "scalar",
-    ) -> "tuple[list[_PairOutcome], object] | None":
-        """Dispatch one class's contended residue to the shard workers.
-
-        Workers write each pair's class assignment and per-tunnel placed
-        volume straight into the shared columns; this reads them back
-        into owned ``_PairOutcome`` arrays (never views into the arena —
-        the segment outlives no solve) so the merge loop, the satisfied
-        accounting, and the carried SSP state are byte-for-byte the
-        in-process path's.  Returns ``None`` when the context declined
-        (serial cutoff) or broke (worker death).
-        """
-        warm_prev: dict[int, np.ndarray] | None = None
-        if state is not None:
-            warm_prev = {}
-            for k in contended_ks:
-                prev = state.ssp_assigned.get((qos.value, k))
-                if prev is not None:
-                    warm_prev[k] = prev
-            if not warm_prev:
-                warm_prev = None
-        ks_arr = np.asarray(contended_ks, dtype=np.int64)
-        weights = (seg[ks_arr + 1] - seg[ks_arr]).astype(np.float64)
-        shard_out = shard_ctx.solve_class(
-            qos.value,
-            attribute,
-            self.fastssp_epsilon,
-            ks_arr,
-            weights,
-            alloc_flat,
-            warm_prev,
-            ssp_backend=ssp_backend,
-        )
-        if shard_out is None:
-            return None
-        # Only the completed shards' pairs have valid arena slots; on a
-        # partial salvage the crashed shards' pairs are in failed_ks
-        # and the caller re-solves them in-process.
-        shared_assigned = shard_ctx.arena["assigned"]
-        shared_placed = shard_ctx.arena["placed"]
-        outcomes = [
-            _PairOutcome(
-                k=k,
-                assigned_tunnel=shared_assigned[
-                    cls_idx[seg[k] : seg[k + 1]]
-                ].copy(),
-                placed_per_tunnel=shared_placed[
-                    offsets[k] : offsets[k + 1]
-                ].copy(),
-            )
-            for k in shard_out.ks.tolist()
-        ]
-        return outcomes, shard_out
-
-    def _solve_pair(
-        self,
-        k: int,
-        volumes: np.ndarray,
-        alloc_k: np.ndarray,
-        fill_order: np.ndarray,
-    ) -> _PairOutcome:
-        """MaxEndpointFlow for one site pair and class.
-
-        Tunnels are processed in ascending order of the class's preferred
-        attribute — latency for classes 1-2, cost for class 3 — so the
-        most preferred tunnel's allocation is filled first (App. A.2's
-        sequential dependency) and each subsequent tunnel chooses among
-        the still-unassigned flows.
-
-        Delegates to :func:`repro.core.pairfill.fill_pair` — the same
-        function the shard workers run, which is what makes the sharded
-        path bit-identical to this one.
-        """
-        assigned, placed = fill_pair(
-            volumes, alloc_k, fill_order, self.fastssp_epsilon
-        )
-        return _PairOutcome(
-            k=k, assigned_tunnel=assigned, placed_per_tunnel=placed
         )

@@ -68,21 +68,27 @@ class StatKey:
 
     # Phases of the ``phase_s`` breakdown.
     PHASE_MATRIX_BUILD = "matrix_build"
+    PHASE_SITE_MERGE = "site_merge"
     PHASE_LP_SOLVE = "lp_solve"
     PHASE_DELTA_PATCH = "delta_patch"
     PHASE_TRIAGE = "triage"
     PHASE_CONTENDED_SSP = "contended_ssp"
+    PHASE_SCATTER = "scatter"
     PHASE_RESIDUAL_UPDATE = "residual_update"
 
 
 #: Keys of the per-phase timing breakdown in ``TEResult.stats["phase_s"]``
-#: (also re-exported by :mod:`repro.core.twostage` for compatibility).
+#: (also re-exported by :mod:`repro.core.twostage` for compatibility):
+#: set-up, then one key per step of the optimizer's per-class pipeline
+#: (the allocate step books under ``lp_solve`` or ``delta_patch``).
 PHASE_KEYS = (
     StatKey.PHASE_MATRIX_BUILD,
+    StatKey.PHASE_SITE_MERGE,
     StatKey.PHASE_LP_SOLVE,
     StatKey.PHASE_DELTA_PATCH,
     StatKey.PHASE_TRIAGE,
     StatKey.PHASE_CONTENDED_SSP,
+    StatKey.PHASE_SCATTER,
     StatKey.PHASE_RESIDUAL_UPDATE,
 )
 

@@ -82,9 +82,8 @@ class IntervalReplayReport:
             ``pairs``, ``seconds``, ``phase_s``) from the workers'
             merged telemetry, in dispatch order.
         ssp_backend: FastSSP kernel of the second stage (``"scalar"``
-            for the per-pair reference path, ``"numpy"``/``"torch"``/
-            ``"cupy"`` for the array-batched kernel); constant across a
-            replay.
+            for the per-pair reference path, ``"numpy"`` for the
+            array-batched kernel); constant across a replay.
         ssp_batch_phase_s: Summed batched-kernel phase breakdown (keys
             of :data:`repro.core.fastssp_batch.SSP_PHASE_KEYS`); empty
             when the scalar path ran.

@@ -11,7 +11,7 @@ dicts it replaces are banned by lint outside ``repro.obs`` and
   stay populated), but is only *collected* while tracing is enabled.
 * :mod:`repro.obs.metrics` — a metrics registry of labeled counters,
   gauges, and log-linear-bucket histograms, with snapshot/merge support
-  for ``parallel_map``-style workers.
+  for the shard worker processes.
 * :mod:`repro.obs.export` — exporters: JSONL span/metric events and
   Prometheus text-exposition format.
 

@@ -3,8 +3,8 @@
 Prometheus-shaped but dependency-free.  A *family* is one named metric
 (``megate_tedb_queries_total``) with fixed label names; each distinct
 label-value combination is a *series* (child) holding the actual state.
-Families and children are thread-safe — the second-stage pair solves run
-under ``parallel_map`` threads and may record concurrently.
+Families and children are thread-safe — control-plane threads may
+record concurrently.
 
 Recording is gated on :attr:`MetricsRegistry.enabled`: a disabled
 ``inc``/``set``/``observe`` is one attribute load and a branch, which is

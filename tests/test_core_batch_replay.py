@@ -1,174 +1,13 @@
-"""Tests for the batched SSP solver and the packet-level replay."""
+"""Tests for the batched second stage and the packet-level replay."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    BatchSSPInstance,
-    MegaTEOptimizer,
-    fast_ssp,
-    solve_ssp_batch,
-    triage_ssp_batch,
-)
+from repro.core import MegaTEOptimizer
 from repro.simulation import replay_assignment
 from repro.simulation.flowsim import simulate
-
-
-class TestBatchSSP:
-    def test_matches_per_instance_solves(self):
-        rng = np.random.default_rng(0)
-        instances = [
-            BatchSSPInstance(
-                values=rng.lognormal(0, 1, size=rng.integers(1, 60)),
-                capacity=float(rng.uniform(0.5, 30.0)),
-            )
-            for _ in range(40)
-        ]
-        batch = solve_ssp_batch(instances)
-        for inst, result in zip(instances, batch):
-            single = fast_ssp(inst.values, inst.capacity)
-            assert result.selected == single.selected
-            assert result.total == pytest.approx(single.total)
-
-    def test_fast_paths(self):
-        results = solve_ssp_batch(
-            [
-                BatchSSPInstance(values=np.array([]), capacity=5.0),
-                BatchSSPInstance(values=np.array([1.0]), capacity=0.0),
-                BatchSSPInstance(
-                    values=np.array([1.0, 2.0]), capacity=100.0
-                ),
-            ]
-        )
-        assert results[0].total == 0.0
-        assert results[1].total == 0.0
-        assert results[2].selected == (0, 1)
-
-    def test_empty_batch(self):
-        assert solve_ssp_batch([]) == []
-
-    @given(
-        data=st.lists(
-            st.tuples(
-                st.lists(
-                    st.floats(0.01, 20.0, allow_nan=False),
-                    min_size=0,
-                    max_size=25,
-                ),
-                st.floats(0.0, 60.0),
-            ),
-            min_size=1,
-            max_size=10,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_equivalence_property(self, data):
-        instances = [
-            BatchSSPInstance(
-                values=np.array(values, dtype=np.float64),
-                capacity=capacity,
-            )
-            for values, capacity in data
-        ]
-        batch = solve_ssp_batch(instances)
-        for inst, result in zip(instances, batch):
-            single = fast_ssp(
-                np.asarray(inst.values, dtype=np.float64), inst.capacity
-            )
-            assert result.selected == single.selected
-            assert result.total == pytest.approx(single.total)
-
-
-class TestTriage:
-    """The vectorized fast-path pass behind the batched second stage."""
-
-    def test_classification(self):
-        results, contended = triage_ssp_batch(
-            [
-                BatchSSPInstance(values=np.array([]), capacity=5.0),
-                BatchSSPInstance(values=np.array([1.0]), capacity=0.0),
-                BatchSSPInstance(values=np.array([2.0]), capacity=-1.0),
-                BatchSSPInstance(
-                    values=np.array([1.0, 2.0]), capacity=10.0
-                ),
-                BatchSSPInstance(
-                    values=np.array([5.0, 5.0, 5.0]), capacity=7.0
-                ),
-            ]
-        )
-        assert [r is None for r in results] == [
-            False,
-            False,
-            False,
-            False,
-            True,
-        ]
-        assert contended.tolist() == [4]
-        # Everything-fits instance selects all demands.
-        assert results[3].selected == (0, 1)
-        assert results[3].total == 3.0
-        # Trivial instances select nothing.
-        assert results[0].total == results[1].total == 0.0
-
-    def test_fast_paths_bit_identical_to_fast_ssp(self):
-        instances = [
-            BatchSSPInstance(values=np.array([]), capacity=3.0),
-            BatchSSPInstance(values=np.array([0.5, 1.5]), capacity=0.0),
-            BatchSSPInstance(
-                values=np.array([0.1, 0.2, 0.3]), capacity=0.6000000000000001
-            ),
-        ]
-        results, contended = triage_ssp_batch(instances)
-        assert contended.size == 0
-        for inst, result in zip(instances, results):
-            single = fast_ssp(inst.values, inst.capacity)
-            assert result == single  # frozen dataclass: full field equality
-
-    def test_empty_batch(self):
-        results, contended = triage_ssp_batch([])
-        assert results == []
-        assert contended.size == 0
-
-    @given(
-        data=st.lists(
-            st.tuples(
-                st.lists(
-                    st.floats(0.0, 20.0, allow_nan=False),
-                    min_size=0,
-                    max_size=20,
-                ),
-                st.floats(-1.0, 60.0),
-            ),
-            min_size=0,
-            max_size=12,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_triage_never_mislabels(self, data):
-        """Fast-path results equal fast_ssp; contended covers the rest."""
-        instances = [
-            BatchSSPInstance(
-                values=np.array(values, dtype=np.float64),
-                capacity=capacity,
-            )
-            for values, capacity in data
-        ]
-        results, contended = triage_ssp_batch(instances)
-        contended_set = set(contended.tolist())
-        for idx, (inst, result) in enumerate(zip(instances, results)):
-            if idx in contended_set:
-                assert result is None
-            else:
-                single = fast_ssp(
-                    np.asarray(inst.values, dtype=np.float64),
-                    inst.capacity,
-                )
-                assert result.selected == single.selected
-                assert result.total == single.total
-                assert result.capacity == single.capacity
 
 
 class TestBatchedSecondStage:

@@ -1,13 +1,12 @@
-"""Tests for the chunked parallel dispatch of second-stage solves."""
+"""Tests for the worker-count spec grammar of the sharded second stage."""
 
 from __future__ import annotations
 
 import os
-import threading
 
 import pytest
 
-from repro.core import parallel_map, resolve_workers
+from repro.core import SHARD_WORKERS_ENV, resolve_workers
 
 
 class TestResolveWorkers:
@@ -46,83 +45,28 @@ class TestResolveWorkers:
             resolve_workers(2.0)
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert resolve_workers(None) == 4
+        monkeypatch.setenv(SHARD_WORKERS_ENV, "4")
+        assert resolve_workers(None, env=SHARD_WORKERS_ENV) == 4
         # Explicit specs always win over the environment.
         assert resolve_workers(1) is None
         assert resolve_workers(3) == 3
 
     def test_env_auto_and_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "auto")
+        monkeypatch.setenv(SHARD_WORKERS_ENV, "auto")
         cpus = os.cpu_count() or 1
-        assert resolve_workers(None) == (cpus if cpus >= 2 else None)
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        assert resolve_workers(None) is None
-        monkeypatch.setenv("REPRO_WORKERS", "")
-        assert resolve_workers(None) is None
+        assert resolve_workers(None, env=SHARD_WORKERS_ENV) == (
+            cpus if cpus >= 2 else None
+        )
+        monkeypatch.setenv(SHARD_WORKERS_ENV, "1")
+        assert resolve_workers(None, env=SHARD_WORKERS_ENV) is None
+        monkeypatch.setenv(SHARD_WORKERS_ENV, "")
+        assert resolve_workers(None, env=SHARD_WORKERS_ENV) is None
 
     def test_env_bad_value_names_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            resolve_workers(None)
+        monkeypatch.setenv(SHARD_WORKERS_ENV, "lots")
+        with pytest.raises(ValueError, match=SHARD_WORKERS_ENV):
+            resolve_workers(None, env=SHARD_WORKERS_ENV)
 
     def test_env_opt_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "6")
+        monkeypatch.setenv(SHARD_WORKERS_ENV, "6")
         assert resolve_workers(None, env=None) is None
-
-
-class TestParallelMap:
-    def test_serial_semantics(self):
-        """None/0/1 run on the calling thread, in order."""
-        for workers in (None, 0, 1):
-            seen: list[str] = []
-
-            def fn(x):
-                seen.append(threading.current_thread().name)
-                return x * 2
-
-            assert parallel_map(fn, [1, 2, 3], workers=workers) == [2, 4, 6]
-            assert set(seen) == {threading.main_thread().name}
-
-    def test_parallel_preserves_order(self):
-        items = list(range(250))
-        assert parallel_map(lambda x: x + 1, items, workers=4) == [
-            x + 1 for x in items
-        ]
-
-    def test_auto_workers(self):
-        assert parallel_map(lambda x: -x, [3, 1, 2], workers="auto") == [
-            -3,
-            -1,
-            -2,
-        ]
-
-    def test_explicit_chunk_size(self):
-        items = list(range(17))
-        assert parallel_map(
-            lambda x: x * x, items, workers=3, chunk_size=5
-        ) == [x * x for x in items]
-
-    def test_chunking_covers_every_item_exactly_once(self):
-        """Each item is processed once even when chunks divide unevenly."""
-        calls: list[int] = []
-        lock = threading.Lock()
-
-        def fn(x):
-            with lock:
-                calls.append(x)
-            return x
-
-        items = list(range(23))
-        parallel_map(fn, items, workers=4, chunk_size=7)
-        assert sorted(calls) == items
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            parallel_map(lambda x: x, [1, 2, 3], workers=2, chunk_size=0)
-
-    def test_single_item_stays_serial(self):
-        assert parallel_map(lambda x: x + 1, [41], workers=8) == [42]
-
-    def test_empty(self):
-        assert parallel_map(lambda x: x, [], workers="auto") == []

@@ -181,9 +181,9 @@ class TestShardedSolve:
         topology, demands = scenario
         with MegaTEOptimizer(shard_workers=2) as opt:
             first = opt.solve(topology, demands)
-            ctx = opt._shard_ctx
+            ctx = opt._sharded.ctx
             second = opt.solve(topology, demands)
-            assert opt._shard_ctx is ctx  # arena + pool were reused
+            assert opt._sharded.ctx is ctx  # arena + pool were reused
         assert _digest(first) == _digest(second) == _digest(serial_result)
 
     def test_env_var_selection(
@@ -298,13 +298,13 @@ class TestShmCleanup:
         with MegaTEOptimizer(shard_workers=2) as opt:
             first = opt.solve(topology, demands)
             assert first.stats[StatKey.NUM_SHARDED_PAIRS] > 0
-            for proc in opt._shard_ctx._pool._processes.values():
+            for proc in opt._sharded.ctx._pool._processes.values():
                 os.kill(proc.pid, signal.SIGKILL)
             degraded = opt.solve(topology, demands)
             # The broken pool disabled sharding; the result is intact.
             assert degraded.stats[StatKey.NUM_SHARDED_PAIRS] == 0
             assert _digest(degraded) == _digest(serial_result)
-            assert opt._shard_disabled
+            assert opt._sharded.disabled
             again = opt.solve(topology, demands)
             assert _digest(again) == _digest(serial_result)
         assert not live_segment_names()

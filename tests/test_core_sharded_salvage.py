@@ -107,7 +107,7 @@ class TestPartialSalvage:
             healthy = opt.solve(topology, demands)
             healthy_sharded = healthy.stats[StatKey.NUM_SHARDED_PAIRS]
             assert healthy_sharded > 0
-            ctx = opt._shard_ctx
+            ctx = opt._sharded.ctx
             ctx._pool = _HalfBrokenPool(ctx, ctx._pool)
 
             obs.reset()  # isolate the crash interval's series
@@ -130,8 +130,8 @@ class TestPartialSalvage:
 
             # Context torn down; later solves degrade cleanly and stay
             # bit-identical.
-            assert opt._shard_disabled
-            assert opt._shard_ctx is None
+            assert opt._sharded.disabled
+            assert opt._sharded.ctx is None
             after = opt.solve(topology, demands)
             assert _digest(after) == _digest(serial_result)
             assert after.stats[StatKey.NUM_SHARDED_PAIRS] == 0
@@ -157,7 +157,7 @@ class TestWorkerProcessCrash:
                 for t in crashed.stats[StatKey.SHARD_TIMINGS]
             )
             assert _shard_pairs_total() == salvaged
-            assert opt._shard_disabled
+            assert opt._sharded.disabled
             after = opt.solve(topology, demands)
             assert _digest(after) == _digest(serial_result)
 

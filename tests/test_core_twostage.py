@@ -63,6 +63,21 @@ class TestBasics:
         with pytest.raises(ValueError):
             MegaTEOptimizer(fastssp_epsilon=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(ssp_backend="bogus"), "unknown SSP backend"),
+            (dict(lp_backend="bogus"), "unknown LP backend"),
+            (dict(shard_workers=-1), "workers must be >= 0"),
+        ],
+        ids=["ssp_backend", "lp_backend", "shard_workers"],
+    )
+    def test_explicit_selections_fail_at_construction(self, kwargs, message):
+        """A bad explicit backend / worker spec must fail at process
+        start, not inside the first TE interval."""
+        with pytest.raises(ValueError, match=message):
+            MegaTEOptimizer(**kwargs)
+
 
 class TestQoSPriority:
     def test_class1_served_first_under_pressure(self, tiny_topology):
@@ -253,3 +268,40 @@ class TestFirstPositiveColumns:
             assert self._run(alloc, ordered_cols, offsets) == self._reference(
                 alloc, ordered_cols, offsets
             )
+
+
+#: Replay digest of the twan-20k ``REPLAY_CONFIG`` that
+#: ``benchmarks/test_perf_interval_solve.py`` records into
+#: ``BENCH_interval_solve.json`` — the absolute value every solver path
+#: must reproduce, not just agree on.
+TWAN_20K_DIGEST = (
+    "252dcd5d4698b75fb3cd14b4cde4111a5631f6f5de6e7b0974282da79b846bee"
+)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(second_stage="batched", ssp_backend="numpy"),
+        dict(second_stage="batched", ssp_backend="scalar"),
+        dict(second_stage="serial"),
+        dict(shard_workers=2),
+        dict(incremental=True, delta_threshold=0.0),
+    ],
+    ids=["batched-numpy", "batched-scalar", "serial", "sharded", "incremental"],
+)
+def test_every_path_reproduces_the_pinned_digest(kwargs):
+    from repro.experiments import run_interval_replay
+
+    with MegaTEOptimizer(**kwargs) as optimizer:
+        report = run_interval_replay(
+            optimizer=optimizer,
+            topology_name="twan",
+            total_endpoints=20_000,
+            num_site_pairs=60,
+            target_load=1.0,
+            seed=42,
+            sequence_seed=5,
+            num_intervals=10,
+        )
+    assert report.assignment_digest == TWAN_20K_DIGEST

@@ -15,14 +15,10 @@ differing bit fails the property.
 ``fill_pairs_batch`` is held to the same contract against per-pair
 :func:`repro.core.pairfill.fill_pair` composition, and the backend
 resolution is pinned to the LP-backend selection pattern (arg > env >
-numpy; explicit-but-unavailable torch/cupy warn and degrade, ``auto``
-degrades silently).
+numpy).
 """
 
 from __future__ import annotations
-
-import os
-import warnings
 
 import numpy as np
 import pytest
@@ -32,22 +28,15 @@ from repro.core.fastssp import fast_ssp
 from repro.core.fastssp_batch import (
     SSP_BACKEND_ENV,
     BatchedSSPResult,
-    cupy_available,
     fast_ssp_batch,
     fill_pairs_batch,
     resolve_ssp_backend_name,
-    torch_available,
 )
 from repro.core.pairfill import fill_pair, fill_pairs
 
-#: Backends exercised by the equality properties: numpy always, the
-#: accelerator backends only when their wheel + device are present (the
-#: fallback behavior itself is pinned separately below).
+#: Backends exercised by the equality properties (``"scalar"`` is the
+#: reference they are compared against).
 BACKENDS = ["numpy"]
-if torch_available():
-    BACKENDS.append("torch")
-if cupy_available():
-    BACKENDS.append("cupy")
 
 EPSILONS = [0.05, 0.1, 0.3, 0.9]
 
@@ -310,7 +299,7 @@ def test_batch_validation_errors():
 
 
 class TestBackendResolution:
-    """arg > REPRO_SSP_BACKEND > numpy, with clean fallbacks."""
+    """arg > REPRO_SSP_BACKEND > numpy."""
 
     def test_default_is_numpy(self, monkeypatch):
         monkeypatch.delenv(SSP_BACKEND_ENV, raising=False)
@@ -327,44 +316,6 @@ class TestBackendResolution:
     def test_empty_env_means_default(self, monkeypatch):
         monkeypatch.setenv(SSP_BACKEND_ENV, "")
         assert resolve_ssp_backend_name() == "numpy"
-
-    @pytest.mark.skipif(
-        torch_available(), reason="torch installed; fallback n/a"
-    )
-    def test_explicit_torch_falls_back_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            assert resolve_ssp_backend_name("torch") == "numpy"
-
-    @pytest.mark.skipif(
-        cupy_available(), reason="cupy usable; fallback n/a"
-    )
-    def test_explicit_cupy_falls_back_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            assert resolve_ssp_backend_name("cupy") == "numpy"
-
-    @pytest.mark.skipif(
-        torch_available() or cupy_available(),
-        reason="an accelerator is available; auto would pick it",
-    )
-    def test_auto_degrades_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_ssp_backend_name("auto") == "numpy"
-
-    def test_unavailable_backend_still_solves(self, monkeypatch):
-        """An env-selected missing accelerator must not break solves."""
-        if torch_available():
-            pytest.skip("torch installed; fallback n/a")
-        monkeypatch.setenv(SSP_BACKEND_ENV, "torch")
-        with pytest.warns(RuntimeWarning):
-            res = fast_ssp_batch(
-                np.array([3.0, 2.0, 1.0]),
-                np.array([0, 3], dtype=np.int64),
-                np.array([4.0]),
-            )
-        assert res.backend == "numpy"
-        ref = fast_ssp(np.array([3.0, 2.0, 1.0]), 4.0)
-        _assert_results_equal(res.result(0), ref, "env fallback")
 
 
 def test_result_views_match_fast_ssp_shapes():

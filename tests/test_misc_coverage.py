@@ -1,11 +1,10 @@
-"""Coverage for smaller utilities: parallel map, router counters,
+"""Coverage for smaller utilities: router counters,
 experiment scaffolding, and QoS-aware host behaviours."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.parallel import parallel_map
 from repro.dataplane import (
     FiveTuple,
     HostStack,
@@ -18,37 +17,6 @@ from repro.experiments.common import (
     sample_site_pairs,
 )
 from repro.topology import b4, twan
-
-
-class TestParallelMap:
-    def test_serial_path(self):
-        assert parallel_map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_thread_pool_path(self):
-        result = parallel_map(lambda x: x + 1, list(range(50)), workers=4)
-        assert result == list(range(1, 51))
-
-    def test_order_preserved_with_threads(self):
-        import time
-
-        def slow_then_fast(x):
-            time.sleep(0.001 * (5 - x % 5))
-            return x
-
-        items = list(range(20))
-        assert parallel_map(slow_then_fast, items, workers=4) == items
-
-    def test_single_item_stays_serial(self):
-        calls = []
-        parallel_map(calls.append, [42], workers=8)
-        assert calls == [42]
-
-    def test_exception_propagates(self):
-        def boom(x):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            parallel_map(boom, [1, 2], workers=2)
 
 
 class TestRouterCounters:

@@ -35,7 +35,7 @@ WALL_CLOCK_BOUND_S = 30.0
 
 def test_interval_replay_smoke():
     report = run_interval_replay(
-        optimizer=MegaTEOptimizer(second_stage="batched", workers="auto"),
+        optimizer=MegaTEOptimizer(second_stage="batched"),
         **SMOKE_CONFIG,
     )
     assert report.num_intervals == SMOKE_CONFIG["num_intervals"]
@@ -80,6 +80,7 @@ def test_result_stats_contract():
     ):
         assert key in result.stats, key
     assert set(result.stats["phase_s"]) == set(PHASE_KEYS)
+    assert {"site_merge", "scatter"} <= set(PHASE_KEYS)
     # Cold solve: everything ran through the full LP on the resolved
     # backend (env-selectable in CI), nothing came from carried state.
     from repro.core import resolve_backend_name
@@ -90,6 +91,26 @@ def test_result_stats_contract():
     assert result.stats["pairs_delta_patched"] == 0
     assert result.stats["ssp_state_reused"] == 0
     assert result.stats["incremental"] is False
+
+
+def test_phases_close():
+    """Every step of the solve owns a phase: the attributed seconds
+    account for (nearly) the whole runtime, glue included."""
+    import statistics
+
+    from repro.experiments.common import build_scenario
+
+    scenario = build_scenario(
+        "twan", total_endpoints=20_000, num_site_pairs=400, seed=1
+    )
+    optimizer = MegaTEOptimizer()
+    closures = []
+    for _ in range(5):
+        result = optimizer.solve(scenario.topology, scenario.demands)
+        closures.append(
+            sum(result.stats["phase_s"].values()) / result.runtime_s
+        )
+    assert statistics.median(closures) >= 0.95, closures
 
 
 def test_telemetry_does_not_change_results():
