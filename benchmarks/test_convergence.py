@@ -13,7 +13,6 @@ from repro.controlplane import (
     EndpointAgent,
     EndpointConfig,
     TEDatabase,
-    VERSION_KEY,
     analytic_convergence,
     config_key,
     simulate_convergence,
@@ -66,28 +65,25 @@ def test_convergence_against_real_database(benchmark):
             ),
             now=0.0,
         )
-    database.put(VERSION_KEY, 1, now=0.0)
+    database.commit_version(1, now=0.0)
     offsets = spread_offsets(300, window_s=10.0, seed=2)
-    agents = [
-        EndpointAgent(
-            endpoint_id=i,
-            poll_period_s=10.0,
-            poll_offset_s=float(off),
-        )
-        for i, off in enumerate(offsets)
-    ]
 
     def run():
-        for agent in agents:
-            agent.local_version = 0
-            agent._last_poll_slot = -1
+        agents = [
+            EndpointAgent(
+                endpoint_id=i,
+                poll_period_s=10.0,
+                poll_offset_s=float(off),
+            )
+            for i, off in enumerate(offsets)
+        ]
         return simulate_convergence(
             agents, database, publish_time=0.0, tick_s=0.5
         )
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     print(
-        f"\nSimulated fleet of {len(agents)}: mean delay "
+        f"\nSimulated fleet of {len(offsets)}: mean delay "
         f"{report.mean_delay_s:.2f}s, converged in "
         f"{report.convergence_time_s:.2f}s, "
         f"{database.total_queries()} DB queries"

@@ -8,7 +8,7 @@ from .consistency import (
     simulate_convergence,
     spread_offsets,
 )
-from .controller import EndpointConfig, TEController, VERSION_KEY, config_key
+from .controller import EndpointConfig, TEController, config_key
 from .failover import (
     FailoverTimeline,
     ShardFailoverReport,
@@ -42,6 +42,7 @@ from .database import (
     ShardStats,
     SyncError,
     TEDatabase,
+    VERSION_KEY,
 )
 from .sync import (
     ResourceEstimate,

@@ -1,10 +1,15 @@
 """The endpoint agent: asynchronous, connectionless config pulls.
 
 Each end host runs an agent (§3.2, Figure 4(b)).  On its polling slot the
-agent issues a short-connection *version check* against the TE database;
-only when the version moved does it pull its endpoint's full configuration
-and install the new paths into the host's ``path_map`` (the eBPF map the
-TC-layer program reads — see :mod:`repro.dataplane`).
+agent issues one short-connection *version check* to the shard holding
+its endpoint's config (:meth:`~.database.TEDatabase.check_version`).  The
+answer carries the TE version committed on that shard, which the agent
+adopts, and the version of its own config key; only when a new TE version
+was committed *and* its key moved does it pull the configuration and
+install the new paths into the host's ``path_map`` (the eBPF map the
+TC-layer program reads — see :mod:`repro.dataplane`).  Most endpoints
+keep their paths from one TE interval to the next, so most polls are that
+one query.
 
 Agents are assigned offsets that spread their polls uniformly over the
 query window (e.g. 10 s), which is how two database shards absorb millions
@@ -18,9 +23,9 @@ so chaos runs replay exactly), under a per-poll wall-time budget.  When
 the budget or the retry cap is exhausted the agent degrades gracefully:
 it keeps serving its last-known-good config and tracks how stale that
 config is, so callers can tell "fresh", "stale but inside the bound", and
-"degraded" apart.  A version check that comes back *lower* than the
-installed version (a shard restored from a lagging replica) never rolls
-the agent back: configs are monotone.
+"degraded" apart.  A check or a pull that comes back *older* than what
+the agent already holds (a shard restored from a lagging replica) never
+rolls the agent back: configs are monotone.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..obs import get_registry
-from .controller import EndpointConfig, VERSION_KEY, config_key
+from .controller import EndpointConfig, config_key
 from .database import SyncError, TEDatabase
 from .faults import deterministic_uniform
 
@@ -95,7 +100,8 @@ class EndpointAgent:
         endpoint_id: The endpoint this agent serves.
         poll_period_s: Seconds between version checks.
         poll_offset_s: Phase within the period (spreads load).
-        local_version: Version of the currently installed config.
+        local_version: Newest TE version the agent knows its installed
+            config to be current for.
         paths: Installed destination -> site-path mapping (the
             last-known-good config; never cleared on failure).
         on_install: Optional callback invoked with the new
@@ -114,8 +120,8 @@ class EndpointAgent:
         failed_polls: Polls that exhausted retries (or the single
             attempt, under a policy) without reaching the database.
         retries: Individual retry attempts issued.
-        version_regressions: Version checks that came back lower than
-            the installed version (stale replica) and were ignored.
+        version_regressions: Checks or pulls that came back older than
+            what the agent holds (stale replica) and were ignored.
     """
 
     endpoint_id: int
@@ -132,10 +138,12 @@ class EndpointAgent:
     version_regressions: int = 0
     _last_poll_slot: int = field(default=-1, repr=False)
     _was_degraded: bool = field(default=False, repr=False)
+    # Version of the config key as last installed (0: none yet).
+    _installed_key_version: int = field(default=0, repr=False)
     _config_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Every poll that sees a new version reads this key.
+        # Every poll checks this key.
         self._config_key = config_key(self.endpoint_id)
 
     def next_poll_time(self, now: float) -> float:
@@ -173,35 +181,46 @@ class EndpointAgent:
 
     # -- polling -------------------------------------------------------------
 
-    def _poll_once(self, database: TEDatabase, now: float) -> bool:
-        """One version-check-and-pull attempt; database errors propagate."""
-        remote_version = database.get_version(VERSION_KEY, now=now)
-        if remote_version < self.local_version:
+    def _poll_once(self, database: TEDatabase, now: float) -> str:
+        """One check-and-maybe-pull attempt; database errors propagate.
+
+        Returns the poll's outcome: ``"current"`` (nothing committed
+        since the last poll), ``"unchanged"`` (a new version, but not
+        for this endpoint), ``"installed"`` or ``"regressed"``.
+        """
+        committed, key_version = database.check_version(
+            self._config_key, now=now
+        )
+        if (
+            committed < self.local_version
+            or key_version < self._installed_key_version
+        ):
             # A shard restored from a stale replica is reporting an old
-            # version.  Never roll back: keep last-known-good and do not
+            # state.  Never roll back: keep last-known-good and do not
             # count this as a refresh (the read is provably stale).
             self.version_regressions += 1
-            return False
-        if remote_version == self.local_version:
-            self.last_refresh_s = now
-            return False
-        try:
-            config, _ = database.get(self._config_key, now=now)
-        except KeyError:
-            # No config for this endpoint in the new version (it sources
-            # no flows); track the version so we stop re-pulling.
-            self.local_version = remote_version
-            self.last_refresh_s = now
-            return False
-        self.paths = dict(config.paths)
-        self.local_version = remote_version
+            return "regressed"
+        outcome = "current"
+        if committed > self.local_version:
+            outcome = "unchanged"
+            # An endpoint that sources no flows has no config: key
+            # version 0, nothing to pull, only the version to track.
+            if key_version > self._installed_key_version:
+                config, pulled = database.get(self._config_key, now=now)
+                if pulled < key_version:
+                    self.version_regressions += 1
+                    return "regressed"
+                self.paths = dict(config.paths)
+                self._installed_key_version = pulled
+                if self.on_install is not None:
+                    self.on_install(config)
+                outcome = "installed"
+            self.local_version = committed
         self.last_refresh_s = now
-        if self.on_install is not None:
-            self.on_install(config)
-        return True
+        return outcome
 
     def poll(self, database: TEDatabase, now: float) -> bool:
-        """Version-check and pull if stale.
+        """Version-check and pull if this endpoint's config moved.
 
         With no :attr:`retry_policy` this is a single attempt and any
         :class:`~.database.SyncError` propagates.  With a policy, failed
@@ -215,16 +234,16 @@ class EndpointAgent:
         """
         policy = self.retry_policy
         if policy is None:
-            installed = self._poll_once(database, now)
-            self._note_poll(installed, failed=False, now=now)
-            return installed
+            outcome = self._poll_once(database, now)
+            self._note_poll(outcome, now)
+            return outcome == "installed"
         deadline = now + policy.poll_budget_s
         t = now
         for attempt in range(policy.max_retries + 1):
             try:
-                installed = self._poll_once(database, t)
-                self._note_poll(installed, failed=False, now=t)
-                return installed
+                outcome = self._poll_once(database, t)
+                self._note_poll(outcome, t)
+                return outcome == "installed"
             except SyncError:
                 if attempt >= policy.max_retries:
                     break
@@ -240,12 +259,10 @@ class EndpointAgent:
                         "Endpoint-agent poll retry attempts",
                     ).inc()
         self.failed_polls += 1
-        self._note_poll(False, failed=True, now=now)
+        self._note_poll("failed", now)
         return False
 
-    def _note_poll(
-        self, installed: bool, failed: bool, now: float
-    ) -> None:
+    def _note_poll(self, outcome: str, now: float) -> None:
         """Record one completed poll's outcome and freshness metrics."""
         degraded = self.is_degraded(now)
         newly_degraded = degraded and not self._was_degraded
@@ -253,15 +270,12 @@ class EndpointAgent:
         registry = get_registry()
         if not registry.enabled:
             return
-        outcome = (
-            "failed" if failed else "installed" if installed else "noop"
-        )
         registry.counter(
             "megate_agent_polls_total",
             "Endpoint-agent polls by outcome",
             labelnames=("outcome",),
         ).labels(outcome=outcome).inc()
-        if installed:
+        if outcome == "installed":
             registry.counter(
                 "megate_agent_installs_total",
                 "Endpoint configurations installed by agents",

@@ -271,9 +271,21 @@ class DemandCollector:
                 np.concatenate(both) for both in zip(self._drained, rows)
             )
         src, dst, _, _, k = rows
-        # lexsort's last key is primary: (k, src, dst) order.  Indexing
-        # by it also copies the rows out of the report buffers.
-        order = np.lexsort((dst, src, k))
+        # (k, src, dst) order.  Indexing by it also copies the rows out
+        # of the report buffers.
+        n = self._num_endpoints
+        pairs = self.topology.catalog.num_pairs
+        if pairs.bit_length() + 2 * n.bit_length() <= 63:
+            # One stable sort of (k * n + src) * n + dst, which fits
+            # int64, is about twice as fast as three.
+            key = k * n
+            key += src
+            key *= n
+            key += dst
+            order = np.argsort(key, kind="stable")
+        else:
+            # lexsort's last key is primary.
+            order = np.lexsort((dst, src, k))
         src, dst, sent, qos, k = (column[order] for column in rows)
         new_group = np.ones(k.size, dtype=bool)
         np.not_equal(src[1:], src[:-1], out=new_group[1:])

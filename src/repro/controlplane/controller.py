@@ -2,8 +2,9 @@
 
 In MegaTE's bottom-up loop (§3.2, Figure 4(b)) the controller never talks
 to endpoints.  It runs the optimizer each TE interval (or upon failure),
-writes each endpoint's segment-routing configuration into the TE database
-under an incremented version, and lets agents pull at their own pace.
+writes each changed endpoint's segment-routing configuration into the TE
+database, commits the incremented version on every shard, and lets agents
+pull at their own pace.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ if TYPE_CHECKING:
     from ..topology.tunnels import CatalogArrays, TunnelCatalog
     from ..traffic.demand import DemandMatrix
 
-__all__ = ["EndpointConfig", "TEController", "VERSION_KEY"]
-
-#: Database key holding the global TE configuration version.
-VERSION_KEY = "te:version"
+__all__ = ["EndpointConfig", "TEController"]
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ class TEController:
         result: "TEResult",
         now: float = 0.0,
     ) -> int:
-        """Write per-endpoint configs and bump the global version.
+        """Write per-endpoint configs, then commit the next version.
 
         Only endpoints that actually source flows get a config entry, and
         with ``delta_publish`` only endpoints whose paths *changed* since
@@ -126,11 +124,17 @@ class TEController:
         publishable flow this interval (every flow unassigned, or none
         reported) is neither rewritten nor forgotten: its last config
         stays in the database.  Configs are written in ascending endpoint
-        order and the version key **last**, so an agent that sees the new
-        version is guaranteed to find the new configs (write ordering is
-        the paper's eventual-consistency correctness argument).
+        order and the version is committed **last**, on every shard
+        (:meth:`TEDatabase.commit_version`), so an agent whose shard
+        reports the new version is guaranteed to find that shard's new
+        configs (write ordering is the paper's eventual-consistency
+        correctness argument, here per shard).  A publish that raises —
+        a config write or part of the commit failed — leaves
+        ``current_version`` where it was; calling it again with the same
+        result writes what is missing and repeats the commit.
 
         Raises:
+            SyncError: when the store refused a write.
             IndexError: when an assigned tunnel index is not in its site
                 pair's tunnel set under ``topology``'s catalog.
             ValueError: for an endpoint id outside ``[0, 2**31)``.
@@ -187,7 +191,7 @@ class TEController:
             # part-way, so a retry resumes instead of starting over.
             if writes:
                 self._record_published(to_write[:writes], key, path)
-        self.database.put(VERSION_KEY, next_version, now=now)
+        self.database.commit_version(next_version, now=now)
         self.current_version = next_version
         self.last_result = result
         self.last_publish_writes = writes

@@ -9,6 +9,15 @@ time window (e.g. 10 s) so the instantaneous load stays within capacity.
 This model reproduces those mechanisms: hash sharding, per-second query
 accounting against per-shard capacity, and versioned reads enabling the
 cheap "is there anything new?" check of the bottom-up control loop.
+
+That check is one value-free query, :meth:`TEDatabase.check_version`,
+to the shard holding the asking endpoint's config.  It answers with two
+numbers: the TE version the controller last *committed* on that shard
+(:meth:`TEDatabase.commit_version` writes it onto every shard, after the
+configs) and the version of the endpoint's own config key.  Both come
+from one shard, so they cannot disagree about what that shard holds, and
+the fleet's checks spread over the shards the way the config keys do —
+no key is read by everyone.
 """
 
 from __future__ import annotations
@@ -19,7 +28,18 @@ from typing import Any, Hashable
 
 from ..obs import get_registry
 
-__all__ = ["ShardStats", "SyncError", "TEDatabase", "QueryRejected"]
+__all__ = [
+    "ShardStats",
+    "SyncError",
+    "TEDatabase",
+    "QueryRejected",
+    "VERSION_KEY",
+]
+
+#: The published TE version, for tools and tests:
+#: ``get_version(VERSION_KEY)`` answers the version committed on the
+#: shard this key hashes to.  Nothing is stored under it.
+VERSION_KEY = "te:version"
 
 
 def _record_query(op: str) -> None:
@@ -101,6 +121,9 @@ class TEDatabase:
         self._data: list[dict[Hashable, _VersionedValue]] = [
             {} for _ in range(num_shards)
         ]
+        # The TE version last committed on each shard: shard state, not
+        # a key, so re-sharding never has a copy of it to re-home.
+        self._committed = [0] * num_shards
         self._stats = [ShardStats() for _ in range(num_shards)]
         self._second_load: list[dict[int, int]] = [
             {} for _ in range(num_shards)
@@ -172,15 +195,54 @@ class TEDatabase:
         return stored.value, stored.version
 
     def get_version(self, key: Hashable, now: float = 0.0) -> int:
-        """Read only the version — the agents' cheap freshness check.
+        """Read only a key's version (0 for unknown keys).
 
-        Returns 0 for unknown keys (nothing published yet).
+        For :data:`VERSION_KEY` this is the TE version committed on the
+        shard that key hashes to.
         """
+        if key == VERSION_KEY:
+            return self.check_version(key, now=now)[0]
         shard = self.shard_of(key)
         self._account(shard, now)
         _record_query("get_version")
         stored = self._data[shard].get(key)
         return stored.version if stored else 0
+
+    def check_version(
+        self, key: Hashable, now: float = 0.0
+    ) -> tuple[int, int]:
+        """The agents' freshness check: one query, no value.
+
+        Returns ``(committed, key_version)`` from the shard holding
+        ``key``: the TE version last committed there, and the version
+        of ``key`` itself (0 when the shard holds no such key).
+        """
+        shard = self.shard_of(key)
+        self._account(shard, now)
+        _record_query("check_version")
+        stored = self._data[shard].get(key)
+        return self._committed[shard], stored.version if stored else 0
+
+    def commit_version(self, version: int, now: float = 0.0) -> None:
+        """Mark TE version ``version`` committed on every shard.
+
+        The publish step that follows the config writes: one write per
+        shard, carrying the version number itself, so repeating it after
+        a failure changes nothing on the shards it already reached.
+        Every shard is tried before the first failure is raised.
+
+        Raises:
+            QueryRejected: when some shard was over capacity; the
+                others hold the commit.
+        """
+        failure = None
+        for shard in range(self.num_shards):
+            try:
+                self.commit_to_shard(shard, version, now=now)
+            except SyncError as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
 
     # -- shard-addressed API -------------------------------------------------
     #
@@ -239,6 +301,24 @@ class TEDatabase:
         self._account(shard, now)
         stored = self._data[shard].get(key)
         return stored.version if stored else 0
+
+    def commit_to_shard(
+        self,
+        shard: int,
+        version: int,
+        now: float = 0.0,
+        account: bool = True,
+    ) -> None:
+        """Record ``version`` as committed on one shard (never lowers it)."""
+        if account:
+            self._account(shard, now)
+            _record_query("commit_version")
+        if version > self._committed[shard]:
+            self._committed[shard] = version
+
+    def committed_version(self, shard: int) -> int:
+        """The TE version committed on ``shard`` (no capacity charge)."""
+        return self._committed[shard]
 
     def shard_keys(self, shard: int) -> list[Hashable]:
         """Keys currently stored on ``shard`` (no capacity charge)."""

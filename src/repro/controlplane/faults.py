@@ -9,9 +9,10 @@ makes the misbehaviour a first-class, *seeded* input:
   latency inflation, transient read/write error rates, partition
   windows, and stale-replica lag;
 * a :class:`FaultyTEDatabase` wraps a :class:`~.database.TEDatabase`
-  behind the same ``put`` / ``get`` / ``get_version`` interface, so
-  every existing caller (agents, controller, benches) runs under faults
-  without modification;
+  behind the same ``put`` / ``get`` / ``get_version`` /
+  ``check_version`` / ``commit_version`` interface, so every existing
+  caller (agents, controller, benches) runs under faults without
+  modification;
 * with a null plan the wrapper is behaviour-identical to the inner
   database.
 
@@ -38,6 +39,15 @@ Fault evaluation order for one operation on shard ``s`` at time ``t``:
 6. **staleness** — during a stale window, or after a crash until the
    shard is reconciled, reads serve the lagged replica view (values may
    be old, versions may run *backwards*).
+
+What a shard's committed version vouches for — every config write the
+controller issued for that version or an older one is readable there —
+survives all of it, because a lagged view answers the committed version
+from the same cutoff as the keys: a stale window shows the commit log as
+of its cutoff; a restarted shard vouches only for what its replica had
+until :meth:`FaultyTEDatabase.reconcile` catches it up; and a key
+evacuated by :meth:`FaultyTEDatabase.reshard` answers with its crashed
+home's replica-visible commit until it is rewritten or sent home.
 """
 
 from __future__ import annotations
@@ -48,7 +58,13 @@ from typing import Any, Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .database import ShardStats, SyncError, TEDatabase
+from .database import (
+    VERSION_KEY,
+    ShardStats,
+    SyncError,
+    TEDatabase,
+    _record_query,
+)
 
 __all__ = [
     "FaultWindow",
@@ -372,8 +388,9 @@ class FaultyTEDatabase:
     """A :class:`TEDatabase` seen through a seeded fault plan.
 
     Drop-in for the inner database: same ``put`` / ``get`` /
-    ``get_version`` signatures plus the introspection surface, so
-    agents, the controller, and the benches run under faults unchanged.
+    ``get_version`` / ``check_version`` / ``commit_version`` signatures
+    plus the introspection surface, so agents, the controller, and the
+    benches run under faults unchanged.
     With :meth:`FaultPlan.none` the wrapper delegates straight through
     and is behaviour-identical.
 
@@ -411,8 +428,15 @@ class FaultyTEDatabase:
         #: This is the model's stand-in for the replication stream —
         #: stale reads and crash restores are views into it.
         self._log: dict[Hashable, list[_LogEntry]] = {}
+        #: Commit log: per shard, the commits that landed there.
+        self._commits: list[list[_LogEntry]] = [
+            [] for _ in range(inner.num_shards)
+        ]
         #: Keys routed away from their hash-home shard by reshard().
         self._overrides: dict[Hashable, int] = {}
+        #: Home shard -> the oldest replica cutoff its evacuated keys
+        #: were restored from (cleared when the shard is reconciled).
+        self._evacuation_cutoff: dict[int, float] = {}
         #: Shard -> time of the last reconcile (clears crash staleness).
         self._reconciled_at: dict[int, float] = {}
         self._op_counter = 0
@@ -446,6 +470,9 @@ class FaultyTEDatabase:
 
     def reset_load_accounting(self) -> None:
         self.inner.reset_load_accounting()
+
+    def committed_version(self, shard: int) -> int:
+        return self.inner.committed_version(shard)
 
     # -- fault checks --------------------------------------------------------
 
@@ -488,9 +515,10 @@ class FaultyTEDatabase:
             if not self.shard_healthy(s, now)
         ]
 
-    def _check_faults(self, shard: int, now: float, write: bool) -> None:
+    def _check_faults(self, shard: int, now: float, op: str) -> None:
         """Run the injection gauntlet; raises or returns normally."""
         plan = self.plan
+        write = op in ("put", "commit_version")
         if plan.partitioned(shard, now):
             self.injected.partitioned += 1
             raise ShardPartitioned(
@@ -504,6 +532,7 @@ class FaultyTEDatabase:
             )
         # The query reached the shard: charge capacity.
         self.inner.account(shard, now)
+        _record_query(op)
         latency = faults.latency_at(now)
         if latency >= self.timeout_s:
             self.injected.timeouts += 1
@@ -560,8 +589,17 @@ class FaultyTEDatabase:
         cutoff: float,
         restart: float | None,
     ) -> _LogEntry | None:
-        """Newest log entry visible under a lagged replica view."""
-        entries = self._log.get(key)
+        """Newest log entry of ``key`` visible under a lagged replica view."""
+        return self._visible(self._log.get(key), cutoff, restart)
+
+    @staticmethod
+    def _visible(
+        entries: list[_LogEntry] | None,
+        cutoff: float,
+        restart: float | None,
+    ) -> _LogEntry | None:
+        """Newest of ``entries`` written at or before ``cutoff`` or, when
+        ``restart`` is given, at or after it."""
         if not entries:
             return None
         if restart is not None:
@@ -588,7 +626,7 @@ class FaultyTEDatabase:
             version = self.inner.put(key, value, now=now)
         else:
             shard = self.shard_of(key)
-            self._check_faults(shard, now, write=True)
+            self._check_faults(shard, now, "put")
             # Version numbers come from the write log, not the physical
             # copy: a key re-homed from a stale replica carries an old
             # version, and deriving the next version from it would hand
@@ -617,7 +655,7 @@ class FaultyTEDatabase:
         if self.plan.is_null() and not self._overrides:
             return self.inner.get(key, now=now)
         shard = self.shard_of(key)
-        self._check_faults(shard, now, write=False)
+        self._check_faults(shard, now, "get")
         view = self._stale_view(shard, now)
         if view is not None:
             self.injected.stale_reads += 1
@@ -634,17 +672,86 @@ class FaultyTEDatabase:
         Raises:
             SyncError: any injected fault or capacity rejection.
         """
+        if key == VERSION_KEY:
+            return self.check_version(key, now=now)[0]
         if self.plan.is_null() and not self._overrides:
             return self.inner.get_version(key, now=now)
         shard = self.shard_of(key)
-        self._check_faults(shard, now, write=False)
+        self._check_faults(shard, now, "get_version")
+        return self._versions_on(shard, key, now)[1]
+
+    def check_version(
+        self, key: Hashable, now: float = 0.0
+    ) -> tuple[int, int]:
+        """``(committed, key_version)`` from the shard answering for
+        ``key`` — both through the same, possibly lagged, view.
+
+        Raises:
+            SyncError: any injected fault or capacity rejection.
+        """
+        if self.plan.is_null() and not self._overrides:
+            return self.inner.check_version(key, now=now)
+        shard = self.shard_of(key)
+        self._check_faults(shard, now, "check_version")
+        committed, key_version = self._versions_on(shard, key, now)
+        if key in self._overrides and (
+            key_version != self._log[key][-1].version
+        ):
+            # An evacuated key not rewritten since: the copy is what
+            # its crashed home's replica had, so only the commits that
+            # replica had seen vouch for it.
+            home = self.inner.shard_of(key)
+            seen = self._visible(
+                self._commits[home], self._evacuation_cutoff[home], None
+            )
+            committed = min(committed, seen.version if seen else 0)
+        return committed, key_version
+
+    def _versions_on(
+        self, shard: int, key: Hashable, now: float
+    ) -> tuple[int, int]:
+        """``(committed, version of key)`` as ``shard`` serves them."""
         view = self._stale_view(shard, now)
-        if view is not None:
-            self.injected.stale_reads += 1
-            entry = self._stale_entry(key, *view)
-            return entry.version if entry else 0
-        stored = self.inner._data[shard].get(key)
-        return stored.version if stored else 0
+        if view is None:
+            stored = self.inner._data[shard].get(key)
+            return (
+                self.inner.committed_version(shard),
+                stored.version if stored else 0,
+            )
+        self.injected.stale_reads += 1
+        # The commit is read at the cutoff alone: a restarted shard may
+        # have lost config writes a later commit would vouch for.
+        commit = self._visible(self._commits[shard], view[0], None)
+        entry = self._stale_entry(key, *view)
+        return (
+            commit.version if commit else 0,
+            entry.version if entry else 0,
+        )
+
+    def commit_version(self, version: int, now: float = 0.0) -> None:
+        """Mark ``version`` committed on every shard that can be reached.
+
+        Raises:
+            SyncError: the first injected fault or capacity rejection,
+                after every shard was tried.
+        """
+        null = self.plan.is_null()
+        failure = None
+        for shard in range(self.num_shards):
+            try:
+                if not null:
+                    self._check_faults(shard, now, "commit_version")
+                self.inner.commit_to_shard(
+                    shard, version, now=now, account=null
+                )
+            except SyncError as exc:
+                failure = failure or exc
+                continue
+            self._commits[shard].append(
+                _LogEntry(time=now, version=version, value=None)
+            )
+        if failure is not None:
+            raise failure
 
     # -- recovery actions ----------------------------------------------------
 
@@ -719,6 +826,10 @@ class FaultyTEDatabase:
                     account=False,
                 )
                 self._overrides[key] = target
+                home = self.inner.shard_of(key)
+                self._evacuation_cutoff[home] = min(
+                    cutoff, self._evacuation_cutoff.get(home, cutoff)
+                )
                 moved += 1
         self.injected.resharded_keys += moved
         return moved
@@ -762,6 +873,7 @@ class FaultyTEDatabase:
                 and self._overrides.get(key) != shard
             ):
                 self.inner.drop_from_shard(shard, key)
+        self._evacuation_cutoff.pop(shard, None)
         self._reconciled_at[shard] = now
         self.injected.reconciled_keys += restored
         return restored

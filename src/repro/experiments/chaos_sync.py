@@ -58,7 +58,7 @@ class ChaosSyncRow:
         max_staleness_s: Worst sampled staleness.
         final_converged_fraction: Agents on the newest published
             version at the horizon.
-        publishes: Versions fully published (version key landed).
+        publishes: Newest version whose commit was issued.
         failed_polls: Poll slots that exhausted their retry budget.
         retries: Individual retry attempts across the fleet.
         version_regressions: Stale-replica version checks ignored.
@@ -95,7 +95,7 @@ class ChaosSimResult:
         row: The summary row.
         agents: The fleet, in its final state.
         database: The fault-wrapped database.
-        published_version: Newest fully published version.
+        published_version: Newest version whose commit was issued.
         staleness_samples: Every (agent, tick) staleness sample taken.
         violations: Human-readable invariant violations (empty unless
             the sync plane is broken).

@@ -51,16 +51,17 @@ def run(
     """Drive one polling window against a sharded database.
 
     Each endpoint issues one version check at its offset within the
-    window, landing on the shard of the version key — the worst case,
-    since version checks all hit one key.  To model the production layout
-    (version key replicated per shard), checks are spread round-robin.
+    window, to the shard holding its own config key
+    (:meth:`~repro.controlplane.database.TEDatabase.check_version`; the
+    committed version lives on every shard).  Hash sharding spreads a
+    fleet's keys evenly, which the study models as round-robin.
     """
     database = TEDatabase(
         num_shards=num_shards, enforce_capacity=False
     )
     offsets = spread_offsets(num_endpoints, spread_window_s, seed=seed)
-    # Round-robin the version-check load across shards, as a replicated
-    # version key does in the production deployment.
+    # Round-robin the version-check load across shards, as the hash of
+    # the fleet's config keys does.
     per_second_per_shard: dict[tuple[int, int], int] = {}
     for idx, offset in enumerate(offsets):
         shard = idx % num_shards

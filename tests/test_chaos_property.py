@@ -10,7 +10,11 @@ fixed-seed sweep.  The invariants:
 * an agent still vouching for its config (``serving_paths``) is within
   its staleness bound;
 * faults degrade availability but never correctness, and the fleet
-  converges on the final version once the weather clears.
+  converges on the final version once the weather clears;
+* a shard's committed version never exceeds the newest version whose
+  configs are all readable on that shard — through crashes, re-sharding,
+  reconciles, stale replicas and commits that fail part-way (checked
+  here against the store directly, with the same reads an agent makes).
 
 The Hypothesis budget is environment-tunable so the scheduled chaos CI
 lane can run far more examples than the default push-time suite:
@@ -25,6 +29,18 @@ import os
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.controlplane import (
+    FaultPlan,
+    FaultWindow,
+    FaultyTEDatabase,
+    ResumablePublisher,
+    ShardFaults,
+    ShardHealthMonitor,
+    SyncError,
+    TEDatabase,
+    config_key,
+    orchestrate_shard_failover,
+)
 from repro.experiments import chaos_sync
 
 CHAOS_EXAMPLES = int(os.environ.get("CHAOS_EXAMPLES", "15"))
@@ -128,3 +144,79 @@ def test_seeded_plan_sweep():
             assert result.row.final_converged_fraction == 1.0
             runs += 1
     assert runs >= 200
+
+
+def _drive_store(plan: FaultPlan, manage_failover: bool) -> dict[str, int]:
+    """Publish every 25 s for 120 s through ``plan``, a few writes per
+    tick so publishes span ticks and supersede one another, and check
+    after every tick that no key's shard vouches for a version newer
+    than the config it serves for that key."""
+    num_endpoints, num_shards = 8, 3
+    database = FaultyTEDatabase(
+        TEDatabase(num_shards=num_shards, shard_capacity_qps=1_000_000), plan
+    )
+    publisher = ResumablePublisher(database, num_endpoints)
+    monitor = ShardHealthMonitor(down_after=2, up_after=1)
+    seen = {"partial_commits": 0, "checks": 0}
+    for tick in range(181):
+        now = float(tick)
+        if manage_failover:
+            orchestrate_shard_failover(database, now, monitor=monitor)
+        if tick % 25 == 0 and tick <= 120:
+            publisher.start(tick // 25 + 1)
+        publisher.pump(now, budget=3)
+        committed_on = {
+            database.committed_version(s) for s in range(num_shards)
+        }
+        seen["partial_commits"] += len(committed_on) > 1
+        for endpoint in range(num_endpoints):
+            key = config_key(endpoint)
+            try:
+                committed, key_version = database.check_version(key, now=now)
+                newest = 0
+                if key_version:
+                    config, pulled = database.get(key, now=now)
+                    assert pulled == key_version
+                    newest = config.version
+            except SyncError:
+                continue
+            # Every publish rewrites every config, so a config older
+            # than the commit means the commit vouches for a lost write.
+            assert committed <= newest, (tick, endpoint)
+            seen["checks"] += 1
+    seen["converged"] = committed_on == {publisher.published_version}
+    return seen
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    intensity=st.floats(min_value=0.0, max_value=1.0),
+    manage_failover=st.booleans(),
+)
+@_chaos_settings
+def test_committed_version_never_outruns_readable_configs(
+    seed: int, intensity: float, manage_failover: bool
+):
+    plan = FaultPlan.generate(
+        seed=seed, num_shards=3, horizon_s=120.0, intensity=intensity
+    )
+    assert _drive_store(plan, manage_failover)["checks"]
+
+
+def test_commit_failing_part_way_through_crash_reshard_reconcile():
+    """The same invariant on a hand-built plan that is sure to hit it:
+    shard 0 crashes mid-run with a lagging replica, the commits issued
+    meanwhile reach only the live shards, its keys are evacuated and come
+    home on reconcile."""
+    plan = FaultPlan(
+        shards={
+            0: ShardFaults(
+                crash_windows=(FaultWindow(40.0, 90.0),), stale_lag_s=20.0
+            )
+        }
+    )
+    for manage_failover in (True, False):
+        seen = _drive_store(plan, manage_failover)
+        # Unmanaged, shard 0's config writes stall the publish instead.
+        assert bool(seen["partial_commits"]) == manage_failover
+        assert seen["checks"] and seen["converged"]

@@ -8,6 +8,10 @@ replaced — one dict probe per record, arbitrary-precision sums — kept
 here as the oracle.  Any interleaving of ingests, peeks and builds must
 give the reference's table column for column (volumes bit for bit) and
 the same cumulative ``unroutable_bytes`` / ``num_flows``.
+
+The drain sorts by one packed ``(pair, src, dst)`` int64 key when the
+catalog and layout are small enough for it to fit and by ``lexsort``
+otherwise; the properties run on a layout on each side of that line.
 """
 
 from __future__ import annotations
@@ -25,9 +29,11 @@ INTERVAL_S = 60.0
 QOS = list(QoSClass)
 
 
-def _topology() -> TwoLayerTopology:
+def _topology(extra_endpoints: int = 0) -> TwoLayerTopology:
     """Four sites (one without endpoints), three catalog pairs whose
-    index order differs from their site order, the rest unroutable."""
+    index order differs from their site order, the rest unroutable.
+    ``extra_endpoints`` more hang off the last site, past every id the
+    properties draw."""
     net = SiteNetwork(name="square")
     for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")):
         net.add_duplex_link(u, v, capacity=10.0, latency_ms=1.0)
@@ -36,12 +42,28 @@ def _topology() -> TwoLayerTopology:
         site_pairs=[("c", "a"), ("a", "b"), ("a", "c")],
         tunnels_per_pair=2,
     )
-    layout = EndpointLayout({"a": 3, "b": 2, "d": 0, "c": 3})
+    layout = EndpointLayout(
+        {"a": 3, "b": 2, "d": 0, "c": 3 + extra_endpoints}
+    )
     return TwoLayerTopology(network=net, catalog=catalog, layout=layout)
 
 
 TOPOLOGY = _topology()
 NUM_ENDPOINTS = TOPOLOGY.layout.num_endpoints
+#: Same sites for the drawn ids, but too many endpoints for the packed
+#: sort key: this one drains through ``lexsort``.
+WIDE_TOPOLOGY = _topology(extra_endpoints=2**31)
+_topologies = st.sampled_from([TOPOLOGY, WIDE_TOPOLOGY])
+
+
+def test_the_layouts_straddle_the_packed_key_limit():
+    """The premise of drawing the topology below."""
+    bits = [
+        t.catalog.num_pairs.bit_length()
+        + 2 * t.layout.num_endpoints.bit_length()
+        for t in (TOPOLOGY, WIDE_TOPOLOGY)
+    ]
+    assert bits[0] <= 63 < bits[1]
 
 
 class ReferenceCollector:
@@ -121,10 +143,10 @@ _ops = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ops)
-def test_collector_matches_reference(ops):
-    collector = DemandCollector(TOPOLOGY, interval_seconds=INTERVAL_S)
-    reference = ReferenceCollector(TOPOLOGY)
+@given(_ops, _topologies)
+def test_collector_matches_reference(ops, topology):
+    collector = DemandCollector(topology, interval_seconds=INTERVAL_S)
+    reference = ReferenceCollector(topology)
     # A final clearing build covers whatever the drawn ops left behind.
     for op in [*ops, ("build", False), ("build", True), ("build", True)]:
         if op[0] == "ingest":
@@ -143,16 +165,20 @@ def test_collector_matches_reference(ops):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_record, max_size=30), st.randoms(use_true_random=False))
-def test_ingest_order_only_decides_the_qos_tie(records, rng):
+@given(
+    st.lists(_record, max_size=30),
+    st.randoms(use_true_random=False),
+    _topologies,
+)
+def test_ingest_order_only_decides_the_qos_tie(records, rng, topology):
     """Shuffling the reports changes nothing but which same-pair report
     came last (whose qos wins) — and the reference agrees on that too."""
     shuffled = list(records)
     rng.shuffle(shuffled)
     tables = []
     for ordering in (records, shuffled):
-        collector = DemandCollector(TOPOLOGY, interval_seconds=INTERVAL_S)
-        reference = ReferenceCollector(TOPOLOGY)
+        collector = DemandCollector(topology, interval_seconds=INTERVAL_S)
+        reference = ReferenceCollector(topology)
         for _, src, dst, sent, qos in ordering:
             collector.ingest(FlowRecord(src, dst, sent, qos))
             reference.ingest(src, dst, sent, qos.value)
@@ -163,6 +189,23 @@ def test_ingest_order_only_decides_the_qos_tie(records, rng):
         np.testing.assert_array_equal(
             getattr(tables[0], column), getattr(tables[1], column)
         )
+
+
+def test_packed_key_orders_the_largest_ids_it_admits():
+    """Endpoint ids at the top of the widest layout that still packs."""
+    topology = _topology(extra_endpoints=2**30 - 1 - NUM_ENDPOINTS)
+    top = topology.layout.num_endpoints - 1
+    assert (
+        topology.catalog.num_pairs.bit_length() + 2 * top.bit_length() == 62
+    )
+    collector = DemandCollector(topology, interval_seconds=INTERVAL_S)
+    reference = ReferenceCollector(topology)
+    for src, dst in ((0, top), (top, 0), (0, top - 1), (top - 1, 1), (top, 0)):
+        collector.ingest(FlowRecord(src, dst, 10))
+        reference.ingest(src, dst, 10, QoSClass.CLASS2.value)
+    _assert_same_table(
+        collector.build_matrix().table, reference.build(clear=True)
+    )
 
 
 def test_empty_interval():

@@ -7,6 +7,7 @@ import pytest
 from repro.controlplane import (
     QueryRejected,
     TEDatabase,
+    VERSION_KEY,
 )
 
 
@@ -44,6 +45,48 @@ class TestBasics:
             TEDatabase(num_shards=0)
         with pytest.raises(ValueError):
             TEDatabase(shard_capacity_qps=0)
+
+
+class TestCommittedVersion:
+    def test_check_reports_commit_and_key_version_in_one_query(self):
+        db = TEDatabase(num_shards=2)
+        assert db.check_version("k") == (0, 0)
+        db.put("k", "a")
+        db.put("k", "b")
+        db.commit_version(5)
+        before = db.total_queries()
+        assert db.check_version("k") == (5, 2)
+        assert db.check_version("missing") == (5, 0)
+        assert db.total_queries() == before + 2
+
+    def test_commit_costs_one_write_per_shard_and_stores_no_key(self):
+        db = TEDatabase(num_shards=3)
+        db.commit_version(1, now=2.0)
+        assert [db.stats(s).queries for s in range(3)] == [1, 1, 1]
+        assert [db.committed_version(s) for s in range(3)] == [1, 1, 1]
+        assert all(db.shard_keys(s) == [] for s in range(3))
+
+    def test_version_key_reads_the_committed_version(self):
+        db = TEDatabase(num_shards=2)
+        assert db.get_version(VERSION_KEY) == 0
+        db.commit_version(3)
+        assert db.get_version(VERSION_KEY) == 3
+
+    def test_commit_is_idempotent_and_never_lowers(self):
+        db = TEDatabase(num_shards=2)
+        db.commit_version(4)
+        db.commit_version(4)
+        db.commit_version(2)  # a late retry of an older publish
+        assert db.check_version("k")[0] == 4
+
+    def test_rejected_shard_is_skipped_not_fatal_to_the_rest(self):
+        db = TEDatabase(num_shards=2, shard_capacity_qps=1)
+        db.account(0, now=0.0)  # shard 0's second is spent
+        with pytest.raises(QueryRejected):
+            db.commit_version(1, now=0.0)
+        assert [db.committed_version(s) for s in range(2)] == [0, 1]
+        db.commit_to_shard(0, 1, now=0.0, account=False)
+        assert db.committed_version(0) == 1
 
 
 class TestCapacityAccounting:

@@ -6,9 +6,11 @@ import pytest
 
 from repro.controlplane import (
     EndpointAgent,
+    EndpointConfig,
     FaultPlan,
     FaultWindow,
     FaultyTEDatabase,
+    QueryRejected,
     RetryPolicy,
     ShardFaults,
     ShardHealthMonitor,
@@ -18,6 +20,8 @@ from repro.controlplane import (
     SyncError,
     TEDatabase,
     TransientShardError,
+    VERSION_KEY,
+    config_key,
     deterministic_uniform,
     orchestrate_shard_failover,
     wrap_database,
@@ -70,23 +74,46 @@ class TestNullPlanEquivalence:
             ("get_version", "missing", None, 0.5),
             ("put", "a", 3, 1.0),
             ("get", "a", None, 1.0),
+            ("check_version", "a", None, 1.0),
+            ("commit_version", None, 1, 1.5),
+            ("check_version", "a", None, 2.0),
+            ("check_version", "missing", None, 2.0),
+            ("commit_version", None, 1, 2.5),  # a retry changes nothing
+            ("commit_version", None, 2, 3.0),
+            ("check_version", "b", None, 3.5),
+            ("get_version", VERSION_KEY, None, 3.5),
         ]
         for op, key, value, now in script:
             if op == "put":
                 assert plain.put(key, value, now=now) == wrapped.put(
                     key, value, now=now
                 )
-            elif op == "get":
-                assert plain.get(key, now=now) == wrapped.get(
-                    key, now=now
-                )
+            elif op == "commit_version":
+                plain.commit_version(value, now=now)
+                wrapped.commit_version(value, now=now)
             else:
-                assert plain.get_version(
-                    key, now=now
-                ) == wrapped.get_version(key, now=now)
+                assert getattr(plain, op)(key, now=now) == getattr(
+                    wrapped, op
+                )(key, now=now)
+        for shard in range(2):
+            assert plain.stats(shard) == wrapped.stats(shard)
         assert plain.total_queries() == wrapped.total_queries()
         assert plain.peak_qps() == wrapped.peak_qps()
         assert wrapped.injected.total_injected == 0
+        assert wrapped.check_version("b", now=4.0) == (2, 1)
+
+    def test_commit_tries_every_shard_before_raising(self):
+        wrapped = FaultyTEDatabase(
+            TEDatabase(num_shards=3, shard_capacity_qps=1)
+        )
+        wrapped.put(_key_on_shard(wrapped.inner, 1), "v", now=0.0)
+        # Shard 1's second is spent: the commit lands on 0 and 2 only.
+        with pytest.raises(QueryRejected):
+            wrapped.commit_version(1, now=0.5)
+        committed = [wrapped.committed_version(s) for s in range(3)]
+        assert committed == [1, 0, 1]
+        wrapped.commit_version(1, now=1.0)  # the retry completes it
+        assert [wrapped.committed_version(s) for s in range(3)] == [1] * 3
 
     def test_capacity_rejection_passes_through(self):
         wrapped = FaultyTEDatabase(
@@ -291,6 +318,70 @@ class TestStaleReplica:
             db.get(key, now=155.0)  # lagged view predates the write
         assert db.get_version(key, now=155.0) == 0
 
+    def test_agent_never_records_a_version_its_shard_cannot_serve(self):
+        """The config's shard lags while another shard is current: the
+        agent must not adopt v2 until its own shard shows v2's config."""
+        inner = TEDatabase(num_shards=2, enforce_capacity=False)
+        version_shard = inner.shard_of(VERSION_KEY)
+        endpoint = next(
+            e
+            for e in range(100)
+            if inner.shard_of(config_key(e)) != version_shard
+        )
+        key = config_key(endpoint)
+        plan = FaultPlan(
+            shards={
+                inner.shard_of(key): ShardFaults(
+                    stale_lag_s=50.0,
+                    stale_windows=(FaultWindow(100.0, 200.0),),
+                )
+            }
+        )
+        db = FaultyTEDatabase(inner, plan)
+        paths = {1: {7: ("a", "b")}, 2: {7: ("a", "c", "b")}}
+        for version, now in ((1, 0.0), (2, 100.0)):
+            db.put(
+                key,
+                EndpointConfig(endpoint, version, paths[version]),
+                now=now,
+            )
+            db.commit_version(version, now=now)
+        assert db.get_version(VERSION_KEY, now=120.0) == 2
+        agent = EndpointAgent(endpoint_id=endpoint)
+        # Inside the window the shard serves t=70: v1, commit and config.
+        assert agent.poll(db, now=120.0)
+        assert (agent.local_version, agent.paths) == (1, paths[1])
+        assert agent.poll(db, now=300.0)
+        assert (agent.local_version, agent.paths) == (2, paths[2])
+        assert agent.version_regressions == 0
+
+    def test_restarted_shard_vouches_only_for_its_replica(self):
+        """A commit landing on a restarted, unreconciled shard must not
+        vouch for config writes the crash lost."""
+        inner = TEDatabase(num_shards=2, enforce_capacity=False)
+        key = config_key(
+            next(e for e in range(100) if inner.shard_of(config_key(e)) == 0)
+        )
+        plan = FaultPlan(
+            shards={
+                0: ShardFaults(
+                    crash_windows=(FaultWindow(100.0, 120.0),),
+                    stale_lag_s=30.0,
+                )
+            }
+        )
+        db = FaultyTEDatabase(inner, plan)
+        db.put(key, "v1", now=10.0)
+        db.commit_version(1, now=10.0)
+        db.put(key, "v2", now=90.0)  # within 30 s of the crash: lost
+        with pytest.raises(ShardUnavailable):
+            db.commit_version(2, now=110.0)
+        assert db.committed_version(1) == 2  # the live shard holds it
+        db.commit_version(2, now=125.0)  # the retry reaches shard 0
+        assert db.check_version(key, now=126.0) == (1, 1)
+        db.reconcile(0, now=130.0)
+        assert db.check_version(key, now=131.0) == (2, 2)
+
     def test_crash_restore_regresses_versions_until_reconcile(self):
         inner = TEDatabase(num_shards=2, enforce_capacity=False)
         key = _key_on_shard(inner, 0)
@@ -364,6 +455,33 @@ class TestReshardAndFailover:
         assert db.shard_of(key) != 0
         # Writes during the crash land on the override shard too.
         assert db.put(key, "v2", now=152.0) == 2
+
+    def test_evacuated_key_answers_with_its_replicas_commit(self):
+        inner = TEDatabase(num_shards=2, enforce_capacity=False)
+        key = _key_on_shard(inner, 0)
+        plan = FaultPlan(
+            shards={
+                0: ShardFaults(
+                    crash_windows=(FaultWindow(100.0, 200.0),),
+                    stale_lag_s=20.0,
+                )
+            }
+        )
+        db = FaultyTEDatabase(inner, plan)
+        db.put(key, "v1", now=10.0)
+        db.commit_version(1, now=10.0)
+        db.put(key, "v2", now=90.0)  # within the lag: the replica lost it
+        db.commit_version(2, now=90.0)
+        assert db.reshard(now=150.0) == 1
+        # Shard 1 holds commit 2, but this copy is the replica's v1.
+        assert db.committed_version(db.shard_of(key)) == 2
+        assert db.check_version(key, now=151.0) == (1, 1)
+        assert db.get(key, now=151.0) == ("v1", 1)
+        # Rewritten on its new shard, the copy is current again.
+        db.put(key, "v3", now=152.0)
+        assert db.check_version(key, now=153.0) == (2, 3)
+        db.reconcile_restarted(now=200.0)
+        assert db.check_version(key, now=201.0)[1] == 3
 
     def test_reshard_skips_unreplicated_writes(self):
         inner = TEDatabase(num_shards=2, enforce_capacity=False)
@@ -444,9 +562,6 @@ class TestReshardAndFailover:
             }
         )
         db = FaultyTEDatabase(inner, plan)
-        from repro.controlplane import VERSION_KEY, config_key
-        from repro.controlplane.controller import EndpointConfig
-
         db.put(
             config_key(1),
             EndpointConfig(
@@ -454,7 +569,7 @@ class TestReshardAndFailover:
             ),
             now=0.0,
         )
-        db.put(VERSION_KEY, None, now=0.0)
+        db.commit_version(1, now=0.0)
         agent = EndpointAgent(
             endpoint_id=1,
             poll_period_s=10.0,

@@ -86,11 +86,63 @@ class TestAgent:
         # Only the version check, no config fetch.
         assert db.total_queries() == queries_before + 1
 
+    def test_no_pull_when_new_version_left_the_endpoint_alone(
+        self, published, tiny_topology, tiny_demands
+    ):
+        db, controller, result = published
+        src = int(result.demands.pair(0).src_endpoints[0])
+        installed = []
+        agent = EndpointAgent(endpoint_id=src, on_install=installed.append)
+        assert agent.poll(db, now=1.0)
+        paths = dict(agent.paths)
+        # Same demands: version 2 is committed, no config is rewritten.
+        controller.run_interval(tiny_topology, tiny_demands, now=300.0)
+        assert controller.last_publish_writes == 0
+        queries_before = db.total_queries()
+        assert not agent.poll(db, now=301.0)
+        assert db.total_queries() == queries_before + 1
+        assert agent.local_version == 2
+        assert agent.paths == paths
+        assert len(installed) == 1
+
+    def test_rewritten_endpoint_costs_two_queries(
+        self, published, tiny_topology, tiny_demands
+    ):
+        db, _, result = published
+        src = int(result.demands.pair(0).src_endpoints[0])
+        agent = EndpointAgent(endpoint_id=src)
+        agent.poll(db, now=1.0)
+        # A full republish rewrites every config under version 2.
+        full = TEController(db, delta_publish=False)
+        full.current_version = 1
+        full.publish(tiny_topology, result, now=300.0)
+        queries_before = db.total_queries()
+        assert agent.poll(db, now=301.0)
+        assert db.total_queries() == queries_before + 2
+        assert agent.local_version == 2
+
+    def test_config_written_but_not_committed_is_not_pulled(self, published):
+        # A poll landing between the config writes and the commit.
+        db, _, result = published
+        src = int(result.demands.pair(0).src_endpoints[0])
+        agent = EndpointAgent(endpoint_id=src)
+        agent.poll(db, now=1.0)
+        config, _ = db.get(config_key(src))
+        db.put(config_key(src), config, now=300.0)
+        queries_before = db.total_queries()
+        assert not agent.poll(db, now=300.5)
+        assert db.total_queries() == queries_before + 1
+        db.commit_version(2, now=301.0)
+        assert agent.poll(db, now=302.0)
+        assert agent.local_version == 2
+
     def test_agent_without_config_tracks_version(self, published):
         db, _, _ = published
         agent = EndpointAgent(endpoint_id=999_999)
+        queries_before = db.total_queries()
         assert not agent.poll(db, now=1.0)
         assert agent.local_version == 1
+        assert db.total_queries() == queries_before + 1
 
     def test_on_install_callback(self, published):
         db, _, result = published
@@ -146,10 +198,10 @@ class TestAgent:
         paths_before = dict(agent.paths)
 
         class _StaleReplica:
-            """Version check answers an old version; reads delegate."""
+            """The check answers an old commit; reads delegate."""
 
-            def get_version(self, key, now=0.0):
-                return 0
+            def check_version(self, key, now=0.0):
+                return 0, db.check_version(key, now=now)[1]
 
             def get(self, key, now=0.0):
                 return db.get(key, now=now)
@@ -159,6 +211,29 @@ class TestAgent:
         assert agent.paths == paths_before
         assert agent.version_regressions == 1
         # The regressed read is provably stale: not a freshness proof.
+        assert agent.last_refresh_s == 1.0
+
+    def test_pull_older_than_its_check_is_refused(self, published):
+        db, _, result = published
+        src = int(result.demands.pair(0).src_endpoints[0])
+        agent = EndpointAgent(endpoint_id=src)
+        assert agent.poll(db, now=1.0)
+        paths_before = dict(agent.paths)
+
+        class _LaggingReads:
+            """The check sees version 2 and a rewritten key; the read
+            that follows is served the old copy."""
+
+            def check_version(self, key, now=0.0):
+                return 2, 2
+
+            def get(self, key, now=0.0):
+                return db.get(key, now=now)  # key version 1
+
+        assert not agent.poll(_LaggingReads(), now=2.0)
+        assert agent.local_version == 1
+        assert agent.paths == paths_before
+        assert agent.version_regressions == 1
         assert agent.last_refresh_s == 1.0
 
     def test_repeated_rejection_raises_without_policy(self, published):
@@ -211,6 +286,70 @@ class TestAgent:
         agent.poll(db, now=1.0)
         assert agent.path_to(dst) is not None
         assert agent.path_to(10**9) is None
+
+
+class TestSyncPlaneMetrics:
+    def test_counters_split_polls_and_queries_by_kind(
+        self, published, tiny_topology, tiny_demands
+    ):
+        """A slow or chatty sync plane is readable from the exported
+        counters: which store ops ran, and why each poll did nothing."""
+        from repro import obs
+
+        db, controller, result = published
+        src = int(result.demands.pair(0).src_endpoints[0])
+        agent = EndpointAgent(endpoint_id=src)
+        was = obs.telemetry_enabled()
+        try:
+            obs.set_enabled(True)
+            obs.reset()
+            assert agent.poll(db, now=1.0)  # installed
+            assert not agent.poll(db, now=2.0)  # current
+            controller.run_interval(tiny_topology, tiny_demands, now=300.0)
+            assert not agent.poll(db, now=301.0)  # unchanged
+            snapshot = obs.get_registry().snapshot()
+        finally:
+            obs.set_enabled(was)
+            obs.reset()
+
+        def by_label(name):
+            return {
+                entry["labels"][0]: entry["state"]["value"]
+                for entry in snapshot[name]["series"]
+            }
+
+        assert by_label("megate_agent_polls_total") == {
+            "installed": 1,
+            "current": 1,
+            "unchanged": 1,
+        }
+        assert by_label("megate_tedb_queries_total") == {
+            "check_version": 3,
+            "get": 1,
+            "commit_version": db.num_shards,
+        }
+
+
+class TestFleetLoad:
+    def test_spread_fleet_fits_two_shards_at_half_its_rate(self):
+        """The checks spread over the shards as the config keys do: a
+        shard sized for half the fleet's rate rejects nothing."""
+        agents_n, window_s = 4000, 10.0
+        # agents / window / 2 = 200 < 260 < 400 = agents / window.
+        db = TEDatabase(
+            num_shards=2, shard_capacity_qps=260, enforce_capacity=True
+        )
+        offsets = spread_offsets(agents_n, window_s, seed=0)
+        agents = [EndpointAgent(endpoint_id=e) for e in range(agents_n)]
+        # Steady state: versions every agent tracks, nothing to pull.
+        for version, start in ((1, 0.0), (2, 20.0)):
+            db.commit_version(version, now=start)
+            for agent, offset in zip(agents, offsets):
+                agent.poll(db, now=start + 1.0 + float(offset))
+        assert all(agent.local_version == 2 for agent in agents)
+        assert sum(db.stats(s).rejected for s in range(2)) == 0
+        assert db.total_queries() == 2 * agents_n + 2 * 2
+        assert 0.45 < db.stats(0).queries / db.total_queries() < 0.55
 
 
 class TestConvergence:

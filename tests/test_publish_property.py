@@ -10,7 +10,8 @@ the order ``publish`` documents).  Over sequences of results on
 alternating healthy / ``with_failures`` topologies — flows going
 unassigned and coming back, duplicate ``(src, dst)`` rows, pairs without
 endpoint ids, delta publish on and off — both must issue the same
-``database.put`` calls in the same order.
+``database.put`` calls in the same order, and the same
+``database.commit_version`` after them.
 """
 
 from __future__ import annotations
@@ -66,19 +67,27 @@ def test_the_cut_shifts_tunnel_indices():
 
 
 class RecordingDatabase(TEDatabase):
-    """A TE database that logs its puts and can reject the n-th one."""
+    """A TE database that logs its writes — config puts, and commits as
+    ``(VERSION_KEY, version)`` — and can reject the n-th one."""
 
     def __init__(self, reject_put: int | None = None) -> None:
         super().__init__(enforce_capacity=False)
         self.puts: list[tuple[str, object]] = []
         self.reject_put = reject_put
 
-    def put(self, key, value, now=0.0):
+    def _record(self, key, value) -> None:
         if len(self.puts) == self.reject_put:
             self.reject_put = None
             raise QueryRejected("injected")
         self.puts.append((key, value))
+
+    def put(self, key, value, now=0.0):
+        self._record(key, value)
         return super().put(key, value, now=now)
+
+    def commit_version(self, version, now=0.0):
+        self._record(VERSION_KEY, version)
+        super().commit_version(version, now=now)
 
 
 class ReferencePublisher:
@@ -114,7 +123,7 @@ class ReferencePublisher:
             )
             self.published[endpoint_id] = paths
             writes += 1
-        self.database.put(VERSION_KEY, next_version, now=now)
+        self.database.commit_version(next_version, now=now)
         self.current_version = next_version
         self.last_publish_writes = writes
         return next_version
@@ -192,7 +201,10 @@ def test_publish_matches_reference(intervals, delta_publish):
         assert version == reference.publish(topology, result, now=float(n))
         assert controller.last_publish_writes == reference.last_publish_writes
         _assert_same_puts(database, expected)
-        # Configs first, ascending by endpoint; the version key last.
+        assert {
+            database.committed_version(s) for s in range(database.num_shards)
+        } == {version}
+        # Configs first, ascending by endpoint; the commit last.
         keys = [key for key, _ in database.puts[first_put:]]
         assert keys[-1] == VERSION_KEY and VERSION_KEY not in keys[:-1]
         endpoint_ids = [value.endpoint_id for _, value in database.puts[first_put:-1]]
