@@ -15,6 +15,7 @@ from .formulation import MaxAllFlowProblem
 from .incremental import IncrementalConfig, IncrementalState
 from .lp_backend import (
     BACKEND_ENV_VAR,
+    LPSolveError,
     highspy_available,
     resolve_backend_name,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "IncrementalConfig",
     "IncrementalState",
     "BACKEND_ENV_VAR",
+    "LPSolveError",
     "highspy_available",
     "resolve_backend_name",
 ]

@@ -4,11 +4,17 @@ The control loop solves the *same LP shape* every TE interval — only the
 objective coefficients and the right-hand side change between calls
 (:class:`~repro.core.siteflow.SiteFlowSolver` already caches the
 constraint matrix per topology).  That makes the backend boundary
-exactly one function: ``solve(cost, b_ub) -> x``.  Two implementations:
+exactly one function: ``solve(cost, b_ub) -> (x, row_prices, warm)`` —
+the primal solution and, beside it, every constraint row's non-negative
+dual price.  A backend only ever sees the *whole* LP: the price-guided
+reduction in :mod:`repro.core.siteflow` sits above this seam and hands
+its restricted LPs (each with its own column set, so nothing to persist)
+to :func:`solve_lp` directly.  Two implementations:
 
-* ``scipy`` (default): one :func:`scipy.optimize.linprog` call with
-  ``method="highs"`` per solve.  Stateless and always available — this
-  is the digest-pinned reference path every equivalence test runs on.
+* ``scipy`` (default): one :func:`solve_lp` call per solve.  Stateless —
+  what carries over between intervals is the caller's price hint — and
+  always available; this is the digest-pinned reference path every
+  equivalence test runs on.
 * ``highspy``: a persistent ``highspy.Highs`` model per solver, built
   once from the cached constraint matrix; each subsequent solve
   hot-updates only the column costs and row upper bounds and re-runs,
@@ -35,11 +41,13 @@ from scipy.optimize import linprog
 __all__ = [
     "BACKEND_ENV_VAR",
     "BackendUnavailable",
+    "LPSolveError",
     "ScipyBackend",
     "HighspyBackend",
     "highspy_available",
     "make_backend",
     "resolve_backend_name",
+    "solve_lp",
 ]
 
 #: Environment variable consulted when no backend is passed explicitly.
@@ -50,6 +58,43 @@ _BACKEND_NAMES = ("scipy", "highspy", "auto")
 
 class BackendUnavailable(RuntimeError):
     """Raised when a backend cannot be constructed (missing module)."""
+
+
+class LPSolveError(RuntimeError):
+    """HiGHS did not solve an LP to optimality.
+
+    Attributes:
+        status: HiGHS's status (scipy's integer code or the highspy
+            ``HighsModelStatus``).
+        message: HiGHS's own description of it.
+    """
+
+    def __init__(self, status, message: str) -> None:
+        super().__init__(
+            f"MaxSiteFlow LP failed: {message} (status {status})"
+        )
+        self.status = status
+        self.message = message
+
+
+def solve_lp(
+    cost: np.ndarray, a_ub, b_ub: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-shot ``min cᵀx s.t. Ax ≤ b, x ≥ 0``; returns ``(x, row_prices)``.
+
+    ``row_prices`` are the rows' dual prices as non-negative numbers
+    (HiGHS reports the marginals of a minimisation's ``≤`` rows as
+    non-positive).
+    """
+    outcome = linprog(
+        cost, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs"
+    )
+    if not outcome.success:
+        raise LPSolveError(outcome.status, outcome.message)
+    return (
+        np.maximum(outcome.x, 0.0),
+        np.maximum(-outcome.ineqlin.marginals, 0.0),
+    )
 
 
 def highspy_available() -> bool:
@@ -96,18 +141,11 @@ class ScipyBackend:
     def __init__(self, constraint_matrix) -> None:
         self._a_ub = constraint_matrix
 
-    def solve(self, cost: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Solve ``min cᵀx s.t. Ax ≤ b, x ≥ 0``; returns ``(x, warm)``."""
-        outcome = linprog(
-            cost,
-            A_ub=self._a_ub,
-            b_ub=b_ub,
-            bounds=(0.0, None),
-            method="highs",
-        )
-        if not outcome.success:
-            raise RuntimeError(f"MaxSiteFlow LP failed: {outcome.message}")
-        return np.maximum(outcome.x, 0.0), False
+    def solve(
+        self, cost: np.ndarray, b_ub: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Solve the whole LP; returns ``(x, row_prices, warm)``."""
+        return *solve_lp(cost, self._a_ub, b_ub), False
 
 
 class HighspyBackend:
@@ -175,8 +213,10 @@ class HighspyBackend:
             np.asarray(b_ub, dtype=np.float64),
         )
 
-    def solve(self, cost: np.ndarray, b_ub: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Solve via the persistent model; returns ``(x, warm_started)``."""
+    def solve(
+        self, cost: np.ndarray, b_ub: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Solve via the persistent model; ``(x, row_prices, warm)``."""
         hs = self._highspy
         warm = self._model is not None
         if warm:
@@ -189,10 +229,12 @@ class HighspyBackend:
             # Drop the model so the next call rebuilds from scratch
             # rather than re-solving from a possibly corrupt basis.
             self._model = None
-            raise RuntimeError(f"MaxSiteFlow LP failed: HiGHS status {status}")
-        x = np.asarray(self._model.getSolution().col_value, dtype=np.float64)
+            raise LPSolveError(status, f"HiGHS status {status}")
+        solution = self._model.getSolution()
+        x = np.asarray(solution.col_value, dtype=np.float64)
+        row_dual = np.asarray(solution.row_dual, dtype=np.float64)
         self.num_solves += 1
-        return np.maximum(x, 0.0), warm
+        return np.maximum(x, 0.0), np.maximum(-row_dual, 0.0), warm
 
 
 def make_backend(name: str, constraint_matrix):

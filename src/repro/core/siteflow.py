@@ -9,8 +9,8 @@ pre-established tunnels:
          Σ_{k,t} F_{k,t} L(t,e) ≤ c_e   (capacity)
          F_{k,t} ≥ 0
 
-Solved with HiGHS via :func:`scipy.optimize.linprog` on sparse matrices —
-the role Gurobi plays in the paper.
+Solved with HiGHS (an LP backend from :mod:`repro.core.lp_backend`) on
+sparse matrices — the role Gurobi plays in the paper.
 
 The LP's *structure* — variable offsets, the link-tunnel incidence, the
 stacked constraint matrix — depends only on the topology, not on the
@@ -20,6 +20,17 @@ re-solves the same topology once per QoS class per TE interval, so
 and reuses it across classes and intervals; per call only the objective
 coefficients and the right-hand side change.  :func:`solve_max_site_flow`
 remains as a thin compatibility wrapper over the cached solver.
+
+**Hint in, prices out.**  A basic optimum splits at most one pair per
+saturated link; every other pair rides the one tunnel the capacity rows'
+dual prices pick for it, and between consecutive intervals those prices
+barely move.  :meth:`SiteFlowSolver.solve_priced` takes the previous
+solve's :class:`LinkPrices` as a hint and returns the new ones beside
+the allocation; the hint only decides how much of the LP is handed to
+HiGHS (:meth:`SiteFlowSolver._solve_guided`), never the answer.  The
+reduction sits above the backend seam, and the solver keeps no per-call
+state — the hint is the caller's to carry — so solvers stay shareable
+through the per-topology cache.
 """
 
 from __future__ import annotations
@@ -27,21 +38,83 @@ from __future__ import annotations
 import threading
 import warnings
 import weakref
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
 from ..obs import get_registry, get_tracer
-from .lp_backend import BackendUnavailable, make_backend, resolve_backend_name
+from .lp_backend import (
+    BackendUnavailable,
+    LPSolveError,
+    make_backend,
+    resolve_backend_name,
+    solve_lp,
+)
 from .types import SiteAllocation
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with formulation
     from .formulation import MaxAllFlowProblem
     from ..topology.contraction import TwoLayerTopology
 
-__all__ = ["SiteFlowSolver", "solve_max_site_flow", "max_concurrent_scale"]
+__all__ = [
+    "LinkPrices",
+    "SiteFlowSolution",
+    "SiteFlowSolver",
+    "solve_max_site_flow",
+    "max_concurrent_scale",
+]
+
+#: The price-guided reduction's thresholds (measured: EXPERIMENTS.md,
+#: "Price-guided stage 1").  Pairs left to the LP: a few per link around
+#: the smallest decision margins, where price drift re-decides.
+_FREE_PAIRS_PER_LINK = 4
+_MIN_FREE_PAIRS = 256
+#: Restricted solves before the whole LP is handed over instead.
+_MAX_GUIDED_ROUNDS = 3
+#: Free share of the demand-carrying pairs above which the whole LP is
+#: solved: every capacity row stays in, so past half the columns the
+#: restricted LP costs what the whole one does.
+_WHOLE_LP_ABOVE = 0.5
+#: Slack of the KKT check's reduced-profit comparisons: objective lost
+#: per unit of demand by a decision accepted within it.
+_KKT_TOL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class LinkPrices:
+    """Capacity-row dual prices ``λ_e ≥ 0`` of one class-solve.
+
+    ``values`` aligns with the link index of the solver ``owner`` weakly
+    refers to; a solver ignores a hint it does not own.
+    """
+
+    values: np.ndarray
+    owner: weakref.ref
+
+
+class SiteFlowSolution(NamedTuple):
+    """One stage-1 class-solve: the flat optimal ``F_{k,t}`` (``x``), the
+    next interval's hint (``prices``), and how it was reached.
+
+    ``warm_start`` is true when carried state was used — a backend's
+    basis or a followed hint.  ``outcome`` is ``"whole"`` (no usable
+    hint, or too small to gain), ``"guided"``, or ``"fallback:<reason>"``
+    (hint abandoned, whole LP solved); ``pairs_fixed`` / ``pairs_free``
+    count the demand-carrying pairs the prices decided / the LP did, and
+    ``rounds`` the restricted LPs solved.
+    """
+
+    x: np.ndarray
+    prices: LinkPrices
+    backend: str
+    warm_start: bool
+    outcome: str
+    pairs_fixed: int
+    pairs_free: int
+    rounds: int
 
 
 #: Per-topology solver cache: id(topology) -> (weakref, solver).  The
@@ -149,12 +222,13 @@ class SiteFlowSolver:
 
         num_links = self.capacities.size
         num_vars = self.num_tunnel_vars
+        #: The pair each flat tunnel column belongs to.
+        self._pair_of_col = np.repeat(
+            np.arange(self.num_pairs), np.diff(self.tunnel_offsets)
+        )
         if num_vars:
-            demand_rows = np.repeat(
-                np.arange(self.num_pairs), np.diff(self.tunnel_offsets)
-            )
             demand_matrix = sparse.coo_matrix(
-                (np.ones(num_vars), (demand_rows, np.arange(num_vars))),
+                (np.ones(num_vars), (self._pair_of_col, np.arange(num_vars))),
                 shape=(self.num_pairs, num_vars),
             )
             capacity_matrix = sparse.coo_matrix(
@@ -192,11 +266,11 @@ class SiteFlowSolver:
         #: Backends that failed at runtime this process (degraded away).
         self._broken_backends: set[str] = set()
         self._incidence_col_bounds: np.ndarray | None = None
-        #: Backend used by the most recent :meth:`solve_flat` call, and
-        #: whether that call warm-started from a previous basis.  Read by
-        #: the optimizer right after each solve for its stats.
-        self.last_backend = "scipy"
-        self.last_warm_start = False
+        # What the price-guided reduction reads per call: ``L`` by
+        # tunnel (for ``Lᵀλ``) and the pairs that have tunnels at all.
+        self._tunnel_link_matrix = self.link_tunnel_matrix.T.tocsr()
+        self._has_tunnels = np.diff(self.tunnel_offsets) > 0
+        self._tunnelled_pairs = np.flatnonzero(self._has_tunnels)
 
     @classmethod
     def for_topology(
@@ -302,14 +376,36 @@ class SiteFlowSolver:
         epsilon: float | None = None,
         backend: str | None = None,
     ) -> np.ndarray:
-        """Solve the LP and return the flat ``F_{k,t}`` vector.
+        """The flat ``F_{k,t}`` of :meth:`solve_priced` without a hint."""
+        return self.solve_priced(
+            site_demands, capacities, tunnel_weights, epsilon, backend
+        ).x
+
+    def solve_priced(
+        self,
+        site_demands: np.ndarray,
+        capacities: np.ndarray | None = None,
+        tunnel_weights: np.ndarray | None = None,
+        epsilon: float | None = None,
+        backend: str | None = None,
+        hint: LinkPrices | None = None,
+    ) -> SiteFlowSolution:
+        """Solve the LP: hint in, allocation and prices out.
 
         Args mirror :func:`solve_max_site_flow`; ``epsilon=None``
         auto-scales exactly the way the legacy function did.  ``backend``
         selects the LP backend (``"scipy"``/``"highspy"``/``"auto"``;
-        ``None`` consults ``REPRO_LP_BACKEND``, default scipy); the
-        backend actually used and whether it warm-started are left in
-        :attr:`last_backend` / :attr:`last_warm_start`.
+        ``None`` consults ``REPRO_LP_BACKEND``, default scipy).  ``hint``
+        is the :attr:`SiteFlowSolution.prices` of an earlier solve of the
+        same class on this solver; it only decides how much of the LP is
+        handed to HiGHS (see :meth:`_solve_guided`) — the result is an
+        optimum of the whole LP either way, and an unusable hint
+        (another solver's, wrong length, non-finite or negative) is
+        ignored.
+
+        Raises:
+            LPSolveError: if HiGHS fails on the whole LP (should not
+                happen: the LP is always feasible, F = 0 works).
         """
         site_demands = np.asarray(site_demands, dtype=np.float64)
         if site_demands.shape != (self.num_pairs,):
@@ -322,8 +418,13 @@ class SiteFlowSolver:
         if caps.shape != self.capacities.shape:
             raise ValueError("capacities must align with the link index")
         num_vars = self.num_tunnel_vars
+        impl = self._backend_for(resolve_backend_name(backend))
         if num_vars == 0:
-            return np.empty(0, dtype=np.float64)
+            return SiteFlowSolution(
+                np.empty(0, dtype=np.float64),
+                LinkPrices(np.zeros(caps.size), weakref.ref(self)),
+                impl.name, False, "whole", 0, 0, 0,
+            )  # fmt: skip
         weights = (
             self.tunnel_weights
             if tunnel_weights is None
@@ -342,40 +443,195 @@ class SiteFlowSolver:
         else:
             eps = epsilon
         cost = -(1.0 - eps * weights)
-        b_ub = np.concatenate([site_demands, np.maximum(caps, 0.0)])
-        impl = self._backend_for(resolve_backend_name(backend))
+        link_caps = np.maximum(caps, 0.0)
         with get_tracer().span(
             "siteflow.lp_solve", backend=impl.name
         ) as sp:
-            if impl.name == "scipy":
-                x, warm = impl.solve(cost, b_ub)
+            lam = self._usable_hint(hint)
+            guided = (
+                None
+                if lam is None
+                else self._solve_guided(-cost, site_demands, link_caps, lam)
+            )
+            if isinstance(guided, tuple):
+                x, prices, fixed, free, rounds = guided
+                outcome, warm = "guided", True
             else:
-                try:
-                    x, warm = impl.solve(cost, b_ub)
-                except Exception as exc:
-                    # Optional backends must never break the serving
-                    # loop: degrade this solver to scipy for the rest
-                    # of the process and re-solve the call that failed.
-                    warnings.warn(
-                        f"LP backend {impl.name!r} failed ({exc}); "
-                        "falling back to scipy",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    get_registry().counter(
-                        "megate_lp_backend_fallbacks_total",
-                        "LP backend runtime failures degraded to scipy",
-                        labelnames=("backend",),
-                    ).labels(backend=impl.name).inc()
-                    self._broken_backends.add(impl.name)
-                    self._backends.pop(impl.name, None)
-                    impl = self._backend_for("scipy")
-                    x, warm = impl.solve(cost, b_ub)
-            sp.set_attribute("backend", impl.name)
-            sp.set_attribute("warm_start", warm)
-        self.last_backend = impl.name
-        self.last_warm_start = warm
-        return x
+                outcome = "whole" if guided is None else f"fallback:{guided}"
+                b_ub = np.concatenate([site_demands, link_caps])
+                impl, x, row_prices, warm = self._solve_whole(
+                    impl, cost, b_ub
+                )
+                prices = row_prices[self.num_pairs :]
+                fixed, rounds = 0, 0
+                free = int(np.count_nonzero(site_demands))
+            solution = SiteFlowSolution(
+                x, LinkPrices(prices, weakref.ref(self)),
+                impl.name, warm, outcome, fixed, free, rounds,
+            )  # fmt: skip
+            for key, value in zip(solution._fields[2:], solution[2:]):
+                sp.set_attribute(key, value)
+        return solution
+
+    def _solve_whole(self, impl, cost: np.ndarray, b_ub: np.ndarray):
+        """The whole LP on a backend; ``(backend used, x, prices, warm)``."""
+        if impl.name != "scipy":
+            try:
+                return impl, *impl.solve(cost, b_ub)
+            except Exception as exc:
+                # Optional backends must never break the serving
+                # loop: degrade this solver to scipy for the rest
+                # of the process and re-solve the call that failed.
+                warnings.warn(
+                    f"LP backend {impl.name!r} failed ({exc}); "
+                    "falling back to scipy",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                get_registry().counter(
+                    "megate_lp_backend_fallbacks_total",
+                    "LP backend runtime failures degraded to scipy",
+                    labelnames=("backend",),
+                ).labels(backend=impl.name).inc()
+                self._broken_backends.add(impl.name)
+                self._backends.pop(impl.name, None)
+                impl = self._backend_for("scipy")
+        return impl, *impl.solve(cost, b_ub)
+
+    def _usable_hint(self, hint: LinkPrices | None) -> np.ndarray | None:
+        """The hint's price vector, or ``None`` when it must be ignored."""
+        if not isinstance(hint, LinkPrices) or hint.owner() is not self:
+            return None
+        lam = hint.values
+        if (
+            not isinstance(lam, np.ndarray)
+            or lam.shape != self.capacities.shape
+            or lam.dtype != np.float64
+            or not np.all(np.isfinite(lam))
+            or np.any(lam < 0)
+        ):
+            return None
+        return lam
+
+    def _pair_maxima(self, rho: np.ndarray) -> np.ndarray:
+        """Per pair, the largest of its tunnels' values (−inf if none)."""
+        top = np.full(self.num_pairs, -np.inf)
+        top[self._tunnelled_pairs] = np.maximum.reduceat(
+            rho, self.tunnel_offsets[self._tunnelled_pairs]
+        )
+        return top
+
+    def _solve_guided(
+        self,
+        profit: np.ndarray,
+        demands: np.ndarray,
+        caps: np.ndarray,
+        lam: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, int, int, int] | str | None:
+        """The LP restricted to the pairs the prices leave undecided.
+
+        Under link prices ``λ`` a tunnel's reduced profit is
+        ``ρ_t = (1 − ε·w_t) − Σ_{e∈t} λ_e`` and the LP's optimality
+        conditions decide each pair on its own: all of ``D_k`` on the
+        arg-max tunnel when ``max ρ > 0``, nothing when ``max ρ < 0``.
+        Pairs whose decision under the *hinted* prices has margin are
+        fixed that way; the smallest-margin pairs stay free, and the LP
+        is solved over the free pairs' columns only, with every capacity
+        row kept and its right-hand side reduced by the fixed flows.  The
+        restricted LP's own capacity duals then re-check every fixed
+        decision; a pair they contradict is released and the LP re-solved.
+
+        A result that passes the check satisfies the *whole* LP's KKT
+        conditions — primal feasible by construction, dual feasible with
+        ``μ_k = max(0, max_t ρ_t)``, complementary slack — so it is an
+        optimum, not an approximation.
+
+        Returns:
+            ``(x, prices, pairs_fixed, pairs_free, rounds)``; ``None``
+            when the instance is too small for the reduction to pay
+            (nothing attempted); or the reason (a short word) the
+            attempt was abandoned.  The caller solves the whole LP for
+            the last two.
+        """
+        active = (demands > 0) & self._has_tunnels
+        num_active = int(np.count_nonzero(active))
+        budget = max(
+            _FREE_PAIRS_PER_LINK * caps.size, _MIN_FREE_PAIRS
+        )
+        most_free = _WHOLE_LP_ABOVE * num_active
+        if budget > most_free:
+            return None
+        pair_of_col = self._pair_of_col
+        num_vars = self.num_tunnel_vars
+
+        rho = profit - self._tunnel_link_matrix @ lam
+        best = self._pair_maxima(rho)
+        # First tunnel attaining the pair's maximum (catalog order).
+        best_col = np.zeros(self.num_pairs, dtype=np.int64)
+        best_col[self._tunnelled_pairs] = np.minimum.reduceat(
+            np.where(rho == best[pair_of_col], np.arange(num_vars), num_vars),
+            self.tunnel_offsets[self._tunnelled_pairs],
+        )
+        # A pair the optimum splits ties its two tunnels exactly: margin 0.
+        rho[best_col[self._tunnelled_pairs]] = -np.inf
+        margin = np.where(
+            best > 0,
+            np.minimum(best, best - self._pair_maxima(rho)),
+            -best,
+        )
+        candidates = np.flatnonzero(active)
+        free = np.zeros(self.num_pairs, dtype=bool)
+        free[
+            candidates[
+                np.argsort(margin[candidates], kind="stable")[:budget]
+            ]
+        ] = True
+        takes_all = active & (best > 0)
+
+        capacity_rows = self.num_pairs + np.arange(caps.size)
+        rounds = 0
+        while rounds < _MAX_GUIDED_ROUNDS:
+            full = np.flatnonzero(takes_all & ~free)
+            x = np.zeros(num_vars)
+            x[best_col[full]] = demands[full]
+            left = caps - self.link_tunnel_matrix @ x
+            if np.any(left < 0):
+                # The fixed flows alone overload a link: every fixed pair
+                # riding it is the LP's to decide (then nothing overloads).
+                riding = self._tunnel_link_matrix[best_col[full]] @ (left < 0)
+                free[full[riding > 0]] = True
+                continue
+            free_pairs = np.flatnonzero(free)
+            if free_pairs.size > most_free:
+                return "free_set"
+            rounds += 1
+            cols = np.flatnonzero(free[pair_of_col])
+            rows = np.concatenate([free_pairs, capacity_rows])
+            try:
+                x[cols], row_prices = solve_lp(
+                    -profit[cols],
+                    self.constraint_matrix[rows][:, cols],
+                    np.concatenate([demands[free_pairs], left]),
+                )
+            except LPSolveError as exc:
+                return f"lp_status_{exc.status}"
+            lam = row_prices[free_pairs.size :]
+            # KKT check of the fixed decisions under the LP's own duals.
+            rho = profit - self._tunnel_link_matrix @ lam
+            top = self._pair_maxima(rho)
+            chosen = rho[best_col]
+            wrong = ~free & np.where(
+                takes_all,
+                (chosen < top - _KKT_TOL) | (chosen < -_KKT_TOL),
+                active & (top > _KKT_TOL),
+            )
+            if not wrong.any():
+                return (
+                    x, lam, num_active - free_pairs.size,
+                    free_pairs.size, rounds,
+                )  # fmt: skip
+            free |= wrong
+        return "rounds"
 
     def split(self, flat: np.ndarray) -> SiteAllocation:
         """View a flat ``F_{k,t}`` vector as a :class:`SiteAllocation`."""
@@ -436,8 +692,8 @@ def solve_max_site_flow(
         The optimal ``F_{k,t}`` as a :class:`SiteAllocation`.
 
     Raises:
-        RuntimeError: if HiGHS fails (should not happen: the LP is always
-            feasible, F = 0 works).
+        LPSolveError: (a ``RuntimeError``) if HiGHS fails — should not
+            happen: the LP is always feasible, F = 0 works.
     """
     solver = SiteFlowSolver.for_topology(problem.topology)
     if epsilon is None and tunnel_weights is None:

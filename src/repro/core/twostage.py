@@ -13,7 +13,10 @@ so the phases account for the solve by construction:
    in incremental mode the previous interval's allocation is patched
    under a demand-delta/headroom guard instead when it can be
    (:mod:`repro.core.incremental`).  The per-topology
-   :class:`SiteFlowSolver` builds its constraint matrices once.
+   :class:`SiteFlowSolver` builds its constraint matrices once; the
+   optimizer hands it the class's link prices from its previous solve
+   as a hint and keeps the new ones (hint in, prices out — the solver
+   itself carries nothing between calls).
 3. **triage** (``triage``) — a pair whose class demand fits entirely
    into its most-preferred positive allocation — the overwhelming
    majority in production — needs no FastSSP; the rest are *contended*.
@@ -39,6 +42,7 @@ the identical assignment (digest-pinned and property-tested).
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
@@ -57,9 +61,10 @@ from .incremental import (
 from .lp_backend import resolve_backend_name
 from .qos import PRIORITY_ORDER, QoSClass
 from .sharded import ShardedConfig, ShardedFill
-from .siteflow import SiteFlowSolver
+from .siteflow import LinkPrices, SiteFlowSolver
 from .types import (
     PHASE_KEYS,
+    UNASSIGNED,
     FlowAssignment,
     SiteAllocation,
     StatKey,
@@ -131,6 +136,7 @@ class _Interval:
     satisfied: float = 0.0
     satisfied_by_class: dict[int, float] = field(default_factory=dict)
     lp_backend_used: str | None = None
+    stage1: dict[int, dict] = field(default_factory=dict)
 
 
 @dataclass
@@ -239,7 +245,7 @@ class MegaTEOptimizer:
         refresh_every: Force a cold re-solve every N intervals (0 =
             never) to re-optimize away accumulated patch drift.
         lp_backend: LP backend name forwarded to
-            :meth:`SiteFlowSolver.solve_flat` (``"scipy"`` /
+            :meth:`SiteFlowSolver.solve_priced` (``"scipy"`` /
             ``"highspy"`` / ``"auto"``; ``None`` consults the
             ``REPRO_LP_BACKEND`` environment variable, default scipy).
             A missing or failing ``highspy`` degrades to scipy.
@@ -338,6 +344,12 @@ class MegaTEOptimizer:
         self.shard_workers = shard_workers
         self.ssp_backend = ssp_backend
         self._state: IncrementalState | None = None
+        #: Stage-1 link prices carried to the next solve: per topology's
+        #: solver (weakly — a dead topology's prices go with it), per
+        #: class.  This optimizer's own, never the shared solver's.
+        self._prices: weakref.WeakKeyDictionary[
+            SiteFlowSolver, dict[int, LinkPrices]
+        ] = weakref.WeakKeyDictionary()
         self._sharded = ShardedFill(
             tuple(
                 {
@@ -350,6 +362,7 @@ class MegaTEOptimizer:
     def reset_incremental_state(self) -> None:
         """Drop carried cross-interval state (next solve runs cold)."""
         self._state = None
+        self._prices.clear()
 
     def close(self) -> None:
         """Release sharded-solve resources (worker pool, shared memory).
@@ -389,9 +402,10 @@ class MegaTEOptimizer:
         ) as span:
             result = self._solve_impl(topology, demands)
             span.set_attribute("num_flows", result.assignment.num_flows())
-            span.set_attribute(
-                "satisfied_fraction", result.satisfied_fraction
-            )
+            # The volume, not the fraction: the offered total is an
+            # O(pairs) Python sum — ≈ 10 ms at 9 900 pairs that no phase
+            # would own.
+            span.set_attribute("satisfied_volume", result.satisfied_volume)
             span.set_attribute("backend", result.stats[StatKey.BACKEND])
         self._record_metrics(result)
         return result
@@ -424,6 +438,13 @@ class MegaTEOptimizer:
         lp.labels(outcome="solved").inc(stats[StatKey.LP_SOLVES])
         lp.labels(outcome="skipped").inc(stats[StatKey.LP_SOLVES_SKIPPED])
         lp.labels(outcome="warm_start").inc(stats[StatKey.LP_WARM_START])
+        guided = registry.counter(
+            "megate_lp_guided_total",
+            "Stage-1 class-solves by price-guided outcome",
+            labelnames=("outcome",),
+        )
+        for record in stats[StatKey.STAGE1].values():
+            guided.labels(outcome=record["outcome"]).inc()
         reuse = registry.counter(
             "megate_incremental_reuse_total",
             "Incremental-engine fast paths taken",
@@ -595,17 +616,29 @@ class MegaTEOptimizer:
                     )
                     sp.name = _SPAN_PREFIX + StatKey.PHASE_DELTA_PATCH
             if alloc_flat is None:
-                alloc_flat = solver.solve_flat(
+                # The class's link prices from this optimizer's previous
+                # solve on this solver are the hint; the new ones replace
+                # them.
+                prices = self._prices.setdefault(solver, {})
+                solved = solver.solve_priced(
                     cls.demands,
                     capacities=iv.residual,
                     tunnel_weights=class_weights,
                     epsilon=class_epsilon,
                     backend=self.lp_backend,
+                    hint=prices.get(qos.value),
                 )
+                prices[qos.value] = solved.prices
+                alloc_flat = solved.x
                 iv.counts[StatKey.LP_SOLVES] += 1
-                if solver.last_warm_start:
-                    iv.counts[StatKey.LP_WARM_START] += 1
-                iv.lp_backend_used = solver.last_backend
+                iv.counts[StatKey.LP_WARM_START] += solved.warm_start
+                iv.lp_backend_used = solved.backend
+                iv.stage1[qos.value] = {
+                    "outcome": solved.outcome,
+                    "pairs_fixed": solved.pairs_fixed,
+                    "pairs_free": solved.pairs_free,
+                    "rounds": solved.rounds,
+                }
             cls.alloc_flat = alloc_flat
             cls.site_alloc = solver.split(alloc_flat)
 
@@ -686,17 +719,23 @@ class MegaTEOptimizer:
             assigned_flat = iv.assignment.assigned_tunnel
             combined = iv.combined.values
             placed_flat = np.zeros(iv.solver.num_tunnel_vars)
-            contrib: dict[int, float] = {}
             # Uncontended pairs: everything rides the preferred tunnel.
-            for k in cls.fits:
-                col = cls.first_cols[k]
-                total = cls.demands[k]
-                assigned_flat[cls.idx[seg[k] : seg[k + 1]]] = int(
-                    col - offsets[k]
-                )
-                combined[col] += total
-                placed_flat[col] += total
-                contrib[int(k)] = float(total)
+            # Each pair owns its column and each flow one class, so every
+            # target is written once (the other pairs' flows are written
+            # the UNASSIGNED they hold) and the array forms are exact.
+            fits = cls.fits  # empty (and no first_cols) when serial
+            cols = cls.first_cols[fits] if fits.size else fits
+            totals = cls.demands[fits]
+            tunnel_of = np.full(
+                iv.solver.num_pairs, UNASSIGNED, dtype=assigned_flat.dtype
+            )
+            tunnel_of[fits] = cols - offsets[fits]
+            assigned_flat[cls.idx] = np.repeat(tunnel_of, np.diff(seg))
+            combined[cols] += totals
+            placed_flat[cols] = totals
+            contrib: dict[int, float] = dict(
+                zip(fits.tolist(), totals.tolist())
+            )
             contended = cls.contended.tolist()
             for k, (assigned, placed, _) in zip(contended, cls.filled):
                 lo, hi = seg[k], seg[k + 1]
@@ -766,6 +805,7 @@ class MegaTEOptimizer:
                 ),
                 StatKey.FASTSSP_EPSILON: self.fastssp_epsilon,
                 StatKey.SATISFIED_BY_CLASS: iv.satisfied_by_class,
+                StatKey.STAGE1: iv.stage1,
                 StatKey.PHASE_S: phase,
                 StatKey.SECOND_STAGE: self.second_stage,
                 StatKey.BACKEND: (

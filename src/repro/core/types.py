@@ -65,6 +65,9 @@ class StatKey:
     SHARD_TIMINGS = "shard_timings"
     SSP_BACKEND = "ssp_backend"
     SSP_BATCH_PHASE_S = "ssp_batch_phase_s"
+    #: Per class solved by the LP: ``{"outcome": "whole" | "guided" |
+    #: "fallback:<reason>", "pairs_fixed", "pairs_free", "rounds"}``.
+    STAGE1 = "stage1"
 
     # Phases of the ``phase_s`` breakdown.
     PHASE_MATRIX_BUILD = "matrix_build"

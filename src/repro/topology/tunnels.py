@@ -310,25 +310,35 @@ def _diverse_paths(
     tunnel sets: a handful of genuinely different routes, not k
     near-identical variants of one route (which is what plain k-shortest
     simple paths returns on dense graphs).
+
+    The penalties are applied to ``graph`` itself and undone before
+    returning (a graph copy per site pair was two thirds of the all-pairs
+    catalog build); the caller's graph is unchanged on every exit.
     """
-    working = graph.copy()
+    touched: dict[tuple[str, str], float] = {}
     paths: list[list[str]] = []
     seen: set[tuple[str, ...]] = set()
     attempts = 0
-    while len(paths) < k and attempts < 3 * k:
-        attempts += 1
-        try:
-            path = nx.shortest_path(
-                working, src, dst, weight="latency_ms"
-            )
-        except nx.NetworkXNoPath:
-            break
-        key = tuple(path)
-        if key not in seen:
-            seen.add(key)
-            paths.append(path)
-        for u, v in zip(path, path[1:]):
-            working[u][v]["latency_ms"] *= penalty
+    try:
+        while len(paths) < k and attempts < 3 * k:
+            attempts += 1
+            try:
+                path = nx.shortest_path(
+                    graph, src, dst, weight="latency_ms"
+                )
+            except nx.NetworkXNoPath:
+                break
+            key = tuple(path)
+            if key not in seen:
+                seen.add(key)
+                paths.append(path)
+            for u, v in zip(path, path[1:]):
+                attrs = graph[u][v]
+                touched.setdefault((u, v), attrs["latency_ms"])
+                attrs["latency_ms"] *= penalty
+    finally:
+        for (u, v), latency in touched.items():
+            graph[u][v]["latency_ms"] = latency
     return paths
 
 
@@ -355,7 +365,10 @@ def build_tunnels(
     """
     if tunnels_per_pair < 1:
         raise ValueError("need at least one tunnel per pair")
-    graph = network.to_networkx()
+    # One copy for the whole build: the copy's adjacency order is what
+    # every per-pair copy used to route on, and shortest-path ties break
+    # by that order.
+    graph = network.to_networkx().copy()
     if site_pairs is None:
         sites = network.sites
         site_pairs = [

@@ -97,3 +97,21 @@ def tiny_demands() -> DemandMatrix:
             )
         ]
     )
+
+
+@pytest.fixture(scope="session")
+def twan_6000_scenario() -> tuple[TwoLayerTopology, DemandMatrix]:
+    """TWAN with 6 000 site pairs — the smallest round pair count at
+    which every QoS class carries the ≥ 4 480 active pairs the
+    price-guided stage 1 needs to engage (≈ 4 s to build, once)."""
+    from repro.experiments.common import build_scenario
+
+    scenario = build_scenario(
+        "twan",
+        total_endpoints=1_000,
+        num_site_pairs=6_000,
+        target_load=1.6,
+        seed=42,
+        flat=True,
+    )
+    return scenario.topology, scenario.demands

@@ -187,3 +187,35 @@ def test_disabled_telemetry_overhead_within_budget():
         f"(span {span_cost_s * 1e9:.0f} ns, gate {gate_cost_s * 1e9:.0f} ns "
         f"per event)"
     )
+
+
+def test_stage1_guided_path_by_counts(twan_6000_scenario):
+    """The price-guided stage 1 engages where it pays and only there —
+    asserted on counts, not time.  A warm interval at 6 000 TWAN pairs
+    hands the LP at most half of each class's active pairs; a 60-pair
+    scenario is always solved whole.  (Both run on the env-selected LP
+    backend, so each CI leg exercises its prices-beside-x return.)"""
+    from repro.experiments.common import build_scenario
+    from repro.traffic import DiurnalSequence
+
+    topology, base = twan_6000_scenario
+    sequence = DiurnalSequence(base=base, seed=11)
+    optimizer = MegaTEOptimizer()
+    optimizer.solve(topology, sequence.matrix(0))
+    warm = optimizer.solve(topology, sequence.matrix(1))
+    assert warm.stats["lp_solves"] == 3
+    assert warm.stats["lp_warm_start"] == 3
+    for record in warm.stats["stage1"].values():
+        assert record["outcome"] == "guided"
+        active = record["pairs_fixed"] + record["pairs_free"]
+        assert record["pairs_free"] <= 0.5 * active
+
+    small = build_scenario(
+        "twan", total_endpoints=2_000, num_site_pairs=60, seed=7
+    )
+    optimizer = MegaTEOptimizer()
+    for _ in range(2):
+        result = optimizer.solve(small.topology, small.demands)
+        assert [
+            record["outcome"] for record in result.stats["stage1"].values()
+        ] == ["whole"] * len(result.stats["stage1"])

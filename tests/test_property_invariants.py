@@ -26,20 +26,18 @@ from repro.traffic import DemandMatrix, PairDemands
 
 
 @st.composite
-def random_scenario(draw):
-    """A random connected WAN with tunnels and a demand matrix."""
+def random_network(draw):
+    """A random connected WAN: ``(network, sites)``."""
     num_sites = draw(st.integers(4, 8))
     sites = [f"s{i}" for i in range(num_sites)]
     net = SiteNetwork(name="random")
     # Ring for connectivity...
-    capacities = []
     for i in range(num_sites):
         cap = draw(st.floats(5.0, 50.0))
         latency = draw(st.floats(1.0, 20.0))
         net.add_duplex_link(
             sites[i], sites[(i + 1) % num_sites], cap, latency_ms=latency
         )
-        capacities.append(cap)
     # ...plus a few random chords.
     num_chords = draw(st.integers(0, 3))
     for _ in range(num_chords):
@@ -52,6 +50,14 @@ def random_scenario(draw):
                 draw(st.floats(5.0, 50.0)),
                 latency_ms=draw(st.floats(1.0, 20.0)),
             )
+    return net, sites
+
+
+@st.composite
+def random_scenario(draw):
+    """A random connected WAN with tunnels and a demand matrix."""
+    net, sites = draw(random_network())
+    num_sites = len(sites)
     # Demand-carrying site pairs.
     num_pairs = draw(st.integers(1, 4))
     pairs = []

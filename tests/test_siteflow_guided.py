@@ -1,0 +1,344 @@
+"""Price-guided stage 1 is exact: hint in, an optimum of the whole LP out.
+
+Whatever the hint — none, the true previous prices, stale, wrong or
+malformed ones — :meth:`SiteFlowSolver.solve_priced` must return an
+optimum of the *whole* MaxSiteFlow LP, and the prices it returns must
+certify that by KKT.  The property drives the reduction on random small
+WANs (with its engagement thresholds lowered so it runs at all there);
+the TWAN tests drive it through the optimizer at a pair count where it
+engages with the shipped constants: 6 000 site pairs (the guided path
+needs ≥ 2 · max(4 · 560 links, 256) = 4 480 demand-carrying pairs per
+class; at 5 000 pairs QoS1 and QoS3 fall short).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import weakref
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
+
+from repro.core import LPSolveError, MegaTEOptimizer, check_feasibility
+from repro.core import siteflow
+from repro.core.siteflow import LinkPrices, SiteFlowSolver
+from repro.topology import TwoLayerTopology, build_tunnels
+from repro.topology.endpoints import EndpointLayout
+from repro.topology.failures import sample_failure_scenarios
+from repro.traffic import DiurnalSequence
+
+from test_property_invariants import random_network
+
+HINT_KINDS = (
+    "none", "true", "zeros", "random", "scaled", "zeroed", "malformed"
+)  # fmt: skip
+
+
+@st.composite
+def class_instance(draw):
+    """A random WAN's solver plus one class's LP data and a hint recipe."""
+    net, sites = draw(random_network())
+    pairs = [(a, b) for a in sites for b in sites if a != b]
+    pairs = draw(
+        st.lists(st.sampled_from(pairs), min_size=6, max_size=20, unique=True)
+    )
+    topology = TwoLayerTopology(
+        network=net,
+        catalog=build_tunnels(net, pairs, tunnels_per_pair=3),
+        layout=EndpointLayout({s: 1 for s in sites}),
+    )
+    solver = SiteFlowSolver(topology)
+    demands = np.array(
+        [
+            draw(st.sampled_from([0.0, 1.0, 1.0, 1.0])) * draw(st.floats(0.1, 40.0))
+            for _ in pairs
+        ]
+    )
+    residual = solver.capacities * np.array(
+        [
+            # Exhausted, or a share well above HiGHS's 1e-7 tolerances.
+            draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+            for _ in range(solver.capacities.size)
+        ]
+    )
+    # Latency weights, or all-equal ones (every tunnel of a pair ties:
+    # the degenerate face the bulk class's cost weights produce).
+    weights = (
+        solver.tunnel_weights
+        if draw(st.booleans())
+        else np.ones(solver.num_tunnel_vars)
+    )
+    return topology, solver, demands, residual, weights
+
+
+def _make_hint(kind, rng, solver, demands, residual, weights, eps):
+    def prices_of(d):
+        return solver.solve_priced(d, residual, weights, eps).prices
+
+    own = weakref.ref(solver)
+    size = solver.capacities.size
+    if kind == "none":
+        return None
+    if kind == "true":
+        return prices_of(demands)
+    if kind == "zeros":
+        return LinkPrices(np.zeros(size), own)
+    if kind == "random":
+        return LinkPrices(rng.uniform(0.0, 1.5, size), own)
+    if kind == "scaled":
+        return prices_of(demands * rng.uniform(0.3, 3.0))
+    if kind == "zeroed":
+        values = prices_of(demands).values.copy()
+        priced = np.flatnonzero(values > 0)
+        if priced.size:
+            values[rng.choice(priced)] = 0.0
+        return LinkPrices(values, own)
+    good = prices_of(demands).values
+    return [
+        LinkPrices(good[:-1], own),
+        LinkPrices(np.append(good[:-1], np.nan), own),
+        LinkPrices(np.append(good[:-1], np.inf), own),
+        LinkPrices(np.append(good[:-1], -1.0), own),
+        LinkPrices(good, weakref.ref(SiteFlowSolver.__new__(SiteFlowSolver))),
+        LinkPrices([[1.0, 2.0], [3.0]], own),
+        good,
+    ][rng.integers(7)]
+
+
+def _assert_optimal(solver, sol, ref, demands, residual, profit):
+    """Feasible, same objective as the whole LP, and KKT-certified by
+    the returned ``(x, λ)`` alone."""
+    x, lam = sol.x, sol.prices.values
+    scale = max(1.0, float(demands.sum()))
+    offsets = solver.tunnel_offsets[:-1]
+    carried = np.add.reduceat(x, offsets)
+    load = solver.link_tunnel_matrix @ x
+    assert np.all(x >= 0)
+    assert np.all(carried <= demands + 1e-9 * scale)
+    assert np.all(load <= residual + 1e-9 * scale)
+    assert profit @ x == pytest.approx(profit @ ref.x, rel=1e-9, abs=1e-9)
+    # Dual feasibility holds by construction of μ; λ must be a price.
+    assert np.all(lam >= 0)
+    rho = profit - solver.link_tunnel_matrix.T @ lam
+    mu = np.maximum(np.maximum.reduceat(rho, offsets), 0.0)
+    pair_of_col = np.repeat(
+        np.arange(solver.num_pairs), np.diff(solver.tunnel_offsets)
+    )
+    # Complementary slackness, all three families.
+    used = x > 1e-7 * scale
+    assert np.all(rho[used] >= mu[pair_of_col[used]] - 1e-7)
+    assert np.all(np.abs(carried - demands)[mu > 1e-7] <= 1e-7 * scale)
+    assert np.all(np.abs(load - residual)[lam > 1e-7] <= 1e-7 * scale)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    instance=class_instance(),
+    kind=st.sampled_from(HINT_KINDS),
+    budget=st.integers(1, 3),
+    seed=st.integers(0, 2**31),
+)
+def test_any_hint_yields_a_certified_optimum(instance, kind, budget, seed):
+    _, solver, demands, residual, weights = instance
+    rng = np.random.default_rng(seed)
+    eps = 0.1 / float(weights.max())
+    profit = 1.0 - eps * weights
+    ref = solver.solve_priced(demands, residual, weights, eps)
+    assert ref.outcome == "whole" and not ref.warm_start
+    hint = _make_hint(kind, rng, solver, demands, residual, weights, eps)
+    # Engage the reduction at this size: a few free pairs, never "too
+    # small", never "too many free".
+    with mock.patch.multiple(
+        siteflow,
+        _MIN_FREE_PAIRS=budget,
+        _FREE_PAIRS_PER_LINK=0,
+        _WHOLE_LP_ABOVE=1.0,
+    ):
+        sol = solver.solve_priced(demands, residual, weights, eps, hint=hint)
+    if kind in ("none", "malformed"):
+        assert sol.outcome == "whole"
+        assert np.array_equal(sol.x, ref.x)
+    event(sol.outcome.partition(":")[0])
+    assert sol.warm_start == (sol.outcome == "guided")
+    _assert_optimal(solver, sol, ref, demands, residual, profit)
+    _assert_optimal(solver, ref, ref, demands, residual, profit)
+
+
+def test_failures_are_typed(tiny_topology, monkeypatch):
+    """A restricted LP HiGHS does not solve falls back to the whole LP
+    with the reason recorded; a whole-LP failure raises ``LPSolveError``
+    (a ``RuntimeError``) carrying HiGHS's status and message."""
+    solver = SiteFlowSolver(tiny_topology)
+    demands = np.array([6.0])
+    ref = solver.solve_priced(demands)
+
+    def failing(cost, a_ub, b_ub):
+        raise LPSolveError(4, "numerical difficulties")
+
+    monkeypatch.setattr(siteflow, "solve_lp", failing)
+    with mock.patch.multiple(
+        siteflow, _MIN_FREE_PAIRS=1, _FREE_PAIRS_PER_LINK=0, _WHOLE_LP_ABOVE=1.0
+    ):
+        sol = solver.solve_priced(demands, hint=ref.prices)
+    assert sol.outcome == "fallback:lp_status_4"
+    assert np.array_equal(sol.x, ref.x)
+
+    from repro.core import lp_backend
+
+    def unsolved(*args, **kwargs):
+        return mock.Mock(success=False, status=2, message="infeasible")
+
+    monkeypatch.setattr(lp_backend, "linprog", unsolved)
+    with pytest.raises(RuntimeError) as caught:
+        solver.solve_priced(demands)
+    assert isinstance(caught.value, LPSolveError)
+    assert (caught.value.status, caught.value.message) == (2, "infeasible")
+
+
+# -- through the optimizer, where the shipped thresholds engage -------------
+
+
+def _digest(results) -> str:
+    sha = hashlib.sha256()
+    for result in results:
+        sha.update(
+            np.ascontiguousarray(result.assignment.assigned_tunnel).tobytes()
+        )
+    return sha.hexdigest()
+
+
+@pytest.fixture()
+def shadowed(monkeypatch):
+    """Record every class-solve beside a hint-less solve of the same LP."""
+    log: list[tuple] = []
+    guided = SiteFlowSolver.solve_priced
+
+    def solve_both(self, demands, capacities, tunnel_weights, epsilon, **kw):
+        sol = guided(
+            self, demands, capacities, tunnel_weights, epsilon, **kw
+        )
+        ref = guided(self, demands, capacities, tunnel_weights, epsilon)
+        weights = (
+            self.tunnel_weights if tunnel_weights is None else tunnel_weights
+        )
+        log.append((self, sol, ref, 1.0 - epsilon * weights))
+        return sol
+
+    monkeypatch.setattr(SiteFlowSolver, "solve_priced", solve_both)
+    return log
+
+
+def test_diurnal_intervals_take_the_guided_path(twan_6000_scenario, shadowed):
+    topology, base = twan_6000_scenario
+    sequence = DiurnalSequence(base=base, seed=5)
+    optimizer = MegaTEOptimizer()
+    for interval in range(4):
+        result = optimizer.solve(topology, sequence.matrix(interval))
+        assert check_feasibility(topology, result).feasible
+        records = result.stats["stage1"]
+        assert sorted(records) == [1, 2, 3]
+        assert result.stats["lp_solves"] == 3
+        assert result.stats["lp_warm_start"] == (3 if interval else 0)
+        for record in records.values():
+            if interval == 0:
+                assert record["outcome"] == "whole"
+                assert record["pairs_fixed"] == 0
+            else:
+                assert record["outcome"] == "guided"
+                assert record["pairs_fixed"] >= record["pairs_free"]
+                assert 1 <= record["rounds"] <= 3
+    assert len(shadowed) == 12
+    for _, sol, ref, profit in shadowed:
+        assert profit @ sol.x == pytest.approx(profit @ ref.x, rel=1e-9)
+
+
+def test_two_optimizers_fed_the_same_sequence_agree(twan_6000_scenario):
+    """The prices live on the optimizer: a second optimizer sharing the
+    cached solver neither sees nor disturbs the first one's."""
+    topology, base = twan_6000_scenario
+    sequence = DiurnalSequence(base=base, seed=9)
+    first, second = MegaTEOptimizer(), MegaTEOptimizer()
+    a, b = [], []
+    for interval in range(3):
+        demands = sequence.matrix(interval)
+        a.append(first.solve(topology, demands))
+        b.append(second.solve(topology, demands))
+    assert a[0].stats["stage1"][2]["outcome"] == "whole"
+    assert b[0].stats["stage1"][2]["outcome"] == "whole"
+    assert a[2].stats["stage1"][2]["outcome"] == "guided"
+    assert _digest(a) == _digest(b)
+    # Dropping the carried state makes the next solve a fresh first one.
+    first.reset_incremental_state()
+    again = first.solve(topology, sequence.matrix(0))
+    assert again.stats["stage1"][2]["outcome"] == "whole"
+    assert _digest([again]) == _digest(a[:1])
+
+
+def test_topology_swap_never_crosses_prices(twan_6000_scenario):
+    """healthy → cut → healthy: the cut topology's solver starts from no
+    hint, and the healthy one resumes from its own prices."""
+    healthy, base = twan_6000_scenario
+    (cut_links,) = sample_failure_scenarios(
+        healthy.network, 2, num_scenarios=1, seed=42
+    )
+    cut = healthy.with_failures(cut_links.failed_links)
+    sequence = DiurnalSequence(base=base, seed=5)
+    optimizer = MegaTEOptimizer()
+    outcomes = [
+        {
+            record["outcome"]
+            for record in optimizer.solve(topology, sequence.matrix(interval))
+            .stats["stage1"]
+            .values()
+        }
+        for interval, topology in enumerate((healthy, cut, healthy, cut))
+    ]
+    assert outcomes[0] == outcomes[1] == {"whole"}
+    assert outcomes[2] == outcomes[3] == {"guided"}
+    # And at the solver's own door: another solver's prices are ignored.
+    demands = np.full(healthy.catalog.num_pairs, 0.01)
+    theirs = SiteFlowSolver.for_topology(healthy).solve_priced(demands).prices
+    sol = SiteFlowSolver.for_topology(cut).solve_priced(demands, hint=theirs)
+    assert sol.outcome == "whole"
+
+
+def test_outcomes_are_exported(twan_6000_scenario):
+    """Spans and the registry say what each class-solve did."""
+    from repro import obs
+
+    topology, base = twan_6000_scenario
+    sequence = DiurnalSequence(base=base, seed=5)
+    was = obs.telemetry_enabled()
+    try:
+        obs.set_enabled(True)
+        obs.reset()
+        optimizer = MegaTEOptimizer()
+        for interval in range(2):
+            optimizer.solve(topology, sequence.matrix(interval))
+        spans = [
+            span
+            for span in obs.get_tracer().finished_spans()
+            if span.name == "siteflow.lp_solve"
+        ]
+        counter = obs.get_registry().counter(
+            "megate_lp_guided_total", labelnames=("outcome",)
+        )
+        counts = {
+            labels: series.value for labels, series in counter.series()
+        }
+    finally:
+        obs.set_enabled(was)
+        obs.reset()
+    assert [span.attributes["outcome"] for span in spans] == (
+        ["whole"] * 3 + ["guided"] * 3
+    )
+    for span in spans[3:]:
+        assert span.attributes["pairs_fixed"] >= span.attributes["pairs_free"]
+        assert span.attributes["rounds"] >= 1
+    assert counts == {("whole",): 3.0, ("guided",): 3.0}

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from repro.topology import SiteNetwork, b4, build_tunnels
-from repro.topology.tunnels import Tunnel, TunnelCatalog
+from repro.topology import SiteNetwork, b4, build_tunnels, twan
+from repro.topology.tunnels import Tunnel, TunnelCatalog, _diverse_paths
+
+from test_property_invariants import random_network
 
 
 def _net() -> SiteNetwork:
@@ -156,3 +161,71 @@ class TestCatalog:
         )
         restricted = catalog.restricted_to_network(survivor)
         assert restricted.tunnels_for("a", "c") == []
+
+
+def _diverse_paths_copying(graph, src, dst, k, penalty=8.0):
+    """The reference ``_diverse_paths`` replaced: one graph copy per pair."""
+    working = graph.copy()
+    paths, seen, attempts = [], set(), 0
+    while len(paths) < k and attempts < 3 * k:
+        attempts += 1
+        try:
+            path = nx.shortest_path(working, src, dst, weight="latency_ms")
+        except nx.NetworkXNoPath:
+            break
+        if tuple(path) not in seen:
+            seen.add(tuple(path))
+            paths.append(path)
+        for u, v in zip(path, path[1:]):
+            working[u][v]["latency_ms"] *= penalty
+    return paths
+
+
+def _latencies(graph):
+    return {(u, v): d["latency_ms"] for u, v, d in graph.edges(data=True)}
+
+
+class TestDiversePathsInPlace:
+    """Penalising the shared graph and restoring it gives the paths the
+    per-pair graph copy gave, and leaves every edge weight as it was."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(wan=random_network())
+    def test_matches_copying_reference_on_random_wans(self, wan):
+        net, sites = wan
+        pairs = [(a, b) for a in sites for b in sites if a != b]
+        graph = net.to_networkx()
+        expected = [_diverse_paths_copying(graph, s, d, 3) for s, d in pairs]
+        shared = graph.copy()  # as build_tunnels routes: ties break alike
+        before = _latencies(shared)
+        assert [_diverse_paths(shared, s, d, 3) for s, d in pairs] == expected
+        assert _latencies(shared) == before
+        catalog = build_tunnels(net, pairs, tunnels_per_pair=3)
+        for k, paths in enumerate(expected):
+            assert sorted(t.path for t in catalog.tunnels(k)) == sorted(
+                map(tuple, paths)
+            )
+
+    def test_matches_copying_reference_on_sampled_twan_pairs(self):
+        net = twan()
+        graph = net.to_networkx()
+        rng = np.random.default_rng(0)
+        sites = net.sites
+        pairs = [
+            (sites[a], sites[b])
+            for a, b in rng.integers(0, len(sites), size=(300, 2))
+            if a != b
+        ]
+        expected = [_diverse_paths_copying(graph, s, d, 3) for s, d in pairs]
+        shared = graph.copy()
+        before = _latencies(shared)
+        assert [_diverse_paths(shared, s, d, 3) for s, d in pairs] == expected
+        assert _latencies(shared) == before
+
+    def test_weights_restored_when_no_path_is_left(self):
+        graph = nx.DiGraph()
+        graph.add_edge("a", "b", latency_ms=1.0)
+        graph.add_node("z")
+        assert _diverse_paths(graph, "a", "z", 2) == []
+        assert _diverse_paths(graph, "a", "b", 3) == [["a", "b"]]
+        assert _latencies(graph) == {("a", "b"): 1.0}
