@@ -30,7 +30,6 @@ so the CSR-layout speedup is tracked alongside the solver trajectory.
 from __future__ import annotations
 
 import json
-import subprocess
 import time
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from repro.controlplane import DemandCollector, FlowRecord
 from repro.core import MegaTEOptimizer, QoSClass, highspy_available
 from repro.experiments import run_interval_replay
 from repro.experiments.bench_history import (
+    git_sha,
     load_history,
     validate_history_record,
 )
@@ -78,21 +78,6 @@ PRE_COLUMNAR_BASELINE_S = {
 #: diurnal per-pair deltas reach ~30-80% relative; the link-headroom
 #: guard, not the threshold, is the binding feasibility check).
 INCREMENTAL_THRESHOLD = 1.5
-
-
-def _git_sha() -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short=12", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=ARTIFACT.parent,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def _time_realization() -> dict[str, float]:
@@ -290,7 +275,7 @@ def test_interval_solve_breakdown(benchmark):
     history = load_history(ARTIFACT)
     new_record = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "git_sha": _git_sha(),
+        "git_sha": git_sha(ARTIFACT.parent),
         "backend": batched.backend,
         # Top-level (not in config) so same-name records stay
         # byte-comparable across the kernel migration; baseline

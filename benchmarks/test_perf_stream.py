@@ -20,12 +20,12 @@ write, so control-loop regressions surface across PRs the same way.
 
 from __future__ import annotations
 
-import subprocess
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.experiments.bench_history import git_sha
 from repro.experiments.stream_study import (
     append_stream_record,
     run_stream_study,
@@ -50,21 +50,6 @@ SEED = 0
 MIN_ORACLE_RATIO = 0.97
 MAX_SOLVES_FRACTION = 0.20
 MIN_QOS1_FLOOR = 0.99
-
-
-def _git_sha() -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short=12", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=ARTIFACT.parent,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def test_stream_flash_crowd_acceptance(benchmark):
@@ -121,7 +106,7 @@ def test_stream_flash_crowd_acceptance(benchmark):
     record = stream_history_record(
         study,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        git_sha=_git_sha(),
+        git_sha=git_sha(ARTIFACT.parent),
     )
     total = append_stream_record(ARTIFACT, record)
     name = stream_config_name(

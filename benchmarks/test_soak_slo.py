@@ -16,12 +16,12 @@ Each leg appends a ``kind: "soak"`` record to the same
 
 from __future__ import annotations
 
-import subprocess
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.experiments.bench_history import git_sha
 from repro.experiments.soak_study import (
     append_soak_record,
     run_soak_study,
@@ -53,21 +53,6 @@ SOAK_MATRIX = (
     ("link-flap", 1),
     ("sync-storm", 2),
 )
-
-
-def _git_sha() -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short=12", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=ARTIFACT.parent,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def test_soak_scenario_matrix_slo(benchmark):
@@ -104,7 +89,7 @@ def test_soak_scenario_matrix_slo(benchmark):
             timestamp=time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
             ),
-            git_sha=_git_sha(),
+            git_sha=git_sha(ARTIFACT.parent),
         )
         total = append_soak_record(ARTIFACT, record)
         print(

@@ -19,6 +19,7 @@ import argparse
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 
 from . import obs
@@ -39,6 +40,7 @@ from .experiments import (
     fig17,
     table02,
 )
+from .experiments.bench_history import git_sha
 from .experiments.reporting import render_table
 from .simulation.soak import SCENARIO_NAMES
 from .simulation.streaming import STREAM_SCENARIO_NAMES, TRIGGER_NAMES
@@ -292,6 +294,25 @@ def _cmd_verify(args) -> None:
         raise SystemExit(1)
 
 
+@contextmanager
+def _input_file(option: str, path: str):
+    """Guard reading a ``repro solve`` input: a bad file is a usage error.
+
+    A missing, unreadable or malformed file exits with status 2 and one
+    line on stderr instead of a traceback.
+    """
+    try:
+        yield
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except ValueError as exc:
+        reason = str(exc)
+    else:
+        return
+    print(f"repro solve: {option} {path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _cmd_solve(args) -> None:
     from .baselines import (
         ConventionalMCF,
@@ -312,9 +333,12 @@ def _cmd_solve(args) -> None:
         "pop": POPTE,
         "conventional": ConventionalMCF,
     }
-    topology = load_topology(args.topology)
+    with _input_file("--topology", args.topology):
+        topology = load_topology(args.topology)
     if args.demands:
-        with open(args.demands, encoding="utf-8") as handle:
+        with _input_file("--demands", args.demands), open(
+            args.demands, encoding="utf-8"
+        ) as handle:
             demands = read_demands_csv(
                 handle, num_site_pairs=topology.catalog.num_pairs
             )
@@ -378,7 +402,6 @@ def _cmd_replay(args) -> None:
         seed=args.seed,
         delta_threshold=args.delta_threshold,
         lp_backend=args.lp_backend,
-        ssp_backend=args.ssp_backend,
     )
     _write_replay_telemetry(args)
     if args.json:
@@ -450,7 +473,6 @@ def _cmd_replay_sharded(args) -> None:
         seed=args.seed,
         shard_workers=spec if spec == "auto" else int(spec),
         lp_backend=args.lp_backend,
-        ssp_backend=args.ssp_backend,
     )
     _write_replay_telemetry(args)
     if args.json:
@@ -520,20 +542,6 @@ def _cmd_chaos(args) -> None:
     _emit("\n".join(lines) + "\n", args.out)
 
 
-def _git_sha() -> str:
-    """Short commit id for history records (``unknown`` outside git)."""
-    import subprocess
-
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "--short=12", "HEAD"],
-            capture_output=True, text=True, timeout=10, check=True,
-        ).stdout.strip()
-        return sha or "unknown"
-    except Exception:
-        return "unknown"
-
-
 def _cmd_soak(args) -> None:
     """``repro soak``: long-horizon soak with SLO gating.
 
@@ -584,7 +592,7 @@ def _cmd_soak(args) -> None:
             timestamp=time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
             ),
-            git_sha=_git_sha(),
+            git_sha=git_sha(),
         )
         total = append_soak_record(args.history, record)
         print(
@@ -709,7 +717,7 @@ def _cmd_stream(args) -> None:
             timestamp=time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
             ),
-            git_sha=_git_sha(),
+            git_sha=git_sha(),
         )
         total = append_stream_record(args.history, record)
         print(
@@ -1010,14 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the in-process replay against the process-"
              "parallel sharded second stage with N worker processes "
              "(or 'auto'); exits non-zero if their digests diverge",
-    )
-    p.add_argument(
-        "--ssp-backend",
-        choices=["scalar", "numpy"],
-        default=None,
-        help="FastSSP kernel for the contended second stage (default: "
-             "REPRO_SSP_BACKEND env or numpy, the array-batched "
-             "kernel; 'scalar' keeps the per-pair reference path)",
     )
     p.add_argument(
         "--trace-out", default=None, metavar="FILE",

@@ -1,15 +1,7 @@
 """MegaTE's core contribution: the contracted two-stage TE optimization."""
 
 from .exact import ExactSolution, solve_max_all_flow
-from .fastssp import FastSSPResult, fast_ssp
-from .fastssp_batch import (
-    SSP_BACKEND_ENV,
-    SSP_BACKEND_NAMES,
-    BatchedSSPResult,
-    fast_ssp_batch,
-    fill_pairs_batch,
-    resolve_ssp_backend_name,
-)
+from .fastssp import FastSSPResult, fast_ssp, fast_ssp_sorted
 from .flowtable import FlowTable, PairViews, csr_offsets, pair_views
 from .formulation import MaxAllFlowProblem
 from .incremental import IncrementalConfig, IncrementalState
@@ -19,7 +11,12 @@ from .lp_backend import (
     highspy_available,
     resolve_backend_name,
 )
-from .pairfill import fill_pair, fill_pairs
+from .pairfill import (
+    SSP_BACKEND_NAMES,
+    fill_pair,
+    fill_pairs,
+    resolve_ssp_backend_name,
+)
 from .parallel import resolve_workers
 from .qos import PRIORITY_ORDER, QoSClass
 from .sharded import (
@@ -75,11 +72,8 @@ __all__ = [
     "resolve_workers",
     "fill_pair",
     "fill_pairs",
-    "SSP_BACKEND_ENV",
     "SSP_BACKEND_NAMES",
-    "BatchedSSPResult",
-    "fast_ssp_batch",
-    "fill_pairs_batch",
+    "fast_ssp_sorted",
     "resolve_ssp_backend_name",
     "SHARD_WORKERS_ENV",
     "ShardContext",

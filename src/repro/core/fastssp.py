@@ -16,15 +16,57 @@ hundreds of thousands of tiny endpoint demands.  FastSSP is a four-step
    smallest leftover demand, giving error rate ``β ≤ min(residual)/F``.
 
 Total cost ``O(m⌊F/δ⌋ + |I_k| log |I_k|)``.
+
+Two implementations of one ``(site pair, tunnel)`` instance live here:
+
+* :func:`fast_ssp` — the reference: the four steps as written above,
+  index lists and a per-item Python clustering loop.  The replay
+  digests are pinned on it and the property tests compare against it.
+* :func:`fast_ssp_sorted` — the production kernel: the same four steps
+  over the instance's *descending-sorted row*, where a cluster is a
+  contiguous range, the DP's choice a position mask, the greedy a scan
+  with binary-search skips and every minimum a last element.  It takes
+  an optional order hint so a caller filling several tunnels from one
+  shrinking demand set (:func:`repro.core.pairfill.fill_pair`) sorts
+  once and bisects on capacity afterwards.
+
+Bit-identity contract
+---------------------
+The kernel reproduces the reference **bit for bit** in every result
+field (property-tested in ``tests/test_fastssp_batch_property.py``),
+which fixes its numerics:
+
+1. NumPy's ``ndarray.sum()`` is *pairwise* while ``cumsum`` accumulates
+   *sequentially* — so what the reference computes with ``.sum()``
+   (grand total, cluster sums, the DP volume) is a ``.sum()`` over the
+   same value sequence here, and what it accumulates item by item (the
+   clustering running total, the greedy total and remaining capacity)
+   is a ``cumsum`` or an explicitly sequential scan.
+2. ``(cap - a) - b != cap - (a + b)`` in floating point, so the greedy
+   replays the reference's op order (skip / subtract / add per item)
+   instead of a prefix-sum sweep; skipped items change no state, so
+   jumping over a run of them is exact.
+3. Ties sort identically: stable sorts over the original index order.
+4. ``NaN`` demands are never eligible and never selected, but they do
+   reach the two minima the reference takes over *all* unselected
+   demands (the greedy gate and ``error_bound``), so the kernel carries
+   the oversized values' minimum — ``NaN``-propagating, as ``np.min``
+   is — beside the row.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
+from ..obs import monotonic
 from .ssp import dp_ssp, greedy_ssp
 
-__all__ = ["FastSSPResult", "fast_ssp"]
+__all__ = ["SSP_PHASE_KEYS", "FastSSPResult", "fast_ssp", "fast_ssp_sorted"]
+
+#: Keys of the kernel's phase-timing breakdown, in execution order.
+SSP_PHASE_KEYS = ("sort", "cluster", "dp", "greedy", "extract")
 
 _EMPTY_SELECTION = np.empty(0, dtype=np.int64)
 
@@ -152,6 +194,47 @@ def _cluster(
     return clusters
 
 
+def _triage(
+    values: np.ndarray, capacity: float, epsilon: float
+) -> tuple[np.ndarray, FastSSPResult | None]:
+    """Validate one instance and settle it when nothing needs solving.
+
+    Returns the demands as a float64 vector and — for a trivial instance
+    (no capacity, no demands) or one whose demands all fit — the
+    finished result; ``None`` means contended.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    if np.any(vals < 0):
+        raise ValueError("demands must be non-negative")
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be in (0, 1)")
+    if capacity <= 0 or vals.size == 0:
+        return vals, FastSSPResult(
+            selected_array=_EMPTY_SELECTION,
+            total=0.0,
+            capacity=float(max(capacity, 0.0)),
+            num_clusters=0,
+            dp_selected_volume=0.0,
+            greedy_selected_volume=0.0,
+            error_bound=0.0,
+        )
+    # Everything fits — no need to cluster or solve anything.
+    grand_total = float(vals.sum())
+    if grand_total <= capacity:
+        return vals, FastSSPResult(
+            selected_array=np.arange(vals.size, dtype=np.int64),
+            total=grand_total,
+            capacity=float(capacity),
+            num_clusters=0,
+            dp_selected_volume=grand_total,
+            greedy_selected_volume=0.0,
+            error_bound=0.0,
+        )
+    return vals, None
+
+
 def fast_ssp(
     values: np.ndarray,
     capacity: float,
@@ -168,36 +251,9 @@ def fast_ssp(
     Returns:
         A :class:`FastSSPResult`; ``selected`` indexes into ``values``.
     """
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 1:
-        raise ValueError("values must be one-dimensional")
-    if np.any(vals < 0):
-        raise ValueError("demands must be non-negative")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    if capacity <= 0 or vals.size == 0:
-        return FastSSPResult(
-            selected_array=_EMPTY_SELECTION,
-            total=0.0,
-            capacity=float(max(capacity, 0.0)),
-            num_clusters=0,
-            dp_selected_volume=0.0,
-            greedy_selected_volume=0.0,
-            error_bound=0.0,
-        )
-
-    # Fast path: everything fits — no need to cluster or solve anything.
-    grand_total = float(vals.sum())
-    if grand_total <= capacity:
-        return FastSSPResult(
-            selected_array=np.arange(vals.size, dtype=np.int64),
-            total=grand_total,
-            capacity=float(capacity),
-            num_clusters=0,
-            dp_selected_volume=grand_total,
-            greedy_selected_volume=0.0,
-            error_bound=0.0,
-        )
+    vals, settled = _triage(values, capacity, epsilon)
+    if settled is not None:
+        return settled
 
     # Step 1: clustering.  Demands larger than capacity can never be
     # selected; exclude them up front so they do not poison clusters.
@@ -266,4 +322,234 @@ def fast_ssp(
         dp_selected_volume=dp_volume,
         greedy_selected_volume=greedy_volume,
         error_bound=error_bound,
+    )
+
+
+def _cluster_row(row: np.ndarray, threshold: float) -> tuple[list, list]:
+    """Cluster boundaries and sums of one descending row.
+
+    The row is left-scanned with a sequential running total — a short
+    plain-Python accumulation for small clusters, a sliced ``cumsum``
+    (the same IEEE add sequence) over an adaptive lookahead window for
+    large ones; a cluster ends at the first position whose running
+    total crosses the threshold.  Non-negative demands make the running
+    total monotone, so the first crossing is a ``searchsorted``
+    bisection, and a window that never crosses shows in its last element
+    alone.  When a window ends short of the threshold the scan
+    *restarts* from the cluster start with a wider window, so the
+    running total stays the exact sequential accumulation; a tail that
+    never crosses becomes the final, under-threshold cluster (kept, as
+    in the reference).  Descending values mean cluster item counts only
+    grow along the row, so each cluster's size seeds the next window —
+    contended rows at million-endpoint scale reach thousands of
+    clusters, and this keeps the per-cluster cost at one short cumsum
+    over a contiguous view.
+
+    Returns ``(bounds, sums)``: cluster ``r`` is positions
+    ``bounds[r]:bounds[r + 1]`` and ``sums[r]`` its pairwise ``.sum()``
+    over that contiguous slice — the same value sequence as the
+    reference's ``vals[cluster].sum()``.
+    """
+    n = int(row.size)
+    t = threshold
+    vals = row.tolist()
+    b = [0]
+    sums: list[float] = []
+    small = 48
+    pos = 0
+    lookahead = 128
+    while pos < n:
+        # Small-cluster fast path: a plain Python running total over
+        # the next few items.  ``running += v`` is the same IEEE add
+        # sequence as the sliced cumsum (and as the reference scan), so
+        # the crossing decision is bit-identical; a NaN total never
+        # compares >= t and falls through to the windowed scan.
+        boundary = -1
+        running = 0.0
+        stop = min(pos + small, n)
+        for k in range(pos, stop):
+            running += vals[k]
+            if running >= t:
+                boundary = k + 1
+                break
+        if boundary > 0 and boundary - pos < 8:
+            # numpy's pairwise ``.sum()`` reduces sequentially below
+            # its 8-element block size, so the running total at the
+            # crossing IS the cluster's ``.sum()`` value.
+            sums.append(running)
+            lookahead = max(2 * (boundary - pos), 64)
+            b.append(boundary)
+            pos = boundary
+            continue
+        if boundary < 0:
+            if stop == n:
+                boundary = n
+            else:
+                # Restart from the cluster start with a widening cumsum
+                # window: the running total stays the exact sequential
+                # accumulation from the cluster start.
+                w = max(lookahead, 2 * small)
+                while True:
+                    end = min(pos + w, n)
+                    cum = np.cumsum(row[pos:end])
+                    if cum[-1] >= t:
+                        boundary = pos + int(np.searchsorted(cum, t)) + 1
+                        break
+                    if end == n:
+                        boundary = n
+                        break
+                    w *= 4
+        sums.append(float(row[pos:boundary].sum()))
+        lookahead = max(2 * (boundary - pos), 64)
+        b.append(boundary)
+        pos = boundary
+    return b, sums
+
+
+def _greedy_row(row: np.ndarray, remaining: float) -> tuple[list, float]:
+    """Exact first-fit-decreasing scan of one descending row.
+
+    Replays :func:`repro.core.ssp.greedy_ssp`'s op order — take each
+    value that fits, in descending order — but jumps over runs of
+    too-large values with a binary search (skipped items change no
+    state, so the jump is exact).  Returns (chosen positions, total).
+    """
+    vals = row.tolist()
+    neg = (-row).tolist()  # ascending, for bisect (float64 negation is exact)
+    n = len(vals)
+    total = 0.0
+    chosen: list[int] = []
+    j = 0
+    while j < n:
+        v = vals[j]
+        if v <= remaining:
+            chosen.append(j)
+            total += v
+            remaining -= v
+            j += 1
+        else:
+            # Descending row: the next value that can fit is the first
+            # one <= remaining; everything before it is skipped exactly
+            # as the reference scan would.
+            j = bisect_left(neg, -remaining, lo=j + 1)
+    return chosen, total
+
+
+def _min_unselected(
+    svals: np.ndarray, selected: np.ndarray, over_min: float
+) -> float:
+    """``min`` over every unselected demand (``inf`` when there is none).
+
+    The row is descending, so its unselected minimum is its last
+    unselected element; ``np.minimum`` folds in the oversized minimum
+    and propagates its ``NaN`` the way the reference's ``np.min`` does.
+    """
+    rest = np.flatnonzero(~selected)
+    low = svals[rest[-1]] if rest.size else np.inf
+    return float(np.minimum(low, over_min))
+
+
+def fast_ssp_sorted(
+    values: np.ndarray,
+    capacity: float,
+    epsilon: float = 0.1,
+    order: np.ndarray | None = None,
+    phase_out: dict[str, float] | None = None,
+) -> FastSSPResult:
+    """:func:`fast_ssp` over the instance's descending-sorted row.
+
+    Args:
+        values / capacity / epsilon: As for :func:`fast_ssp`.
+        order: Optional sort hint — a permutation of
+            ``arange(len(values))`` ordering the demands by ``(-value,
+            index)`` (descending, stable; must not be given when the
+            demands hold ``NaN``).  With it the sort step is a capacity
+            bisection.  The result is bit-identical with or without.
+        phase_out: Optional dict accumulating the seconds a contended
+            instance spends in each phase (keys :data:`SSP_PHASE_KEYS`).
+
+    Returns:
+        A :class:`FastSSPResult` equal to ``fast_ssp``'s in every field.
+    """
+    vals, settled = _triage(values, capacity, epsilon)
+    if settled is not None:
+        return settled
+    cap = float(capacity)
+
+    # Sort: eligible demands (<= capacity) descending, ties in index
+    # order, exactly like the reference's argsort.  The rest — oversized
+    # and NaN — can never be selected; only their minimum is needed.
+    # A hinted row is already descending, so its eligible demands are
+    # the positions from the first value <= capacity on.
+    t0 = monotonic()
+    if order is None:
+        ok = vals <= cap
+        eligible = np.flatnonzero(ok)
+        index = eligible[np.argsort(-vals[eligible], kind="stable")]
+        svals = vals[index]
+        over = vals[~ok]
+    else:
+        row = vals[order]
+        k = int(np.searchsorted(-row, -cap, side="left"))
+        index, svals, over = order[k:], row[k:], row[:k]
+    over_min = float(over.min()) if over.size else np.inf
+
+    # Step 1: clustering — contiguous ranges of the row.
+    t1 = monotonic()
+    threshold = epsilon * cap / 3.0
+    bounds, sums = _cluster_row(svals, threshold)
+
+    # Steps 2-3: normalization and the quantized DP, guarded against the
+    # subnormal-capacity underflow exactly like the reference.
+    t2 = monotonic()
+    delta = epsilon * threshold / 3.0
+    clusters: tuple[int, ...] = ()
+    if delta > 0 and np.isfinite(cap / delta):
+        normalized = np.ceil(
+            np.asarray(sums, dtype=np.float64) / delta
+        ).astype(np.int64)
+        clusters = dp_ssp(normalized, int(np.floor(cap / delta))).selected
+    selected = np.zeros(svals.size, dtype=bool)
+    for r in clusters:
+        selected[bounds[r] : bounds[r + 1]] = True
+    # Gathered copy then ``.sum()`` — the reference's
+    # ``vals[dp_indices].sum()`` value sequence.
+    dp_volume = float(svals[selected].sum()) if clusters else 0.0
+
+    # Step 4: greedy over the residuals, behind the reference's gate.
+    # Oversized demands exceed the residual capacity too, so scanning
+    # only the row's residuals is exact.
+    t3 = monotonic()
+    residual_capacity = cap - dp_volume
+    greedy_volume = 0.0
+    if residual_capacity > 0.0 or (
+        residual_capacity == 0.0
+        and _min_unselected(svals, selected, over_min) <= 0.0
+    ):
+        residual = np.flatnonzero(~selected)
+        chosen, greedy_volume = _greedy_row(
+            svals[residual], residual_capacity
+        )
+        selected[residual[chosen]] = True
+
+    # Error bound, and sorted positions back to ascending indices.
+    t4 = monotonic()
+    lowest = _min_unselected(svals, selected, over_min)
+    picked = index[selected]
+    picked.sort()
+    t5 = monotonic()
+    if phase_out is not None:
+        ticks = (t0, t1, t2, t3, t4, t5)
+        for key, begin, end in zip(SSP_PHASE_KEYS, ticks, ticks[1:]):
+            phase_out[key] = phase_out.get(key, 0.0) + (end - begin)
+    return FastSSPResult(
+        selected_array=picked.astype(np.int64, copy=False),
+        total=dp_volume + greedy_volume,
+        capacity=cap,
+        num_clusters=len(sums),
+        dp_selected_volume=dp_volume,
+        greedy_selected_volume=greedy_volume,
+        error_bound=(
+            lowest / cap if over.size or not selected.all() else 0.0
+        ),
     )

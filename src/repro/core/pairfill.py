@@ -1,9 +1,15 @@
 """The per-site-pair MaxEndpointFlow fill, shared by every dispatch path.
 
-:func:`fill_pair` is one contended site pair's second-stage solve — walk
-the tunnels in fill order, pack endpoint flows into each tunnel's
-allocation via FastSSP, then reconcile leftovers.  :func:`fill_pairs`
-is the optimizer's stage-2 seam: the fill callable
+:func:`fill_pair` is one contended site pair's second-stage solve, and
+the only fill loop there is — walk the tunnels in fill order, pack
+endpoint flows into each tunnel's allocation via FastSSP, then reconcile
+leftovers.  The paper's second stage is per site pair by construction
+(§4.2: "the MaxEndpointFlow problem with different site pairs can be
+solved in parallel"), so nothing here batches across pairs: measured
+contended steps hold 1-4 pairs, and every phase of the FastSSP kernel is
+per instance anyway.
+
+:func:`fill_pairs` is the optimizer's stage-2 seam: the fill callable
 :meth:`MegaTEOptimizer._fill <repro.core.twostage.MegaTEOptimizer>`
 calls in-process, and the function the shared-memory shard workers
 (:mod:`repro.core.sharded`) run in *other processes* — both execute
@@ -12,17 +18,45 @@ rests on that.  It composes the cold fill with the carried
 cross-interval warm start (:func:`repro.core.incremental.warm_fill_pair`)
 behind one call, so the worker-side incremental fast path cannot drift
 from the in-process one.
+
+FastSSP comes in two bit-identical implementations
+(:mod:`repro.core.fastssp`), named by ``ssp_backend``: ``"numpy"``, the
+sorted-row kernel production runs, and ``"scalar"``, the reference the
+tests and ``benchmarks/`` compare it against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fastssp import fast_ssp
+from ..obs import get_registry, get_tracer
+from .fastssp import fast_ssp, fast_ssp_sorted
 from .incremental import reconcile_leftovers, warm_fill_pair
 from .types import UNASSIGNED
 
-__all__ = ["fill_pair", "fill_pairs"]
+__all__ = [
+    "SSP_BACKEND_NAMES",
+    "fill_pair",
+    "fill_pairs",
+    "resolve_ssp_backend_name",
+]
+
+#: Valid FastSSP implementation names: the reference and the kernel.
+SSP_BACKEND_NAMES = ("scalar", "numpy")
+
+
+def resolve_ssp_backend_name(requested: str | None = None) -> str:
+    """Normalize a FastSSP implementation name; ``None`` is the kernel.
+
+    Unknown names raise ``ValueError``.
+    """
+    name = (requested or "numpy").strip().lower()
+    if name not in SSP_BACKEND_NAMES:
+        raise ValueError(
+            f"unknown SSP backend {name!r}; "
+            f"expected one of {SSP_BACKEND_NAMES}"
+        )
+    return name
 
 
 def fill_pair(
@@ -30,6 +64,8 @@ def fill_pair(
     alloc_k: np.ndarray,
     fill_order: np.ndarray,
     epsilon: float,
+    ssp_backend: str | None = None,
+    phase_out: dict[str, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """MaxEndpointFlow for one site pair and class.
 
@@ -39,11 +75,17 @@ def fill_pair(
     dependency) and each subsequent tunnel chooses among the still
     unassigned flows.
 
+    ``ssp_backend="scalar"`` solves every tunnel with the reference
+    :func:`~repro.core.fastssp.fast_ssp`, anything else with the kernel
+    (same bits), whose per-phase seconds accumulate into ``phase_out``
+    (keys :data:`~repro.core.fastssp.SSP_PHASE_KEYS`).
+
     Returns:
         ``(assigned, placed_per_tunnel)``: int32 tunnel index per flow
         (:data:`UNASSIGNED` = rejected) and float64 volume placed per
         tunnel of the pair.
     """
+    backend = resolve_ssp_backend_name(ssp_backend)
     assigned = np.full(volumes.size, UNASSIGNED, dtype=np.int32)
     placed = np.zeros(alloc_k.size, dtype=np.float64)
     if volumes.size == 0 or alloc_k.size == 0:
@@ -51,25 +93,63 @@ def fill_pair(
     # Shrinking free-index array: each tunnel removes what it selected
     # instead of rescanning every flow's assignment per tunnel.
     free = np.arange(volumes.size, dtype=np.int64)
+    # The free demands' descending order is capacity-independent and
+    # only loses members as tunnels assign them, so the pair is sorted
+    # once — on its first contended tunnel, judged by the same pairwise
+    # total the kernel's own triage compares — and the order is carried
+    # as the kernel's hint from then on: positions into ``free``, in
+    # ``(-volume, index)`` order, remapped through each tunnel's removal
+    # mask.  A pair holding NaN never promotes (a NaN total compares
+    # false, and the hint's bisection needs comparable values).
+    hint: np.ndarray | None = None
+    steps = contended = 0
     for t_index in fill_order:
-        capacity = alloc_k[t_index]
+        capacity = float(alloc_k[t_index])
         if capacity <= 0:
             continue
         if free.size == 0:
             break
-        result = fast_ssp(volumes[free], capacity, epsilon=epsilon)
+        seg = volumes[free]
+        if backend == "scalar":
+            result = fast_ssp(seg, capacity, epsilon=epsilon)
+        else:
+            if hint is None and seg.sum() > capacity:
+                hint = np.argsort(-seg, kind="stable")
+            result = fast_ssp_sorted(
+                seg, capacity, epsilon, order=hint, phase_out=phase_out
+            )
         sel = result.selected_array
+        steps += 1
+        # Only a contended instance clusters or leaves a demand out.
+        contended += result.num_clusters > 0 or sel.size < seg.size
         assigned[free[sel]] = t_index
         placed[t_index] = result.total
         if sel.size:
             keep = np.ones(free.size, dtype=bool)
             keep[sel] = False
             free = free[keep]
+            if hint is not None:
+                # Surviving hint entries keep their relative
+                # (descending) order; removals shift positions down by
+                # the number removed before them.
+                hint = (np.cumsum(keep) - 1)[hint[keep[hint]]]
     # Reconciliation pass: FastSSP may leave slack on several tunnels
     # that no single remaining flow fit at the time; retry the largest
     # leftover flows against each tunnel's remaining allocation.
     leftovers = alloc_k - placed
     reconcile_leftovers(volumes, assigned, placed, leftovers, fill_order)
+
+    registry = get_registry()
+    if registry.enabled:
+        instances = registry.counter(
+            "megate_ssp_batch_instances_total",
+            "FastSSP instances solved by the cold fill, by triage",
+            labelnames=("backend", "kind"),
+        )
+        instances.labels(backend=backend, kind="contended").inc(contended)
+        instances.labels(backend=backend, kind="fast_path").inc(
+            steps - contended
+        )
     return assigned, placed
 
 
@@ -82,14 +162,13 @@ def fill_pairs(
     ssp_backend: str | None = None,
     phase_out: dict[str, float] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, bool]]:
-    """Fill many site pairs: warm starts per pair, cold fills batched.
+    """Fill many site pairs: a warm start where it holds, else cold.
 
     Every pair whose carried assignment passes the warm gate
-    (:func:`~repro.core.incremental.warm_fill_pair`) reuses it, and
-    the remaining cold pairs run through the array-batched FastSSP
-    kernel (:func:`repro.core.fastssp_batch.fill_pairs_batch`) as one
-    padded array program per fill-order step.  Used by the in-process
-    dispatch and the shard workers so neither can drift from the other.
+    (:func:`~repro.core.incremental.warm_fill_pair`) reuses it; the
+    remaining cold pairs run :func:`fill_pair` one by one.  Used by the
+    in-process dispatch and the shard workers so neither can drift from
+    the other.
 
     Args:
         pair_volumes / pair_allocs / pair_orders: Per-pair ``fill_pair``
@@ -97,16 +176,15 @@ def fill_pairs(
         epsilon: FastSSP precision knob.
         prev_assigned: Optional carried assignment per pair (``None``
             entries, or ``None`` overall, force a cold solve).
-        ssp_backend: Batched-kernel backend name (``"scalar"`` routes
-            cold pairs through the per-pair reference path).
-        phase_out: Optional dict accumulating batched-kernel per-phase
+        ssp_backend: FastSSP implementation of the cold fills (see
+            :func:`fill_pair`).
+        phase_out: Optional dict accumulating the kernel's per-phase
             seconds.
 
     Returns:
         One ``(assigned, placed_per_tunnel, warm)`` tuple per pair.
     """
-    from .fastssp_batch import fill_pairs_batch, resolve_ssp_backend_name
-
+    backend = resolve_ssp_backend_name(ssp_backend)
     num = len(pair_volumes)
     out: list[tuple[np.ndarray, np.ndarray, bool] | None] = [None] * num
     cold: list[int] = []
@@ -124,25 +202,38 @@ def fill_pairs(
                 out[p] = (warm[0], warm[1], True)
                 continue
         cold.append(p)
-    if cold:
-        if resolve_ssp_backend_name(ssp_backend) == "scalar":
-            for p in cold:
-                assigned, placed = fill_pair(
-                    pair_volumes[p],
-                    pair_allocs[p],
-                    pair_orders[p],
-                    epsilon,
-                )
-                out[p] = (assigned, placed, False)
-        else:
-            filled = fill_pairs_batch(
-                [pair_volumes[p] for p in cold],
-                [pair_allocs[p] for p in cold],
-                [pair_orders[p] for p in cold],
-                epsilon=epsilon,
-                backend=ssp_backend,
-                phase_out=phase_out,
+    if not cold:
+        return out  # type: ignore[return-value]
+
+    phase: dict[str, float] = {}
+    with get_tracer().span(
+        "te.phase.ssp_batch", backend=backend, pairs=len(cold)
+    ):
+        for p in cold:
+            assigned, placed = fill_pair(
+                pair_volumes[p],
+                pair_allocs[p],
+                pair_orders[p],
+                epsilon,
+                ssp_backend=backend,
+                phase_out=phase,
             )
-            for j, p in enumerate(cold):
-                out[p] = (filled[j][0], filled[j][1], False)
+            out[p] = (assigned, placed, False)
+    if phase_out is not None:
+        for name, seconds in phase.items():
+            phase_out[name] = phase_out.get(name, 0.0) + seconds
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter(
+            "megate_ssp_batch_pairs_total",
+            "Site pairs filled cold through FastSSP",
+            labelnames=("backend",),
+        ).labels(backend=backend).inc(len(cold))
+        hist = registry.histogram(
+            "megate_ssp_batch_phase_seconds",
+            "FastSSP kernel phase durations per fill",
+            labelnames=("backend", "phase"),
+        )
+        for name, seconds in phase.items():
+            hist.labels(backend=backend, phase=name).observe(seconds)
     return out  # type: ignore[return-value]

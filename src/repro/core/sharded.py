@@ -377,8 +377,8 @@ def _worker_solve_range(
     """Solve one contiguous range of contended site pairs in-place.
 
     Reads the class segment of every pair straight from the shared CSR
-    columns, runs the shared batch fill (warm reuse per pair, cold pairs
-    through the array-batched FastSSP kernel unless ``ssp_backend`` is
+    columns, runs the shared fill (warm reuse per pair, cold pairs one
+    by one through the FastSSP kernel unless ``ssp_backend`` is
     ``"scalar"``), and writes the results back into the shared
     ``assigned`` (per flow) and ``placed`` (per tunnel) columns — both
     writes land in segments owned exclusively by this shard's pairs, so

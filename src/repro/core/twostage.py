@@ -25,9 +25,11 @@ so the phases account for the solve by construction:
    pairs, through the one stage-2 seam: a callable shaped like
    :func:`repro.core.pairfill.fill_pairs` (pair volumes, allocations,
    fill orders, carried assignments → ``(assigned, placed, warm)`` per
-   pair).  In-process that callable *is* ``fill_pairs``; with
-   ``shard_workers`` it is :class:`repro.core.sharded.ShardedFill`'s.
-   A flow lands on exactly one tunnel or is rejected.
+   pair).  In-process that callable *is* ``fill_pairs`` — one
+   :func:`~repro.core.pairfill.fill_pair` per pair, each tunnel one
+   FastSSP instance; with ``shard_workers`` it is
+   :class:`repro.core.sharded.ShardedFill`'s.  A flow lands on exactly
+   one tunnel or is rejected.
 5. **scatter** (``scatter``) — write both kinds of pair into the flat
    assignment / allocation vectors and carry the incremental state.
 6. **residual** (``residual_update``) — subtract the class's placed
@@ -35,8 +37,9 @@ so the phases account for the solve by construction:
    incidence in one ``np.subtract.at`` call — entry order matches the
    per-tunnel bookkeeping it replaces, so the update is bit-identical.
 
-Every path (``"batched"`` with either SSP backend, the reference
-``"serial"``, sharded, incremental at ``delta_threshold=0.0``) produces
+Every path (``"batched"`` with the FastSSP kernel or — under
+``ssp_backend="scalar"`` — its reference, the reference ``"serial"``
+stage, sharded, incremental at ``delta_threshold=0.0``) produces
 the identical assignment (digest-pinned and property-tested).
 """
 
@@ -50,7 +53,6 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from ..obs import get_registry, get_tracer, monotonic
-from .fastssp_batch import resolve_ssp_backend_name
 from .formulation import MaxAllFlowProblem
 from .incremental import (
     ClassLPState,
@@ -59,6 +61,7 @@ from .incremental import (
     patch_class_allocation,
 )
 from .lp_backend import resolve_backend_name
+from .pairfill import resolve_ssp_backend_name
 from .qos import PRIORITY_ORDER, QoSClass
 from .sharded import ShardedConfig, ShardedFill
 from .siteflow import LinkPrices, SiteFlowSolver
@@ -260,27 +263,17 @@ class MegaTEOptimizer:
             on every setting.  Sharding allocates a shared-memory arena
             and a worker pool — call :meth:`close` (or use the
             optimizer as a context manager) to release them.
-        ssp_backend: FastSSP kernel for the contended second stage
-            (:mod:`repro.core.fastssp_batch`): ``"numpy"`` (the default)
-            batches every cold contended pair of a fill-order step into
-            one padded array program and ``"scalar"`` keeps the per-pair
-            reference path.  ``None`` consults ``REPRO_SSP_BACKEND``.
+        ssp_backend: FastSSP implementation of the contended second
+            stage (:mod:`repro.core.fastssp`): ``"numpy"`` (the default,
+            also ``None``) is the sorted-row kernel and ``"scalar"`` the
+            reference the tests and benchmarks compare it against.
             Both are bit-identical (property-tested); only the batched
-            second stage dispatches to the kernel —
-            ``second_stage="serial"`` always runs the scalar reference.
+            second stage runs the kernel — ``second_stage="serial"``
+            always runs the reference.
 
     Explicitly passed ``lp_backend`` / ``ssp_backend`` / ``shard_workers``
     values are validated at construction (``ValueError``).
     """
-
-    scheme_name = "MegaTE"
-
-    #: Default per-class tunnel preference (see class docstring).
-    DEFAULT_CLASS_ATTRIBUTE: dict[QoSClass, str] = {
-        QoSClass.CLASS1: "weight",
-        QoSClass.CLASS2: "weight",
-        QoSClass.CLASS3: "cost_per_gbps",
-    }
 
     scheme_name = "MegaTE"
 
@@ -313,12 +306,10 @@ class MegaTEOptimizer:
                 "second_stage must be 'batched' or 'serial'"
             )
         # Explicit selections fail here, at process start, not inside
-        # the first TE interval; ``None`` defers to the REPRO_* env at
-        # solve time.
+        # the first TE interval; a ``None`` ``lp_backend`` or
+        # ``shard_workers`` defers to its REPRO_* env at solve time.
         if lp_backend is not None:
             resolve_backend_name(lp_backend)
-        if ssp_backend is not None:
-            resolve_ssp_backend_name(ssp_backend)
         if shard_workers is not None:
             ShardedConfig.resolve(shard_workers)
         self.fastssp_epsilon = fastssp_epsilon
@@ -342,7 +333,7 @@ class MegaTEOptimizer:
             self.incremental = None
         self.lp_backend = lp_backend
         self.shard_workers = shard_workers
-        self.ssp_backend = ssp_backend
+        self.ssp_backend = resolve_ssp_backend_name(ssp_backend)
         self._state: IncrementalState | None = None
         #: Stage-1 link prices carried to the next solve: per topology's
         #: solver (weakly — a dead topology's prices go with it), per
@@ -514,10 +505,9 @@ class MegaTEOptimizer:
                     inc.refresh_every > 0
                     and state.interval_index % inc.refresh_every == 0
                 )
-            # Only the batched stage shards, runs the array kernel or
+            # Only the batched stage shards, runs the FastSSP kernel or
             # warm-starts; the serial reference always fills scalar,
-            # cold, in-process.  The selections are resolved per solve
-            # so the env is consulted like the LP backend's.
+            # cold, in-process.
             batched = self.second_stage == "batched"
             table = demands.table
             return _Interval(
@@ -530,11 +520,7 @@ class MegaTEOptimizer:
                     np.zeros(solver.num_tunnel_vars, dtype=np.float64),
                     solver.tunnel_offsets,
                 ),
-                ssp_backend=(
-                    resolve_ssp_backend_name(self.ssp_backend)
-                    if batched
-                    else "scalar"
-                ),
+                ssp_backend=self.ssp_backend if batched else "scalar",
                 shard_workers=self._sharded.begin_interval(
                     self.shard_workers if batched else 0, solver, table
                 ),

@@ -40,10 +40,12 @@ trajectories separate from perf ones).
 from __future__ import annotations
 
 import json
+import subprocess
 from pathlib import Path
 
 __all__ = [
     "BenchHistoryError",
+    "git_sha",
     "validate_history_record",
     "config_name_of",
     "record_kind_of",
@@ -53,6 +55,25 @@ __all__ = [
     "SLO_KEYS",
     "STREAM_REQUIRED_KEYS",
 ]
+
+def git_sha(cwd: str | Path | None = None) -> str:
+    """Short commit id stamped on history records, or ``"unknown"``.
+
+    ``cwd`` is a directory inside the work tree (default: the process's).
+    """
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "--short=12", "HEAD"],
+            capture_output=True,
+            text=True,
+            cwd=cwd,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    sha = proc.stdout.strip()
+    return sha if proc.returncode == 0 and sha else "unknown"
+
 
 #: Keys every history record must carry.
 REQUIRED_KEYS = (
@@ -145,9 +166,9 @@ def ssp_backend_of(record: dict) -> str:
 
     New perf records carry an explicit top-level ``ssp_backend`` (kept
     out of ``config`` so same-name records stay byte-comparable across
-    the backend migration); records written before the batched kernel
-    existed ran the per-pair scalar path.  Baseline selection filters on
-    this so scalar and batched timings never mix in one trajectory
+    the backend migration); records written before the kernel existed
+    ran the scalar reference.  Baseline selection filters on this so
+    reference and kernel timings never mix in one trajectory
     comparison.
     """
     backend = record.get("ssp_backend") if isinstance(record, dict) else None

@@ -109,12 +109,6 @@ class ChaosSimResult:
     violations: list[str] = field(default_factory=list)
 
 
-# The resumable publisher grew out of this study and now lives in
-# controlplane (the soak engine drives the same machinery); the alias
-# keeps this module's historical name working.
-_Publisher = ResumablePublisher
-
-
 def simulate(
     intensity: float,
     seed: int = 0,
@@ -175,7 +169,7 @@ def simulate(
         for e in range(num_agents)
     ]
     monitor = ShardHealthMonitor(down_after=2, up_after=1)
-    publisher = _Publisher(database, num_agents)
+    publisher = ResumablePublisher(database, num_agents)
 
     violations: list[str] = []
     prev_versions = [0] * num_agents

@@ -81,12 +81,12 @@ class IntervalReplayReport:
         shard_timings: Per-shard-task timing dicts (``shard``, ``pid``,
             ``pairs``, ``seconds``, ``phase_s``) from the workers'
             merged telemetry, in dispatch order.
-        ssp_backend: FastSSP kernel of the second stage (``"scalar"``
-            for the per-pair reference path, ``"numpy"`` for the
-            array-batched kernel); constant across a replay.
-        ssp_batch_phase_s: Summed batched-kernel phase breakdown (keys
-            of :data:`repro.core.fastssp_batch.SSP_PHASE_KEYS`); empty
-            when the scalar path ran.
+        ssp_backend: FastSSP implementation of the second stage
+            (``"numpy"`` for the kernel, ``"scalar"`` for its
+            reference); constant across a replay.
+        ssp_batch_phase_s: Summed kernel phase breakdown (keys of
+            :data:`repro.core.fastssp.SSP_PHASE_KEYS`); empty when the
+            reference ran.
     """
 
     topology: str
@@ -237,17 +237,15 @@ def run_interval_replay(
     num_intervals: int = 10,
     optimizer: MegaTEOptimizer | None = None,
     shard_workers: int | str | None = None,
-    ssp_backend: str | None = None,
 ) -> IntervalReplayReport:
     """Build the standard replay scenario and run it.
 
     Defaults reproduce the benchmark configuration: the 100-site TWAN
     topology with the default synthetic trace, diurnally modulated over
-    ten intervals.  ``shard_workers`` and ``ssp_backend`` (both ignored
-    when an ``optimizer`` is supplied) run the replay through the
-    process-parallel sharded second stage and/or a specific FastSSP
-    kernel backend; every combination produces assignments bit-identical
-    to the default path.
+    ten intervals.  ``shard_workers`` (ignored when an ``optimizer`` is
+    supplied) runs the replay through the process-parallel sharded
+    second stage, whose assignments are bit-identical to the default
+    path's.
     """
     scenario = build_scenario(
         topology_name,
@@ -257,12 +255,8 @@ def run_interval_replay(
         seed=seed,
     )
     sequence = DiurnalSequence(base=scenario.demands, seed=sequence_seed)
-    if optimizer is None and (
-        shard_workers is not None or ssp_backend is not None
-    ):
-        with MegaTEOptimizer(
-            shard_workers=shard_workers, ssp_backend=ssp_backend
-        ) as opt:
+    if optimizer is None and shard_workers is not None:
+        with MegaTEOptimizer(shard_workers=shard_workers) as opt:
             return replay_intervals(
                 scenario.topology,
                 sequence,
@@ -289,7 +283,6 @@ def run_sharded_replay(
     num_intervals: int = 10,
     shard_workers: int | str = 2,
     lp_backend: str | None = None,
-    ssp_backend: str | None = None,
 ) -> dict:
     """Replay the same interval sequence in-process and sharded.
 
@@ -316,15 +309,10 @@ def run_sharded_replay(
         num_intervals=num_intervals,
     )
     serial = run_interval_replay(
-        optimizer=MegaTEOptimizer(
-            lp_backend=lp_backend, ssp_backend=ssp_backend
-        ),
-        **config,
+        optimizer=MegaTEOptimizer(lp_backend=lp_backend), **config
     )
     with MegaTEOptimizer(
-        lp_backend=lp_backend,
-        shard_workers=shard_workers,
-        ssp_backend=ssp_backend,
+        lp_backend=lp_backend, shard_workers=shard_workers
     ) as optimizer:
         sharded = run_interval_replay(optimizer=optimizer, **config)
     serial_solver = serial.stage1_lp_s + serial.stage2_ssp_s
@@ -354,7 +342,6 @@ def run_cold_vs_incremental(
     num_intervals: int = 10,
     delta_threshold: float = 1.5,
     lp_backend: str | None = None,
-    ssp_backend: str | None = None,
 ) -> dict:
     """Replay the same interval sequence cold and incrementally.
 
@@ -381,17 +368,13 @@ def run_cold_vs_incremental(
         num_intervals=num_intervals,
     )
     cold = run_interval_replay(
-        optimizer=MegaTEOptimizer(
-            lp_backend=lp_backend, ssp_backend=ssp_backend
-        ),
-        **config,
+        optimizer=MegaTEOptimizer(lp_backend=lp_backend), **config
     )
     incremental = run_interval_replay(
         optimizer=MegaTEOptimizer(
             incremental=True,
             delta_threshold=delta_threshold,
             lp_backend=lp_backend,
-            ssp_backend=ssp_backend,
         ),
         **config,
     )

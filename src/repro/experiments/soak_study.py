@@ -152,7 +152,7 @@ def soak_history_record(
     git_sha: str,
 ) -> dict:
     """A validated ``soak`` history record for one finished run."""
-    from ..core.fastssp_batch import resolve_ssp_backend_name
+    from ..core.pairfill import resolve_ssp_backend_name
 
     record = {
         "timestamp": timestamp,
@@ -160,8 +160,7 @@ def soak_history_record(
         "kind": "soak",
         # The SLO gate baselines only against records from the same
         # FastSSP kernel (tools/check_slo_regression.py); the soak
-        # engine runs the optimizer defaults, so the env-resolved
-        # backend is exactly what this run used.
+        # engine runs the optimizer default.
         "ssp_backend": resolve_ssp_backend_name(),
         "config_name": soak_config_name(cfg),
         "config": {k: v for k, v in cfg.items() if k != "scenario"},

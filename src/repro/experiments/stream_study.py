@@ -233,7 +233,7 @@ def stream_history_record(
     git_sha: str,
 ) -> dict:
     """A validated ``stream`` history record for one finished study."""
-    from ..core.fastssp_batch import resolve_ssp_backend_name
+    from ..core.pairfill import resolve_ssp_backend_name
 
     cfg = study["config"]
     config = {k: v for k, v in cfg.items() if k != "scenario"}

@@ -125,6 +125,15 @@ def dump_topology(topology: TwoLayerTopology, path: str) -> None:
 
 
 def load_topology(path: str) -> TwoLayerTopology:
-    """Read a topology from a JSON file."""
+    """Read a topology from a JSON file.
+
+    Raises:
+        OSError: when the file cannot be read.
+        ValueError: when it is not JSON, or not a topology document.
+    """
     with open(path, encoding="utf-8") as handle:
-        return topology_from_dict(json.load(handle))
+        data = json.load(handle)
+    try:
+        return topology_from_dict(data)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed topology document: {exc!r}") from exc

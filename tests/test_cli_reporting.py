@@ -204,6 +204,44 @@ class TestSolveCommand:
         ) == 0
         assert "TEAL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "option, content",
+        [
+            ("--topology", None),  # missing file
+            ("--topology", "dir"),  # a directory instead of a file
+            ("--topology", "{not json"),
+            ("--topology", "[]"),  # JSON, but not a topology document
+            ("--demands", None),
+            ("--demands", "site_pair,src,dst\n"),  # wrong header
+            (
+                "--demands",
+                "site_pair_index,src_endpoint,dst_endpoint,"
+                "volume_gbps,qos\n0,1,2\n",  # short row
+            ),
+        ],
+    )
+    def test_bad_input_file_is_a_usage_error(
+        self, artifacts, tmp_path, capsys, option, content
+    ):
+        """Status 2 and one ``repro solve:`` line, never a traceback."""
+        tpath, _ = artifacts
+        bad = tmp_path / "bad"
+        if content == "dir":
+            bad.mkdir()
+        elif content is not None:
+            bad.write_text(content, encoding="utf-8")
+        if option == "--topology":
+            argv = ["solve", "--topology", str(bad)]
+        else:
+            argv = ["solve", "--topology", tpath, "--demands", str(bad)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro solve: {option} {bad}: ")
+        assert captured.out == ""
+
 
 class TestObservabilityCLI:
     """The ``metrics``/``trace`` subcommands and the shared output flags."""
