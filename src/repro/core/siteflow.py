@@ -46,6 +46,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from ..obs import get_registry, get_tracer
+from .flowtable import csr_offsets
 from .lp_backend import (
     BackendUnavailable,
     LPSolveError,
@@ -707,6 +708,52 @@ def solve_max_site_flow(
     )
 
 
+def _concurrent_flow_rows(
+    problem: MaxAllFlowProblem,
+    site_demands: np.ndarray,
+    caps: np.ndarray,
+    active: np.ndarray,
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """``A_ub``, ``b_ub`` of the maximum concurrent flow LP.
+
+    Columns are ``[F_{k,t} ..., alpha]``.  One row per demand-carrying
+    pair ``k`` (``active``): ``alpha * D_k - sum_t F_{k,t} <= 0``; then
+    one row per link: the flow over it stays within ``max(caps, 0)``.
+    """
+    num_vars = problem.num_tunnel_vars
+    offsets = problem.tunnel_offsets
+    counts = offsets[active + 1] - offsets[active]
+    rows = np.arange(active.size)
+    # Entry i of the -1 block sits in its pair's row, at the pair's first
+    # tunnel column plus i's rank within the pair.
+    entry_offsets = csr_offsets(counts)
+    tunnel_cols = np.arange(entry_offsets[-1]) + np.repeat(
+        offsets[active] - entry_offsets[:-1], counts
+    )
+    demand_matrix = sparse.coo_matrix(
+        (
+            np.concatenate(
+                [np.full(tunnel_cols.size, -1.0), site_demands[active]]
+            ),
+            (
+                np.concatenate([np.repeat(rows, counts), rows]),
+                np.concatenate(
+                    [tunnel_cols, np.full(active.size, num_vars)]
+                ),
+            ),
+        ),
+        shape=(active.size, num_vars + 1),
+    )
+    link_rows, link_cols = problem.tunnel_link_incidence()
+    capacity_matrix = sparse.coo_matrix(
+        (np.ones(link_rows.size), (link_rows, link_cols)),
+        shape=(caps.size, num_vars + 1),
+    )
+    a_ub = sparse.vstack([demand_matrix, capacity_matrix], format="csr")
+    b_ub = np.concatenate([np.zeros(active.size), np.maximum(caps, 0.0)])
+    return a_ub, b_ub
+
+
 def max_concurrent_scale(
     problem: MaxAllFlowProblem,
     site_demands: np.ndarray,
@@ -732,7 +779,6 @@ def max_concurrent_scale(
         raise ValueError("site demands must be non-negative")
     caps = problem.capacities if capacities is None else capacities
     num_vars = problem.num_tunnel_vars
-    offsets = problem.tunnel_offsets
     active = np.flatnonzero(site_demands > 0)
     if num_vars == 0 or active.size == 0:
         return float("inf")
@@ -741,31 +787,7 @@ def max_concurrent_scale(
     cost = np.zeros(num_vars + 1)
     cost[-1] = -1.0
 
-    # alpha * D_k - sum_t F_{k,t} <= 0 for demand-carrying pairs.
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for row, k in enumerate(active):
-        for col in range(offsets[k], offsets[k + 1]):
-            rows.append(row)
-            cols.append(int(col))
-            vals.append(-1.0)
-        rows.append(row)
-        cols.append(num_vars)
-        vals.append(float(site_demands[k]))
-    demand_matrix = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(active.size, num_vars + 1)
-    )
-
-    link_rows, link_cols = problem.tunnel_link_incidence()
-    capacity_matrix = sparse.coo_matrix(
-        (np.ones(link_rows.size), (link_rows, link_cols)),
-        shape=(caps.size, num_vars + 1),
-    )
-    a_ub = sparse.vstack([demand_matrix, capacity_matrix], format="csr")
-    b_ub = np.concatenate(
-        [np.zeros(active.size), np.maximum(caps, 0.0)]
-    )
+    a_ub, b_ub = _concurrent_flow_rows(problem, site_demands, caps, active)
     outcome = linprog(
         cost,
         A_ub=a_ub,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..topology.endpoints import WeibullEndpointModel
 
@@ -57,6 +56,8 @@ def run(
         true_scale: Ground-truth Weibull scale (endpoints per site).
         seed: RNG seed.
     """
+    from scipy import stats  # loaded on use: see WeibullEndpointModel.cdf
+
     rng = np.random.default_rng(seed)
     model = WeibullEndpointModel(shape=true_shape, scale=true_scale)
     counts = model.sample_counts(num_sites, rng)

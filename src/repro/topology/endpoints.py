@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .graph import SiteNetwork
 
@@ -55,6 +54,10 @@ class WeibullEndpointModel:
 
     def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
         """CDF of the endpoint-count distribution."""
+        # scipy.stats costs ~0.35 s to import and only the Fig. 8 study
+        # needs it, so it loads on first use, not with the package.
+        from scipy import stats
+
         return stats.weibull_min.cdf(x, self.shape, loc=0.0, scale=self.scale)
 
     def with_scale(self, scale: float) -> "WeibullEndpointModel":
@@ -67,6 +70,8 @@ class WeibullEndpointModel:
         data = np.asarray(counts, dtype=float)
         if data.size == 0 or np.any(data <= 0):
             raise ValueError("counts must be positive and non-empty")
+        from scipy import stats
+
         shape, _, scale = stats.weibull_min.fit(data, floc=0.0)
         return cls(shape=float(shape), scale=float(scale))
 

@@ -10,14 +10,18 @@ ordered by ascending ``w_t`` as Appendix A.2 assumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from ..core.flowtable import csr_offsets
+from ..obs import get_tracer
 from .graph import SiteNetwork
 
 __all__ = [
@@ -295,8 +299,130 @@ def _k_shortest_paths(
         return []
 
 
+class _LatencyRouter:
+    """Shortest ``latency_ms`` paths on one routing graph, searched in C
+    wherever the answer cannot depend on who searches.
+
+    Holds a CSR twin of ``graph``'s ``latency_ms`` attribute.  A query
+    runs ``scipy.sparse.csgraph.dijkstra`` from the source, walks the
+    predecessor chain to a path ``P`` of length ``L = dist[dst]`` and
+    certifies it: any other ``src -> dst`` path last joins ``P`` at some
+    ``v`` over an in-edge ``(u, v)`` not on ``P``, so it is at least
+    ``dist[u] + w(u, v) + (L - dist[v])`` long.  When the smallest such
+    bound clears ``L`` by ``1e-9 * max(1, L)`` — about 10^4 times any
+    float summation error — ``P`` is the unique shortest path and every
+    correct algorithm returns it.  Otherwise (a tie, a near-tie, no
+    finite path) the query goes to ``nx.shortest_path`` on ``graph``, so
+    ties still break by ``networkx``'s adjacency order.
+
+    :meth:`penalise` scales a path's links on the graph and the CSR
+    alike and :meth:`restore` puts the saved values back, so the two stay
+    equal bit for bit.  The tree of a source under unpenalised weights is
+    kept and shared by all its destinations.
+
+    Attributes:
+        trees / certified / deferred: Dijkstra trees computed in C,
+            queries answered from one, queries handed to ``networkx``.
+    """
+
+    def __init__(self, graph: nx.DiGraph) -> None:
+        self.graph = graph
+        self._nodes = list(graph)
+        self._index = {node: i for i, node in enumerate(self._nodes)}
+        # Edge ids follow graph.edges(): grouped by tail, in node order.
+        self._edge = {hop: e for e, hop in enumerate(graph.edges())}
+        self._attrs = [attrs for _, _, attrs in graph.edges(data=True)]
+        tails = [self._index[u] for u, _ in self._edge]
+        heads = [self._index[v] for _, v in self._edge]
+        self._tail = np.array(tails, dtype=np.intp)
+        self._head = np.array(heads, dtype=np.intp)
+        num_nodes = len(self._nodes)
+        self._csr = sparse.csr_matrix(
+            (
+                np.array(
+                    [attrs["latency_ms"] for attrs in self._attrs],
+                    dtype=np.float64,
+                ),
+                self._head,
+                np.searchsorted(self._tail, np.arange(num_nodes + 1)),
+            ),
+            shape=(num_nodes, num_nodes),
+        )
+        self._weights = self._csr.data  # penalised in place
+        # Per edge (u, v): the other edges into v — where a rival path
+        # could leave the tree path's suffix.
+        into: list[list[int]] = [[] for _ in self._nodes]
+        for e, v in enumerate(heads):
+            into[v].append(e)
+        self._rivals = [
+            np.array([r for r in into[v] if r != e], dtype=np.intp)
+            for e, v in enumerate(heads)
+        ]
+        self._saved: dict[int, float] = {}  # edge id -> unpenalised latency
+        self._trees: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self.trees = self.certified = self.deferred = 0
+
+    def _tree(self, source: int) -> tuple[np.ndarray, list[int]]:
+        """``(dist, pred)`` from ``source`` under the current weights."""
+        tree = None if self._saved else self._trees.get(source)
+        if tree is None:
+            dist, pred = csgraph.dijkstra(
+                self._csr, indices=source, return_predecessors=True
+            )
+            tree = dist, pred.tolist()
+            self.trees += 1
+            if not self._saved:
+                self._trees[source] = tree
+        return tree
+
+    def shortest_path(self, src: str, dst: str) -> list[str]:
+        """What ``nx.shortest_path(graph, src, dst, "latency_ms")`` returns.
+
+        Raises:
+            nx.NetworkXNoPath: ``dst`` is unreachable from ``src``.
+        """
+        source, node = self._index[src], self._index[dst]
+        dist, pred = self._tree(source)
+        length = float(dist[node])
+        if node != source and math.isfinite(length):
+            nodes = self._nodes
+            path = [dst]
+            while node != source:
+                node = pred[node]
+                path.append(nodes[node])
+            path.reverse()
+            rivals = np.concatenate(
+                [self._rivals[self._edge[hop]] for hop in zip(path, path[1:])]
+            )
+            bound = (
+                dist[self._tail[rivals]]
+                + self._weights[rivals]
+                + (length - dist[self._head[rivals]])
+            )
+            if bound.min(initial=np.inf) > length + 1e-9 * max(1.0, length):
+                self.certified += 1
+                return path
+        self.deferred += 1
+        return nx.shortest_path(self.graph, src, dst, weight="latency_ms")
+
+    def penalise(self, path: Sequence[str], factor: float) -> None:
+        """Multiply the latency of every link on ``path`` by ``factor``."""
+        for hop in zip(path, path[1:]):
+            e = self._edge[hop]
+            attrs = self._attrs[e]
+            self._saved.setdefault(e, attrs["latency_ms"])
+            attrs["latency_ms"] *= factor
+            self._weights[e] = attrs["latency_ms"]
+
+    def restore(self) -> None:
+        """Undo every :meth:`penalise` since the last restore, exactly."""
+        for e, latency in self._saved.items():
+            self._attrs[e]["latency_ms"] = self._weights[e] = latency
+        self._saved.clear()
+
+
 def _diverse_paths(
-    graph: nx.DiGraph,
+    router: _LatencyRouter,
     src: str,
     dst: str,
     k: int,
@@ -311,11 +437,10 @@ def _diverse_paths(
     near-identical variants of one route (which is what plain k-shortest
     simple paths returns on dense graphs).
 
-    The penalties are applied to ``graph`` itself and undone before
-    returning (a graph copy per site pair was two thirds of the all-pairs
-    catalog build); the caller's graph is unchanged on every exit.
+    The penalties are applied to the router's graph itself and undone
+    before returning (a graph copy per site pair was two thirds of the
+    all-pairs catalog build); its weights are unchanged on every exit.
     """
-    touched: dict[tuple[str, str], float] = {}
     paths: list[list[str]] = []
     seen: set[tuple[str, ...]] = set()
     attempts = 0
@@ -323,22 +448,16 @@ def _diverse_paths(
         while len(paths) < k and attempts < 3 * k:
             attempts += 1
             try:
-                path = nx.shortest_path(
-                    graph, src, dst, weight="latency_ms"
-                )
+                path = router.shortest_path(src, dst)
             except nx.NetworkXNoPath:
                 break
             key = tuple(path)
             if key not in seen:
                 seen.add(key)
                 paths.append(path)
-            for u, v in zip(path, path[1:]):
-                attrs = graph[u][v]
-                touched.setdefault((u, v), attrs["latency_ms"])
-                attrs["latency_ms"] *= penalty
+            router.penalise(path, penalty)
     finally:
-        for (u, v), latency in touched.items():
-            graph[u][v]["latency_ms"] = latency
+        router.restore()
     return paths
 
 
@@ -362,36 +481,52 @@ def build_tunnels(
 
     Returns:
         A :class:`TunnelCatalog` with tunnels sorted by latency weight.
+
+    Raises:
+        ValueError: ``tunnels_per_pair < 1``, a pair naming a site the
+            network does not have (checked for every pair before any
+            routing), a pair with no path, or a pair of one site.
     """
     if tunnels_per_pair < 1:
         raise ValueError("need at least one tunnel per pair")
-    # One copy for the whole build: the copy's adjacency order is what
-    # every per-pair copy used to route on, and shortest-path ties break
-    # by that order.
-    graph = network.to_networkx().copy()
     if site_pairs is None:
         sites = network.sites
         site_pairs = [
             (a, b) for a in sites for b in sites if a != b
         ]
+    site_pairs = list(site_pairs)
+    for pair in site_pairs:
+        if not all(network.has_site(site) for site in pair):
+            raise ValueError(f"unknown site in site pair {pair}")
     catalog = TunnelCatalog(network)
-    for src, dst in site_pairs:
-        if diverse:
-            paths = _diverse_paths(graph, src, dst, tunnels_per_pair)
-        else:
-            paths = _k_shortest_paths(graph, src, dst, tunnels_per_pair)
-        if not paths:
-            raise ValueError(f"no path between {src} and {dst}")
-        tunnels = [
-            Tunnel(
-                src=src,
-                dst=dst,
-                path=tuple(path),
-                weight=network.path_latency_ms(path),
-                cost_per_gbps=network.path_cost_per_gbps(path),
-                availability=network.path_availability(path),
-            )
-            for path in paths
-        ]
-        catalog.add_pair(src, dst, tunnels)
+    with get_tracer().span(
+        "topology.build_tunnels", pairs=len(site_pairs)
+    ) as span:
+        # One copy for the whole build: the copy's adjacency order is what
+        # every per-pair copy used to route on, and shortest-path ties
+        # break by that order.
+        graph = network.to_networkx().copy()
+        router = _LatencyRouter(graph)
+        for src, dst in site_pairs:
+            if diverse:
+                paths = _diverse_paths(router, src, dst, tunnels_per_pair)
+            else:
+                paths = _k_shortest_paths(graph, src, dst, tunnels_per_pair)
+            if not paths:
+                raise ValueError(f"no path between {src} and {dst}")
+            tunnels = [
+                Tunnel(
+                    src=src,
+                    dst=dst,
+                    path=tuple(path),
+                    weight=network.path_latency_ms(path),
+                    cost_per_gbps=network.path_cost_per_gbps(path),
+                    availability=network.path_availability(path),
+                )
+                for path in paths
+            ]
+            catalog.add_pair(src, dst, tunnels)
+        span.set_attribute("trees", router.trees)
+        span.set_attribute("certified", router.certified)
+        span.set_attribute("deferred", router.deferred)
     return catalog

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..core.flowtable import FlowTable, csr_offsets
 from ..core.qos import QoSClass
+from ..obs import get_tracer
 from ..topology.contraction import TwoLayerTopology
 from .demand import DemandMatrix, PairDemands
 
@@ -245,8 +246,10 @@ def scale_to_load(
     total = matrix.total_demand
     if total <= 0:
         return matrix
-    problem = MaxAllFlowProblem(topology, matrix)
-    alpha = max_concurrent_scale(problem, matrix.site_demands())
+    with get_tracer().span("traffic.scale_to_load") as span:
+        problem = MaxAllFlowProblem(topology, matrix)
+        alpha = max_concurrent_scale(problem, matrix.site_demands())
+        span.set_attribute("alpha", alpha)
     if not np.isfinite(alpha) or alpha <= 0:
         return matrix
     factor = target_load * alpha

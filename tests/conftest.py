@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.obs import get_tracer
 from repro.topology import (
     SiteNetwork,
     TwoLayerTopology,
@@ -14,6 +15,18 @@ from repro.topology import (
 )
 from repro.topology.endpoints import EndpointLayout
 from repro.traffic import DemandMatrix, PairDemands, generate_demands
+
+
+@pytest.fixture()
+def tracer():
+    """The process-wide tracer, collecting for the length of one test."""
+    tracer = get_tracer()
+    was = tracer.enabled
+    tracer.reset()
+    tracer.enabled = True
+    yield tracer
+    tracer.enabled = was
+    tracer.reset()
 
 
 @pytest.fixture(scope="session")

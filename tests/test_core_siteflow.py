@@ -11,6 +11,7 @@ from repro.core.formulation import MaxAllFlowProblem
 from repro.core.siteflow import (
     SiteFlowSolver,
     _SOLVER_CACHE,
+    _concurrent_flow_rows,
     max_concurrent_scale,
     solve_max_site_flow,
 )
@@ -228,6 +229,74 @@ class TestMaxConcurrentScaleEdgeCases:
         problem = MaxAllFlowProblem(topology, demands)
         alpha = max_concurrent_scale(problem, demands.site_demands())
         assert alpha == float("inf")
+
+
+def _concurrent_flow_rows_loop(problem, site_demands, caps, active):
+    """The per-entry Python loop ``_concurrent_flow_rows`` replaced."""
+    from scipy import sparse
+
+    num_vars = problem.num_tunnel_vars
+    offsets = problem.tunnel_offsets
+    rows, cols, vals = [], [], []
+    for row, k in enumerate(active):
+        for col in range(offsets[k], offsets[k + 1]):
+            rows.append(row)
+            cols.append(int(col))
+            vals.append(-1.0)
+        rows.append(row)
+        cols.append(num_vars)
+        vals.append(float(site_demands[k]))
+    demand_matrix = sparse.coo_matrix(
+        (vals, (rows, cols)), shape=(active.size, num_vars + 1)
+    )
+    link_rows, link_cols = problem.tunnel_link_incidence()
+    capacity_matrix = sparse.coo_matrix(
+        (np.ones(link_rows.size), (link_rows, link_cols)),
+        shape=(caps.size, num_vars + 1),
+    )
+    a_ub = sparse.vstack([demand_matrix, capacity_matrix], format="csr")
+    b_ub = np.concatenate([np.zeros(active.size), np.maximum(caps, 0.0)])
+    return a_ub, b_ub
+
+
+class TestConcurrentFlowRows:
+    """The array-built constraint matrix is the loop-built one, entry for
+    entry, so HiGHS sees the same LP and returns the same ``α*``."""
+
+    def _assert_same_rows(self, topology, demands):
+        problem = MaxAllFlowProblem(topology, demands)
+        site_demands = demands.site_demands()
+        active = np.flatnonzero(site_demands > 0)
+        args = (problem, site_demands, problem.capacities, active)
+        a_ub, b_ub = _concurrent_flow_rows(*args)
+        want_a, want_b = _concurrent_flow_rows_loop(*args)
+        assert a_ub.shape == want_a.shape
+        for field in ("indptr", "indices", "data"):
+            got, want = getattr(a_ub, field), getattr(want_a, field)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(b_ub, want_b)
+
+    def test_twan_60(self):
+        from repro.experiments.common import build_scenario
+
+        scenario = build_scenario("twan", total_endpoints=2_000, seed=42)
+        assert scenario.topology.catalog.num_pairs == 60
+        self._assert_same_rows(scenario.topology, scenario.demands)
+
+    @pytest.mark.parametrize(
+        "volumes_by_pair",
+        [
+            [[1.0], [1.0], [1.0]],  # the empty pair carries demand
+            [[], [5.0], []],  # only the single-tunnel pair is active
+            [[2.0, 3.0], [], [4.0]],  # first and last rows, none between
+        ],
+    )
+    def test_empty_and_single_tunnel_pairs(self, volumes_by_pair):
+        demands = DemandMatrix(
+            [make_pair_demands(v) for v in volumes_by_pair]
+        )
+        self._assert_same_rows(_edge_case_topology(), demands)
 
 
 class TestMaxConcurrentScale:

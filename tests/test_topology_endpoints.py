@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +17,24 @@ from repro.topology.endpoints import (
     WeibullEndpointModel,
     attach_endpoints,
 )
+
+
+def test_scipy_stats_is_not_imported_with_the_package():
+    """Only the Weibull CDF, its fit and Fig. 8's KS test need
+    ``scipy.stats`` (~0.35 s to import); a process that never calls them —
+    the benchmark, the CLI, a test worker — must not pay for it."""
+    code = (
+        "import sys, repro, repro.experiments.common\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+        "repro.WeibullEndpointModel().cdf(10.0)\n"
+        "assert 'scipy.stats' in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
 
 
 class TestWeibullModel:

@@ -6,9 +6,24 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.topology import SiteNetwork, b4, build_tunnels, twan
-from repro.topology.tunnels import Tunnel, TunnelCatalog, _diverse_paths
+from repro.experiments.common import sample_site_pairs
+from repro.topology import (
+    Link,
+    SiteNetwork,
+    b4,
+    build_tunnels,
+    topology_by_name,
+    twan,
+)
+from repro.topology import tunnels as tunnels_module
+from repro.topology.tunnels import (
+    Tunnel,
+    TunnelCatalog,
+    _diverse_paths,
+    _LatencyRouter,
+)
 
 from test_property_invariants import random_network
 
@@ -90,6 +105,21 @@ class TestBuildTunnels:
         with pytest.raises(ValueError, match="no path"):
             build_tunnels(net, [("x", "y")])
 
+    @pytest.mark.parametrize("diverse", [True, False])
+    def test_unknown_site_raises_before_any_routing(self, diverse, monkeypatch):
+        def routed(*args, **kwargs):
+            raise AssertionError("routed before validating every pair")
+
+        monkeypatch.setattr(tunnels_module, "_diverse_paths", routed)
+        monkeypatch.setattr(tunnels_module, "_k_shortest_paths", routed)
+        pairs = iter([("B4-00", "B4-01"), ("B4-00", "nope")])
+        with pytest.raises(ValueError, match=r"\('B4-00', 'nope'\)"):
+            build_tunnels(b4(), pairs, diverse=diverse)
+
+    def test_pair_of_one_site_raises(self):
+        with pytest.raises(ValueError, match="at least two sites"):
+            build_tunnels(_net(), [("a", "a")])
+
     def test_all_pairs_default(self):
         catalog = build_tunnels(_net(), tunnels_per_pair=1)
         assert catalog.num_pairs == 6  # 3 sites, ordered pairs
@@ -164,7 +194,8 @@ class TestCatalog:
 
 
 def _diverse_paths_copying(graph, src, dst, k, penalty=8.0):
-    """The reference ``_diverse_paths`` replaced: one graph copy per pair."""
+    """The ``networkx``-only reference: one graph copy per pair, every
+    query an ``nx.shortest_path``."""
     working = graph.copy()
     paths, seen, attempts = [], set(), 0
     while len(paths) < k and attempts < 3 * k:
@@ -181,51 +212,198 @@ def _diverse_paths_copying(graph, src, dst, k, penalty=8.0):
     return paths
 
 
-def _latencies(graph):
-    return {(u, v): d["latency_ms"] for u, v, d in graph.edges(data=True)}
+def _tunnel_rows(net, paths):
+    """What ``build_tunnels`` must make of one pair's paths: ascending
+    weight (discovery order on ties), with the three path attributes."""
+    return sorted(
+        (
+            (
+                tuple(path),
+                net.path_latency_ms(path),
+                net.path_cost_per_gbps(path),
+                net.path_availability(path),
+            )
+            for path in paths
+        ),
+        key=lambda row: row[1],
+    )
+
+
+def _built_tunnels(catalog):
+    return [
+        [
+            (t.path, t.weight, t.cost_per_gbps, t.availability)
+            for t in catalog.tunnels(k)
+        ]
+        for k in range(catalog.num_pairs)
+    ]
+
+
+def _weights(router):
+    """Every edge weight the router can see: the graph's, then the CSR's."""
+    graph_weights = {
+        (u, v): d["latency_ms"] for u, v, d in router.graph.edges(data=True)
+    }
+    return graph_weights, router._csr.data.tolist()
+
+
+@st.composite
+def tie_network(draw):
+    """A small WAN built to tie: integer latencies from ``{0, 1, 2}``
+    (exact ties, zero-latency links), some one-way links (unreachable
+    destinations) and a spur site with a single way in and out (a pair
+    whose only path repeats until the attempts run out)."""
+    num_sites = draw(st.integers(3, 7))
+    sites = [f"s{i}" for i in range(num_sites)]
+    net = SiteNetwork(name="ties")
+    latency = st.sampled_from([0.0, 1.0, 1.0, 2.0])
+    for i in range(num_sites - 1):
+        for j in range(i + 1, num_sites - 1):
+            kind = draw(st.sampled_from(["none", "duplex", "forward", "back"]))
+            if kind == "duplex":
+                net.add_duplex_link(sites[i], sites[j], 10.0, draw(latency))
+            elif kind != "none":
+                a, b = (i, j) if kind == "forward" else (j, i)
+                net.add_link(
+                    Link(sites[a], sites[b], 10.0, latency_ms=draw(latency))
+                )
+    net.add_duplex_link(sites[-2], sites[-1], 10.0, draw(latency))
+    for site in sites:
+        net.add_site(site)
+    return net, sites
+
+
+def _assert_matches_reference(net, pairs, k=3):
+    """The router finds the reference's paths in the reference's order and
+    leaves every weight as it found it; ``build_tunnels`` turns them into
+    the same tunnels, bit for bit.  Returns the router, for its counts."""
+    graph = net.to_networkx()
+    expected = [_diverse_paths_copying(graph, s, d, k) for s, d in pairs]
+    router = _LatencyRouter(graph.copy())  # as build_tunnels routes
+    before = _weights(router)
+    for (src, dst), paths in zip(pairs, expected):
+        assert _diverse_paths(router, src, dst, k) == paths
+        assert _weights(router) == before
+    reachable = [pair for pair, paths in zip(pairs, expected) if paths]
+    catalog = build_tunnels(net, reachable, tunnels_per_pair=k)
+    assert catalog.pairs == reachable
+    assert _built_tunnels(catalog) == [
+        _tunnel_rows(net, paths) for paths in expected if paths
+    ]
+    for pair, paths in zip(pairs, expected):
+        if not paths:
+            with pytest.raises(ValueError, match="no path"):
+                build_tunnels(net, [pair], tunnels_per_pair=k)
+    return router
+
+
+def _all_pairs(sites):
+    return [(a, b) for a in sites for b in sites if a != b]
 
 
 class TestDiversePathsInPlace:
     """Penalising the shared graph and restoring it gives the paths the
-    per-pair graph copy gave, and leaves every edge weight as it was."""
+    per-pair graph copy gave — whether a query was certified on the C tree
+    or deferred to ``networkx`` — and leaves every edge weight as it was."""
 
     @settings(max_examples=30, deadline=None)
-    @given(wan=random_network())
+    @given(wan=st.one_of(random_network(), tie_network()))
     def test_matches_copying_reference_on_random_wans(self, wan):
         net, sites = wan
-        pairs = [(a, b) for a in sites for b in sites if a != b]
-        graph = net.to_networkx()
-        expected = [_diverse_paths_copying(graph, s, d, 3) for s, d in pairs]
-        shared = graph.copy()  # as build_tunnels routes: ties break alike
-        before = _latencies(shared)
-        assert [_diverse_paths(shared, s, d, 3) for s, d in pairs] == expected
-        assert _latencies(shared) == before
-        catalog = build_tunnels(net, pairs, tunnels_per_pair=3)
-        for k, paths in enumerate(expected):
-            assert sorted(t.path for t in catalog.tunnels(k)) == sorted(
-                map(tuple, paths)
-            )
+        _assert_matches_reference(net, _all_pairs(sites))
 
     def test_matches_copying_reference_on_sampled_twan_pairs(self):
         net = twan()
-        graph = net.to_networkx()
         rng = np.random.default_rng(0)
         sites = net.sites
-        pairs = [
-            (sites[a], sites[b])
-            for a, b in rng.integers(0, len(sites), size=(300, 2))
-            if a != b
-        ]
-        expected = [_diverse_paths_copying(graph, s, d, 3) for s, d in pairs]
-        shared = graph.copy()
-        before = _latencies(shared)
-        assert [_diverse_paths(shared, s, d, 3) for s, d in pairs] == expected
-        assert _latencies(shared) == before
+        pairs = list(
+            dict.fromkeys(
+                (sites[a], sites[b])
+                for a, b in rng.integers(0, len(sites), size=(300, 2))
+                if a != b
+            )
+        )
+        router = _assert_matches_reference(net, pairs)
+        # Every TWAN query has a unique answer: none goes to networkx, and
+        # a source's unpenalised tree serves all its destinations.
+        assert router.deferred == 0
+        assert router.trees < router.certified
 
     def test_weights_restored_when_no_path_is_left(self):
         graph = nx.DiGraph()
         graph.add_edge("a", "b", latency_ms=1.0)
         graph.add_node("z")
-        assert _diverse_paths(graph, "a", "z", 2) == []
-        assert _diverse_paths(graph, "a", "b", 3) == [["a", "b"]]
-        assert _latencies(graph) == {("a", "b"): 1.0}
+        router = _LatencyRouter(graph)
+        assert _diverse_paths(router, "a", "z", 2) == []
+        # The only path repeats until the 3k attempts run out.
+        assert _diverse_paths(router, "a", "b", 3) == [["a", "b"]]
+        assert router.certified == 9
+        assert _weights(router) == ({("a", "b"): 1.0}, [1.0])
+
+    def test_weights_restored_when_a_query_raises_mid_pair(self, monkeypatch):
+        router = _LatencyRouter(b4().to_networkx().copy())
+        before = _weights(router)
+        answer = router.shortest_path
+        calls = []
+
+        def second_query_fails(src, dst):
+            calls.append((src, dst))
+            if len(calls) == 2:
+                raise RuntimeError("search failed")
+            return answer(src, dst)
+
+        monkeypatch.setattr(router, "shortest_path", second_query_fails)
+        with pytest.raises(RuntimeError, match="search failed"):
+            _diverse_paths(router, "B4-00", "B4-11", 3)
+        assert len(calls) == 2  # one path was penalised before the failure
+        assert _weights(router) == before
+
+    def test_ties_are_answered_by_networkx(self):
+        """On a unit-latency grid every query has a rival of equal length;
+        the router must notice and let ``networkx`` break the tie."""
+        net = SiteNetwork(name="grid")
+        for r in range(4):
+            for c in range(4):
+                if c < 3:
+                    net.add_duplex_link(f"g{r}{c}", f"g{r}{c + 1}", 10.0)
+                if r < 3:
+                    net.add_duplex_link(f"g{r}{c}", f"g{r + 1}{c}", 10.0)
+        router = _assert_matches_reference(net, _all_pairs(net.sites))
+        assert router.deferred > 0
+
+    def test_span_reports_the_router_counts(self, tracer):
+        build_tunnels(b4(), [("B4-00", "B4-11"), ("B4-00", "B4-05")], 2)
+        (span,) = tracer.finished_spans()
+        assert span.name == "topology.build_tunnels"
+        attrs = span.attributes
+        assert attrs["pairs"] == 2
+        assert attrs["certified"] + attrs["deferred"] >= 4
+        assert 1 <= attrs["trees"] <= attrs["certified"]
+
+
+@pytest.mark.perf
+@pytest.mark.parametrize(
+    "name,num_pairs",
+    # All of TWAN and B4, samples of the two larger zoo topologies.
+    [("twan", 9_900), ("b4", 132), ("deltacom", 3_000), ("cogentco", 3_000)],
+)
+def test_full_catalog_equals_networkx_reference(
+    request, tracer, name, num_pairs
+):
+    """The all-pairs catalogs the benchmark builds, against the
+    ``networkx``-only reference (about a minute; ``pytest -m perf``)."""
+    if "perf" not in request.config.getoption("markexpr"):
+        pytest.skip("full-catalog identity runs under `pytest -m perf`")
+    net = topology_by_name(name)
+    pairs = sample_site_pairs(net, num_pairs, seed=42)
+    assert len(pairs) == num_pairs
+    catalog = build_tunnels(net, pairs, tunnels_per_pair=3)
+    (span,) = tracer.finished_spans()
+    assert catalog.pairs == pairs
+    graph = net.to_networkx()
+    assert _built_tunnels(catalog) == [
+        _tunnel_rows(net, _diverse_paths_copying(graph, src, dst, 3))
+        for src, dst in pairs
+    ]
+    assert span.attributes["deferred"] == 0
+    assert span.attributes["trees"] < span.attributes["certified"]

@@ -256,6 +256,15 @@ class TestScaleToLoad:
         with pytest.raises(ValueError):
             scale_to_load(b4_demands, b4_topology, 0.0)
 
+    def test_calibration_is_a_span(self, tracer, b4_topology, b4_demands):
+        scale_to_load(b4_demands, b4_topology, 1.0)
+        (span,) = [
+            s
+            for s in tracer.finished_spans()
+            if s.name == "traffic.scale_to_load"
+        ]
+        assert span.attributes["alpha"] > 0
+
 
 class TestMapping:
     def test_maps_pair_count(self, b4_topology):
