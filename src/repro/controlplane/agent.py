@@ -31,6 +31,7 @@ rolls the agent back: configs are monotone.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,7 +93,7 @@ class RetryPolicy:
         return raw * (1.0 - self.jitter + 2.0 * self.jitter * u)
 
 
-@dataclass
+@dataclass(slots=True)
 class EndpointAgent:
     """One end host's TE agent.
 
@@ -103,7 +104,9 @@ class EndpointAgent:
         local_version: Newest TE version the agent knows its installed
             config to be current for.
         paths: Installed destination -> site-path mapping (the
-            last-known-good config; never cleared on failure).
+            last-known-good config; never cleared on failure).  It is
+            the pulled config's own ``paths``, kept, not copied: stored
+            configs are immutable.
         on_install: Optional callback invoked with the new
             :class:`EndpointConfig` after an update (e.g. to program the
             data plane's ``path_map``).
@@ -128,7 +131,7 @@ class EndpointAgent:
     poll_period_s: float = 10.0
     poll_offset_s: float = 0.0
     local_version: int = 0
-    paths: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    paths: Mapping[int, tuple[str, ...]] = field(default_factory=dict)
     on_install: Callable[[EndpointConfig], None] | None = None
     retry_policy: RetryPolicy | None = None
     max_staleness_s: float = math.inf
@@ -170,7 +173,7 @@ class EndpointAgent:
 
     def serving_paths(
         self, now: float
-    ) -> dict[int, tuple[str, ...]] | None:
+    ) -> Mapping[int, tuple[str, ...]] | None:
         """The installed paths, if still within the staleness bound.
 
         Degraded agents return ``None`` — the last-known-good config is
@@ -210,7 +213,7 @@ class EndpointAgent:
                 if pulled < key_version:
                     self.version_regressions += 1
                     return "regressed"
-                self.paths = dict(config.paths)
+                self.paths = config.paths
                 self._installed_key_version = pulled
                 if self.on_install is not None:
                     self.on_install(config)

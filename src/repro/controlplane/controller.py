@@ -9,14 +9,16 @@ pull at their own pace.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from ..core.twostage import MegaTEOptimizer
-from .database import TEDatabase
+from .database import SyncError, TEDatabase
 
 if TYPE_CHECKING:
     from ..core.types import TEResult
@@ -27,21 +29,70 @@ if TYPE_CHECKING:
 __all__ = ["EndpointConfig", "TEController"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndpointConfig:
     """One endpoint's TE configuration, as stored in the database.
+
+    A stored config is immutable, ``paths`` included: the database hands
+    the same object to every agent that pulls it, and agents keep
+    ``paths`` as installed rather than copying it.
 
     Attributes:
         endpoint_id: The endpoint this config belongs to.
         version: TE configuration version it was published under.
         paths: Mapping from destination endpoint id to the site-level path
             (tuple of sites) its flows must ride — the input to the host's
-            SR header insertion.
+            SR header insertion.  :meth:`TEController.publish` stores a
+            read-only view over packed rows; any mapping that compares
+            equal is the same config.
     """
 
     endpoint_id: int
     version: int
-    paths: dict[int, tuple[str, ...]]
+    paths: Mapping[int, tuple[str, ...]]
+
+
+class _RowPaths(Mapping[int, tuple[str, ...]]):
+    """Read-only ``{dst: site path}`` view over one endpoint's packed rows.
+
+    ``rows`` holds native int64 ``(dst, path id)`` pairs, ``dst``
+    ascending; ids index ``table``, the controller's append-only list of
+    interned site paths.  Each endpoint owns its ``rows`` slice, so a
+    config pins nothing of any other endpoint's publish.
+    """
+
+    __slots__ = ("_rows", "_table")
+
+    def __init__(self, rows: bytes, table: list[tuple[str, ...]]) -> None:
+        self._rows = rows
+        self._table = table
+
+    def _ids(self) -> memoryview:
+        return memoryview(self._rows).cast("q")
+
+    def __len__(self) -> int:
+        return len(self._rows) // 16
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ids()[::2].tolist())
+
+    def __getitem__(self, dst: int) -> tuple[str, ...]:
+        return self._as_dict()[dst]
+
+    def _as_dict(self) -> dict[int, tuple[str, ...]]:
+        ids = self._ids().tolist()
+        return dict(zip(ids[::2], map(self._table.__getitem__, ids[1::2])))
+
+    # One pass over the rows, not one lookup per key (an install walks
+    # every destination of a config that may have thousands).
+    def items(self) -> ItemsView[int, tuple[str, ...]]:
+        return self._as_dict().items()
+
+    def values(self) -> ValuesView[tuple[str, ...]]:
+        return self._as_dict().values()
+
+    def __repr__(self) -> str:
+        return repr(self._as_dict())
 
 
 def config_key(endpoint_id: int) -> str:
@@ -88,6 +139,9 @@ class TEController:
         # tunnel indices shift between a catalog and its
         # ``with_failures`` projections, paths do not.
         self._path_ids: dict[tuple[str, ...], int] = {}
+        # The same paths by id.  Append-only: published configs read
+        # their paths through it.
+        self._path_table: list[tuple[str, ...]] = []
         self._tunnel_path_ids: WeakKeyDictionary[
             CatalogArrays, np.ndarray
         ] = WeakKeyDictionary()
@@ -124,7 +178,9 @@ class TEController:
         publishable flow this interval (every flow unassigned, or none
         reported) is neither rewritten nor forgotten: its last config
         stays in the database.  Configs are written in ascending endpoint
-        order and the version is committed **last**, on every shard
+        order, by one :meth:`TEDatabase.put_many`, each as packed rows
+        behind a read-only ``paths`` view (no per-destination Python
+        objects), and the version is committed **last**, on every shard
         (:meth:`TEDatabase.commit_version`), so an agent whose shard
         reports the new version is guaranteed to find that shard's new
         configs (write ordering is the paper's eventual-consistency
@@ -164,28 +220,31 @@ class TEController:
                 published != counts
             )
 
-        # Only the changed endpoints' rows leave the arrays.
+        # The changed endpoints' rows, packed as int64 (dst, path id)
+        # pairs; each config gets its own slice of them.
         rows = np.repeat(changed, counts)
-        dsts = (key[rows] & _DST_MASK).tolist()
-        path_of_id = list(self._path_ids)
-        site_paths = [path_of_id[p] for p in path[rows].tolist()]
-        bounds = np.append(0, np.cumsum(counts[changed])).tolist()
+        packed = np.column_stack((key[rows] & _DST_MASK, path[rows])).tobytes()
+        bounds = np.append(0, 16 * np.cumsum(counts[changed])).tolist()
         to_write = endpoints[changed]
+        endpoint_ids = to_write.tolist()
+        table = self._path_table
+        configs = [
+            EndpointConfig(
+                endpoint_id=endpoint_id,
+                version=next_version,
+                paths=_RowPaths(packed[lo:hi], table),
+            )
+            for endpoint_id, lo, hi in zip(endpoint_ids, bounds, bounds[1:])
+        ]
         writes = 0
         try:
-            for endpoint_id, lo, hi in zip(
-                to_write.tolist(), bounds, bounds[1:]
-            ):
-                self.database.put(
-                    config_key(endpoint_id),
-                    EndpointConfig(
-                        endpoint_id=endpoint_id,
-                        version=next_version,
-                        paths=dict(zip(dsts[lo:hi], site_paths[lo:hi])),
-                    ),
-                    now=now,
-                )
-                writes += 1
+            self.database.put_many(
+                [config_key(e) for e in endpoint_ids], configs, now=now
+            )
+            writes = len(configs)
+        except SyncError as exc:
+            writes = len(exc.stored)
+            raise
         finally:
             # What was written is published even if a put raised
             # part-way, so a retry resumes instead of starting over.
@@ -261,6 +320,9 @@ class TEController:
                 ),
                 dtype=np.int64,
                 count=arrays.num_tunnels,
+            )
+            self._path_table.extend(
+                islice(intern, len(self._path_table), None)
             )
             self._tunnel_path_ids[arrays] = ids
         return ids

@@ -23,8 +23,9 @@ no key is read by everyone.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any, Hashable, Sequence
 
 from ..obs import get_registry
 
@@ -42,8 +43,8 @@ __all__ = [
 VERSION_KEY = "te:version"
 
 
-def _record_query(op: str) -> None:
-    """Count one served query in the shared metrics registry."""
+def _record_query(op: str, count: int = 1) -> None:
+    """Count ``count`` served queries in the shared metrics registry."""
     registry = get_registry()
     if not registry.enabled:
         return
@@ -51,7 +52,7 @@ def _record_query(op: str) -> None:
         "megate_tedb_queries_total",
         "TE database queries served, by operation",
         labelnames=("op",),
-    ).labels(op=op).inc()
+    ).labels(op=op).inc(count)
 
 #: Queries per second one shard sustains (two shards -> 160k, §3.2).
 SHARD_CAPACITY_QPS = 80_000
@@ -63,7 +64,13 @@ class SyncError(RuntimeError):
     Agents and other database callers that want to survive *any* store
     failure — capacity rejection or an injected fault from
     :mod:`repro.controlplane.faults` — catch this one type.
+
+    Attributes:
+        stored: When raised by a ``put_many``, the versions of the keys
+            it stored before failing — a prefix of its ``keys``.
     """
+
+    stored: Sequence[int] = ()
 
 
 class QueryRejected(SyncError):
@@ -85,7 +92,7 @@ class ShardStats:
     peak_qps: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _VersionedValue:
     value: Any
     version: int
@@ -153,33 +160,94 @@ class TEDatabase:
         attempted = loads.get(second, 0) + 1
         stats = self._stats[shard]
         if self.enforce_capacity and attempted > self.shard_capacity_qps:
-            # The shard never served this query: count the rejection but
-            # leave the served-load counters (and peak_qps) untouched.
-            stats.rejected += 1
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter(
-                    "megate_tedb_rejected_total",
-                    "TE database queries rejected for shard capacity",
-                ).inc()
-            raise QueryRejected(
-                f"shard {shard} over capacity at t={second}s"
-            )
+            raise self._reject(shard, second)
         loads[second] = attempted
         stats.peak_qps = max(stats.peak_qps, attempted)
         stats.queries += 1
 
+    def _reject(self, shard: int, second: int) -> QueryRejected:
+        """Count one query ``shard`` refused for capacity; the error to raise.
+
+        The shard never served it: the served-load counters (and
+        peak_qps) stay untouched.
+        """
+        self._stats[shard].rejected += 1
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter(
+                "megate_tedb_rejected_total",
+                "TE database queries rejected for shard capacity",
+            ).inc()
+        return QueryRejected(f"shard {shard} over capacity at t={second}s")
+
     # -- API ----------------------------------------------------------------
 
     def put(self, key: Hashable, value: Any, now: float = 0.0) -> int:
-        """Store a value; returns the new monotonically increasing version."""
-        shard = self.shard_of(key)
-        self._account(shard, now)
-        _record_query("put")
-        existing = self._data[shard].get(key)
-        version = (existing.version + 1) if existing else 1
-        self._data[shard][key] = _VersionedValue(value=value, version=version)
-        return version
+        """Store a value; returns the new monotonically increasing version.
+
+        The store keeps ``value`` itself, not a copy, and hands that same
+        object to every reader: a stored value must not be mutated.
+        """
+        return self.put_many((key,), (value,), now=now)[0]
+
+    def put_many(
+        self,
+        keys: Sequence[Hashable],
+        values: Sequence[Any],
+        now: float = 0.0,
+    ) -> list[int]:
+        """Store ``values[i]`` under ``keys[i]``, in order, in one call.
+
+        Exactly :meth:`put` once per key — the same versions (a key
+        listed twice is written twice), query counts, per-second loads
+        and ``peak_qps`` — for the cost of one pass.  Returns the new
+        versions.
+
+        Raises:
+            QueryRejected: under ``enforce_capacity``, for the first key
+                whose shard is over capacity this second.  The keys
+                before it are stored (their versions are the error's
+                ``stored``); it and the rest are not tried.
+            ValueError: when ``keys`` and ``values`` differ in length.
+        """
+        if len(keys) != len(values):
+            raise ValueError("put_many needs one value per key")
+        shards = [self.shard_of(key) for key in keys]
+        second = int(now)
+        accepted = len(shards)
+        if self.enforce_capacity:
+            room = [
+                self.shard_capacity_qps - loads.get(second, 0)
+                for loads in self._second_load
+            ]
+            for i, shard in enumerate(shards):
+                room[shard] -= 1
+                if room[shard] < 0:
+                    accepted = i
+                    break
+        served = shards[:accepted]
+        for shard, count in Counter(served).items():
+            # A shard's load only grows within the call, so its peak is
+            # where the call leaves it.
+            loads = self._second_load[shard]
+            load = loads[second] = loads.get(second, 0) + count
+            stats = self._stats[shard]
+            stats.peak_qps = max(stats.peak_qps, load)
+            stats.queries += count
+        if accepted:
+            _record_query("put", accepted)
+        versions = []
+        for key, value, shard in zip(keys, values, served):
+            data = self._data[shard]
+            existing = data.get(key)
+            version = (existing.version + 1) if existing else 1
+            data[key] = _VersionedValue(value=value, version=version)
+            versions.append(version)
+        if accepted < len(shards):
+            error = self._reject(shards[accepted], second)
+            error.stored = versions
+            raise error
+        return versions
 
     def get(self, key: Hashable, now: float = 0.0) -> tuple[Any, int]:
         """Read ``(value, version)``.

@@ -9,7 +9,7 @@ makes the misbehaviour a first-class, *seeded* input:
   latency inflation, transient read/write error rates, partition
   windows, and stale-replica lag;
 * a :class:`FaultyTEDatabase` wraps a :class:`~.database.TEDatabase`
-  behind the same ``put`` / ``get`` / ``get_version`` /
+  behind the same ``put`` / ``put_many`` / ``get`` / ``get_version`` /
   ``check_version`` / ``commit_version`` interface, so every existing
   caller (agents, controller, benches) runs under faults without
   modification;
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field, replace
-from typing import Any, Hashable, Iterable, Mapping
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -387,8 +387,9 @@ class _LogEntry:
 class FaultyTEDatabase:
     """A :class:`TEDatabase` seen through a seeded fault plan.
 
-    Drop-in for the inner database: same ``put`` / ``get`` /
-    ``get_version`` / ``check_version`` / ``commit_version`` signatures
+    Drop-in for the inner database: same ``put`` / ``put_many`` /
+    ``get`` / ``get_version`` / ``check_version`` / ``commit_version``
+    signatures
     plus the introspection surface, so agents, the controller, and the
     benches run under faults unchanged.
     With :meth:`FaultPlan.none` the wrapper delegates straight through
@@ -622,27 +623,75 @@ class FaultyTEDatabase:
         Raises:
             SyncError: any injected fault or capacity rejection.
         """
+        return self.put_many((key,), (value,), now=now)[0]
+
+    def put_many(
+        self,
+        keys: Sequence[Hashable],
+        values: Sequence[Any],
+        now: float = 0.0,
+    ) -> list[int]:
+        """Store ``values[i]`` under ``keys[i]``, in order; the versions.
+
+        :meth:`put` once per key: under the null plan one
+        :meth:`TEDatabase.put_many`, otherwise each key through the
+        injection gauntlet in turn, stopping at the first failure.
+
+        Raises:
+            SyncError: any injected fault or capacity rejection; its
+                ``stored`` lists the versions of the keys stored before
+                it.
+        """
+        if len(keys) != len(values):
+            raise ValueError("put_many needs one value per key")
         if self.plan.is_null() and not self._overrides:
-            version = self.inner.put(key, value, now=now)
-        else:
-            shard = self.shard_of(key)
-            self._check_faults(shard, now, "put")
-            # Version numbers come from the write log, not the physical
-            # copy: a key re-homed from a stale replica carries an old
-            # version, and deriving the next version from it would hand
-            # out numbers the key has already used.
-            entries = self._log.get(key)
-            logged = entries[-1].version if entries else 0
-            stored = self.inner._data[shard].get(key)
-            current = stored.version if stored else 0
-            version = max(logged, current) + 1
-            self.inner.write_to_shard(
-                shard, key, value, now=now, version=version,
-                account=False,
+            try:
+                versions = self.inner.put_many(keys, values, now=now)
+            except SyncError as exc:
+                self._log_puts(keys, values, exc.stored, now)
+                raise
+            self._log_puts(keys, values, versions, now)
+            return versions
+        versions = []
+        for key, value in zip(keys, values):
+            try:
+                versions.append(self._put_through_faults(key, value, now))
+            except SyncError as exc:
+                exc.stored = versions
+                raise
+        return versions
+
+    def _log_puts(
+        self,
+        keys: Sequence[Hashable],
+        values: Sequence[Any],
+        versions: Sequence[int],
+        now: float,
+    ) -> None:
+        """Append stored writes to the write log (``versions`` may cover
+        only a prefix of ``keys``)."""
+        for key, value, version in zip(keys, values, versions):
+            self._log.setdefault(key, []).append(
+                _LogEntry(time=now, version=version, value=value)
             )
-        self._log.setdefault(key, []).append(
-            _LogEntry(time=now, version=version, value=value)
+
+    def _put_through_faults(self, key: Hashable, value: Any, now: float) -> int:
+        """One write through the injection gauntlet, logged; its version."""
+        shard = self.shard_of(key)
+        self._check_faults(shard, now, "put")
+        # Version numbers come from the write log, not the physical
+        # copy: a key re-homed from a stale replica carries an old
+        # version, and deriving the next version from it would hand
+        # out numbers the key has already used.
+        entries = self._log.get(key)
+        logged = entries[-1].version if entries else 0
+        stored = self.inner._data[shard].get(key)
+        current = stored.version if stored else 0
+        version = max(logged, current) + 1
+        self.inner.write_to_shard(
+            shard, key, value, now=now, version=version, account=False
         )
+        self._log_puts((key,), (value,), (version,), now)
         return version
 
     def get(self, key: Hashable, now: float = 0.0) -> tuple[Any, int]:

@@ -191,6 +191,35 @@ def test_ingest_order_only_decides_the_qos_tie(records, rng, topology):
         )
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(_record, min_size=20, max_size=300),
+    st.randoms(use_true_random=False),
+    st.sets(st.integers(0, 299), max_size=3),
+    _topologies,
+)
+def test_duplicate_heavy_shuffled_reports_match_reference(
+    records, rng, peeks, topology
+):
+    """Hundreds of reports over a handful of endpoints, in shuffled
+    order: nearly every (src, dst) group holds several reports, so the
+    drain's unstable sort scrambles each group and only the tie repair
+    keeps "the latest report's qos wins".  Peeks drain part-way, so
+    drained rows and fresh reports share groups too."""
+    shuffled = list(records)
+    rng.shuffle(shuffled)
+    collector = DemandCollector(topology, interval_seconds=INTERVAL_S)
+    reference = ReferenceCollector(topology)
+    for i, (_, src, dst, sent, qos) in enumerate(shuffled):
+        collector.ingest(FlowRecord(src, dst, sent, qos))
+        reference.ingest(src, dst, sent, qos.value)
+        if i in peeks:
+            assert collector.num_flows == len(reference.flows)
+    _assert_same_table(
+        collector.build_matrix().table, reference.build(clear=True)
+    )
+
+
 def test_packed_key_orders_the_largest_ids_it_admits():
     """Endpoint ids at the top of the widest layout that still packs."""
     topology = _topology(extra_endpoints=2**30 - 1 - NUM_ENDPOINTS)

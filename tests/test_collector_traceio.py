@@ -197,6 +197,27 @@ class TestDemandCollector:
         with pytest.raises(ValueError):
             FlowRecord(0, 1, bytes_sent=-1)
 
+    @pytest.mark.parametrize("qos", [0, 4, 7, 300, -1])
+    def test_unknown_qos_class_rejected(self, qos):
+        """A class no class-solve picks up fails typed, naming itself,
+        instead of leaving its flow unassigned (or overflowing the
+        collector's int8 column)."""
+        with pytest.raises(ValueError, match=f"QoS class {qos}"):
+            FlowRecord(0, 1, 10, qos=qos)
+
+    def test_plain_int_qos_class_accepted(self):
+        assert FlowRecord(0, 1, 10, qos=3).qos == QoSClass.CLASS3
+
+    def test_host_report_unknown_qos_class_rejected(
+        self, collector, tiny_topology
+    ):
+        a, b = self._eps(tiny_topology)
+        with pytest.raises(ValueError, match="QoS class 7"):
+            collector.ingest_host_report(
+                {a[0]: 10}, {a[0]: b[0]}, qos_of={a[0]: 7}
+            )
+        assert collector.num_flows == 0
+
     def test_build_matrix_order_deterministic(self, tiny_topology):
         """Same reports, any ingest order -> identical matrix.
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.controlplane import (
     QueryRejected,
+    SyncError,
     TEDatabase,
     VERSION_KEY,
 )
@@ -206,3 +209,120 @@ class TestShardAddressedAPI:
         home = db.shard_of("k")
         assert db.read_from_shard(home, "k", now=0.0) == ("v", version)
         assert db.version_from_shard(home, "k", now=0.0) == version
+
+
+class TestPutMany:
+    """``put_many`` is ``put`` once per key, in order, as one call."""
+
+    @staticmethod
+    def _state(db: TEDatabase):
+        return (
+            db._data,
+            [db.stats(s) for s in range(db.num_shards)],
+            db._second_load,
+        )
+
+    @staticmethod
+    def _put_each(write, keys, values, now):
+        """One ``write(key, value, now)`` per key; stops at the first
+        rejection, as the batch does."""
+        versions = []
+        for key, value in zip(keys, values):
+            try:
+                versions.append(write(key, value, now))
+            except QueryRejected as exc:
+                return versions, exc
+        return versions, None
+
+    @staticmethod
+    def _shard_write(db: TEDatabase):
+        """The pre-batch ``put``: charge the key's shard, then store the
+        incremented version."""
+        return lambda key, value, now: db.write_to_shard(
+            db.shard_of(key), key, value, now=now
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_shards=st.integers(1, 4),
+        capacity=st.integers(1, 6),
+        enforce=st.booleans(),
+        # Earlier writes, some in the batch's second: pre-existing keys
+        # and a part-spent capacity budget.
+        before=st.lists(
+            st.tuples(st.sampled_from("abcde"), st.sampled_from([0.0, 1.5])),
+            max_size=6,
+        ),
+        # A small key alphabet: duplicates within one batch are common.
+        batch=st.lists(st.sampled_from("abcdefg"), max_size=12),
+        now=st.sampled_from([0.0, 1.5, 2.0]),
+    )
+    def test_put_many_matches_put_loop(
+        self, num_shards, capacity, enforce, before, batch, now
+    ):
+        bulk, each, oracle = (
+            TEDatabase(num_shards, capacity, enforce_capacity=enforce)
+            for _ in range(3)
+        )
+        for db in (bulk, each, oracle):
+            for i, (key, when) in enumerate(before):
+                try:
+                    db.put(key, -i, now=when)
+                except QueryRejected:
+                    pass
+        values = list(range(len(batch)))
+        want, rejection = self._put_each(each.put, batch, values, now)
+        old, old_rejection = self._put_each(
+            self._shard_write(oracle), batch, values, now
+        )
+        assert (old, str(old_rejection)) == (want, str(rejection))
+        if rejection is None:
+            assert bulk.put_many(batch, values, now=now) == want
+        else:
+            with pytest.raises(QueryRejected) as raised:
+                bulk.put_many(batch, values, now=now)
+            assert str(raised.value) == str(rejection)
+            assert list(raised.value.stored) == want
+        assert self._state(bulk) == self._state(each) == self._state(oracle)
+        assert bulk.peak_qps() == each.peak_qps()
+
+    def test_rejection_mid_batch_stores_the_prefix(self):
+        db = TEDatabase(num_shards=1, shard_capacity_qps=3)
+        db.put("a", "old", now=4.0)
+        with pytest.raises(QueryRejected) as raised:
+            db.put_many(["a", "b", "a", "c"], [1, 2, 3, 4], now=4.5)
+        assert isinstance(raised.value, SyncError)
+        assert list(raised.value.stored) == [2, 1]
+        assert db.get("a", now=5.0) == (1, 2)
+        assert db.get_version("c", now=5.0) == 0
+        assert db.stats(0).rejected == 1
+        assert db.stats(0).peak_qps == 3
+
+    def test_query_metric_counts_every_stored_key(self):
+        def put_counts(write) -> tuple[float, float]:
+            obs.reset()
+            db = TEDatabase(num_shards=2, shard_capacity_qps=2)
+            with pytest.raises(QueryRejected):
+                write(db)
+            snapshot = obs.get_registry().snapshot()
+            return (
+                snapshot["megate_tedb_queries_total"]["series"],
+                snapshot["megate_tedb_rejected_total"]["series"],
+            )
+
+        keys = [f"k{i}" for i in range(6)]
+        was = obs.telemetry_enabled()
+        obs.set_enabled(True)
+        try:
+            bulk = put_counts(lambda db: db.put_many(keys, keys, now=0.0))
+            each = put_counts(
+                lambda db: [db.put(key, key, now=0.0) for key in keys]
+            )
+        finally:
+            obs.set_enabled(was)
+            obs.reset()
+        assert bulk == each
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            TEDatabase().put_many(["a", "b"], [1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.controlplane import (
     EndpointAgent,
@@ -584,6 +585,106 @@ class TestReshardAndFailover:
         assert agent.local_version == 1
         assert agent.paths == {2: ("a", "b")}
         assert not agent.is_degraded(90.0)
+
+
+class TestPutMany:
+    """``put_many`` is ``put`` once per key: under the null plan one
+    inner batch, under any other plan (or with keys resharded away) each
+    key through the gauntlet in turn."""
+
+    @staticmethod
+    def _state(db: FaultyTEDatabase):
+        inner = db.inner
+        return (
+            inner._data,
+            [inner.stats(s) for s in range(inner.num_shards)],
+            inner._second_load,
+            db._log,
+            db._overrides,
+            db.injected,
+            db._op_counter,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num_shards=st.integers(1, 4),
+        capacity=st.integers(2, 8),
+        enforce=st.booleans(),
+        plan_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+        reshard=st.booleans(),
+        before=st.lists(
+            st.tuples(st.sampled_from("abcde"), st.sampled_from([5.0, 50.0])),
+            max_size=5,
+        ),
+        batch=st.lists(st.sampled_from("abcdefg"), max_size=12),
+        now=st.sampled_from([50.0, 60.0, 90.0]),
+    )
+    def test_put_many_matches_put_loop(
+        self, num_shards, capacity, enforce, plan_seed, reshard, before,
+        batch, now,
+    ):
+        plan = (
+            FaultPlan.none()
+            if plan_seed is None
+            else FaultPlan.generate(
+                seed=plan_seed,
+                num_shards=num_shards,
+                horizon_s=100.0,
+                intensity=1.0,
+            )
+        )
+        bulk, each = (
+            FaultyTEDatabase(
+                TEDatabase(num_shards, capacity, enforce_capacity=enforce),
+                plan,
+            )
+            for _ in range(2)
+        )
+        for db in (bulk, each):
+            for i, (key, when) in enumerate(before):
+                try:
+                    db.put(key, -i, now=when)
+                except SyncError:
+                    pass
+            if reshard:
+                # Overrides force the gauntlet even under the null plan.
+                db.reshard(now=45.0, shards=[0])
+        values = list(range(len(batch)))
+        want, failure = [], None
+        for key, value in zip(batch, values):
+            try:
+                want.append(each.put(key, value, now=now))
+            except SyncError as exc:
+                failure = exc
+                break
+        if failure is None:
+            assert bulk.put_many(batch, values, now=now) == want
+        else:
+            with pytest.raises(SyncError) as raised:
+                bulk.put_many(batch, values, now=now)
+            assert type(raised.value) is type(failure)
+            assert str(raised.value) == str(failure)
+            assert list(raised.value.stored) == want
+        assert self._state(bulk) == self._state(each)
+        # Every stored write is in the replication log stale reads use.
+        for key, value, version in zip(batch, values, want):
+            logged = [(e.time, e.version, e.value) for e in bulk._log[key]]
+            assert (now, version, value) in logged
+
+    def test_null_plan_is_one_inner_batch(self, monkeypatch):
+        inner = TEDatabase(num_shards=2)
+        calls = []
+        batch = inner.put_many
+
+        def spy(keys, values, now=0.0):
+            calls.append(len(keys))
+            return batch(keys, values, now=now)
+
+        monkeypatch.setattr(inner, "put_many", spy)
+        db = FaultyTEDatabase(inner)
+        assert db.put_many(["a", "b", "a"], [1, 2, 3], now=1.0) == [1, 1, 2]
+        assert calls == [3]
+        assert [e.version for e in db._log["a"]] == [1, 2]
 
 
 class TestValidation:

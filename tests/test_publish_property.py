@@ -9,12 +9,18 @@ kept here as the oracle (it writes in ascending endpoint order, which is
 the order ``publish`` documents).  Over sequences of results on
 alternating healthy / ``with_failures`` topologies — flows going
 unassigned and coming back, duplicate ``(src, dst)`` rows, pairs without
-endpoint ids, delta publish on and off — both must issue the same
-``database.put`` calls in the same order, and the same
+endpoint ids, delta publish on and off — both must write the same
+configs in the same order (``publish`` in one ``database.put_many``, the
+reference one ``database.put`` at a time, its dicts equal to
+``publish``'s packed-row views), and the same
 ``database.commit_version`` after them.
 """
 
 from __future__ import annotations
+
+import sys
+import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -68,7 +74,11 @@ def test_the_cut_shifts_tunnel_indices():
 
 class RecordingDatabase(TEDatabase):
     """A TE database that logs its writes — config puts, and commits as
-    ``(VERSION_KEY, version)`` — and can reject the n-th one."""
+    ``(VERSION_KEY, version)`` — and can reject the n-th one.
+
+    Every config write goes through ``put_many`` (``put`` is its one-row
+    call), so a rejection lands mid-batch the way a shard's would: the
+    keys before it stored, the error's ``stored`` saying so."""
 
     def __init__(self, reject_put: int | None = None) -> None:
         super().__init__(enforce_capacity=False)
@@ -81,9 +91,14 @@ class RecordingDatabase(TEDatabase):
             raise QueryRejected("injected")
         self.puts.append((key, value))
 
-    def put(self, key, value, now=0.0):
-        self._record(key, value)
-        return super().put(key, value, now=now)
+    def put_many(self, keys, values, now=0.0):
+        for i, (key, value) in enumerate(zip(keys, values)):
+            try:
+                self._record(key, value)
+            except QueryRejected as exc:
+                exc.stored = super().put_many(keys[:i], values[:i], now=now)
+                raise
+        return super().put_many(keys, values, now=now)
 
     def commit_version(self, version, now=0.0):
         self._record(VERSION_KEY, version)
@@ -182,9 +197,13 @@ _interval = st.tuples(
 def _assert_same_puts(got: RecordingDatabase, want: RecordingDatabase) -> None:
     assert [key for key, _ in got.puts] == [key for key, _ in want.puts]
     for (key, value), (_, expected) in zip(got.puts, want.puts):
+        # A packed-row view equals the reference's dict as a Mapping.
         assert value == expected, key
         if isinstance(value, EndpointConfig):
+            assert isinstance(value.paths, Mapping)
+            assert dict(value.paths) == expected.paths
             assert all(type(dst) is int for dst in value.paths)
+            assert all(type(p) is tuple for p in value.paths.values())
 
 
 @settings(max_examples=300, deadline=None)
@@ -310,3 +329,71 @@ def test_largest_packable_endpoint_id_is_diffed_correctly():
     assert set(database.puts[0][1].paths) == {0, top}
     controller.publish(TOPOLOGIES[0], result)
     assert controller.last_publish_writes == 0
+
+
+def test_unchanged_config_pins_nothing_of_later_publishes():
+    """One endpoint keeps its config while every other one is rewritten
+    for 50 publishes: its config stays the object first written, holds
+    only its own rows, and resident bytes do not grow with the
+    publishes."""
+    everything = [True] * NUM_PAIRS
+    # Endpoint 0: one flow, never moves.  Endpoints 1..40: 20 flows
+    # each, all flipping tunnels every publish.
+    steady = (0, 0, 1, 1)
+    results = [
+        _result(
+            0,
+            [steady]
+            + [(k, src, dst, 1 + flip) for src in range(1, 41)
+               for k, dst in ((dst % NUM_PAIRS, dst) for dst in range(20))],
+            everything,
+        )
+        for flip in (0, 1)
+    ]
+    database = TEDatabase(enforce_capacity=False)
+    controller = TEController(database)
+    controller.publish(TOPOLOGIES[0], results[0])
+    config = database.get(config_key(0))[0]
+
+    def publish(n: int) -> None:
+        for i in range(n):
+            controller.publish(TOPOLOGIES[0], results[(i + 1) % 2])
+            assert controller.last_publish_writes == 40
+
+    tracemalloc.start()
+    try:
+        publish(10)  # every live config is now a traced allocation
+        settled = tracemalloc.get_traced_memory()[0]
+        publish(40)
+        grown = tracemalloc.get_traced_memory()[0] - settled
+    finally:
+        tracemalloc.stop()
+    assert database.get(config_key(0)) == (config, 1)
+    assert config.paths == {1: TOPOLOGIES[0].catalog.tunnels(0)[0].path}
+    # Its row store is a 16-byte object of its own, not a window on a
+    # publish-wide buffer.
+    assert sys.getsizeof(config.paths._rows) == sys.getsizeof(bytes(16))
+    assert grown < 4_096, grown
+
+
+def test_packed_paths_walk_their_rows_once(monkeypatch):
+    """An install walks every destination of a config: ``items()`` and
+    ``values()`` read the rows in one pass instead of looking each key
+    up again (quadratic in a config's rows)."""
+    catalog = TOPOLOGIES[0].catalog
+    database = TEDatabase(enforce_capacity=False)
+    flows = [(dst % NUM_PAIRS, 1, dst, 1) for dst in range(300)]
+    TEController(database).publish(
+        TOPOLOGIES[0], _result(0, flows, [True] * NUM_PAIRS)
+    )
+    paths = database.get(config_key(1))[0].paths
+    expected = {
+        dst: catalog.tunnels(dst % NUM_PAIRS)[0].path for dst in range(300)
+    }
+    assert paths[299] == expected[299] and 300 not in paths
+    monkeypatch.setattr(
+        type(paths), "__getitem__", lambda self, dst: pytest.fail("lookup")
+    )
+    assert dict(paths.items()) == expected
+    assert list(paths.values()) == list(expected.values())
+    assert list(paths) == list(expected)
