@@ -22,6 +22,9 @@ production these are the user-space halves of Figure 6.
 from __future__ import annotations
 
 import itertools
+import socket
+import struct
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,13 +40,17 @@ from .maps import (
     create_megate_maps,
 )
 from .packet import (
+    ETH_HEADER_LEN,
     EthernetHeader,
     FiveTuple,
+    IPV4_WORDS,
     IPv4Header,
     MacAddress,
-    UDPHeader,
     UDP_HEADER_LEN,
     IPV4_HEADER_LEN,
+    UDPHeader,
+    ip_to_bytes,
+    ipv4_header_valid,
 )
 from .sr_header import SiteIdCodec, SRHeader
 from .vxlan import VXLANHeader, VXLAN_PORT
@@ -52,6 +59,27 @@ __all__ = ["HostStack", "WirePacket"]
 
 _HOST_MAC = MacAddress.from_string("02:00:00:00:00:01")
 _GW_MAC = MacAddress.from_string("02:00:00:00:00:02")
+#: Host -> gateway Ethernet header, on inner frames and outer packets alike.
+_ETH = EthernetHeader(dst=_GW_MAC, src=_HOST_MAC).encode()
+#: Where an inner frame's IPv4 addresses and L4 ports start.
+_SRC_IP = ETH_HEADER_LEN + 12
+_DST_IP = _SRC_IP + 4
+_L4_START = ETH_HEADER_LEN + IPV4_HEADER_LEN
+_PORTS = struct.Struct("!HH")
+_FLOW_KEY = struct.Struct("!4s4sBHH")
+
+
+def _outer_src_port(flow: FiveTuple) -> int:
+    """RFC 7348's source port: a hash of the inner headers, here CRC-32 of
+    the packed five tuple so it is the same in every process."""
+    key = _FLOW_KEY.pack(
+        ip_to_bytes(flow.src_ip),
+        ip_to_bytes(flow.dst_ip),
+        flow.protocol,
+        flow.src_port,
+        flow.dst_port,
+    )
+    return 0xC000 | (zlib.crc32(key) & 0x3FFF)
 
 
 @dataclass(frozen=True)
@@ -100,6 +128,9 @@ class HostStack:
         self._instances: dict[int, str] = {}  # ins_id -> overlay ip
         self._pid_counter = itertools.count(1000)
         self._ipid_counter = itertools.count(1)
+        #: VXLAN (+ SR) bytes per hop tuple (``None``: no SR header); at
+        #: most one entry per distinct installed path.
+        self._vxlan_prefix: dict[tuple[int, ...] | None, bytes] = {}
         self._attach_programs()
 
     @staticmethod
@@ -153,30 +184,34 @@ class HostStack:
         ``ctx`` is the inner Ethernet frame.  Returns the wire bytes, or
         ``None`` when the frame is unparsable.
         """
-        try:
-            _, rest = EthernetHeader.decode(ctx)
-            ip, l4 = IPv4Header.decode(rest)
-        except ValueError:
+        if len(ctx) < _L4_START:
             return None
+        words = IPV4_WORDS.unpack_from(ctx, ETH_HEADER_LEN)
+        if not ipv4_header_valid(words):
+            return None
+        identification, flags_fragment = words[2], words[3]
 
-        # Resolve the five tuple, handling fragmentation via frag_map.
+        # Resolve the five tuple, handling fragmentation via frag_map: only
+        # a datagram's first fragment (offset 0) carries the ports.
         flow: FiveTuple | None = None
-        if not ip.is_fragment or ip.is_first_fragment:
-            if len(l4) >= UDP_HEADER_LEN:
-                udp, _ = UDPHeader.decode(l4)
+        if not flags_fragment & 0x1FFF:
+            if len(ctx) >= _L4_START + UDP_HEADER_LEN:
+                src_port, dst_port = _PORTS.unpack_from(ctx, _L4_START)
                 flow = FiveTuple(
-                    src_ip=ip.src,
-                    dst_ip=ip.dst,
-                    protocol=ip.protocol,
-                    src_port=udp.src_port,
-                    dst_port=udp.dst_port,
+                    src_ip=socket.inet_ntoa(ctx[_SRC_IP:_DST_IP]),
+                    dst_ip=socket.inet_ntoa(ctx[_DST_IP:_L4_START]),
+                    protocol=words[4] & 0xFF,
+                    src_port=src_port,
+                    dst_port=dst_port,
                 )
-                if ip.is_first_fragment:
-                    maps[FRAG_MAP].update(ip.identification, flow)
+                if flags_fragment & IPv4Header.MORE_FRAGMENTS:
+                    maps[FRAG_MAP].update(identification, flow)
         else:
-            flow = maps[FRAG_MAP].lookup(ip.identification)
-            if flow is not None and not ip.more_fragments:
-                maps[FRAG_MAP].delete(ip.identification)
+            flow = maps[FRAG_MAP].lookup(identification)
+            if flow is not None and not (
+                flags_fragment & IPv4Header.MORE_FRAGMENTS
+            ):
+                maps[FRAG_MAP].delete(identification)
         if flow is None:
             return None
 
@@ -201,33 +236,28 @@ class HostStack:
         flow: FiveTuple,
         hops: tuple[int, ...] | None,
     ) -> bytes:
-        vxlan = VXLANHeader(vni=self.vni, has_sr_header=hops is not None)
-        sr_bytes = (
-            SRHeader(hops=hops, offset=0).encode()
-            if hops is not None
-            else b""
-        )
-        payload = vxlan.encode() + sr_bytes + inner_frame
+        prefix = self._vxlan_prefix.get(hops)
+        if prefix is None:
+            prefix = VXLANHeader(
+                vni=self.vni, has_sr_header=hops is not None
+            ).encode()
+            if hops is not None:
+                prefix += SRHeader(hops=hops, offset=0).encode()
+            self._vxlan_prefix[hops] = prefix
         outer_udp = UDPHeader(
-            src_port=0xC000 | (hash(flow) & 0x3FFF),
+            src_port=_outer_src_port(flow),
             dst_port=VXLAN_PORT,
-            length=UDP_HEADER_LEN + len(payload),
+            length=UDP_HEADER_LEN + len(prefix) + len(inner_frame),
         )
         outer_ip = IPv4Header(
             src=self.underlay_ip,
             dst=self.vtep_of(flow.dst_ip),
             protocol=17,
             identification=next(self._ipid_counter) & 0xFFFF,
-            total_length=IPV4_HEADER_LEN
-            + UDP_HEADER_LEN
-            + len(payload),
+            total_length=IPV4_HEADER_LEN + outer_udp.length,
         )
-        outer_eth = EthernetHeader(dst=_GW_MAC, src=_HOST_MAC)
-        return (
-            outer_eth.encode()
-            + outer_ip.encode()
-            + outer_udp.encode()
-            + payload
+        return b"".join(
+            (_ETH, outer_ip.encode(), outer_udp.encode(), prefix, inner_frame)
         )
 
     # -- instance lifecycle (the virtualization layer) ------------------------
@@ -265,11 +295,7 @@ class HostStack:
         )
         out: list[WirePacket] = []
         for ip_packet in packets:
-            frame = (
-                EthernetHeader(dst=_GW_MAC, src=_HOST_MAC).encode()
-                + ip_packet
-            )
-            results = self.kernel.emit(Hook.TC_EGRESS, frame)
+            results = self.kernel.emit(Hook.TC_EGRESS, _ETH + ip_packet)
             for wire in results:
                 if wire is not None:
                     out.append(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 __all__ = [
     "MacAddress",
@@ -34,6 +35,8 @@ _UDP_FMT = "!HHHH"
 ETH_HEADER_LEN = struct.calcsize(_ETH_FMT)
 IPV4_HEADER_LEN = struct.calcsize(_IPV4_FMT)
 UDP_HEADER_LEN = struct.calcsize(_UDP_FMT)
+#: An (option-less) IPv4 header as its ten 16-bit words.
+IPV4_WORDS = struct.Struct("!10H")
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,8 @@ class MacAddress:
         return ":".join(f"{b:02x}" for b in self.value)
 
 
-def _ip_to_bytes(ip: str) -> bytes:
+@lru_cache(maxsize=1 << 16)
+def ip_to_bytes(ip: str) -> bytes:
     parts = ip.split(".")
     if len(parts) != 4:
         raise ValueError(f"bad IPv4 address {ip!r}")
@@ -76,6 +80,16 @@ def ipv4_checksum(header: bytes) -> int:
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
+
+
+def ipv4_header_valid(words: tuple[int, ...]) -> bool:
+    """The checks :meth:`IPv4Header.decode` makes, on the ten header words
+    (:data:`IPV4_WORDS`): version 4 and a matching checksum."""
+    checksum = words[5]
+    total = sum(words) - checksum
+    total = (total & 0xFFFF) + (total >> 16)
+    total = (total & 0xFFFF) + (total >> 16)
+    return words[0] >> 12 == 4 and ~total & 0xFFFF == checksum
 
 
 @dataclass(frozen=True)
@@ -154,8 +168,8 @@ class IPv4Header:
             self.ttl,
             self.protocol,
             0,
-            _ip_to_bytes(self.src),
-            _ip_to_bytes(self.dst),
+            ip_to_bytes(self.src),
+            ip_to_bytes(self.dst),
         )
         checksum = ipv4_checksum(header)
         return header[:10] + struct.pack("!H", checksum) + header[12:]

@@ -8,23 +8,48 @@ header and forwards the packet to the specified path."
 Packets without the SR flag fall back to conventional destination-based
 forwarding (shortest path by latency), which is also what happens to the
 traffic of tenants not managed by MegaTE.
+
+A well-formed SR packet takes the fast path: fixed-offset reads of the
+outer headers, hop ids compared as integers, and an output that is the
+input with only the 4-byte SR fixed word rewritten.  Everything else falls
+through to the decoder path, which is also the reference the fast path is
+tested against.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import networkx as nx
 
-from .packet import EthernetHeader, IPv4Header, UDPHeader
-from .sr_header import SiteIdCodec, SRHeader
-from .vxlan import VXLANHeader, VXLAN_PORT
+from .packet import (
+    ETH_HEADER_LEN,
+    EthernetHeader,
+    IPV4_HEADER_LEN,
+    IPv4Header,
+    UDP_HEADER_LEN,
+    UDPHeader,
+    ipv4_header_valid,
+)
+from .sr_header import SR_FIXED, SiteIdCodec, SRHeader
+from .vxlan import VXLAN_HEADER_LEN, VXLANHeader, VXLAN_PORT
 
 if TYPE_CHECKING:
     from ..topology.graph import SiteNetwork
 
 __all__ = ["ForwardingDecision", "SRRouter"]
+
+#: Where the SR header starts: right after outer Ethernet/IPv4/UDP/VXLAN.
+_SR_START = ETH_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN + VXLAN_HEADER_LEN
+_HOPS_START = _SR_START + SR_FIXED.size
+#: From the outer IPv4 header on: its ten 16-bit words, the UDP destination
+#: port and length, VXLAN word 0, then the SR hop number and offset.
+_OUTER = struct.Struct("!10H2xHH2xI4xBB")
+_HOP = struct.Struct("!I")
+#: VXLAN word 0 must carry both the I flag and MegaTE's SR flag.
+_SR_VXLAN_FLAGS = 0x08000001
 
 
 @dataclass(frozen=True)
@@ -67,7 +92,7 @@ class SRRouter:
         self.codec = codec
         self.network = network
         self.vtep_site_of = vtep_site_of
-        self._graph = network.to_networkx()
+        self._site_id = codec.id_of(site) if site in codec else -1
         #: Operational counters: packets forwarded/delivered/dropped here.
         self.counters: dict[str, int] = {
             "forward": 0,
@@ -86,6 +111,63 @@ class SRRouter:
         return decision
 
     def _process(self, data: bytes) -> ForwardingDecision:
+        return self._process_fast(data) or self._process_decoded(data)
+
+    def _process_fast(self, data: bytes) -> ForwardingDecision | None:
+        """The decision for a well-formed SR packet, else ``None``.
+
+        Makes every check :meth:`_process_decoded` makes, reading fixed
+        offsets instead of building header objects; any packet it cannot
+        vouch for is left to the decoder path.
+        """
+        if len(data) < _HOPS_START:
+            return None
+        fields = _OUTER.unpack_from(data, ETH_HEADER_LEN)
+        dst_port, udp_length, vxlan_word0, hop_number, offset = fields[10:]
+        if (
+            dst_port != VXLAN_PORT
+            or udp_length < UDP_HEADER_LEN
+            or vxlan_word0 & _SR_VXLAN_FLAGS != _SR_VXLAN_FLAGS
+            or hop_number == 0
+            or offset > hop_number
+            or len(data) < _HOPS_START + 4 * hop_number
+            or not ipv4_header_valid(fields[:10])
+        ):
+            return None
+        # Consume our own hop(s) if we are the current one.
+        while (
+            offset < hop_number
+            and _HOP.unpack_from(data, _HOPS_START + 4 * offset)[0]
+            == self._site_id
+        ):
+            offset += 1
+        next_site = None
+        if offset < hop_number:
+            next_id = _HOP.unpack_from(data, _HOPS_START + 4 * offset)[0]
+            if next_id >= len(self.codec):
+                return None
+            next_site = self.codec.name_of(next_id)
+            if not self.network.has_link(self.site, next_site):
+                return ForwardingDecision(
+                    action="drop",
+                    data=data,
+                    reason=f"no link {self.site} -> {next_site}",
+                )
+        # The input with only the SR fixed word rewritten; the reserved
+        # field is zeroed, as SRHeader.encode does on the decoder path.
+        rewritten = (
+            data[:_SR_START]
+            + SR_FIXED.pack(hop_number, offset, 0)
+            + data[_HOPS_START:]
+        )
+        if next_site is None:
+            return ForwardingDecision(action="deliver", data=rewritten)
+        return ForwardingDecision(
+            action="forward", next_site=next_site, data=rewritten
+        )
+
+    def _process_decoded(self, data: bytes) -> ForwardingDecision:
+        """The reference path: decode every header into objects."""
         try:
             eth, rest = EthernetHeader.decode(data)
             ip, l4 = IPv4Header.decode(rest)
@@ -117,16 +199,21 @@ class SRRouter:
             return ForwardingDecision(
                 action="drop", data=original, reason=f"bad SR: {exc}"
             )
-        # Consume our own hop if we are the current one.
-        while not sr.exhausted and (
-            self.codec.name_of(sr.current_hop) == self.site
-        ):
-            sr = sr.advanced()
-        if sr.exhausted:
+        try:
+            # Consume our own hop if we are the current one.
+            while not sr.exhausted and (
+                self.codec.name_of(sr.current_hop) == self.site
+            ):
+                sr = sr.advanced()
+            if sr.exhausted:
+                return ForwardingDecision(
+                    action="deliver", data=self._rewrite_sr(original, sr)
+                )
+            next_site = self.codec.name_of(sr.current_hop)
+        except KeyError as exc:
             return ForwardingDecision(
-                action="deliver", data=self._rewrite_sr(original, sr)
+                action="drop", data=original, reason=f"bad SR: {exc.args[0]}"
             )
-        next_site = self.codec.name_of(sr.current_hop)
         if not self.network.has_link(self.site, next_site):
             return ForwardingDecision(
                 action="drop",
@@ -154,7 +241,10 @@ class SRRouter:
             return ForwardingDecision(action="deliver", data=original)
         try:
             path = nx.shortest_path(
-                self._graph, self.site, egress, weight="latency_ms"
+                self.network.routing_graph(),
+                self.site,
+                egress,
+                weight="latency_ms",
             )
         except nx.NetworkXNoPath:
             return ForwardingDecision(
@@ -167,19 +257,9 @@ class SRRouter:
     @staticmethod
     def _rewrite_sr(original: bytes, sr: SRHeader) -> bytes:
         """Re-encode the packet with the advanced SR offset in place."""
-        # Locate the SR header: it starts right after outer eth/ip/udp/vxlan.
-        from .packet import ETH_HEADER_LEN, IPV4_HEADER_LEN, UDP_HEADER_LEN
-        from .vxlan import VXLAN_HEADER_LEN
-
-        sr_start = (
-            ETH_HEADER_LEN
-            + IPV4_HEADER_LEN
-            + UDP_HEADER_LEN
-            + VXLAN_HEADER_LEN
-        )
-        old_sr, _ = SRHeader.decode(original[sr_start:])
+        old_sr, _ = SRHeader.decode(original[_SR_START:])
         return (
-            original[:sr_start]
+            original[:_SR_START]
             + sr.encode()
-            + original[sr_start + old_sr.encoded_length :]
+            + original[_SR_START + old_sr.encoded_length :]
         )

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 __all__ = ["SRHeader", "SiteIdCodec"]
 
-_FIXED_FMT = "!BBH"
-_FIXED_LEN = struct.calcsize(_FIXED_FMT)
+#: The fixed word: hop number, offset, reserved.
+SR_FIXED = struct.Struct("!BBH")
+_FIXED_LEN = SR_FIXED.size
 MAX_HOPS = 255
 
 
@@ -67,17 +68,15 @@ class SRHeader:
         return SRHeader(hops=self.hops, offset=self.offset + 1)
 
     def encode(self) -> bytes:
-        return struct.pack(
-            _FIXED_FMT, self.hop_number, self.offset, 0
+        return SR_FIXED.pack(
+            self.hop_number, self.offset, 0
         ) + struct.pack(f"!{self.hop_number}I", *self.hops)
 
     @classmethod
     def decode(cls, data: bytes) -> tuple["SRHeader", bytes]:
         if len(data) < _FIXED_LEN:
             raise ValueError("truncated SR header")
-        hop_number, offset, _ = struct.unpack(
-            _FIXED_FMT, data[:_FIXED_LEN]
-        )
+        hop_number, offset, _ = SR_FIXED.unpack_from(data)
         body_len = 4 * hop_number
         if len(data) < _FIXED_LEN + body_len:
             raise ValueError("truncated SR hop list")
@@ -107,6 +106,12 @@ class SiteIdCodec:
         self._id_to_name = list(sites)
         if len(self._name_to_id) != len(sites):
             raise ValueError("duplicate site names")
+
+    def __len__(self) -> int:
+        return len(self._id_to_name)
+
+    def __contains__(self, site: object) -> bool:
+        return site in self._name_to_id
 
     def id_of(self, site: str) -> int:
         return self._name_to_id[site]

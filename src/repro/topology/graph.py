@@ -71,12 +71,14 @@ class SiteNetwork:
         self.name = name
         self._sites: dict[str, None] = {}  # insertion-ordered set
         self._links: dict[tuple[str, str], Link] = {}
+        self._routing_graph: nx.DiGraph | None = None
 
     # -- construction -----------------------------------------------------
 
     def add_site(self, site: str) -> None:
         """Register a router site.  Idempotent."""
         self._sites.setdefault(site, None)
+        self._routing_graph = None
 
     def add_link(self, link: Link) -> None:
         """Add a directed link; both endpoints are auto-registered."""
@@ -85,6 +87,7 @@ class SiteNetwork:
         self.add_site(link.src)
         self.add_site(link.dst)
         self._links[link.key] = link
+        self._routing_graph = None
 
     def add_duplex_link(
         self,
@@ -200,6 +203,13 @@ class SiteNetwork:
                 availability=link.availability,
             )
         return graph
+
+    def routing_graph(self) -> nx.DiGraph:
+        """One shared :meth:`to_networkx` view, built on first use and
+        rebuilt after the network changes.  Callers must not mutate it."""
+        if self._routing_graph is None:
+            self._routing_graph = self.to_networkx()
+        return self._routing_graph
 
     def without_links(
         self, failed: Iterable[tuple[str, str]]

@@ -191,17 +191,28 @@ class TestWANDelivery:
         assert not record.delivered
         assert "VTEP" in record.drop_reason
 
-    def test_non_sr_fallback_shortest_path(self, host, codec):
+    def test_non_sr_fallback_shortest_path(self, host, codec, monkeypatch):
         net = b4()
+        built = []
+        to_networkx = net.to_networkx
+        monkeypatch.setattr(
+            net, "to_networkx", lambda: built.append(1) or to_networkx()
+        )
         fabric = WANFabric(
             net, codec=codec, vtep_site_of=lambda ip: "B4-05"
         )
+        assert not built  # set-up builds no routing graph
         pid = host.spawn_process(7)
         host.open_connection(pid, FLOW)
         record = fabric.deliver(host.send(FLOW, 100)[0])
         assert record.delivered
         assert record.site_path[0] == "B4-00"
         assert record.site_path[-1] == "B4-05"
+        # One routing graph, built on first use, serves every router.
+        assert len(built) == 1
+        first, second = list(fabric.routers.values())[:2]
+        assert first.network.routing_graph() is second.network.routing_graph()
+        assert len(built) == 1
 
     def test_malformed_packet_dropped(self, codec):
         from repro.dataplane.host_stack import WirePacket

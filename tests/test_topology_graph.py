@@ -87,6 +87,14 @@ class TestSiteNetwork:
         assert graph.number_of_edges() == 4
         assert graph["a"]["b"]["latency_ms"] == 3.0
 
+    def test_routing_graph_shared_until_the_network_changes(self):
+        net = self._simple()
+        graph = net.routing_graph()
+        assert net.routing_graph() is graph
+        net.add_duplex_link("c", "d", capacity=1.0)
+        assert net.routing_graph() is not graph
+        assert net.routing_graph().has_edge("c", "d")
+
     def test_without_links(self):
         net = self._simple()
         cut = net.without_links([("a", "b"), ("b", "a")])
