@@ -1,8 +1,8 @@
 """Soak lane: scenario-matrix SLO gate over the long-horizon engine.
 
 Runs the :mod:`repro.experiments.soak_study` harness over a fixed-seed
-scenario matrix — every event mix replayed through the incremental +
-process-sharded solve engine with the sync plane live — and asserts the
+scenario matrix — every event mix replayed through the incremental
+solve engine with the sync plane live — and asserts the
 :class:`~repro.simulation.soak.SLOReport` computed from each run's
 metrics snapshot against the default SLO spec.  A same-seed re-run of
 the first leg pins determinism: the identity digest (everything except
@@ -45,7 +45,6 @@ SOAK_SCALE = dict(
     num_intervals=20,
     num_agents=24,
     num_shards=4,
-    shard_workers=2,
 )
 
 SOAK_MATRIX = (

@@ -390,9 +390,6 @@ def _cmd_replay(args) -> None:
     if instrument:
         obs.set_enabled(True)
         obs.reset()
-    if args.shard_workers is not None:
-        _cmd_replay_sharded(args)
-        return
     outcome = run_cold_vs_incremental(
         topology_name=args.topology,
         total_endpoints=args.endpoints,
@@ -401,7 +398,6 @@ def _cmd_replay(args) -> None:
         target_load=args.load,
         seed=args.seed,
         delta_threshold=args.delta_threshold,
-        lp_backend=args.lp_backend,
     )
     _write_replay_telemetry(args)
     if args.json:
@@ -413,7 +409,6 @@ def _cmd_replay(args) -> None:
         f"({args.topology}, {cold['num_flows']} flows, "
         f"{args.intervals} intervals, "
         f"delta threshold {args.delta_threshold}, "
-        f"backend {inc['backend']}, "
         f"ssp {inc['ssp_backend']}):",
         render_table(
             ["mode", "stage1_lp_s", "stage2_ssp_s", "lp_solves",
@@ -454,61 +449,6 @@ def _write_replay_telemetry(args) -> None:
         print(f"wrote metrics to {args.metrics_out}")
 
 
-def _cmd_replay_sharded(args) -> None:
-    """``repro replay --shard-workers N``: sharded vs in-process replay.
-
-    With ``--metrics-out`` the dump includes the worker-side
-    ``megate_shard_*`` families folded back from the shard processes —
-    the merged worker metrics artifact the CI leg uploads.
-    """
-    from .experiments.interval_replay import run_sharded_replay
-
-    spec = args.shard_workers
-    outcome = run_sharded_replay(
-        topology_name=args.topology,
-        total_endpoints=args.endpoints,
-        num_site_pairs=args.pairs,
-        num_intervals=args.intervals,
-        target_load=args.load,
-        seed=args.seed,
-        shard_workers=spec if spec == "auto" else int(spec),
-        lp_backend=args.lp_backend,
-    )
-    _write_replay_telemetry(args)
-    if args.json:
-        _emit(json.dumps(outcome, indent=2) + "\n", args.out)
-        return
-    serial, sharded = outcome["serial"], outcome["sharded"]
-    lines = [
-        f"Interval replay, in-process vs sharded "
-        f"({args.topology}, {serial['num_flows']} flows, "
-        f"{args.intervals} intervals, "
-        f"{sharded['shard_workers']} shard workers, "
-        f"backend {sharded['backend']}):",
-        render_table(
-            ["mode", "stage1_lp_s", "stage2_ssp_s", "contended",
-             "sharded_pairs", "satisfied"],
-            [
-                ("in-process", serial["stage1_lp_s"],
-                 serial["stage2_ssp_s"],
-                 serial["num_contended_pairs"], 0,
-                 serial["satisfied_volume"]),
-                ("sharded", sharded["stage1_lp_s"],
-                 sharded["stage2_ssp_s"],
-                 sharded["num_contended_pairs"],
-                 sharded["num_sharded_pairs"],
-                 sharded["satisfied_volume"]),
-            ],
-        ),
-        "",
-        f"solver speedup {outcome['solver_speedup']:.2f}x, "
-        f"digests {'match' if outcome['digest_match'] else 'DIFFER'}",
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
-    if not outcome["digest_match"]:
-        raise SystemExit("sharded digest diverged from the serial path")
-
-
 def _cmd_chaos(args) -> None:
     rows = chaos_sync.run(
         intensities=tuple(args.intensities),
@@ -547,7 +487,7 @@ def _cmd_soak(args) -> None:
 
     Replays a scenario matrix of overlapping failures (link cuts, shard
     failover, stale-replica storms, flash crowds, maintenance drains)
-    through the incremental + sharded solve engine and the sync plane,
+    through the incremental solve engine and the sync plane,
     then evaluates the run's Prometheus snapshot against the SLO spec.
     Exits non-zero on any violation unless ``--no-gate``.
     """
@@ -568,7 +508,6 @@ def _cmd_soak(args) -> None:
         seed=args.seed,
         num_agents=args.agents,
         num_shards=args.shards,
-        shard_workers=args.shard_workers,
     )
     report = run_soak_study(args.scenario, **overrides)
     if args.metrics_out:
@@ -635,8 +574,7 @@ def _cmd_soak(args) -> None:
             f"{len(report.event_log)} events fired, "
             f"{report.publishes} publishes, "
             f"converged {report.final_converged_fraction:.3f}, "
-            f"{report.injected_faults} injected faults, "
-            f"{report.num_sharded_pairs} sharded pairs",
+            f"{report.injected_faults} injected faults",
             f"identity digest {report.identity_digest()}",
         ]
         _emit("\n".join(lines) + "\n", args.out)
@@ -919,7 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--agents", type=int, default=40)
     p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--shard-workers", type=int, default=2)
     p.add_argument(
         "--metrics-out", default=None, metavar="FILE",
         help="write the run's metrics snapshot (Prometheus text, or a "
@@ -1005,19 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta-threshold", type=float, default=1.5,
         help="per-pair relative demand-change bound for the LP delta "
              "fast path (0 = bit-exact reuse only)",
-    )
-    p.add_argument(
-        "--lp-backend",
-        choices=["scipy", "highspy", "auto"],
-        default=None,
-        help="LP backend (default: REPRO_LP_BACKEND env or scipy; "
-             "highspy degrades to scipy when not installed)",
-    )
-    p.add_argument(
-        "--shard-workers", default=None, metavar="N",
-        help="compare the in-process replay against the process-"
-             "parallel sharded second stage with N worker processes "
-             "(or 'auto'); exits non-zero if their digests diverge",
     )
     p.add_argument(
         "--trace-out", default=None, metavar="FILE",

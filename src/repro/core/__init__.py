@@ -5,26 +5,14 @@ from .fastssp import FastSSPResult, fast_ssp, fast_ssp_sorted
 from .flowtable import FlowTable, PairViews, csr_offsets, pair_views
 from .formulation import MaxAllFlowProblem
 from .incremental import IncrementalConfig, IncrementalState
-from .lp_backend import (
-    BACKEND_ENV_VAR,
-    LPSolveError,
-    highspy_available,
-    resolve_backend_name,
-)
+from .lp_backend import LPSolveError
 from .pairfill import (
     SSP_BACKEND_NAMES,
     fill_pair,
     fill_pairs,
     resolve_ssp_backend_name,
 )
-from .parallel import resolve_workers
 from .qos import PRIORITY_ORDER, QoSClass
-from .sharded import (
-    SHARD_WORKERS_ENV,
-    ShardContext,
-    ShardedConfig,
-    plan_shards,
-)
 from .siteflow import SiteFlowSolver, solve_max_site_flow
 from .ssp import (
     SSPSolution,
@@ -69,20 +57,12 @@ __all__ = [
     "csr_offsets",
     "pair_views",
     "SiteFlowSolver",
-    "resolve_workers",
     "fill_pair",
     "fill_pairs",
     "SSP_BACKEND_NAMES",
     "fast_ssp_sorted",
     "resolve_ssp_backend_name",
-    "SHARD_WORKERS_ENV",
-    "ShardContext",
-    "ShardedConfig",
-    "plan_shards",
     "IncrementalConfig",
     "IncrementalState",
-    "BACKEND_ENV_VAR",
     "LPSolveError",
-    "highspy_available",
-    "resolve_backend_name",
 ]

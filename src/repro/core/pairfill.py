@@ -9,15 +9,10 @@ solved in parallel"), so nothing here batches across pairs: measured
 contended steps hold 1-4 pairs, and every phase of the FastSSP kernel is
 per instance anyway.
 
-:func:`fill_pairs` is the optimizer's stage-2 seam: the fill callable
-:meth:`MegaTEOptimizer._fill <repro.core.twostage.MegaTEOptimizer>`
-calls in-process, and the function the shared-memory shard workers
-(:mod:`repro.core.sharded`) run in *other processes* — both execute
-byte-for-byte the same code; the sharded path's bit-identity contract
-rests on that.  It composes the cold fill with the carried
-cross-interval warm start (:func:`repro.core.incremental.warm_fill_pair`)
-behind one call, so the worker-side incremental fast path cannot drift
-from the in-process one.
+:func:`fill_pairs` is the optimizer's stage-2 call
+(:meth:`MegaTEOptimizer._fill <repro.core.twostage.MegaTEOptimizer>`).
+It composes the cold fill with the carried cross-interval warm start
+(:func:`repro.core.incremental.warm_fill_pair`) behind one call.
 
 FastSSP comes in two bit-identical implementations
 (:mod:`repro.core.fastssp`), named by ``ssp_backend``: ``"numpy"``, the
@@ -166,9 +161,7 @@ def fill_pairs(
 
     Every pair whose carried assignment passes the warm gate
     (:func:`~repro.core.incremental.warm_fill_pair`) reuses it; the
-    remaining cold pairs run :func:`fill_pair` one by one.  Used by the
-    in-process dispatch and the shard workers so neither can drift from
-    the other.
+    remaining cold pairs run :func:`fill_pair` one by one.
 
     Args:
         pair_volumes / pair_allocs / pair_orders: Per-pair ``fill_pair``

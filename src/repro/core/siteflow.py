@@ -9,8 +9,8 @@ pre-established tunnels:
          Σ_{k,t} F_{k,t} L(t,e) ≤ c_e   (capacity)
          F_{k,t} ≥ 0
 
-Solved with HiGHS (an LP backend from :mod:`repro.core.lp_backend`) on
-sparse matrices — the role Gurobi plays in the paper.
+Solved with HiGHS (:func:`repro.core.lp_backend.solve_lp`) on sparse
+matrices — the role Gurobi plays in the paper.
 
 The LP's *structure* — variable offsets, the link-tunnel incidence, the
 stacked constraint matrix — depends only on the topology, not on the
@@ -28,15 +28,13 @@ barely move.  :meth:`SiteFlowSolver.solve_priced` takes the previous
 solve's :class:`LinkPrices` as a hint and returns the new ones beside
 the allocation; the hint only decides how much of the LP is handed to
 HiGHS (:meth:`SiteFlowSolver._solve_guided`), never the answer.  The
-reduction sits above the backend seam, and the solver keeps no per-call
-state — the hint is the caller's to carry — so solvers stay shareable
-through the per-topology cache.
+solver keeps no per-call state — the hint is the caller's to carry — so
+solvers stay shareable through the per-topology cache.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -47,13 +45,7 @@ from scipy.optimize import linprog
 
 from ..obs import get_registry, get_tracer
 from .flowtable import csr_offsets
-from .lp_backend import (
-    BackendUnavailable,
-    LPSolveError,
-    make_backend,
-    resolve_backend_name,
-    solve_lp,
-)
+from .lp_backend import LPSolveError, solve_lp
 from .types import SiteAllocation
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with formulation
@@ -100,17 +92,16 @@ class SiteFlowSolution(NamedTuple):
     """One stage-1 class-solve: the flat optimal ``F_{k,t}`` (``x``), the
     next interval's hint (``prices``), and how it was reached.
 
-    ``warm_start`` is true when carried state was used — a backend's
-    basis or a followed hint.  ``outcome`` is ``"whole"`` (no usable
-    hint, or too small to gain), ``"guided"``, or ``"fallback:<reason>"``
-    (hint abandoned, whole LP solved); ``pairs_fixed`` / ``pairs_free``
-    count the demand-carrying pairs the prices decided / the LP did, and
-    ``rounds`` the restricted LPs solved.
+    ``warm_start`` is true when a hint was followed.  ``outcome`` is
+    ``"whole"`` (no usable hint, or too small to gain), ``"guided"``, or
+    ``"fallback:<reason>"`` (hint abandoned, whole LP solved);
+    ``pairs_fixed`` / ``pairs_free`` count the demand-carrying pairs the
+    prices decided / the LP did, and ``rounds`` the restricted LPs
+    solved.
     """
 
     x: np.ndarray
     prices: LinkPrices
-    backend: str
     warm_start: bool
     outcome: str
     pairs_fixed: int
@@ -262,10 +253,6 @@ class SiteFlowSolver:
         self._fill_order_cache: dict[
             str, tuple[list[np.ndarray], np.ndarray]
         ] = {}
-        #: Lazily constructed LP backend instances, keyed by name.
-        self._backends: dict[str, object] = {}
-        #: Backends that failed at runtime this process (degraded away).
-        self._broken_backends: set[str] = set()
         self._incidence_col_bounds: np.ndarray | None = None
         # What the price-guided reduction reads per call: ``L`` by
         # tunnel (for ``Lᵀλ``) and the pairs that have tunnels at all.
@@ -355,31 +342,16 @@ class SiteFlowSolver:
             )
         return cached
 
-    def _backend_for(self, name: str):
-        """The (cached) backend instance for a resolved backend name."""
-        if name in self._broken_backends:
-            name = "scipy"
-        impl = self._backends.get(name)
-        if impl is None:
-            try:
-                impl = make_backend(name, self.constraint_matrix)
-            except BackendUnavailable:
-                self._broken_backends.add(name)
-                return self._backend_for("scipy")
-            self._backends[name] = impl
-        return impl
-
     def solve_flat(
         self,
         site_demands: np.ndarray,
         capacities: np.ndarray | None = None,
         tunnel_weights: np.ndarray | None = None,
         epsilon: float | None = None,
-        backend: str | None = None,
     ) -> np.ndarray:
         """The flat ``F_{k,t}`` of :meth:`solve_priced` without a hint."""
         return self.solve_priced(
-            site_demands, capacities, tunnel_weights, epsilon, backend
+            site_demands, capacities, tunnel_weights, epsilon
         ).x
 
     def solve_priced(
@@ -388,15 +360,12 @@ class SiteFlowSolver:
         capacities: np.ndarray | None = None,
         tunnel_weights: np.ndarray | None = None,
         epsilon: float | None = None,
-        backend: str | None = None,
         hint: LinkPrices | None = None,
     ) -> SiteFlowSolution:
         """Solve the LP: hint in, allocation and prices out.
 
         Args mirror :func:`solve_max_site_flow`; ``epsilon=None``
-        auto-scales exactly the way the legacy function did.  ``backend``
-        selects the LP backend (``"scipy"``/``"highspy"``/``"auto"``;
-        ``None`` consults ``REPRO_LP_BACKEND``, default scipy).  ``hint``
+        auto-scales exactly the way the legacy function did.  ``hint``
         is the :attr:`SiteFlowSolution.prices` of an earlier solve of the
         same class on this solver; it only decides how much of the LP is
         handed to HiGHS (see :meth:`_solve_guided`) — the result is an
@@ -405,6 +374,9 @@ class SiteFlowSolver:
         ignored.
 
         Raises:
+            ValueError: if ``site_demands`` is misshapen, negative, NaN
+                or infinite, or ``capacities`` misaligned or NaN — on
+                every path, before any LP is built.
             LPSolveError: if HiGHS fails on the whole LP (should not
                 happen: the LP is always feasible, F = 0 works).
         """
@@ -413,18 +385,21 @@ class SiteFlowSolver:
             raise ValueError(
                 "site_demands must have one entry per site pair"
             )
+        if not np.all(np.isfinite(site_demands)):
+            raise ValueError("site_demands must be finite (no NaN or inf)")
         if np.any(site_demands < 0):
             raise ValueError("site demands must be non-negative")
         caps = self.capacities if capacities is None else capacities
         if caps.shape != self.capacities.shape:
             raise ValueError("capacities must align with the link index")
+        if np.any(np.isnan(caps)):
+            raise ValueError("capacities must not be NaN")
         num_vars = self.num_tunnel_vars
-        impl = self._backend_for(resolve_backend_name(backend))
         if num_vars == 0:
             return SiteFlowSolution(
                 np.empty(0, dtype=np.float64),
                 LinkPrices(np.zeros(caps.size), weakref.ref(self)),
-                impl.name, False, "whole", 0, 0, 0,
+                False, "whole", 0, 0, 0,
             )  # fmt: skip
         weights = (
             self.tunnel_weights
@@ -445,9 +420,7 @@ class SiteFlowSolver:
             eps = epsilon
         cost = -(1.0 - eps * weights)
         link_caps = np.maximum(caps, 0.0)
-        with get_tracer().span(
-            "siteflow.lp_solve", backend=impl.name
-        ) as sp:
+        with get_tracer().span("siteflow.lp_solve") as sp:
             lam = self._usable_hint(hint)
             guided = (
                 None
@@ -459,45 +432,22 @@ class SiteFlowSolver:
                 outcome, warm = "guided", True
             else:
                 outcome = "whole" if guided is None else f"fallback:{guided}"
-                b_ub = np.concatenate([site_demands, link_caps])
-                impl, x, row_prices, warm = self._solve_whole(
-                    impl, cost, b_ub
+                x, row_prices = solve_lp(
+                    cost,
+                    self.constraint_matrix,
+                    np.concatenate([site_demands, link_caps]),
                 )
+                warm = False
                 prices = row_prices[self.num_pairs :]
                 fixed, rounds = 0, 0
                 free = int(np.count_nonzero(site_demands))
             solution = SiteFlowSolution(
                 x, LinkPrices(prices, weakref.ref(self)),
-                impl.name, warm, outcome, fixed, free, rounds,
+                warm, outcome, fixed, free, rounds,
             )  # fmt: skip
             for key, value in zip(solution._fields[2:], solution[2:]):
                 sp.set_attribute(key, value)
         return solution
-
-    def _solve_whole(self, impl, cost: np.ndarray, b_ub: np.ndarray):
-        """The whole LP on a backend; ``(backend used, x, prices, warm)``."""
-        if impl.name != "scipy":
-            try:
-                return impl, *impl.solve(cost, b_ub)
-            except Exception as exc:
-                # Optional backends must never break the serving
-                # loop: degrade this solver to scipy for the rest
-                # of the process and re-solve the call that failed.
-                warnings.warn(
-                    f"LP backend {impl.name!r} failed ({exc}); "
-                    "falling back to scipy",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                get_registry().counter(
-                    "megate_lp_backend_fallbacks_total",
-                    "LP backend runtime failures degraded to scipy",
-                    labelnames=("backend",),
-                ).labels(backend=impl.name).inc()
-                self._broken_backends.add(impl.name)
-                self._backends.pop(impl.name, None)
-                impl = self._backend_for("scipy")
-        return impl, *impl.solve(cost, b_ub)
 
     def _usable_hint(self, hint: LinkPrices | None) -> np.ndarray | None:
         """The hint's price vector, or ``None`` when it must be ignored."""
@@ -649,7 +599,6 @@ class SiteFlowSolver:
         capacities: np.ndarray | None = None,
         tunnel_weights: np.ndarray | None = None,
         epsilon: float | None = None,
-        backend: str | None = None,
     ) -> SiteAllocation:
         """Solve the LP and return the allocation per site pair."""
         return self.split(
@@ -658,7 +607,6 @@ class SiteFlowSolver:
                 capacities=capacities,
                 tunnel_weights=tunnel_weights,
                 epsilon=epsilon,
-                backend=backend,
             )
         )
 

@@ -22,14 +22,12 @@ so the phases account for the solve by construction:
    majority in production — needs no FastSSP; the rest are *contended*.
    ``second_stage="serial"``, the reference, passes every pair through.
 4. **fill** (``contended_ssp``) — MaxEndpointFlow for the contended
-   pairs, through the one stage-2 seam: a callable shaped like
-   :func:`repro.core.pairfill.fill_pairs` (pair volumes, allocations,
-   fill orders, carried assignments → ``(assigned, placed, warm)`` per
-   pair).  In-process that callable *is* ``fill_pairs`` — one
+   pairs, in-process through :func:`repro.core.pairfill.fill_pairs`
+   (pair volumes, allocations, fill orders, carried assignments →
+   ``(assigned, placed, warm)`` per pair): one
    :func:`~repro.core.pairfill.fill_pair` per pair, each tunnel one
-   FastSSP instance; with ``shard_workers`` it is
-   :class:`repro.core.sharded.ShardedFill`'s.  A flow lands on exactly
-   one tunnel or is rejected.
+   FastSSP instance.  A flow lands on exactly one tunnel or is
+   rejected.
 5. **scatter** (``scatter``) — write both kinds of pair into the flat
    assignment / allocation vectors and carry the incremental state.
 6. **residual** (``residual_update``) — subtract the class's placed
@@ -39,8 +37,8 @@ so the phases account for the solve by construction:
 
 Every path (``"batched"`` with the FastSSP kernel or — under
 ``ssp_backend="scalar"`` — its reference, the reference ``"serial"``
-stage, sharded, incremental at ``delta_threshold=0.0``) produces
-the identical assignment (digest-pinned and property-tested).
+stage, incremental at ``delta_threshold=0.0``) produces the identical
+assignment (digest-pinned and property-tested).
 """
 
 from __future__ import annotations
@@ -60,10 +58,8 @@ from .incremental import (
     IncrementalState,
     patch_class_allocation,
 )
-from .lp_backend import resolve_backend_name
-from .pairfill import resolve_ssp_backend_name
+from .pairfill import fill_pairs, resolve_ssp_backend_name
 from .qos import PRIORITY_ORDER, QoSClass
-from .sharded import ShardedConfig, ShardedFill
 from .siteflow import LinkPrices, SiteFlowSolver
 from .types import (
     PHASE_KEYS,
@@ -127,7 +123,6 @@ class _Interval:
     assignment: FlowAssignment
     combined: SiteAllocation
     ssp_backend: str
-    shard_workers: int
     state: IncrementalState | None
     carried: bool
     warm_fill: bool
@@ -138,7 +133,6 @@ class _Interval:
     ssp_batch_phase: dict[str, float] = field(default_factory=dict)
     satisfied: float = 0.0
     satisfied_by_class: dict[int, float] = field(default_factory=dict)
-    lp_backend_used: str | None = None
     stage1: dict[int, dict] = field(default_factory=dict)
 
 
@@ -157,7 +151,6 @@ class _ClassStep:
     seg: np.ndarray
     demands: np.ndarray
     # allocate
-    attribute: str = field(init=False)
     orders: list[np.ndarray] = field(init=False)
     ordered_cols: np.ndarray = field(init=False)
     alloc_flat: np.ndarray = field(init=False)
@@ -247,22 +240,10 @@ class MegaTEOptimizer:
             > 0 only).
         refresh_every: Force a cold re-solve every N intervals (0 =
             never) to re-optimize away accumulated patch drift.
-        lp_backend: LP backend name forwarded to
-            :meth:`SiteFlowSolver.solve_priced` (``"scipy"`` /
-            ``"highspy"`` / ``"auto"``; ``None`` consults the
-            ``REPRO_LP_BACKEND`` environment variable, default scipy).
-            A missing or failing ``highspy`` degrades to scipy.
-        shard_workers: Process-parallel sharded second stage
-            (:mod:`repro.core.sharded`): worker-process count (int,
-            digit string, or ``"auto"``), a full
-            :class:`~repro.core.sharded.ShardedConfig`, or ``None`` to
-            consult ``REPRO_SHARD_WORKERS`` (same selection pattern as
-            ``lp_backend``; default serial).  ``0``/``1`` explicitly
-            force the in-process path.  Only the batched second stage
-            shards; the result is bit-identical to the in-process path
-            on every setting.  Sharding allocates a shared-memory arena
-            and a worker pool — call :meth:`close` (or use the
-            optimizer as a context manager) to release them.
+        lp_backend: Accepted for existing callers only: ``None`` or
+            ``"scipy"``, the one LP path there is.
+        shard_workers: Accepted for existing callers only: ``None`` or
+            ``0``; stage 2 always runs in-process.
         ssp_backend: FastSSP implementation of the contended second
             stage (:mod:`repro.core.fastssp`): ``"numpy"`` (the default,
             also ``None``) is the sorted-row kernel and ``"scalar"`` the
@@ -296,7 +277,7 @@ class MegaTEOptimizer:
         carry_ssp_state: bool = True,
         refresh_every: int = 0,
         lp_backend: str | None = None,
-        shard_workers: int | str | ShardedConfig | None = None,
+        shard_workers: int | None = None,
         ssp_backend: str | None = None,
     ) -> None:
         if not 0 < fastssp_epsilon < 1:
@@ -305,13 +286,16 @@ class MegaTEOptimizer:
             raise ValueError(
                 "second_stage must be 'batched' or 'serial'"
             )
-        # Explicit selections fail here, at process start, not inside
-        # the first TE interval; a ``None`` ``lp_backend`` or
-        # ``shard_workers`` defers to its REPRO_* env at solve time.
-        if lp_backend is not None:
-            resolve_backend_name(lp_backend)
-        if shard_workers is not None:
-            ShardedConfig.resolve(shard_workers)
+        for name, value, kept in (
+            ("lp_backend", lp_backend, "scipy"),
+            ("shard_workers", shard_workers, 0),
+        ):
+            if value not in (None, kept):
+                raise ValueError(
+                    f"{name}={value!r} was removed: stage 1 has one LP "
+                    "path and stage 2 runs in-process; pass None or "
+                    f"{kept!r}"
+                )
         self.fastssp_epsilon = fastssp_epsilon
         self.objective_epsilon = objective_epsilon
         self.qos_order = qos_order
@@ -331,8 +315,6 @@ class MegaTEOptimizer:
             )
         else:
             self.incremental = None
-        self.lp_backend = lp_backend
-        self.shard_workers = shard_workers
         self.ssp_backend = resolve_ssp_backend_name(ssp_backend)
         self._state: IncrementalState | None = None
         #: Stage-1 link prices carried to the next solve: per topology's
@@ -341,35 +323,11 @@ class MegaTEOptimizer:
         self._prices: weakref.WeakKeyDictionary[
             SiteFlowSolver, dict[int, LinkPrices]
         ] = weakref.WeakKeyDictionary()
-        self._sharded = ShardedFill(
-            tuple(
-                {
-                    self.class_tunnel_attribute.get(q, "weight")
-                    for q in self.qos_order
-                }
-            )
-        )
 
     def reset_incremental_state(self) -> None:
         """Drop carried cross-interval state (next solve runs cold)."""
         self._state = None
         self._prices.clear()
-
-    def close(self) -> None:
-        """Release sharded-solve resources (worker pool, shared memory).
-
-        Idempotent; a no-op when the optimizer never sharded.  The
-        shared-memory arena is also unlinked by GC and interpreter-exit
-        hooks, but calling ``close()`` (or using the optimizer as a
-        context manager) releases it deterministically.
-        """
-        self._sharded.close()
-
-    def __enter__(self) -> "MegaTEOptimizer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def solve(
         self, topology: TwoLayerTopology, demands: DemandMatrix
@@ -397,7 +355,6 @@ class MegaTEOptimizer:
             # O(pairs) Python sum — ≈ 10 ms at 9 900 pairs that no phase
             # would own.
             span.set_attribute("satisfied_volume", result.satisfied_volume)
-            span.set_attribute("backend", result.stats[StatKey.BACKEND])
         self._record_metrics(result)
         return result
 
@@ -505,14 +462,12 @@ class MegaTEOptimizer:
                     inc.refresh_every > 0
                     and state.interval_index % inc.refresh_every == 0
                 )
-            # Only the batched stage shards, runs the FastSSP kernel or
-            # warm-starts; the serial reference always fills scalar,
-            # cold, in-process.
+            # Only the batched stage runs the FastSSP kernel or
+            # warm-starts; the serial reference always fills scalar, cold.
             batched = self.second_stage == "batched"
-            table = demands.table
             return _Interval(
                 solver=solver,
-                table=table,
+                table=demands.table,
                 lp_epsilon=problem.effective_epsilon,
                 residual=problem.capacities.astype(np.float64).copy(),
                 assignment=FlowAssignment.rejecting_all(demands),
@@ -521,9 +476,6 @@ class MegaTEOptimizer:
                     solver.tunnel_offsets,
                 ),
                 ssp_backend=self.ssp_backend if batched else "scalar",
-                shard_workers=self._sharded.begin_interval(
-                    self.shard_workers if batched else 0, solver, table
-                ),
                 state=state,
                 carried=carried,
                 # Carried second-stage state is disabled at threshold 0
@@ -573,7 +525,6 @@ class MegaTEOptimizer:
                 if class_weights.size:
                     max_w = float(class_weights.max())
                     class_epsilon = 0.3 / max_w if max_w > 0 else 0.0
-            cls.attribute = attribute
             cls.orders, cls.ordered_cols = solver.fill_orders(attribute)
             cls.population_same = (
                 state.sync_class_population(qos.value, cls.idx)
@@ -611,14 +562,12 @@ class MegaTEOptimizer:
                     capacities=iv.residual,
                     tunnel_weights=class_weights,
                     epsilon=class_epsilon,
-                    backend=self.lp_backend,
                     hint=prices.get(qos.value),
                 )
                 prices[qos.value] = solved.prices
                 alloc_flat = solved.x
                 iv.counts[StatKey.LP_SOLVES] += 1
                 iv.counts[StatKey.LP_WARM_START] += solved.warm_start
-                iv.lp_backend_used = solved.backend
                 iv.stage1[qos.value] = {
                     "outcome": solved.outcome,
                     "pairs_fixed": solved.pairs_fixed,
@@ -657,7 +606,7 @@ class MegaTEOptimizer:
             cls.contended = candidates[~fits]
 
     def _fill(self, iv: _Interval, cls: _ClassStep) -> None:
-        """MaxEndpointFlow for the contended pairs — the stage-2 seam.
+        """MaxEndpointFlow for the contended pairs.
 
         Tunnels are processed in ascending order of the class's
         preferred attribute — latency for classes 1-2, cost for class 3
@@ -679,10 +628,7 @@ class MegaTEOptimizer:
             prev = None
             if iv.warm_fill and cls.population_same:
                 prev = [state.ssp_assigned.get((qos.value, k)) for k in ks]
-            fill = self._sharded.for_class(
-                qos.value, cls.attribute, cls.contended, cls.alloc_flat
-            )
-            cls.filled = fill(
+            cls.filled = fill_pairs(
                 [cls.vol[seg[k] : seg[k + 1]] for k in ks],
                 [cls.site_alloc.per_pair[k] for k in ks],
                 [cls.orders[k] for k in ks],
@@ -794,15 +740,11 @@ class MegaTEOptimizer:
                 StatKey.STAGE1: iv.stage1,
                 StatKey.PHASE_S: phase,
                 StatKey.SECOND_STAGE: self.second_stage,
-                StatKey.BACKEND: (
-                    iv.lp_backend_used
-                    if iv.lp_backend_used is not None
-                    else resolve_backend_name(self.lp_backend)
-                ),
+                # Constants kept for readers of the stats dict that
+                # predate the single LP and in-process stage-2 path.
+                StatKey.BACKEND: "scipy",
                 StatKey.INCREMENTAL: self.incremental is not None,
-                StatKey.SHARD_WORKERS: iv.shard_workers,
-                StatKey.NUM_SHARDED_PAIRS: self._sharded.num_pairs,
-                StatKey.SHARD_TIMINGS: self._sharded.timings,
+                StatKey.SHARD_WORKERS: 0,
                 StatKey.SSP_BACKEND: iv.ssp_backend,
                 StatKey.SSP_BATCH_PHASE_S: iv.ssp_batch_phase,
             },

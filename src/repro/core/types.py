@@ -53,6 +53,7 @@ class StatKey:
     SECOND_STAGE = "second_stage"
     NUM_UNCONTENDED_PAIRS = "num_uncontended_pairs"
     NUM_CONTENDED_PAIRS = "num_contended_pairs"
+    #: Constant ``"scipy"`` (the one LP path); ``bench/run.py`` reads it.
     BACKEND = "backend"
     LP_WARM_START = "lp_warm_start"
     LP_SOLVES = "lp_solves"
@@ -60,9 +61,8 @@ class StatKey:
     PAIRS_DELTA_PATCHED = "pairs_delta_patched"
     SSP_STATE_REUSED = "ssp_state_reused"
     INCREMENTAL = "incremental"
+    #: Constant ``0`` (stage 2 runs in-process); ``bench/run.py`` reads it.
     SHARD_WORKERS = "shard_workers"
-    NUM_SHARDED_PAIRS = "num_sharded_pairs"
-    SHARD_TIMINGS = "shard_timings"
     SSP_BACKEND = "ssp_backend"
     SSP_BATCH_PHASE_S = "ssp_batch_phase_s"
     #: Per class solved by the LP: ``{"outcome": "whole" | "guided" |

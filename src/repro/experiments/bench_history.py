@@ -108,7 +108,8 @@ CONFIG_KEYS = (
 )
 
 #: Extra per-mode summaries validated when present (records from
-#: configs that exercise them; absent on legacy records).
+#: configs that exercise them; absent on legacy records).  ``sharded``
+#: appears only on records from before stage 2 became in-process only.
 OPTIONAL_MODES = ("sharded", "scalar_fill")
 
 #: Keys every ``soak`` record must carry.

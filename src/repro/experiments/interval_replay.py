@@ -40,7 +40,6 @@ __all__ = [
     "replay_intervals",
     "run_interval_replay",
     "run_cold_vs_incremental",
-    "run_sharded_replay",
 ]
 
 
@@ -64,23 +63,16 @@ class IntervalReplayReport:
         assignment_digest: SHA-256 over every interval's per-pair
             assignment arrays, in interval order — equal digests mean
             bit-identical allocations.
-        backend: LP backend of the last interval (``"scipy"`` or
-            ``"highspy"``; constant across a replay in practice).
+        backend: LP backend, always ``"scipy"`` (kept for the bench
+            history schema).
         lp_solves: Full LP solves across the replay.
         lp_solves_skipped: Class solves served by the delta fast path.
-        lp_warm_starts: LP solves warm-started from a previous basis
-            (highspy backend only).
+        lp_warm_starts: LP solves that followed the previous interval's
+            link prices (the guided stage-1 path).
         pairs_delta_patched: Demand-changed site pairs absorbed by the
             delta fast path.
         ssp_state_reused: Contended pair solves served by the carried
             second-stage state.
-        shard_workers: Worker-process count of the sharded second stage
-            (0 = in-process).
-        num_sharded_pairs: Contended pair solves dispatched to shard
-            workers across the replay.
-        shard_timings: Per-shard-task timing dicts (``shard``, ``pid``,
-            ``pairs``, ``seconds``, ``phase_s``) from the workers'
-            merged telemetry, in dispatch order.
         ssp_backend: FastSSP implementation of the second stage
             (``"numpy"`` for the kernel, ``"scalar"`` for its
             reference); constant across a replay.
@@ -108,9 +100,6 @@ class IntervalReplayReport:
     lp_warm_starts: int = 0
     pairs_delta_patched: int = 0
     ssp_state_reused: int = 0
-    shard_workers: int = 0
-    num_sharded_pairs: int = 0
-    shard_timings: list[dict] = field(default_factory=list)
     ssp_backend: str = "scalar"
     ssp_batch_phase_s: dict[str, float] = field(default_factory=dict)
 
@@ -134,9 +123,6 @@ class IntervalReplayReport:
             "lp_warm_starts": self.lp_warm_starts,
             "pairs_delta_patched": self.pairs_delta_patched,
             "ssp_state_reused": self.ssp_state_reused,
-            "shard_workers": self.shard_workers,
-            "num_sharded_pairs": self.num_sharded_pairs,
-            "shard_timings": list(self.shard_timings),
             "ssp_backend": self.ssp_backend,
             "ssp_batch_phase_s": dict(self.ssp_batch_phase_s),
         }
@@ -164,7 +150,6 @@ def replay_intervals(
     """
     if num_intervals <= 0:
         raise ValueError("num_intervals must be positive")
-    owns_optimizer = optimizer is None
     if optimizer is None:
         optimizer = MegaTEOptimizer()
     # A replay is one fresh control-loop run: never inherit carried
@@ -191,7 +176,6 @@ def replay_intervals(
             StatKey.NUM_UNCONTENDED_PAIRS
         ]
         report.num_contended_pairs += stats[StatKey.NUM_CONTENDED_PAIRS]
-        report.backend = stats.get(StatKey.BACKEND, report.backend)
         report.lp_solves += stats.get(StatKey.LP_SOLVES, 0)
         report.lp_solves_skipped += stats.get(
             StatKey.LP_SOLVES_SKIPPED, 0
@@ -201,13 +185,6 @@ def replay_intervals(
             StatKey.PAIRS_DELTA_PATCHED, 0
         )
         report.ssp_state_reused += stats.get(StatKey.SSP_STATE_REUSED, 0)
-        report.shard_workers = stats.get(
-            StatKey.SHARD_WORKERS, report.shard_workers
-        )
-        report.num_sharded_pairs += stats.get(
-            StatKey.NUM_SHARDED_PAIRS, 0
-        )
-        report.shard_timings.extend(stats.get(StatKey.SHARD_TIMINGS, ()))
         report.ssp_backend = stats.get(
             StatKey.SSP_BACKEND, report.ssp_backend
         )
@@ -220,10 +197,6 @@ def replay_intervals(
         for arr in result.assignment.per_pair:
             digest.update(arr.tobytes())
     report.assignment_digest = digest.hexdigest()
-    if owns_optimizer:
-        # A replay-owned optimizer's shard pool + arena die with the
-        # replay; caller-supplied optimizers own their own lifecycle.
-        optimizer.close()
     return report
 
 
@@ -236,16 +209,12 @@ def run_interval_replay(
     sequence_seed: int = 5,
     num_intervals: int = 10,
     optimizer: MegaTEOptimizer | None = None,
-    shard_workers: int | str | None = None,
 ) -> IntervalReplayReport:
     """Build the standard replay scenario and run it.
 
     Defaults reproduce the benchmark configuration: the 100-site TWAN
     topology with the default synthetic trace, diurnally modulated over
-    ten intervals.  ``shard_workers`` (ignored when an ``optimizer`` is
-    supplied) runs the replay through the process-parallel sharded
-    second stage, whose assignments are bit-identical to the default
-    path's.
+    ten intervals.
     """
     scenario = build_scenario(
         topology_name,
@@ -255,15 +224,6 @@ def run_interval_replay(
         seed=seed,
     )
     sequence = DiurnalSequence(base=scenario.demands, seed=sequence_seed)
-    if optimizer is None and shard_workers is not None:
-        with MegaTEOptimizer(shard_workers=shard_workers) as opt:
-            return replay_intervals(
-                scenario.topology,
-                sequence,
-                num_intervals,
-                optimizer=opt,
-                topology_name=topology_name,
-            )
     return replay_intervals(
         scenario.topology,
         sequence,
@@ -271,65 +231,6 @@ def run_interval_replay(
         optimizer=optimizer,
         topology_name=topology_name,
     )
-
-
-def run_sharded_replay(
-    topology_name: str = "twan",
-    total_endpoints: int = 20_000,
-    num_site_pairs: int = 60,
-    target_load: float = 1.0,
-    seed: int = 42,
-    sequence_seed: int = 5,
-    num_intervals: int = 10,
-    shard_workers: int | str = 2,
-    lp_backend: str | None = None,
-) -> dict:
-    """Replay the same interval sequence in-process and sharded.
-
-    The sharded second stage (:mod:`repro.core.sharded`) carries a
-    bit-identity contract against the in-process path; this runs both
-    over the same scenario and reports the digests side by side, so
-    ``digest_match`` must always be ``True`` — the CI perf-smoke leg
-    asserts exactly that.  The sharded report also carries the
-    per-shard-task timing breakdown folded back from the workers'
-    metrics registries.
-
-    Returns:
-        A JSON-serializable dict with ``serial``, ``sharded``,
-        ``solver_speedup`` (in-process / sharded stage-1+2 seconds) and
-        ``digest_match``.
-    """
-    config = dict(
-        topology_name=topology_name,
-        total_endpoints=total_endpoints,
-        num_site_pairs=num_site_pairs,
-        target_load=target_load,
-        seed=seed,
-        sequence_seed=sequence_seed,
-        num_intervals=num_intervals,
-    )
-    serial = run_interval_replay(
-        optimizer=MegaTEOptimizer(lp_backend=lp_backend), **config
-    )
-    with MegaTEOptimizer(
-        lp_backend=lp_backend, shard_workers=shard_workers
-    ) as optimizer:
-        sharded = run_interval_replay(optimizer=optimizer, **config)
-    serial_solver = serial.stage1_lp_s + serial.stage2_ssp_s
-    sharded_solver = sharded.stage1_lp_s + sharded.stage2_ssp_s
-    return {
-        "config": {**config, "shard_workers": shard_workers},
-        "serial": serial.as_dict(),
-        "sharded": sharded.as_dict(),
-        "solver_speedup": (
-            serial_solver / sharded_solver
-            if sharded_solver > 0
-            else float("inf")
-        ),
-        "digest_match": (
-            serial.assignment_digest == sharded.assignment_digest
-        ),
-    }
 
 
 def run_cold_vs_incremental(
@@ -341,7 +242,6 @@ def run_cold_vs_incremental(
     sequence_seed: int = 5,
     num_intervals: int = 10,
     delta_threshold: float = 1.5,
-    lp_backend: str | None = None,
 ) -> dict:
     """Replay the same interval sequence cold and incrementally.
 
@@ -367,14 +267,10 @@ def run_cold_vs_incremental(
         sequence_seed=sequence_seed,
         num_intervals=num_intervals,
     )
-    cold = run_interval_replay(
-        optimizer=MegaTEOptimizer(lp_backend=lp_backend), **config
-    )
+    cold = run_interval_replay(optimizer=MegaTEOptimizer(), **config)
     incremental = run_interval_replay(
         optimizer=MegaTEOptimizer(
-            incremental=True,
-            delta_threshold=delta_threshold,
-            lp_backend=lp_backend,
+            incremental=True, delta_threshold=delta_threshold
         ),
         **config,
     )

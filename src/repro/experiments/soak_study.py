@@ -3,9 +3,8 @@
 Thin experiment wrapper around the soak engine
 (:mod:`repro.simulation.soak`): it pins the study configuration (the
 same way the replay bench pins its perf configs), builds the TWAN
-scenario and diurnal sequence, switches on everything the engine is
-meant to stress — the incremental cross-interval engine *and* the
-process-sharded second stage — and turns the resulting
+scenario and diurnal sequence, switches on the incremental
+cross-interval engine, and turns the resulting
 :class:`~repro.simulation.soak.SoakReport` into a ``soak`` bench-history
 record so failure-behavior regressions are caught like perf
 regressions.
@@ -56,7 +55,6 @@ SOAK_DEFAULTS = dict(
     interval_s=300.0,
     num_agents=40,
     num_shards=4,
-    shard_workers=2,
 )
 
 
@@ -95,9 +93,8 @@ def run_soak_study(
 
     Incremental engine on (``delta_threshold=0.0``, so reuse is exact
     and the assignment digest stays comparable to a cold replay),
-    sharded second stage on, telemetry always on (the engine owns the
-    registry for the run).  SLO violations are recorded on the report,
-    not raised — gate with
+    telemetry always on (the engine owns the registry for the run).  SLO
+    violations are recorded on the report, not raised — gate with
     :meth:`~repro.simulation.soak.SoakReport.assert_slos`.
 
     Args:
@@ -124,25 +121,20 @@ def run_soak_study(
         seed=cfg["seed"],
         num_shards=cfg["num_shards"],
     )
-    with MegaTEOptimizer(
-        incremental=True,
-        delta_threshold=0.0,
-        shard_workers=cfg["shard_workers"],
-    ) as optimizer:
-        return run_soak(
-            built.topology,
-            sequence,
-            cfg["num_intervals"],
-            events,
-            optimizer=optimizer,
-            interval_s=cfg["interval_s"],
-            num_agents=cfg["num_agents"],
-            num_shards=cfg["num_shards"],
-            seed=cfg["seed"],
-            slo_spec=slo_spec,
-            scenario=scenario,
-            topology_name=cfg["topology_name"],
-        )
+    return run_soak(
+        built.topology,
+        sequence,
+        cfg["num_intervals"],
+        events,
+        optimizer=MegaTEOptimizer(incremental=True, delta_threshold=0.0),
+        interval_s=cfg["interval_s"],
+        num_agents=cfg["num_agents"],
+        num_shards=cfg["num_shards"],
+        seed=cfg["seed"],
+        slo_spec=slo_spec,
+        scenario=scenario,
+        topology_name=cfg["topology_name"],
+    )
 
 
 def soak_history_record(
@@ -171,7 +163,6 @@ def soak_history_record(
         "violations": list(report.violations),
         "identity_digest": report.identity_digest(),
         "assignment_digest": report.assignment_digest,
-        "num_sharded_pairs": report.num_sharded_pairs,
         "resharded_keys": report.resharded_keys,
         "injected_faults": report.injected_faults,
     }

@@ -173,23 +173,20 @@ def run_stream_study(
     )
 
     def one(trig, admission=None, use_predictor=False):
-        with MegaTEOptimizer(
-            incremental=True, delta_threshold=0.0
-        ) as optimizer:
-            return run_stream(
-                built.topology,
-                built.demands,
-                events,
-                cfg["num_epochs"],
-                tick_s=cfg["tick_s"],
-                trigger=trig,
-                optimizer=optimizer,
-                predictor=predictor if use_predictor else None,
-                admission=admission,
-                seed=cfg["seed"],
-                scenario=scenario,
-                topology_name=cfg["topology_name"],
-            )
+        return run_stream(
+            built.topology,
+            built.demands,
+            events,
+            cfg["num_epochs"],
+            tick_s=cfg["tick_s"],
+            trigger=trig,
+            optimizer=MegaTEOptimizer(incremental=True, delta_threshold=0.0),
+            predictor=predictor if use_predictor else None,
+            admission=admission,
+            seed=cfg["seed"],
+            scenario=scenario,
+            topology_name=cfg["topology_name"],
+        )
 
     oracle = one(OracleTrigger())
     cand = one(candidate, use_predictor=True)

@@ -11,7 +11,7 @@ events firing on schedules, all four planes live at once:
 
 * **solver** — every interval solves on the current (possibly degraded)
   topology through a caller-supplied optimizer, typically with the
-  incremental engine and the process-sharded second stage active;
+  incremental engine active;
 * **data plane** — the assignment is realized by the flow simulator, so
   overload during a flash crowd shows up as lost delivered volume;
 * **sync plane** — a fleet of retrying endpoint agents polls a
@@ -49,7 +49,6 @@ import numpy as np
 
 from ..core import MegaTEOptimizer
 from ..core.flowtable import FlowTable
-from ..core.types import StatKey
 from ..obs import get_registry, get_tracer
 from ..topology.failures import sample_failure_scenarios
 from ..traffic import DiurnalSequence
@@ -564,8 +563,6 @@ class SoakReport:
     final_converged_fraction: float = 1.0
     resharded_keys: int = 0
     injected_faults: int = 0
-    num_sharded_pairs: int = 0
-    shard_workers: int = 0
     total_runtime_s: float = 0.0
 
     def as_dict(self) -> dict:
@@ -588,8 +585,6 @@ class SoakReport:
             "final_converged_fraction": self.final_converged_fraction,
             "resharded_keys": self.resharded_keys,
             "injected_faults": self.injected_faults,
-            "num_sharded_pairs": self.num_sharded_pairs,
-            "shard_workers": self.shard_workers,
             "total_runtime_s": self.total_runtime_s,
             "identity_digest": self.identity_digest(),
         }
@@ -622,7 +617,6 @@ class SoakReport:
             "final_converged_fraction": self.final_converged_fraction,
             "resharded_keys": self.resharded_keys,
             "injected_faults": self.injected_faults,
-            "num_sharded_pairs": self.num_sharded_pairs,
         }
 
     def identity_digest(self) -> str:
@@ -772,9 +766,8 @@ def run_soak(
         num_intervals: Intervals to replay.
         events: The scenario's event schedule (see
             :func:`scenario_events`); empty replays plain intervals.
-        optimizer: Solver to drive (a default, closed-on-exit
-            :class:`MegaTEOptimizer` when omitted).  The soak study
-            passes an incremental + sharded one.
+        optimizer: Solver to drive (a default :class:`MegaTEOptimizer`
+            when omitted).  The soak study passes an incremental one.
         interval_s: Simulated seconds per TE interval.
         num_agents: Endpoint-agent fleet size in the sync plane.
         num_shards: TE database shards.
@@ -816,7 +809,6 @@ def run_soak(
     registry.enabled = True
     registry.reset()
 
-    owns_optimizer = optimizer is None
     if optimizer is None:
         optimizer = MegaTEOptimizer()
     optimizer.reset_incremental_state()
@@ -973,13 +965,6 @@ def run_soak(
             delivered_floor = min(delivered_floor, delivered_fraction)
             floor_g.set(delivered_floor)
             intervals_c.inc()
-            report.num_sharded_pairs += result.stats.get(
-                StatKey.NUM_SHARDED_PAIRS, 0
-            )
-            report.shard_workers = max(
-                report.shard_workers,
-                result.stats.get(StatKey.SHARD_WORKERS, 0),
-            )
             report.total_runtime_s += result.runtime_s
             report.records.append(
                 SoakIntervalRecord(
@@ -1037,8 +1022,6 @@ def run_soak(
                     fresh_c.inc(fresh)
                     degraded_c.inc(degraded)
     finally:
-        if owns_optimizer:
-            optimizer.close()
         registry.enabled = prior_enabled
 
     # Run-end bookkeeping folded into the registry *before* the

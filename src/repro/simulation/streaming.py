@@ -911,8 +911,8 @@ def run_stream(
         num_epochs: Controller epochs to run.
         tick_s: Simulated seconds per epoch.
         trigger: Trigger policy (default :class:`HybridTrigger`).
-        optimizer: Solver to drive (a default, closed-on-exit
-            :class:`MegaTEOptimizer` when omitted).
+        optimizer: Solver to drive (a default :class:`MegaTEOptimizer`
+            when omitted).
         predictor: Optional forecaster with ``observe``/``predict``
             (:mod:`repro.traffic.prediction`); its forecast drift
             feeds the trigger.
@@ -936,7 +936,6 @@ def run_stream(
     registry.enabled = True
     registry.reset()
 
-    owns_optimizer = optimizer is None
     if optimizer is None:
         optimizer = MegaTEOptimizer()
     optimizer.reset_incremental_state()
@@ -1200,8 +1199,6 @@ def run_stream(
                 current = pending
                 pending = None
     finally:
-        if owns_optimizer:
-            optimizer.close()
         registry.enabled = prior_enabled
 
     report.assignment_digest = digest.hexdigest()

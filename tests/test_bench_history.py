@@ -531,3 +531,60 @@ def test_repo_artifact_validates():
     )
     history = load_history(artifact)
     assert isinstance(history, list)
+
+
+@pytest.mark.parametrize(
+    "scenario, seed", [("full-mix", 0), ("link-flap", 1), ("sync-storm", 2)]
+)
+def test_fresh_soak_record_appends_to_repo_artifact(tmp_path, scenario, seed):
+    """A soak record at the scale of the committed soak matrix
+    (``benchmarks/test_soak_slo.py``) appends to a copy of the checked-in
+    artifact: same-name records must pin identical configs, so neither
+    side may carry a key the other lacks."""
+    import shutil
+    from pathlib import Path
+
+    from repro.experiments.soak_study import soak_config, soak_history_record
+    from repro.simulation.soak import SLOReport, SoakReport
+
+    artifact = tmp_path / "BENCH_interval_solve.json"
+    shutil.copy(
+        Path(__file__).resolve().parent.parent / "BENCH_interval_solve.json",
+        artifact,
+    )
+    load_history(artifact)
+    cfg = soak_config(
+        scenario,
+        total_endpoints=6_000,
+        num_site_pairs=36,
+        num_intervals=20,
+        num_agents=24,
+        seed=seed,
+    )
+    report = SoakReport(
+        scenario=scenario,
+        seed=seed,
+        topology="twan",
+        num_intervals=20,
+        num_flows=0,
+        interval_s=300.0,
+        num_agents=24,
+        num_shards=4,
+        assignment_digest=DIGEST,
+        slo=SLOReport(
+            availability=1.0,
+            staleness_p99_s=0.0,
+            degraded_fraction=0.0,
+            delivered_floor=1.0,
+            solver_phase_p99_s=0.01,
+            agent_samples=0,
+            intervals=20,
+        ),
+    )
+    record = soak_history_record(
+        report, cfg, timestamp="2026-10-16T00:00:00Z", git_sha="abcdef123456"
+    )
+    name = record["config_name"]
+    assert len(load_history(artifact, config_name=name)) == 1
+    append_history_record(artifact, record)
+    assert len(load_history(artifact, config_name=name)) == 2

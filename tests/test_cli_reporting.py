@@ -360,7 +360,7 @@ class TestObservabilityCLI:
             "soak", "--scenario", "link-flap",
             "--endpoints", "2000", "--pairs", "20",
             "--intervals", "4", "--seed", "0",
-            "--agents", "8", "--shards", "2", "--shard-workers", "0",
+            "--agents", "8", "--shards", "2",
             "--json", "--out", str(report_path),
             "--metrics-out", str(metrics_path),
             "--history", str(history_path),
@@ -436,7 +436,7 @@ class TestObservabilityCLI:
             "soak", "--scenario", "baseline",
             "--endpoints", "2000", "--pairs", "20",
             "--intervals", "2", "--seed", "0",
-            "--agents", "4", "--shards", "2", "--shard-workers", "0",
+            "--agents", "4", "--shards", "2",
             "--json", "--out", str(tmp_path / "r.json"),
         ]
         import unittest.mock

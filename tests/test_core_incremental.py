@@ -1,7 +1,6 @@
 """Tests for the incremental cross-interval solve engine.
 
-Covers the three layers of :mod:`repro.core.incremental` and the LP
-backend abstraction in :mod:`repro.core.lp_backend`:
+Covers the three layers of :mod:`repro.core.incremental`:
 
 * equivalence: at ``delta_threshold=0.0`` the incremental engine is
   bit-for-bit identical to the cold path over whole interval replays
@@ -9,14 +8,10 @@ backend abstraction in :mod:`repro.core.lp_backend`:
 * feasibility: at a generous threshold every patched interval still
   satisfies constraints (1a)-(1c), and the reuse counters actually fire;
 * guards: the delta-patch fallback reasons, the second-stage warm-fill
-  quality gate, and state invalidation on topology / population change;
-* backends: selection order, and the clean scipy fallback when the
-  optional ``highspy`` wheel is absent (simulated by hiding the module).
+  quality gate, and state invalidation on topology / population change.
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 import pytest
@@ -27,7 +22,6 @@ from repro.core import (
     MegaTEOptimizer,
     UNASSIGNED,
     check_feasibility,
-    resolve_backend_name,
 )
 from repro.core.incremental import (
     ClassLPState,
@@ -35,7 +29,6 @@ from repro.core.incremental import (
     patch_class_allocation,
     warm_fill_pair,
 )
-from repro.core.lp_backend import BACKEND_ENV_VAR, highspy_available
 from repro.core.siteflow import SiteFlowSolver
 from repro.experiments.interval_replay import (
     run_cold_vs_incremental,
@@ -416,64 +409,3 @@ class TestWarmFillPair:
             0.1,
         )
         assert out is None
-
-
-class TestBackendSelection:
-    def test_default_is_scipy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend_name() == "scipy"
-        assert resolve_backend_name("scipy") == "scipy"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend_name("gurobi")
-
-    def test_env_var_consulted(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scipy")
-        assert resolve_backend_name() == "scipy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "gurobi")
-        with pytest.raises(ValueError):
-            resolve_backend_name()
-
-    def test_highspy_absent_degrades_to_scipy(self, monkeypatch):
-        """Hiding the module must never raise — always scipy."""
-        monkeypatch.setitem(sys.modules, "highspy", None)
-        assert highspy_available() is False
-        assert resolve_backend_name("highspy") == "scipy"
-        assert resolve_backend_name("auto") == "scipy"
-
-    def test_solve_with_missing_highspy_records_scipy(
-        self, monkeypatch, tiny_topology
-    ):
-        from conftest import make_pair_demands
-
-        monkeypatch.setitem(sys.modules, "highspy", None)
-        demands = DemandMatrix(
-            [make_pair_demands([3.0, 2.0], with_endpoints=True)]
-        )
-        result = MegaTEOptimizer(lp_backend="highspy").solve(
-            tiny_topology, demands
-        )
-        assert result.stats["backend"] == "scipy"
-        assert result.stats["lp_warm_start"] == 0
-        assert check_feasibility(tiny_topology, result).feasible
-
-    @pytest.mark.skipif(
-        not highspy_available(), reason="highspy not installed"
-    )
-    def test_highspy_backend_matches_scipy_closely(self, tiny_topology):
-        """With the wheel present: same optimum, warm start observable."""
-        from conftest import make_pair_demands
-
-        demands = DemandMatrix(
-            [make_pair_demands([3.0, 2.0], with_endpoints=True)]
-        )
-        opt = MegaTEOptimizer(lp_backend="highspy")
-        first = opt.solve(tiny_topology, demands)
-        second = opt.solve(tiny_topology, demands)
-        assert first.stats["backend"] == "highspy"
-        assert second.stats["lp_warm_start"] > 0
-        scipy_result = MegaTEOptimizer().solve(tiny_topology, demands)
-        assert first.satisfied_volume == pytest.approx(
-            scipy_result.satisfied_volume, rel=1e-6
-        )

@@ -67,14 +67,26 @@ class TestBasics:
         "kwargs, message",
         [
             (dict(ssp_backend="bogus"), "unknown SSP backend"),
-            (dict(lp_backend="bogus"), "unknown LP backend"),
-            (dict(shard_workers=-1), "workers must be >= 0"),
+            (dict(lp_backend="bogus"), "lp_backend.*was removed"),
+            (dict(lp_backend="highspy"), "lp_backend.*was removed"),
+            (dict(lp_backend="auto"), "lp_backend.*was removed"),
+            (dict(shard_workers=-1), "shard_workers.*was removed"),
+            (dict(shard_workers=2), "shard_workers.*was removed"),
+            (dict(shard_workers="auto"), "shard_workers.*was removed"),
         ],
-        ids=["ssp_backend", "lp_backend", "shard_workers"],
+        ids=[
+            "ssp_backend",
+            "lp_backend",
+            "lp_backend_highspy",
+            "lp_backend_auto",
+            "shard_workers",
+            "shard_workers_2",
+            "shard_workers_auto",
+        ],
     )
     def test_explicit_selections_fail_at_construction(self, kwargs, message):
-        """A bad explicit backend / worker spec must fail at process
-        start, not inside the first TE interval."""
+        """A bad backend name, or a selection of a removed LP backend or
+        of process sharding, fails at construction, typed."""
         with pytest.raises(ValueError, match=message):
             MegaTEOptimizer(**kwargs)
 
@@ -285,23 +297,26 @@ TWAN_20K_DIGEST = (
         dict(second_stage="batched", ssp_backend="numpy"),
         dict(second_stage="batched", ssp_backend="scalar"),
         dict(second_stage="serial"),
-        dict(shard_workers=2),
+        dict(env={"REPRO_LP_BACKEND": "highspy", "REPRO_SHARD_WORKERS": "2"}),
         dict(incremental=True, delta_threshold=0.0),
     ],
-    ids=["batched-numpy", "batched-scalar", "serial", "sharded", "incremental"],
+    ids=["batched-numpy", "batched-scalar", "serial", "env", "incremental"],
 )
-def test_every_path_reproduces_the_pinned_digest(kwargs):
+def test_every_path_reproduces_the_pinned_digest(kwargs, monkeypatch):
+    """The ``env`` case sets the retired selector variables: nothing
+    may read them, so the default path's digest must hold."""
     from repro.experiments import run_interval_replay
 
-    with MegaTEOptimizer(**kwargs) as optimizer:
-        report = run_interval_replay(
-            optimizer=optimizer,
-            topology_name="twan",
-            total_endpoints=20_000,
-            num_site_pairs=60,
-            target_load=1.0,
-            seed=42,
-            sequence_seed=5,
-            num_intervals=10,
-        )
+    for name, value in kwargs.pop("env", {}).items():
+        monkeypatch.setenv(name, value)
+    report = run_interval_replay(
+        optimizer=MegaTEOptimizer(**kwargs),
+        topology_name="twan",
+        total_endpoints=20_000,
+        num_site_pairs=60,
+        target_load=1.0,
+        seed=42,
+        sequence_seed=5,
+        num_intervals=10,
+    )
     assert report.assignment_digest == TWAN_20K_DIGEST

@@ -81,11 +81,9 @@ def test_result_stats_contract():
         assert key in result.stats, key
     assert set(result.stats["phase_s"]) == set(PHASE_KEYS)
     assert {"site_merge", "scatter"} <= set(PHASE_KEYS)
-    # Cold solve: everything ran through the full LP on the resolved
-    # backend (env-selectable in CI), nothing came from carried state.
-    from repro.core import resolve_backend_name
-
-    assert result.stats["backend"] == resolve_backend_name()
+    # Cold solve: everything ran through the full LP, nothing came from
+    # carried state.
+    assert result.stats["backend"] == "scipy"
     assert result.stats["lp_solves"] > 0
     assert result.stats["lp_solves_skipped"] == 0
     assert result.stats["pairs_delta_patched"] == 0

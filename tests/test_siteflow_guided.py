@@ -177,8 +177,11 @@ def test_failures_are_typed(tiny_topology, monkeypatch):
     solver = SiteFlowSolver(tiny_topology)
     demands = np.array([6.0])
     ref = solver.solve_priced(demands)
+    solve_lp = siteflow.solve_lp
 
     def failing(cost, a_ub, b_ub):
+        if a_ub is solver.constraint_matrix:
+            return solve_lp(cost, a_ub, b_ub)  # the whole LP still solves
         raise LPSolveError(4, "numerical difficulties")
 
     monkeypatch.setattr(siteflow, "solve_lp", failing)
@@ -199,6 +202,38 @@ def test_failures_are_typed(tiny_topology, monkeypatch):
         solver.solve_priced(demands)
     assert isinstance(caught.value, LPSolveError)
     assert (caught.value.status, caught.value.message) == (2, "infeasible")
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["whole", "guided"])
+@pytest.mark.parametrize(
+    "demand, capacity, argument",
+    [
+        (np.nan, 10.0, "site_demands"),
+        (np.inf, 10.0, "site_demands"),
+        (-np.inf, 10.0, "site_demands"),
+        (6.0, np.nan, "capacities"),
+    ],
+    ids=["nan-demand", "inf-demand", "neg-inf-demand", "nan-capacity"],
+)
+def test_non_finite_inputs_are_typed(
+    tiny_topology, monkeypatch, hinted, demand, capacity, argument
+):
+    """A NaN or infinite demand, or a NaN capacity, is a ``ValueError``
+    naming the argument on both stage-1 paths, before any LP runs."""
+    solver = SiteFlowSolver(tiny_topology)
+    hint = solver.solve_priced(np.array([6.0])).prices if hinted else None
+    caps = solver.capacities.copy()
+    caps[0] = capacity
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran on non-finite input")
+
+    monkeypatch.setattr(siteflow, "solve_lp", no_lp)
+    with mock.patch.multiple(
+        siteflow, _MIN_FREE_PAIRS=1, _FREE_PAIRS_PER_LINK=0, _WHOLE_LP_ABOVE=1.0
+    ):
+        with pytest.raises(ValueError, match=argument):
+            solver.solve_priced(np.array([demand]), caps, hint=hint)
 
 
 # -- through the optimizer, where the shipped thresholds engage -------------
