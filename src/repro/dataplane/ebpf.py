@@ -37,6 +37,11 @@ class Hook(Enum):
     TC_EGRESS = "tc/egress"
 
 
+#: What :meth:`EBPFMap.delete` pops when the key is absent; any stored
+#: value, ``None`` included, differs from it.
+_MISSING = object()
+
+
 class MapFullError(RuntimeError):
     """Raised when an insert would exceed a map's ``max_entries`` (E2BIG)."""
 
@@ -63,7 +68,8 @@ class EBPFMap:
 
     def update(self, key: Hashable, value: Any) -> None:
         """Insert or overwrite; raises :class:`MapFullError` when full."""
-        if key not in self._entries and len(self._entries) >= self.max_entries:
+        # The size test first: below capacity the key is hashed once.
+        if len(self._entries) >= self.max_entries and key not in self._entries:
             raise MapFullError(
                 f"map {self.name!r} full ({self.max_entries} entries)"
             )
@@ -71,7 +77,7 @@ class EBPFMap:
 
     def delete(self, key: Hashable) -> bool:
         """Remove a key; returns whether it existed."""
-        return self._entries.pop(key, None) is not None
+        return self._entries.pop(key, _MISSING) is not _MISSING
 
     def clear(self) -> None:
         self._entries.clear()

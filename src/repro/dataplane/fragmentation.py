@@ -13,8 +13,10 @@ from .packet import (
     FiveTuple,
     IPV4_HEADER_LEN,
     IPv4Header,
+    MAX_UDP_PAYLOAD,
+    UDP,
     UDP_HEADER_LEN,
-    UDPHeader,
+    encode_ipv4_header,
 )
 
 __all__ = ["build_udp_fragments"]
@@ -40,48 +42,43 @@ def build_udp_fragments(
     """
     if payload_length < 0:
         raise ValueError("payload_length must be non-negative")
-    if payload_length > 0xFFFF - UDP_HEADER_LEN:
+    if payload_length > MAX_UDP_PAYLOAD:
         raise ValueError(
-            "UDP payload limited to 65527 bytes; split the transfer "
-            "into multiple datagrams"
+            f"UDP payload limited to {MAX_UDP_PAYLOAD} bytes; split the "
+            "transfer into multiple datagrams"
         )
     if mtu < IPV4_HEADER_LEN + 8:
         raise ValueError("mtu too small for IPv4")
-    udp = UDPHeader(
-        src_port=flow.src_port,
-        dst_port=flow.dst_port,
-        length=UDP_HEADER_LEN + payload_length,
-    )
-    l4_bytes = udp.encode() + bytes(payload_length)
-    total_length = IPV4_HEADER_LEN + len(l4_bytes)
-    if total_length <= mtu:
-        header = IPv4Header(
-            src=flow.src_ip,
-            dst=flow.dst_ip,
-            protocol=flow.protocol,
-            identification=ipid,
-            total_length=total_length,
-        )
-        return [header.encode() + l4_bytes]
+    udp_length = UDP_HEADER_LEN + payload_length
+    l4_bytes = UDP.pack(
+        flow.src_port, flow.dst_port, udp_length, 0
+    ) + bytes(payload_length)
+    if IPV4_HEADER_LEN + udp_length <= mtu:
+        return [
+            encode_ipv4_header(
+                flow.src_ip,
+                flow.dst_ip,
+                flow.protocol,
+                ipid,
+                IPV4_HEADER_LEN + udp_length,
+            )
+            + l4_bytes
+        ]
 
     # Fragment: payload per fragment must be a multiple of 8 bytes.
     max_payload = (mtu - IPV4_HEADER_LEN) // 8 * 8
     fragments: list[bytes] = []
-    offset = 0
-    while offset < len(l4_bytes):
+    for offset in range(0, udp_length, max_payload):
         chunk = l4_bytes[offset : offset + max_payload]
-        last = offset + len(chunk) >= len(l4_bytes)
-        flags_fragment = (offset // 8) | (
-            0 if last else IPv4Header.MORE_FRAGMENTS
+        more = offset + max_payload < udp_length
+        header = encode_ipv4_header(
+            flow.src_ip,
+            flow.dst_ip,
+            flow.protocol,
+            ipid,
+            IPV4_HEADER_LEN + len(chunk),
+            flags_fragment=offset // 8
+            | (IPv4Header.MORE_FRAGMENTS if more else 0),
         )
-        header = IPv4Header(
-            src=flow.src_ip,
-            dst=flow.dst_ip,
-            protocol=flow.protocol,
-            identification=ipid,
-            flags_fragment=flags_fragment,
-            total_length=IPV4_HEADER_LEN + len(chunk),
-        )
-        fragments.append(header.encode() + chunk)
-        offset += len(chunk)
+        fragments.append(header + chunk)
     return fragments

@@ -35,6 +35,13 @@ class TestEBPFMap:
         assert not m.delete("k")
         assert len(m) == 0
 
+    def test_delete_key_stored_with_none(self):
+        m = EBPFMap("m")
+        m.update("k", None)
+        assert m.delete("k")
+        assert "k" not in m
+        assert not m.delete("k")
+
     def test_capacity_e2big(self):
         m = EBPFMap("m", max_entries=2)
         m.update("a", 1)
@@ -182,3 +189,15 @@ class TestFragmentation:
             build_udp_fragments(self.FLOW, -1, ipid=0)
         with pytest.raises(ValueError):
             build_udp_fragments(self.FLOW, 10, ipid=0, mtu=10)
+
+    @pytest.mark.parametrize("mtu", [70_000, 1500])
+    def test_payload_capped_at_one_ipv4_datagram(self, mtu):
+        """65 535 B of IPv4 datagram leave 65 507 B of UDP payload."""
+        for too_long in (65_508, 65_520):
+            with pytest.raises(ValueError, match="65507"):
+                build_udp_fragments(self.FLOW, too_long, ipid=1, mtu=mtu)
+        packets = build_udp_fragments(self.FLOW, 65_507, ipid=1, mtu=mtu)
+        l4 = b"".join(IPv4Header.decode(p)[1] for p in packets)
+        assert IPV4_HEADER_LEN + len(l4) == 0xFFFF
+        udp, payload = UDPHeader.decode(l4)
+        assert udp.length == len(l4) and len(payload) == 65_507

@@ -1,33 +1,41 @@
-"""The SR router's fast path against its decoder (reference) path.
+"""The SR fast paths against their references.
 
 ``SRRouter`` reads well-formed SR packets at fixed offsets and leaves
-everything else to the decoder path.  These tests require the two to agree
-on every packet, well-formed or mutated, and guard that a well-formed
-delivery never falls back to building header objects.
+everything else to the decoder path.  ``WANFabric.deliver`` checks a
+well-formed SR packet once, at its ingress router, then walks its hop
+list.  These tests hold the router to its decoder path, and the fabric to
+the router-by-router ``process`` loop, on every packet, well-formed or
+mutated; guard that a well-formed delivery builds no header objects and
+no ``ForwardingDecision``; and check the SR round trip from install to
+reassembly on random WANs.
 """
 
 from __future__ import annotations
-
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dataplane import (
+    DeliveryRecord,
     FiveTuple,
     HostStack,
     IPv4Header,
     PROTO_UDP,
+    Reassembler,
     SiteIdCodec,
     SRHeader,
     SRRouter,
     UDPHeader,
     WANFabric,
+    decapsulate,
 )
+from repro.dataplane import router as router_module
 from repro.dataplane.host_stack import WirePacket
 from repro.dataplane.packet import ETH_HEADER_LEN, IPV4_HEADER_LEN
 from repro.topology import b4
 from repro.topology.tunnels import build_tunnels
+
+from test_property_invariants import random_network
 
 NET = b4()
 #: The same site layer with two links down, so some hops are dead.
@@ -109,9 +117,32 @@ def _mutated(draw, data: bytes) -> bytes:
     return data
 
 
-def _reference_deliver(fabric: WANFabric, packet: WirePacket):
-    with mock.patch.object(SRRouter, "_process_fast", return_value=None):
-        return fabric.deliver(packet)
+def _per_router(fabric: WANFabric, packet: WirePacket):
+    """The reference walk: every router runs ``process`` on the bytes the
+    last one forwarded.  Returns the record and the bytes at the end."""
+    site, data = packet.ingress_site, packet.data
+    visited, latency = [site], 0.0
+    for _ in range(64):
+        decision = fabric.routers[site].process(data)
+        data = decision.data
+        if decision.action != "forward":
+            delivered = decision.action == "deliver"
+            return (
+                DeliveryRecord(delivered, tuple(visited), latency, decision.reason),
+                data,
+            )
+        latency += fabric.network.link(site, decision.next_site).latency_ms
+        site = decision.next_site
+        visited.append(site)
+    return DeliveryRecord(False, tuple(visited), latency, "hop budget exhausted"), data
+
+
+def _counters(fabric: WANFabric) -> dict[str, dict[str, int]]:
+    return {site: r.counters for site, r in fabric.routers.items()}
+
+
+def _fabric(network) -> WANFabric:
+    return WANFabric(network, codec=CODEC, vtep_site_of=lambda ip: "B4-05")
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,9 +158,25 @@ def test_fast_path_matches_reference(data):
 
     assert router.process(wire) == router._process_decoded(wire)
 
-    fabric = WANFabric(network, codec=CODEC, vtep_site_of=lambda ip: "B4-05")
+    walked, reference = _fabric(network), _fabric(network)
     packet = WirePacket(data=wire, ingress_site=path[0])
-    assert fabric.deliver(packet) == _reference_deliver(fabric, packet)
+    for _ in range(2):
+        assert walked.deliver(packet) == _per_router(reference, packet)[0]
+    assert _counters(walked) == _counters(reference)
+
+
+def test_hop_budget_matches_reference():
+    """A hop list bouncing between two sites exhausts the 64-hop budget
+    on the walk exactly where it does router by router."""
+    path = ("B4-00", "B4-01") * 40
+    wire = _wire_packets(path, 64)[0]
+    walked, reference = _fabric(NET), _fabric(NET)
+    packet = WirePacket(data=wire, ingress_site="B4-00")
+    record = walked.deliver(packet)
+    assert record == _per_router(reference, packet)[0]
+    assert record.drop_reason == "hop budget exhausted"
+    assert len(record.site_path) == 65
+    assert _counters(walked) == _counters(reference)
 
 
 @pytest.mark.parametrize("path", PATHS[::7])
@@ -144,7 +191,8 @@ def test_well_formed_packets_take_the_fast_path(path):
 
 
 def test_multi_hop_delivery_builds_no_header_objects(monkeypatch):
-    """A well-formed SR packet is routed by fixed-offset reads alone."""
+    """A well-formed SR packet is routed by fixed-offset reads alone: no
+    header object and no per-hop ``ForwardingDecision``."""
     path = ("B4-00", "B4-02", "B4-04", "B4-06")
     fabric = WANFabric(NET, codec=CODEC)
     host = HostStack(site=path[0], codec=CODEC)
@@ -159,12 +207,55 @@ def test_multi_hop_delivery_builds_no_header_objects(monkeypatch):
     monkeypatch.setattr(SRHeader, "decode", forbidden)
     monkeypatch.setattr(SRHeader, "encode", forbidden)
     monkeypatch.setattr(IPv4Header, "decode", forbidden)
+    monkeypatch.setattr(router_module, "ForwardingDecision", forbidden)
     packets = host.send(FLOW, 4000)
     assert len(packets) == 3
     for packet in packets:
         record = fabric.deliver(packet)
         assert record.delivered, record.drop_reason
         assert record.site_path == path
+    assert fabric.routers["B4-02"].counters["forward"] == 3
+    assert fabric.routers["B4-06"].counters["deliver"] == 3
+
+
+@st.composite
+def _catalog_path(draw) -> tuple:
+    """A random WAN and one tunnel of its catalog."""
+    net, sites = draw(random_network())
+    src, dst = draw(st.permutations(sites))[:2]
+    tunnels = build_tunnels(net, [(src, dst)], tunnels_per_pair=3)
+    return net, draw(st.sampled_from(tunnels.tunnels(0))).path
+
+
+@settings(max_examples=60, deadline=None)
+@given(wan=_catalog_path(), payload=st.sampled_from([0, 64, 4000]))
+def test_sr_round_trip(wan, payload):
+    """install_path -> send -> deliver -> decapsulate + reassemble: the
+    packets ride the catalog path with the SR path consumed, and the
+    datagram comes back with its five tuple and length."""
+    net, path = wan
+    codec = SiteIdCodec(net.sites)
+    fabric = WANFabric(net, codec=codec)
+    host = HostStack(site=path[0], codec=codec)
+    host.register_instance(7, FLOW.src_ip)
+    host.open_connection(host.spawn_process(7), FLOW)
+    host.install_path(7, FLOW.dst_ip, path)
+    reassembler = Reassembler()
+    datagrams = []
+    for packet in host.send(FLOW, payload):
+        record = fabric.deliver(packet)
+        assert record.delivered, record.drop_reason
+        assert record.site_path == path
+        assert record.latency_ms == pytest.approx(net.path_latency_ms(path))
+        reference, egress_bytes = _per_router(fabric, packet)
+        assert reference == record
+        inner = decapsulate(egress_bytes)
+        assert inner.had_sr_header and inner.sr_path_consumed
+        datagram = reassembler.push(inner)
+        if datagram is not None:
+            datagrams.append(datagram)
+    assert [(d.flow, len(d.payload)) for d in datagrams] == [(FLOW, payload)]
+    assert reassembler.pending == 0
 
 
 class TestUnknownSiteId:
