@@ -2,7 +2,7 @@
 
 from .exact import ExactSolution, solve_max_all_flow
 from .fastssp import FastSSPResult, fast_ssp, fast_ssp_sorted
-from .flowtable import FlowTable, PairViews, csr_offsets, pair_views
+from .flowtable import FlowTable, PairViews, csr_offsets
 from .formulation import MaxAllFlowProblem
 from .incremental import IncrementalConfig, IncrementalState
 from .lp_backend import LPSolveError
@@ -55,7 +55,6 @@ __all__ = [
     "FlowTable",
     "PairViews",
     "csr_offsets",
-    "pair_views",
     "SiteFlowSolver",
     "fill_pair",
     "fill_pairs",

@@ -33,11 +33,12 @@ looping pair by pair in Python.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["csr_offsets", "pair_views", "PairViews", "FlowTable"]
+__all__ = ["csr_offsets", "segment_sums", "PairViews", "FlowTable"]
 
 
 def csr_offsets(counts: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -48,11 +49,60 @@ def csr_offsets(counts: Sequence[int] | np.ndarray) -> np.ndarray:
     return offsets
 
 
-def pair_views(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
-    """Zero-copy per-pair slices of a flat CSR column."""
-    return [
-        flat[offsets[k] : offsets[k + 1]] for k in range(offsets.size - 1)
-    ]
+def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``values[offsets[k]:offsets[k + 1]].sum()`` for every ``k``, bit
+    for bit, in a few array passes instead of one call per segment.
+
+    NumPy sums a float64 run of ``n`` elements into an identity ``0.0``
+    in a fixed order: ``n < 8`` adds sequentially; ``8 ≤ n ≤ 128`` (its
+    pairwise block size) keeps eight strided lanes, adds them as the tree
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then adds the ``n mod 8``
+    tail sequentially.  Those runs replay that order here across all
+    segments at once; longer runs (which NumPy splits recursively) call
+    ``.sum()`` themselves.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    starts = offsets[:-1]
+    counts = np.diff(offsets)
+    out = np.zeros(counts.size, dtype=np.float64)
+
+    short = np.flatnonzero(counts < 8)
+    for i in range(7):
+        short = short[counts[short] > i]
+        if not short.size:
+            break
+        out[short] += values[starts[short] + i]
+
+    block = np.flatnonzero((counts >= 8) & (counts <= 128))
+    if block.size:
+        # Longest first, so the rows still adding lane block b are a
+        # prefix: rows[b - 1] of them.
+        block = block[np.argsort(-counts[block], kind="stable")]
+        n = counts[block]
+        blocks = n // 8
+        rows = np.searchsorted(-blocks, -np.arange(1, 17))
+        lane = starts[block][:, None] + np.arange(8)
+        lanes = values[lane]
+        for b in range(1, int(blocks[0])):
+            lanes[: rows[b - 1]] += values[lane[: rows[b - 1]] + 8 * b]
+        pairs = lanes[:, 0::2] + lanes[:, 1::2]
+        quads = pairs[:, 0::2] + pairs[:, 1::2]
+        res = quads[:, 0] + quads[:, 1]
+        # The tail, zero-padded to seven terms: adding +0.0 is exact but
+        # for a zero's sign, which the final ``0.0 +`` erases.
+        tail = starts[block][:, None] + 8 * blocks[:, None] + np.arange(7)
+        pad = np.arange(7) >= (n % 8)[:, None]
+        tail[pad] = 0
+        terms = values[tail]
+        terms[pad] = 0.0
+        for i in range(7):
+            res += terms[:, i]
+        out[block] += res
+
+    for k in np.flatnonzero(counts > 128).tolist():
+        out[k] = values[offsets[k] : offsets[k + 1]].sum()
+    return out
 
 
 class PairViews:
@@ -63,7 +113,9 @@ class PairViews:
     columnar store.  Whole-element assignment (``views[k] = arr``) copies
     the values *into* the slice instead of rebinding, so legacy call sites
     that replace a pair's array wholesale keep writing the flat column
-    rather than silently detaching from it.
+    rather than silently detaching from it.  Each view is built on first
+    access and kept, so construction costs O(1) and a pair's view is the
+    same object every time.
     """
 
     __slots__ = ("flat", "offsets", "_views")
@@ -71,16 +123,32 @@ class PairViews:
     def __init__(self, flat: np.ndarray, offsets: np.ndarray) -> None:
         self.flat = flat
         self.offsets = offsets
-        self._views = pair_views(flat, offsets)
+        self._views: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
-        return len(self._views)
+        return self.offsets.size - 1
+
+    def _view(self, k: int) -> np.ndarray:
+        view = self._views.get(k)
+        if view is None:
+            view = self._views[k] = self.flat[
+                self.offsets[k] : self.offsets[k + 1]
+            ]
+        return view
 
     def __getitem__(self, k):
-        return self._views[k]
+        if type(k) is int and k in self._views:
+            return self._views[k]
+        if isinstance(k, slice):
+            return [self._view(i) for i in range(*k.indices(len(self)))]
+        k = operator.index(k)
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError(f"pair index {k} out of range for {n} pairs")
+        return self._view(k % n)
 
     def __setitem__(self, k: int, value) -> None:
-        view = self._views[k]
+        view = self[k]
         arr = np.asarray(value, dtype=view.dtype)
         if arr.shape != view.shape:
             raise ValueError(
@@ -90,10 +158,10 @@ class PairViews:
         view[...] = arr
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self._views)
+        return (self._view(k) for k in range(len(self)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"PairViews(num_pairs={len(self._views)}, flat={self.flat!r})"
+        return f"PairViews(num_pairs={len(self)}, flat={self.flat!r})"
 
 
 class FlowTable:

@@ -27,9 +27,10 @@ dual prices pick for it, and between consecutive intervals those prices
 barely move.  :meth:`SiteFlowSolver.solve_priced` takes the previous
 solve's :class:`LinkPrices` as a hint and returns the new ones beside
 the allocation; the hint only decides how much of the LP is handed to
-HiGHS (:meth:`SiteFlowSolver._solve_guided`), never the answer.  The
-solver keeps no per-call state — the hint is the caller's to carry — so
-solvers stay shareable through the per-topology cache.
+HiGHS (:meth:`SiteFlowSolver._solve_guided`) — none of it when the
+hint's own decisions already pass the LP's optimality check — never the
+answer.  The solver keeps no per-call state — the hint is the caller's
+to carry — so solvers stay shareable through the per-topology cache.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ class SiteFlowSolution(NamedTuple):
     next interval's hint (``prices``), and how it was reached.
 
     ``warm_start`` is true when a hint was followed.  ``outcome`` is
-    ``"whole"`` (no usable hint, or too small to gain), ``"guided"``, or
-    ``"fallback:<reason>"`` (hint abandoned, whole LP solved);
+    ``"whole"`` (no usable hint, or too small to gain), ``"certified"``
+    (the hint's own decisions are optimal: no LP built), ``"guided"``,
+    or ``"fallback:<reason>"`` (hint abandoned, whole LP solved);
     ``pairs_fixed`` / ``pairs_free`` count the demand-carrying pairs the
     prices decided / the LP did, and ``rounds`` the restricted LPs
     solved.
@@ -374,9 +376,11 @@ class SiteFlowSolver:
         ignored.
 
         Raises:
-            ValueError: if ``site_demands`` is misshapen, negative, NaN
-                or infinite, or ``capacities`` misaligned or NaN — on
-                every path, before any LP is built.
+            ValueError: naming the argument, if ``site_demands`` is
+                misshapen, negative, NaN or infinite, ``capacities`` or
+                ``tunnel_weights`` misaligned, NaN or infinite, or
+                ``epsilon`` NaN or infinite — on every path, before any
+                LP is built or any hint is read.
             LPSolveError: if HiGHS fails on the whole LP (should not
                 happen: the LP is always feasible, F = 0 works).
         """
@@ -392,15 +396,9 @@ class SiteFlowSolver:
         caps = self.capacities if capacities is None else capacities
         if caps.shape != self.capacities.shape:
             raise ValueError("capacities must align with the link index")
-        if np.any(np.isnan(caps)):
-            raise ValueError("capacities must not be NaN")
+        if not np.all(np.isfinite(caps)):
+            raise ValueError("capacities must be finite (no NaN or inf)")
         num_vars = self.num_tunnel_vars
-        if num_vars == 0:
-            return SiteFlowSolution(
-                np.empty(0, dtype=np.float64),
-                LinkPrices(np.zeros(caps.size), weakref.ref(self)),
-                False, "whole", 0, 0, 0,
-            )  # fmt: skip
         weights = (
             self.tunnel_weights
             if tunnel_weights is None
@@ -410,11 +408,21 @@ class SiteFlowSolver:
             raise ValueError(
                 "tunnel_weights must have one entry per tunnel"
             )
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("tunnel_weights must be finite (no NaN or inf)")
+        if epsilon is not None and not np.isfinite(epsilon):
+            raise ValueError("epsilon must be finite (no NaN or inf)")
+        if num_vars == 0:
+            return SiteFlowSolution(
+                np.empty(0, dtype=np.float64),
+                LinkPrices(np.zeros(caps.size), weakref.ref(self)),
+                False, "whole", 0, 0, 0,
+            )  # fmt: skip
         if epsilon is None:
             if tunnel_weights is None:
                 eps = self.default_epsilon
             else:
-                max_weight = float(weights.max()) if weights.size else 0.0
+                max_weight = float(weights.max())
                 eps = 0.1 / max_weight if max_weight > 0 else 0.0
         else:
             eps = epsilon
@@ -429,7 +437,8 @@ class SiteFlowSolver:
             )
             if isinstance(guided, tuple):
                 x, prices, fixed, free, rounds = guided
-                outcome, warm = "guided", True
+                outcome = "guided" if rounds else "certified"
+                warm = True
             else:
                 outcome = "whole" if guided is None else f"fallback:{guided}"
                 x, row_prices = solve_lp(
@@ -479,18 +488,25 @@ class SiteFlowSolver:
         caps: np.ndarray,
         lam: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, int, int, int] | str | None:
-        """The LP restricted to the pairs the prices leave undecided.
+        """The hint as a certificate, else the LP restricted to the pairs
+        the prices leave undecided.
 
         Under link prices ``λ`` a tunnel's reduced profit is
         ``ρ_t = (1 − ε·w_t) − Σ_{e∈t} λ_e`` and the LP's optimality
         conditions decide each pair on its own: all of ``D_k`` on the
         arg-max tunnel when ``max ρ > 0``, nothing when ``max ρ < 0``.
-        Pairs whose decision under the *hinted* prices has margin are
-        fixed that way; the smallest-margin pairs stay free, and the LP
-        is solved over the free pairs' columns only, with every capacity
-        row kept and its right-hand side reduced by the fixed flows.  The
-        restricted LP's own capacity duals then re-check every fixed
-        decision; a pair they contradict is released and the LP re-solved.
+        First every pair is placed on its hinted decision (the first
+        arg-max tunnel when ``max ρ > 0``, nothing otherwise); if no link
+        overloads and every link with ``λ_e > 0`` is exactly full, that
+        ``x`` with the hint's ``λ`` satisfies the whole LP's KKT
+        conditions (below) and is returned without building an LP.
+        Otherwise pairs whose decision under the *hinted* prices has
+        margin are fixed that way; the smallest-margin pairs stay free,
+        and the LP is solved over the free pairs' columns only, with
+        every capacity row kept and its right-hand side reduced by the
+        fixed flows.  The restricted LP's own capacity duals then
+        re-check every fixed decision; a pair they contradict is released
+        and the LP re-solved.
 
         A result that passes the check satisfies the *whole* LP's KKT
         conditions — primal feasible by construction, dual feasible with
@@ -498,7 +514,8 @@ class SiteFlowSolver:
         optimum, not an approximation.
 
         Returns:
-            ``(x, prices, pairs_fixed, pairs_free, rounds)``; ``None``
+            ``(x, prices, pairs_fixed, pairs_free, rounds)``, where
+            ``rounds == 0`` means the hint itself certified ``x``; ``None``
             when the instance is too small for the reduction to pay
             (nothing attempted); or the reason (a short word) the
             attempt was abandoned.  The caller solves the whole LP for
@@ -523,6 +540,15 @@ class SiteFlowSolver:
             np.where(rho == best[pair_of_col], np.arange(num_vars), num_vars),
             self.tunnel_offsets[self._tunnelled_pairs],
         )
+        takes_all = active & (best > 0)
+        # The hint as a certificate of the whole LP: every pair on its
+        # hinted decision, no link over, every priced link exactly full.
+        full = np.flatnonzero(takes_all)
+        x = np.zeros(num_vars)
+        x[best_col[full]] = demands[full]
+        left = caps - self.link_tunnel_matrix @ x
+        if np.all(left >= 0) and not np.any(left[lam > 0]):
+            return x, lam, num_active, 0, 0
         # A pair the optimum splits ties its two tunnels exactly: margin 0.
         rho[best_col[self._tunnelled_pairs]] = -np.inf
         margin = np.where(
@@ -537,7 +563,6 @@ class SiteFlowSolver:
                 np.argsort(margin[candidates], kind="stable")[:budget]
             ]
         ] = True
-        takes_all = active & (best > 0)
 
         capacity_rows = self.num_pairs + np.arange(caps.size)
         rounds = 0

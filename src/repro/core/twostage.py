@@ -7,7 +7,9 @@ so the phases account for the solve by construction:
 
 1. **merge** (``site_merge``) — SiteMerge: one mask over the flat qos
    column gives the class's flow indices, ``searchsorted`` against the
-   CSR offsets recovers each pair's segment, per-pair sums give ``D_k``.
+   CSR offsets recovers each pair's segment, and one segmented sum
+   (:func:`~repro.core.flowtable.segment_sums`, bit-identical to each
+   pair's ``.sum()``) gives every ``D_k``.
 2. **allocate** (``lp_solve`` | ``delta_patch``) — MaxSiteFlow: the
    site-level LP over residual link capacities, yielding ``F_{k,t}``;
    in incremental mode the previous interval's allocation is patched
@@ -51,6 +53,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from ..obs import get_registry, get_tracer, monotonic
+from .flowtable import segment_sums
 from .formulation import MaxAllFlowProblem
 from .incremental import (
     ClassLPState,
@@ -496,14 +499,9 @@ class MegaTEOptimizer:
             idx = np.flatnonzero(table.qos == qos.value)
             vol = table.volumes[idx]
             seg = np.searchsorted(idx, table.offsets)
-            # Per-pair sums (not one reduceat) so each D_k is bit-identical
-            # to the legacy per-pair ``volumes.sum()`` feeding the LP.
-            demands = np.array(
-                [
-                    float(vol[seg[k] : seg[k + 1]].sum())
-                    for k in range(iv.solver.num_pairs)
-                ]
-            )
+            # Not one reduceat: each D_k is bit-identical to the legacy
+            # per-pair ``volumes.sum()`` feeding the LP.
+            demands = segment_sums(vol, seg)
             if not np.any(demands > 0):
                 return None
             return _ClassStep(qos, idx, vol, seg, demands)

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .flowtable import PairViews, csr_offsets
+from .flowtable import PairViews, csr_offsets, segment_sums
 
 if TYPE_CHECKING:  # imported lazily to avoid a core <-> traffic cycle
     from ..topology.contraction import TwoLayerTopology
@@ -65,8 +65,9 @@ class StatKey:
     SHARD_WORKERS = "shard_workers"
     SSP_BACKEND = "ssp_backend"
     SSP_BATCH_PHASE_S = "ssp_batch_phase_s"
-    #: Per class solved by the LP: ``{"outcome": "whole" | "guided" |
-    #: "fallback:<reason>", "pairs_fixed", "pairs_free", "rounds"}``.
+    #: Per class solved by the LP: ``{"outcome": "whole" | "certified" |
+    #: "guided" | "fallback:<reason>", "pairs_fixed", "pairs_free",
+    #: "rounds"}``.
     STAGE1 = "stage1"
 
     # Phases of the ``phase_s`` breakdown.
@@ -156,7 +157,7 @@ class SiteAllocation:
     @property
     def total(self) -> float:
         """Total allocated site-level bandwidth."""
-        return float(sum(arr.sum() for arr in self.per_pair))
+        return float(sum(segment_sums(self.values, self.offsets)))
 
     def allocation(self, k: int, t: int) -> float:
         return float(self.per_pair[k][t])

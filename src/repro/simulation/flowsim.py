@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.flowtable import pair_views
+from ..core.flowtable import PairViews
 from ..obs import get_tracer
 
 if TYPE_CHECKING:
@@ -66,13 +66,13 @@ class SimulationOutcome:
             proportional loss on overloaded links.
         offered_volume: Total volume of assigned flows.
         flow_delivery: For each site pair, per-flow delivered fraction
-            (0 for rejected flows).
+            (0 for rejected flows): zero-copy views of one flat array.
     """
 
     link_states: dict[tuple[str, str], LinkState]
     delivered_volume: float
     offered_volume: float
-    flow_delivery: list[np.ndarray]
+    flow_delivery: PairViews
 
     @property
     def max_utilization(self) -> float:
@@ -167,5 +167,5 @@ def simulate(
         link_states=link_states,
         delivered_volume=delivered,
         offered_volume=offered,
-        flow_delivery=pair_views(fractions, table.offsets),
+        flow_delivery=PairViews(fractions, table.offsets),
     )

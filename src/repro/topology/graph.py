@@ -13,6 +13,7 @@ capacity per direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
@@ -46,10 +47,20 @@ class Link:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ValueError(f"self-loop link at site {self.src!r}")
+        for name in ("capacity", "latency_ms", "cost_per_gbps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} on {self.src}->{self.dst} must be finite, "
+                    f"got {getattr(self, name)!r}"
+                )
         if self.capacity < 0:
             raise ValueError(f"negative capacity on {self.src}->{self.dst}")
         if self.latency_ms < 0:
             raise ValueError(f"negative latency on {self.src}->{self.dst}")
+        if self.cost_per_gbps < 0:
+            raise ValueError(
+                f"negative cost_per_gbps on {self.src}->{self.dst}"
+            )
         if not 0.0 <= self.availability <= 1.0:
             raise ValueError("availability must be a probability")
 

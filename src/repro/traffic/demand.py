@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..core.flowtable import FlowTable
+from ..core.flowtable import FlowTable, segment_sums
 from ..core.qos import QoSClass
 
 __all__ = ["PairDemands", "DemandMatrix"]
@@ -204,28 +204,21 @@ class DemandMatrix:
         digests.
         """
         t = self._table
-        return sum(
-            float(t.volumes[t.offsets[k] : t.offsets[k + 1]].sum())
-            for k in range(t.num_pairs)
-        )
+        return sum(segment_sums(t.volumes, t.offsets).tolist())
 
     def site_demands(self, qos: QoSClass | None = None) -> np.ndarray:
         """``SiteMerge``: aggregated demand ``D_k`` per site pair.
+
+        Each ``D_k`` is bit-identical to its pair's ``volumes.sum()``.
 
         Args:
             qos: Restrict to one QoS class; ``None`` aggregates all classes.
         """
         t = self._table
-        out = np.zeros(t.num_pairs, dtype=np.float64)
-        for k in range(t.num_pairs):
-            s = slice(t.offsets[k], t.offsets[k + 1])
-            if qos is None:
-                out[k] = float(t.volumes[s].sum())
-            else:
-                out[k] = float(
-                    t.volumes[s][t.qos[s] == qos.value].sum()
-                )
-        return out
+        if qos is None:
+            return segment_sums(t.volumes, t.offsets)
+        idx = np.flatnonzero(t.qos == qos.value)
+        return segment_sums(t.volumes[idx], np.searchsorted(idx, t.offsets))
 
     def for_qos(self, qos: QoSClass) -> "DemandMatrix":
         """The sub-matrix containing only one QoS class's pairs.
@@ -241,10 +234,7 @@ class DemandMatrix:
         total = self.total_demand
         shares: dict[QoSClass, float] = {}
         for qos in QoSClass:
-            vol = sum(
-                float(p.volumes[p.qos == qos.value].sum())
-                for p in self._per_pair
-            )
+            vol = sum(self.site_demands(qos).tolist())
             shares[qos] = vol / total if total > 0 else 0.0
         return shares
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FlowAssignment, SiteAllocation, UNASSIGNED
-from repro.core.flowtable import FlowTable, PairViews, csr_offsets
+from repro.core.flowtable import FlowTable, PairViews, csr_offsets, segment_sums
 from repro.core.qos import QoSClass
 from repro.traffic.demand import DemandMatrix, PairDemands
 
@@ -200,3 +200,131 @@ def test_select_keeps_endpoint_flags_for_emptied_pairs():
     # Pair 0 lost all flows but keeps its has_endpoints flag; pair 1
     # still has none (legacy per-pair select behaves the same way).
     np.testing.assert_array_equal(sub.has_endpoints, [True, False])
+
+
+# -- one segmented sum for every per-pair total -----------------------------
+
+#: Values a demand or allocation column can hold, plus the ones it must
+#: not but a sum still has to treat like ``.sum()`` does.
+_SPECIAL = np.array(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.nan, np.inf, -np.inf]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 400), max_size=16),
+    seed=st.integers(0, 2**32 - 1),
+    special=st.sampled_from([0.0, 0.05, 0.5]),
+)
+def test_segment_sums_match_per_pair_sum_bit_for_bit(lengths, seed, special):
+    rng = np.random.default_rng(seed)
+    offsets = csr_offsets(lengths)
+    n = int(offsets[-1])
+    values = rng.random(n) * 10.0 ** rng.integers(-300, 300, n)
+    values *= rng.choice([-1.0, 1.0], n)
+    swap = rng.random(n) < special
+    values[swap] = rng.choice(_SPECIAL, int(swap.sum()))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = segment_sums(values, offsets)
+        want = np.array(
+            [values[lo:hi].sum() for lo, hi in zip(offsets[:-1], offsets[1:])],
+            dtype=np.float64,
+        )
+    # A NaN's sign bit depends on operand order the compiler may swap;
+    # every other result, signed zeros included, must match bit for bit.
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_segment_sums_of_no_segments():
+    assert segment_sums(np.empty(0), csr_offsets([])).shape == (0,)
+    assert segment_sums(np.empty(0), csr_offsets([0, 0])).tolist() == [0, 0]
+
+
+def test_per_pair_totals_keep_their_bits():
+    """``total_demand``, ``site_demands`` and ``SiteAllocation.total``
+    equal the per-pair ``.sum()`` loops they replace, bit for bit."""
+    rng = np.random.default_rng(3)
+    counts = rng.integers(0, 300, 40)
+    offsets = csr_offsets(counts)
+    volumes = rng.random(int(offsets[-1])) * 10.0 ** rng.integers(-8, 8, 1)
+    qos = rng.integers(1, 4, volumes.size).astype(np.int8)
+    matrix = DemandMatrix.from_table(FlowTable(offsets, volumes, qos))
+    segments = [volumes[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    assert matrix.total_demand == sum(float(v.sum()) for v in segments)
+    np.testing.assert_array_equal(
+        matrix.site_demands(), [float(v.sum()) for v in segments]
+    )
+    for q in QoSClass:
+        qs = [qos[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+        want = [float(v[c == q.value].sum()) for v, c in zip(segments, qs)]
+        assert matrix.site_demands(q).tobytes() == np.array(want).tobytes()
+    alloc = SiteAllocation.from_flat(volumes, offsets)
+    assert alloc.total == float(sum(v.sum() for v in segments))
+
+
+# -- the PairViews contract: lazy, still list-like --------------------------
+
+
+def _views():
+    flat = np.arange(6, dtype=np.float64)
+    return flat, PairViews(flat, csr_offsets([2, 0, 3, 1]))
+
+
+def test_pair_views_index_like_a_list():
+    flat, views = _views()
+    assert len(views) == 4
+    assert views[-1].tolist() == [5.0]
+    assert views[-4].tolist() == [0.0, 1.0]
+    for bad in (4, -5):
+        with pytest.raises(IndexError):
+            views[bad]
+    assert isinstance(views[1:3], list)
+    assert [v.tolist() for v in views[1:3]] == [[], [2.0, 3.0, 4.0]]
+    assert [v.tolist() for v in views[::-2]] == [[5.0], [0.0, 1.0][2:]]
+    assert views[5:] == []
+
+
+def test_pair_views_iterate_in_order_and_return_the_same_object():
+    flat, views = _views()
+    assert [v.tolist() for v in views] == [
+        [0.0, 1.0], [], [2.0, 3.0, 4.0], [5.0]
+    ]  # fmt: skip
+    assert views[2] is views[2] is views[-2]
+    assert all(a is b for a, b in zip(views, views))
+    assert views[0].base is flat
+
+
+def test_pair_views_write_through_and_copy_on_assignment():
+    flat, views = _views()
+    views[2][0] = 20.0
+    views[-1] += 1.0
+    assert flat.tolist() == [0.0, 1.0, 20.0, 3.0, 4.0, 6.0]
+    replacement = np.array([7.0, 8.0])
+    views[0] = replacement
+    assert flat[:2].tolist() == [7.0, 8.0]
+    replacement[0] = -1.0  # copied in, not bound
+    assert flat[0] == 7.0 and views[0] is views[0]
+    with pytest.raises(ValueError, match="shape"):
+        views[3] = [1.0, 2.0]
+    with pytest.raises(IndexError):
+        views[4] = []
+
+
+def test_pair_views_build_in_constant_memory():
+    import tracemalloc
+
+    num_pairs = 100_000
+    flat = np.zeros(num_pairs)
+    offsets = csr_offsets(np.ones(num_pairs, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        views = PairViews(flat, offsets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(views) == num_pairs
+    # One eager view per pair would be ~100 B × 10⁵ = ~10 MB.
+    assert peak < 4096

@@ -187,12 +187,13 @@ def test_disabled_telemetry_overhead_within_budget():
     )
 
 
-def test_stage1_guided_path_by_counts(twan_6000_scenario):
+def test_stage1_guided_path_by_counts(twan_6000_scenario, monkeypatch):
     """The price-guided stage 1 engages where it pays and only there —
-    asserted on counts, not time.  A warm interval at 6 000 TWAN pairs
-    hands the LP at most half of each class's active pairs; a 60-pair
-    scenario is always solved whole.  (Both run on the env-selected LP
-    backend, so each CI leg exercises its prices-beside-x return.)"""
+    asserted on counts, not time.  On a warm interval at 6 000 TWAN
+    pairs the uncongested QoS1 is certified by its carried prices with
+    no LP at all, and QoS2 and QoS3 hand the LP at most half of their
+    active pairs; a 60-pair scenario is always solved whole."""
+    from repro.core import siteflow
     from repro.experiments.common import build_scenario
     from repro.traffic import DiurnalSequence
 
@@ -200,11 +201,34 @@ def test_stage1_guided_path_by_counts(twan_6000_scenario):
     sequence = DiurnalSequence(base=base, seed=11)
     optimizer = MegaTEOptimizer()
     optimizer.solve(topology, sequence.matrix(0))
+
+    lp_calls: list[int] = []
+    solve_lp = siteflow.solve_lp
+    solve_priced = siteflow.SiteFlowSolver.solve_priced
+
+    def counted_lp(*args):
+        lp_calls[-1] += 1
+        return solve_lp(*args)
+
+    def per_class(self, *args, **kwargs):
+        lp_calls.append(0)
+        return solve_priced(self, *args, **kwargs)
+
+    monkeypatch.setattr(siteflow, "solve_lp", counted_lp)
+    monkeypatch.setattr(siteflow.SiteFlowSolver, "solve_priced", per_class)
     warm = optimizer.solve(topology, sequence.matrix(1))
+    monkeypatch.undo()
     assert warm.stats["lp_solves"] == 3
     assert warm.stats["lp_warm_start"] == 3
-    for record in warm.stats["stage1"].values():
+    records = warm.stats["stage1"]
+    assert sorted(records) == [1, 2, 3]
+    assert records[1]["outcome"] == "certified"
+    assert records[1]["pairs_free"] == records[1]["rounds"] == 0
+    assert lp_calls[0] == 0
+    for qos, calls in zip((2, 3), lp_calls[1:], strict=True):
+        record = records[qos]
         assert record["outcome"] == "guided"
+        assert calls == record["rounds"] >= 1
         active = record["pairs_fixed"] + record["pairs_free"]
         assert record["pairs_free"] <= 0.5 * active
 

@@ -8,7 +8,9 @@ WANs (with its engagement thresholds lowered so it runs at all there);
 the TWAN tests drive it through the optimizer at a pair count where it
 engages with the shipped constants: 6 000 site pairs (the guided path
 needs ≥ 2 · max(4 · 560 links, 256) = 4 480 demand-carrying pairs per
-class; at 5 000 pairs QoS1 and QoS3 fall short).
+class; at 5 000 pairs QoS1 and QoS3 fall short).  A hint whose own
+decisions already pass that check is returned ``"certified"`` without an
+LP; :func:`_hint_certifies` is the test's independent oracle of when.
 """
 
 from __future__ import annotations
@@ -133,6 +135,35 @@ def _assert_optimal(solver, sol, ref, demands, residual, profit):
     assert np.all(np.abs(load - residual)[lam > 1e-7] <= 1e-7 * scale)
 
 
+def _hinted_decisions(solver, lam, demands, profit):
+    """Pair by pair: the flat ``x`` of the hint's own decisions, and
+    whether every demand-carrying pair's decision is clear-cut (one best
+    tunnel, its reduced profit away from 0)."""
+    rho = profit - solver.link_tunnel_matrix.T.tocsr() @ lam
+    offsets = solver.tunnel_offsets
+    x = np.zeros(solver.num_tunnel_vars)
+    clear = True
+    for k in range(solver.num_pairs):
+        lo, hi = offsets[k], offsets[k + 1]
+        if demands[k] <= 0 or hi == lo:
+            continue
+        ranked = np.sort(rho[lo:hi])[::-1]
+        clear &= abs(ranked[0]) > 1e-6 and (
+            ranked.size == 1 or ranked[1] < ranked[0] - 1e-6
+        )
+        if ranked[0] > 0:
+            x[lo + int(np.argmax(rho[lo:hi]))] = demands[k]
+    return x, clear
+
+
+def _hint_certifies(solver, lam, demands, caps, profit) -> bool:
+    """The certificate's condition, computed apart from the solver: the
+    hinted decisions overload no link and fill every priced link."""
+    x, _ = _hinted_decisions(solver, lam, demands, profit)
+    left = np.maximum(caps, 0.0) - solver.link_tunnel_matrix @ x
+    return bool(np.all(left >= 0) and np.all(left[lam > 0] == 0))
+
+
 @settings(
     max_examples=150,
     deadline=None,
@@ -165,17 +196,84 @@ def test_any_hint_yields_a_certified_optimum(instance, kind, budget, seed):
         assert sol.outcome == "whole"
         assert np.array_equal(sol.x, ref.x)
     event(sol.outcome.partition(":")[0])
-    assert sol.warm_start == (sol.outcome == "guided")
+    assert sol.warm_start == (sol.outcome in ("guided", "certified"))
     _assert_optimal(solver, sol, ref, demands, residual, profit)
     _assert_optimal(solver, ref, ref, demands, residual, profit)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    instance=class_instance(),
+    kind=st.sampled_from(HINT_KINDS[1:-1]),
+    ample=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_a_hint_certifies_exactly_when_its_decisions_are_optimal(
+    instance, kind, ample, seed
+):
+    """``"certified"`` iff the hinted decisions overload nothing and
+    fill every priced link; then no LP runs, the objective is the whole
+    LP's, and ``x`` is the whole LP's own when every decision is
+    clear-cut (the whole LP then has that one optimum).  ``ample``
+    instances (full capacities, a twentieth of the demand) are the
+    uncongested classes where certificates are common."""
+    _, solver, demands, residual, weights = instance
+    if ample:
+        residual, demands = solver.capacities.copy(), demands / 20.0
+    rng = np.random.default_rng(seed)
+    eps = 0.1 / float(weights.max())
+    profit = 1.0 - eps * weights
+    ref = solver.solve_priced(demands, residual, weights, eps)
+    hint = _make_hint(kind, rng, solver, demands, residual, weights, eps)
+    calls = []
+    solve_lp = siteflow.solve_lp
+
+    def counted(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    with mock.patch.multiple(
+        siteflow,
+        _MIN_FREE_PAIRS=1,
+        _FREE_PAIRS_PER_LINK=0,
+        _WHOLE_LP_ABOVE=1.0,
+        solve_lp=counted,
+    ):
+        sol = solver.solve_priced(demands, residual, weights, eps, hint=hint)
+    num_active = int(
+        np.count_nonzero((demands > 0) & (np.diff(solver.tunnel_offsets) > 0))
+    )
+    if num_active == 0:
+        assert sol.outcome == "whole"
+        return
+    certifies = _hint_certifies(solver, hint.values, demands, residual, profit)
+    event(f"{kind}: {'certified' if certifies else 'not certified'}")
+    assert (sol.outcome == "certified") == certifies
+    _assert_optimal(solver, sol, ref, demands, residual, profit)
+    if not certifies:
+        return
+    assert calls == []
+    assert (sol.pairs_fixed, sol.pairs_free, sol.rounds) == (num_active, 0, 0)
+    assert sol.warm_start
+    assert np.array_equal(sol.prices.values, hint.values)
+    x, clear = _hinted_decisions(solver, hint.values, demands, profit)
+    assert np.array_equal(sol.x, x)
+    if clear:
+        event("clear-cut")
+        assert np.array_equal(sol.x, ref.x)
 
 
 def test_failures_are_typed(tiny_topology, monkeypatch):
     """A restricted LP HiGHS does not solve falls back to the whole LP
     with the reason recorded; a whole-LP failure raises ``LPSolveError``
-    (a ``RuntimeError``) carrying HiGHS's status and message."""
+    (a ``RuntimeError``) carrying HiGHS's status and message.  The demand
+    overloads the short tunnel, so its hint cannot certify."""
     solver = SiteFlowSolver(tiny_topology)
-    demands = np.array([6.0])
+    demands = np.array([16.0])
     ref = solver.solve_priced(demands)
     solve_lp = siteflow.solve_lp
 
@@ -204,26 +302,50 @@ def test_failures_are_typed(tiny_topology, monkeypatch):
     assert (caught.value.status, caught.value.message) == (2, "infeasible")
 
 
-@pytest.mark.parametrize("hinted", [False, True], ids=["whole", "guided"])
 @pytest.mark.parametrize(
-    "demand, capacity, argument",
-    [
-        (np.nan, 10.0, "site_demands"),
-        (np.inf, 10.0, "site_demands"),
-        (-np.inf, 10.0, "site_demands"),
-        (6.0, np.nan, "capacities"),
-    ],
-    ids=["nan-demand", "inf-demand", "neg-inf-demand", "nan-capacity"],
+    "hint_demand", [None, 16.0, 6.0], ids=["whole", "guided", "certified"]
 )
+@pytest.mark.parametrize(
+    "demand, capacity, weight, epsilon, argument",
+    [
+        (np.nan, 10.0, 5.0, None, "site_demands"),
+        (np.inf, 10.0, 5.0, None, "site_demands"),
+        (-np.inf, 10.0, 5.0, None, "site_demands"),
+        (6.0, np.nan, 5.0, None, "capacities"),
+        (6.0, np.inf, 5.0, None, "capacities"),
+        (6.0, 10.0, np.nan, None, "tunnel_weights"),
+        (6.0, 10.0, np.inf, None, "tunnel_weights"),
+        (6.0, 10.0, 5.0, np.nan, "epsilon"),
+    ],
+    ids=[
+        "nan-demand", "inf-demand", "neg-inf-demand", "nan-capacity",
+        "inf-capacity", "nan-weight", "inf-weight", "nan-epsilon",
+    ],
+)  # fmt: skip
 def test_non_finite_inputs_are_typed(
-    tiny_topology, monkeypatch, hinted, demand, capacity, argument
+    tiny_topology,
+    monkeypatch,
+    hint_demand,
+    demand,
+    capacity,
+    weight,
+    epsilon,
+    argument,
 ):
-    """A NaN or infinite demand, or a NaN capacity, is a ``ValueError``
-    naming the argument on both stage-1 paths, before any LP runs."""
+    """A NaN or infinite demand, capacity or tunnel weight, or a NaN ε,
+    is a ``ValueError`` naming the argument on every stage-1 path —
+    whole, guided (the hint's priced link is not full) and certified
+    (all-zero prices the demand fits) — before any LP runs."""
     solver = SiteFlowSolver(tiny_topology)
-    hint = solver.solve_priced(np.array([6.0])).prices if hinted else None
+    hint = (
+        None
+        if hint_demand is None
+        else solver.solve_priced(np.array([hint_demand])).prices
+    )
     caps = solver.capacities.copy()
     caps[0] = capacity
+    weights = solver.tunnel_weights.copy()
+    weights[0] = weight
 
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP ran on non-finite input")
@@ -233,7 +355,25 @@ def test_non_finite_inputs_are_typed(
         siteflow, _MIN_FREE_PAIRS=1, _FREE_PAIRS_PER_LINK=0, _WHOLE_LP_ABOVE=1.0
     ):
         with pytest.raises(ValueError, match=argument):
-            solver.solve_priced(np.array([demand]), caps, hint=hint)
+            solver.solve_priced(
+                np.array([demand]), caps, weights, epsilon, hint=hint
+            )
+
+
+def test_the_tiny_hints_take_their_paths(tiny_topology):
+    """The three hints of the test above, fed valid input, do take the
+    path each is named for."""
+    solver = SiteFlowSolver(tiny_topology)
+    with mock.patch.multiple(
+        siteflow, _MIN_FREE_PAIRS=1, _FREE_PAIRS_PER_LINK=0, _WHOLE_LP_ABOVE=1.0
+    ):
+        for hint_demand, outcome in ((16.0, "guided"), (6.0, "certified")):
+            hint = solver.solve_priced(np.array([hint_demand])).prices
+            sol = solver.solve_priced(np.array([6.0]), hint=hint)
+            assert sol.outcome == outcome
+            assert np.array_equal(
+                sol.x, solver.solve_priced(np.array([6.0])).x
+            )
 
 
 # -- through the optimizer, where the shipped thresholds engage -------------
@@ -248,25 +388,70 @@ def _digest(results) -> str:
     return sha.hexdigest()
 
 
-@pytest.fixture()
-def shadowed(monkeypatch):
-    """Record every class-solve beside a hint-less solve of the same LP."""
-    log: list[tuple] = []
-    guided = SiteFlowSolver.solve_priced
+def _record_class_solves(monkeypatch, shadow: bool) -> list[dict]:
+    """Log every class-solve with whether it had a usable hint and
+    whether that hint certifies (decided by :func:`_hint_certifies` when
+    the solve is made: the optimizer reuses the residual array) and,
+    when ``shadow``, a hint-less solve of the same LP."""
+    log: list[dict] = []
+    real = SiteFlowSolver.solve_priced
 
-    def solve_both(self, demands, capacities, tunnel_weights, epsilon, **kw):
-        sol = guided(
-            self, demands, capacities, tunnel_weights, epsilon, **kw
-        )
-        ref = guided(self, demands, capacities, tunnel_weights, epsilon)
+    def record(
+        self, demands, capacities=None, tunnel_weights=None, epsilon=None,
+        hint=None,
+    ):  # fmt: skip
         weights = (
             self.tunnel_weights if tunnel_weights is None else tunnel_weights
         )
-        log.append((self, sol, ref, 1.0 - epsilon * weights))
+        if epsilon is None:
+            epsilon = 0.1 / float(weights.max())
+        caps = self.capacities if capacities is None else capacities
+        profit = 1.0 - epsilon * weights
+        # Another solver's prices are no hint at all.
+        hinted = isinstance(hint, LinkPrices) and hint.owner() is self
+        certifies = hinted and _hint_certifies(
+            self, hint.values, demands, caps, profit
+        )
+        sol = real(self, demands, capacities, tunnel_weights, epsilon, hint=hint)
+        ref = (
+            real(self, demands, capacities, tunnel_weights, epsilon)
+            if shadow
+            else None
+        )
+        log.append(
+            dict(sol=sol, ref=ref, profit=profit, hinted=hinted,
+                 certifies=certifies)
+        )  # fmt: skip
         return sol
 
-    monkeypatch.setattr(SiteFlowSolver, "solve_priced", solve_both)
+    monkeypatch.setattr(SiteFlowSolver, "solve_priced", record)
     return log
+
+
+@pytest.fixture()
+def shadowed(monkeypatch):
+    """Every class-solve, beside a hint-less solve of the same LP."""
+    return _record_class_solves(monkeypatch, shadow=True)
+
+
+@pytest.fixture()
+def class_solves(monkeypatch):
+    """Every class-solve, with whether its hint certifies."""
+    return _record_class_solves(monkeypatch, shadow=False)
+
+
+def _assert_outcome(entry) -> None:
+    """Hint-less: whole.  Hinted: certified exactly where the hint's
+    decisions pass the check (no LP, nothing free), else guided."""
+    sol = entry["sol"]
+    if not entry["hinted"]:
+        assert sol.outcome == "whole"
+    elif entry["certifies"]:
+        assert (sol.outcome, sol.rounds, sol.pairs_free) == ("certified", 0, 0)
+    else:
+        assert sol.outcome == "guided"
+        assert sol.pairs_fixed >= sol.pairs_free
+        assert 1 <= sol.rounds <= 3
 
 
 def test_diurnal_intervals_take_the_guided_path(twan_6000_scenario, shadowed):
@@ -285,12 +470,16 @@ def test_diurnal_intervals_take_the_guided_path(twan_6000_scenario, shadowed):
                 assert record["outcome"] == "whole"
                 assert record["pairs_fixed"] == 0
             else:
-                assert record["outcome"] == "guided"
-                assert record["pairs_fixed"] >= record["pairs_free"]
-                assert 1 <= record["rounds"] <= 3
+                assert record["outcome"] in ("certified", "guided")
     assert len(shadowed) == 12
-    for _, sol, ref, profit in shadowed:
+    for entry in shadowed:
+        _assert_outcome(entry)
+        sol, ref, profit = entry["sol"], entry["ref"], entry["profit"]
         assert profit @ sol.x == pytest.approx(profit @ ref.x, rel=1e-9)
+    # Both warm paths ran: the uncongested QoS1 certifies every warm
+    # interval, the congested classes need their restricted LPs.
+    outcomes = [entry["sol"].outcome for entry in shadowed[3:]]
+    assert outcomes == ["certified", "guided", "guided"] * 3
 
 
 def test_two_optimizers_fed_the_same_sequence_agree(twan_6000_scenario):
@@ -315,7 +504,7 @@ def test_two_optimizers_fed_the_same_sequence_agree(twan_6000_scenario):
     assert _digest([again]) == _digest(a[:1])
 
 
-def test_topology_swap_never_crosses_prices(twan_6000_scenario):
+def test_topology_swap_never_crosses_prices(twan_6000_scenario, class_solves):
     """healthy → cut → healthy: the cut topology's solver starts from no
     hint, and the healthy one resumes from its own prices."""
     healthy, base = twan_6000_scenario
@@ -335,7 +524,10 @@ def test_topology_swap_never_crosses_prices(twan_6000_scenario):
         for interval, topology in enumerate((healthy, cut, healthy, cut))
     ]
     assert outcomes[0] == outcomes[1] == {"whole"}
-    assert outcomes[2] == outcomes[3] == {"guided"}
+    assert outcomes[2] == outcomes[3] == {"certified", "guided"}
+    assert len(class_solves) == 12
+    for entry in class_solves:
+        _assert_outcome(entry)
     # And at the solver's own door: another solver's prices are ignored.
     demands = np.full(healthy.catalog.num_pairs, 0.01)
     theirs = SiteFlowSolver.for_topology(healthy).solve_priced(demands).prices
@@ -343,7 +535,7 @@ def test_topology_swap_never_crosses_prices(twan_6000_scenario):
     assert sol.outcome == "whole"
 
 
-def test_outcomes_are_exported(twan_6000_scenario):
+def test_outcomes_are_exported(twan_6000_scenario, class_solves):
     """Spans and the registry say what each class-solve did."""
     from repro import obs
 
@@ -371,9 +563,11 @@ def test_outcomes_are_exported(twan_6000_scenario):
         obs.set_enabled(was)
         obs.reset()
     assert [span.attributes["outcome"] for span in spans] == (
-        ["whole"] * 3 + ["guided"] * 3
+        ["whole"] * 3 + ["certified", "guided", "guided"]
     )
-    for span in spans[3:]:
-        assert span.attributes["pairs_fixed"] >= span.attributes["pairs_free"]
-        assert span.attributes["rounds"] >= 1
-    assert counts == {("whole",): 3.0, ("guided",): 3.0}
+    for span, entry in zip(spans, class_solves, strict=True):
+        _assert_outcome(entry)
+        sol = entry["sol"]
+        for key in ("outcome", "pairs_fixed", "pairs_free", "rounds"):
+            assert span.attributes[key] == getattr(sol, key)
+    assert counts == {("whole",): 3.0, ("certified",): 1.0, ("guided",): 2.0}

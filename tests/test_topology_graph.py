@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.topology import TwoLayerTopology, build_tunnels
+from repro.topology.endpoints import EndpointLayout
 from repro.topology.graph import Link, SiteNetwork
+from repro.topology.serialization import dump_topology, load_topology
 
 
 class TestLink:
@@ -27,6 +32,50 @@ class TestLink:
     def test_bad_availability_rejected(self):
         with pytest.raises(ValueError):
             Link("a", "b", capacity=1.0, availability=1.5)
+
+    @pytest.mark.parametrize(
+        "field", ["capacity", "latency_ms", "cost_per_gbps"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        """The error names the field and the link, instead of surfacing
+        later as a NaN tunnel weight or a scipy error inside an LP."""
+        fields = {"capacity": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} on a->b"):
+            Link("a", "b", **fields)
+
+    def test_negative_cost_rejected(self):
+        with pytest.raises(ValueError, match="cost_per_gbps on a->b"):
+            Link("a", "b", capacity=1.0, cost_per_gbps=-0.5)
+
+    @pytest.mark.parametrize(
+        "field, literal",
+        [("latency_ms", "NaN"), ("capacity", "Infinity"),
+         ("cost_per_gbps", "-Infinity")],
+    )  # fmt: skip
+    def test_load_topology_rejects_non_finite_links(
+        self, tmp_path, field, literal
+    ):
+        """``json.load`` accepts ``NaN`` and ``Infinity``; the topology
+        file must not."""
+        net = SiteNetwork(name="t")
+        net.add_duplex_link("a", "b", capacity=10.0)
+        net.add_duplex_link("b", "c", capacity=10.0)
+        catalog = build_tunnels(net, [("a", "c")], tunnels_per_pair=2)
+        topology = TwoLayerTopology(
+            network=net,
+            catalog=catalog,
+            layout=EndpointLayout({"a": 1, "b": 0, "c": 1}),
+        )
+        path = tmp_path / "topology.json"
+        dump_topology(topology, str(path))
+        text = path.read_text()
+        key = f'"{field}": '
+        start = text.index(key) + len(key)
+        end = text.index(",", start)
+        path.write_text(text[:start] + literal + text[end:])
+        with pytest.raises(ValueError, match=f"{field} on a->b"):
+            load_topology(str(path))
 
 
 class TestSiteNetwork:
