@@ -25,10 +25,10 @@ Two implementations of one ``(site pair, tunnel)`` instance live here:
 * :func:`fast_ssp_sorted` — the production kernel: the same four steps
   over the instance's *descending-sorted row*, where a cluster is a
   contiguous range, the DP's choice a position mask, the greedy a scan
-  with binary-search skips and every minimum a last element.  It takes
-  an optional order hint so a caller filling several tunnels from one
-  shrinking demand set (:func:`repro.core.pairfill.fill_pair`) sorts
-  once and bisects on capacity afterwards.
+  of vectorized skip and take runs and every minimum a last element.
+  It takes an optional order hint so a caller filling several tunnels
+  from one shrinking demand set (:func:`repro.core.pairfill.fill_pair`)
+  sorts once and bisects on capacity afterwards.
 
 Bit-identity contract
 ---------------------
@@ -44,9 +44,11 @@ which fixes its numerics:
    is a ``cumsum`` or an explicitly sequential scan.
 2. ``(cap - a) - b != cap - (a + b)`` in floating point, so the greedy
    replays the reference's op order (skip / subtract / add per item)
-   instead of a prefix-sum sweep; skipped items change no state, so
-   jumping over a run of them is exact.
-3. Ties sort identically: stable sorts over the original index order.
+   with ``np.subtract.accumulate`` / ``np.add.accumulate`` — sequential
+   by definition — instead of a prefix-sum sweep; skipped items change
+   no state, so jumping over a run of them is exact.
+3. Ties sort identically: :func:`descending_order` reproduces the
+   stable sort's permutation, ties in original index order.
 4. ``NaN`` demands are never eligible and never selected, but they do
    reach the two minima the reference takes over *all* unselected
    demands (the greedy gate and ``error_bound``), so the kernel carries
@@ -56,14 +58,18 @@ which fixes its numerics:
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 import numpy as np
 
 from ..obs import monotonic
 from .ssp import dp_ssp, greedy_ssp
 
-__all__ = ["SSP_PHASE_KEYS", "FastSSPResult", "fast_ssp", "fast_ssp_sorted"]
+__all__ = [
+    "SSP_PHASE_KEYS",
+    "FastSSPResult",
+    "descending_order",
+    "fast_ssp",
+    "fast_ssp_sorted",
+]
 
 #: Keys of the kernel's phase-timing breakdown, in execution order.
 SSP_PHASE_KEYS = ("sort", "cluster", "dp", "greedy", "extract")
@@ -194,6 +200,40 @@ def _cluster(
     return clusters
 
 
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(-values, kind="stable")``, from one unstable sort.
+
+    NumPy's default argsort (SIMD where the CPU has it) leaves equal
+    keys in arbitrary order, so each run of equal keys is put back in
+    index order afterwards — the stable sort's tie rule.  ``±0.0``
+    compare equal and share a run; ``NaN``, which every NumPy sort
+    places last, forms the final run.  Only the tied positions are
+    re-sorted, by the unique key ``run * n + index``.
+    """
+    neg = -np.asarray(values, dtype=np.float64)
+    order = np.argsort(neg)
+    n = order.size
+    if n < 2:
+        return order
+    keys = neg[order]
+    tie = keys[1:] == keys[:-1]
+    if keys[-1] != keys[-1]:
+        nan = np.isnan(keys)
+        tie |= nan[1:] & nan[:-1]
+    if not tie.any():
+        return order
+    run = np.zeros(n, dtype=np.int64)
+    np.cumsum(~tie, out=run[1:])
+    tied = np.zeros(n, dtype=bool)
+    tied[1:] = tie
+    tied[:-1] |= tie
+    pos = np.flatnonzero(tied)
+    key = run[pos] * n + order[pos]
+    key.sort()
+    order[pos] = key % n
+    return order
+
+
 def _triage(
     values: np.ndarray, capacity: float, epsilon: float
 ) -> tuple[np.ndarray, FastSSPResult | None]:
@@ -210,6 +250,8 @@ def _triage(
         raise ValueError("demands must be non-negative")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
+    if capacity != capacity:
+        raise ValueError("capacity must not be NaN")
     if capacity <= 0 or vals.size == 0:
         return vals, FastSSPResult(
             selected_array=_EMPTY_SELECTION,
@@ -343,7 +385,10 @@ def _cluster_row(row: np.ndarray, threshold: float) -> tuple[list, list]:
     grow along the row, so each cluster's size seeds the next window —
     contended rows at million-endpoint scale reach thousands of
     clusters, and this keeps the per-cluster cost at one short cumsum
-    over a contiguous view.
+    over a contiguous view.  The same monotonicity retires the
+    small-cluster scan for good once a cluster outgrows it, and that
+    scan reads the row through a list buffer converted chunk by chunk,
+    only as far as it reads.
 
     Returns ``(bounds, sums)``: cluster ``r`` is positions
     ``bounds[r]:bounds[r + 1]`` and ``sums[r]`` its pairwise ``.sum()``
@@ -352,53 +397,64 @@ def _cluster_row(row: np.ndarray, threshold: float) -> tuple[list, list]:
     """
     n = int(row.size)
     t = threshold
-    vals = row.tolist()
     b = [0]
     sums: list[float] = []
     small = 48
+    buf: list[float] = []  # row[base:end] as Python floats
+    base = end = 0
     pos = 0
     lookahead = 128
     while pos < n:
-        # Small-cluster fast path: a plain Python running total over
-        # the next few items.  ``running += v`` is the same IEEE add
-        # sequence as the sliced cumsum (and as the reference scan), so
-        # the crossing decision is bit-identical; a NaN total never
-        # compares >= t and falls through to the windowed scan.
         boundary = -1
-        running = 0.0
-        stop = min(pos + small, n)
-        for k in range(pos, stop):
-            running += vals[k]
-            if running >= t:
-                boundary = k + 1
-                break
-        if boundary > 0 and boundary - pos < 8:
-            # numpy's pairwise ``.sum()`` reduces sequentially below
-            # its 8-element block size, so the running total at the
-            # crossing IS the cluster's ``.sum()`` value.
-            sums.append(running)
-            lookahead = max(2 * (boundary - pos), 64)
-            b.append(boundary)
-            pos = boundary
-            continue
-        if boundary < 0:
-            if stop == n:
+        if small:
+            # Small-cluster fast path: a plain Python running total over
+            # the next few items.  ``running += v`` is the same IEEE add
+            # sequence as the sliced cumsum (and as the reference scan),
+            # so the crossing decision is bit-identical; a NaN total
+            # never compares >= t and falls through to the windowed scan.
+            stop = pos + small
+            if stop > n:
+                stop = n
+            if stop > end:
+                base = pos
+                buf = row[pos : pos + 16 * lookahead].tolist()
+                end = base + len(buf)
+            running = 0.0
+            for k in range(pos - base, stop - base):
+                running += buf[k]
+                if running >= t:
+                    boundary = base + k + 1
+                    break
+            if boundary > 0 and boundary - pos < 8:
+                # numpy's pairwise ``.sum()`` reduces sequentially below
+                # its 8-element block size, so the running total at the
+                # crossing IS the cluster's ``.sum()`` value.
+                sums.append(running)
+                lookahead = max(2 * (boundary - pos), 64)
+                b.append(boundary)
+                pos = boundary
+                continue
+            if boundary < 0 and stop == n:
                 boundary = n
-            else:
-                # Restart from the cluster start with a widening cumsum
-                # window: the running total stays the exact sequential
-                # accumulation from the cluster start.
-                w = max(lookahead, 2 * small)
-                while True:
-                    end = min(pos + w, n)
-                    cum = np.cumsum(row[pos:end])
-                    if cum[-1] >= t:
-                        boundary = pos + int(np.searchsorted(cum, t)) + 1
-                        break
-                    if end == n:
-                        boundary = n
-                        break
-                    w *= 4
+            elif boundary < 0:
+                # No crossing within ``small`` items: no later cluster
+                # (of smaller values) crosses within them either.
+                small = 0
+        if boundary < 0:
+            # Restart from the cluster start with a widening cumsum
+            # window: the running total stays the exact sequential
+            # accumulation from the cluster start.
+            w = max(lookahead, 96)
+            while True:
+                stop = min(pos + w, n)
+                cum = np.cumsum(row[pos:stop])
+                if cum[-1] >= t:
+                    boundary = pos + int(np.searchsorted(cum, t)) + 1
+                    break
+                if stop == n:
+                    boundary = n
+                    break
+                w *= 4
         sums.append(float(row[pos:boundary].sum()))
         lookahead = max(2 * (boundary - pos), 64)
         b.append(boundary)
@@ -406,33 +462,63 @@ def _cluster_row(row: np.ndarray, threshold: float) -> tuple[list, list]:
     return b, sums
 
 
-def _greedy_row(row: np.ndarray, remaining: float) -> tuple[list, float]:
-    """Exact first-fit-decreasing scan of one descending row.
+def _greedy_row(
+    svals: np.ndarray, selected: np.ndarray, remaining: float
+) -> float:
+    """Exact first-fit-decreasing scan of a descending row's free values.
 
-    Replays :func:`repro.core.ssp.greedy_ssp`'s op order — take each
-    value that fits, in descending order — but jumps over runs of
-    too-large values with a binary search (skipped items change no
-    state, so the jump is exact).  Returns (chosen positions, total).
+    Replays :func:`repro.core.ssp.greedy_ssp`'s op order over the
+    positions ``selected`` leaves free — take each value that fits, in
+    descending order — marks what it takes in ``selected`` and returns
+    the greedy total.  It moves a run at a time, not an item at a time.
+    A run of too-large values is one ``searchsorted`` skip (skipped
+    items change no state, so the jump is exact).  A run of takes is
+    one ``np.subtract.accumulate`` of the remaining capacity and one
+    ``np.add.accumulate`` of the total — the same sequential IEEE ops
+    as the scalar loop — over a window that doubles while the run fills
+    it; the run ends at the first value that does not fit.  A row of at
+    most 64 values costs less as one list scanned by the scalar loop
+    itself than as the dozen numpy calls of one run.
     """
-    vals = row.tolist()
-    neg = (-row).tolist()  # ascending, for bisect (float64 negation is exact)
-    n = len(vals)
     total = 0.0
-    chosen: list[int] = []
+    if svals.size <= 64:
+        for k, (v, taken) in enumerate(
+            zip(svals.tolist(), selected.tolist())
+        ):
+            if not taken and v <= remaining:
+                selected[k] = True
+                total += v
+                remaining -= v
+        return total
+    residual = np.flatnonzero(~selected)
+    row = svals[residual]
+    n = row.size
+    neg = -row  # ascending, for searchsorted (float64 negation is exact)
+    take = np.zeros(n, dtype=bool)
     j = 0
-    while j < n:
-        v = vals[j]
-        if v <= remaining:
-            chosen.append(j)
-            total += v
-            remaining -= v
-            j += 1
-        else:
-            # Descending row: the next value that can fit is the first
-            # one <= remaining; everything before it is skipped exactly
-            # as the reference scan would.
-            j = bisect_left(neg, -remaining, lo=j + 1)
-    return chosen, total
+    w = 8
+    while True:
+        # Descending row: the next value that can fit is the first one
+        # <= remaining; everything before it is skipped exactly as the
+        # reference scan would.
+        j = max(j, int(np.searchsorted(neg, -remaining)))
+        if j >= n:
+            break
+        seg = row[j : j + w]
+        left = np.subtract.accumulate(np.concatenate(([remaining], seg)))
+        fits = seg <= left[:-1]
+        k = int(fits.argmin())  # first value that does not fit ...
+        if fits[k]:
+            k = seg.size  # ... or the whole window fit
+            w *= 2
+        remaining = float(left[k])
+        total = float(
+            np.add.accumulate(np.concatenate(([total], seg[:k])))[-1]
+        )
+        take[j : j + k] = True
+        j += k
+    selected[residual[take]] = True
+    return total
 
 
 def _min_unselected(
@@ -485,7 +571,7 @@ def fast_ssp_sorted(
     if order is None:
         ok = vals <= cap
         eligible = np.flatnonzero(ok)
-        index = eligible[np.argsort(-vals[eligible], kind="stable")]
+        index = eligible[descending_order(vals[eligible])]
         svals = vals[index]
         over = vals[~ok]
     else:
@@ -526,11 +612,7 @@ def fast_ssp_sorted(
         residual_capacity == 0.0
         and _min_unselected(svals, selected, over_min) <= 0.0
     ):
-        residual = np.flatnonzero(~selected)
-        chosen, greedy_volume = _greedy_row(
-            svals[residual], residual_capacity
-        )
-        selected[residual[chosen]] = True
+        greedy_volume = _greedy_row(svals, selected, residual_capacity)
 
     # Error bound, and sorted positions back to ascending indices.
     t4 = monotonic()

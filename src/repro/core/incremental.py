@@ -33,12 +33,12 @@ preserved, optimality is approximate within the guards above.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .fastssp import descending_order
 from .types import UNASSIGNED
 
 if TYPE_CHECKING:
@@ -318,6 +318,7 @@ def reconcile_leftovers(
     placed: np.ndarray,
     leftovers: np.ndarray,
     fill_order: np.ndarray,
+    order: np.ndarray | None = None,
 ) -> None:
     """Retry unassigned flows, largest first, against tunnel leftovers.
 
@@ -327,24 +328,33 @@ def reconcile_leftovers(
     first-fit-decreasing pass packs what still fits.  Mutates
     ``assigned``, ``placed`` and ``leftovers`` in place.
 
+    ``order`` is the unassigned flows in ``(-volume, index)`` order when
+    the caller already holds it (the cold fill carries it as its sort
+    hint); without it the pass sorts them itself.
+
     A flow larger than every tunnel's leftover changes no state, so the
     descending scan jumps over such runs with a binary search (exactly
-    the skip-ahead the batched greedy kernel uses) — at overloaded
-    million-endpoint scale almost every free flow is such a skip.
+    the skip-ahead the greedy kernel uses) — at overloaded
+    million-endpoint scale almost every free flow is such a skip.  A
+    flow that is not skipped fits the tunnel with the largest leftover,
+    so apart from ``NaN`` volumes the scan visits only flows it places.
     """
-    free = np.flatnonzero(assigned == UNASSIGNED)
-    if free.size == 0 or not np.any(leftovers > 0):
+    if order is None:
+        free = np.flatnonzero(assigned == UNASSIGNED)
+        if free.size == 0 or not np.any(leftovers > 0):
+            return
+        order = free[descending_order(volumes[free])]
+    elif order.size == 0 or not np.any(leftovers > 0):
         return
-    order = free[np.argsort(-volumes[free], kind="stable")]
-    vals = volumes[order].tolist()
-    neg = [-v for v in vals]  # ascending, for bisect
-    n = len(vals)
+    vals = volumes[order]
+    neg = -vals  # ascending, for searchsorted
+    n = vals.size
     lmax = float(leftovers[fill_order].max()) if fill_order.size else 0.0
     j = 0
     while j < n:
-        volume = vals[j]
+        volume = float(vals[j])
         if volume > lmax:
-            j = bisect_left(neg, -lmax, lo=j + 1)
+            j = max(j + 1, int(np.searchsorted(neg, -lmax)))
             continue
         for t_index in fill_order:
             if volume <= leftovers[t_index]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import get_registry, get_tracer
-from .fastssp import fast_ssp, fast_ssp_sorted
+from .fastssp import descending_order, fast_ssp, fast_ssp_sorted
 from .incremental import reconcile_leftovers, warm_fill_pair
 from .types import UNASSIGNED
 
@@ -109,7 +109,7 @@ def fill_pair(
             result = fast_ssp(seg, capacity, epsilon=epsilon)
         else:
             if hint is None and seg.sum() > capacity:
-                hint = np.argsort(-seg, kind="stable")
+                hint = descending_order(seg)
             result = fast_ssp_sorted(
                 seg, capacity, epsilon, order=hint, phase_out=phase_out
             )
@@ -130,9 +130,17 @@ def fill_pair(
                 hint = (np.cumsum(keep) - 1)[hint[keep[hint]]]
     # Reconciliation pass: FastSSP may leave slack on several tunnels
     # that no single remaining flow fit at the time; retry the largest
-    # leftover flows against each tunnel's remaining allocation.
+    # leftover flows against each tunnel's remaining allocation.  The
+    # carried hint already orders exactly the unassigned flows.
     leftovers = alloc_k - placed
-    reconcile_leftovers(volumes, assigned, placed, leftovers, fill_order)
+    reconcile_leftovers(
+        volumes,
+        assigned,
+        placed,
+        leftovers,
+        fill_order,
+        order=free[hint] if hint is not None else None,
+    )
 
     registry = get_registry()
     if registry.enabled:

@@ -54,47 +54,68 @@ def dp_ssp(values: np.ndarray, capacity: int) -> SSPSolution:
 
     Complexity ``O(n * capacity)`` time — the cost FastSSP's normalization
     step exists to shrink.
+
+    The reachable sums are one Python-int bitset (bit ``s`` set when some
+    subset of the items seen so far sums to ``s``), so an item costs one
+    shift-and-or over ``capacity / 64`` machine words.  Each change of the
+    bitset is kept, with the item that made it, as the *reach history*;
+    the item that first reached a sum is then the owner of the first
+    history entry holding its bit, found by binary search.
     """
     vals = np.asarray(values)
     if vals.size and not np.issubdtype(vals.dtype, np.integer):
         raise TypeError("dp_ssp requires integer values; normalize first")
+    if not isinstance(capacity, (int, np.integer)):
+        raise TypeError(
+            f"dp_ssp requires an integer capacity, got {capacity!r}"
+        )
     if np.any(vals < 0):
         raise ValueError("values must be non-negative")
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
-    n = int(vals.size)
-    if n == 0 or capacity == 0:
+    capacity = int(capacity)
+    if vals.size == 0 or capacity == 0:
         return SSPSolution(selected=(), total=0.0)
 
-    # choice[s] = index of the last item used to first reach sum s, -1 if
-    # unreachable, -2 for the empty sum.
-    choice = np.full(capacity + 1, -1, dtype=np.int64)
-    choice[0] = -2
-    reachable = np.zeros(capacity + 1, dtype=bool)
-    reachable[0] = True
-    for idx in range(n):
-        v = int(vals[idx])
+    full = (1 << (capacity + 1)) - 1
+    reach = 1  # only the empty sum
+    owners: list[int] = []  # item that changed the bitset ...
+    history: list[int] = []  # ... and the bitset after it
+    items = vals.tolist()
+    for idx, v in enumerate(items):
         if v == 0 or v > capacity:
             continue
-        #
+        grown = reach | ((reach << v) & full)
+        if grown != reach:
+            reach = grown
+            owners.append(idx)
+            history.append(reach)
+            if reach >> capacity:
+                # Capacity itself is reachable: later items can only add
+                # sums whose first reacher is later still, and the walk
+                # below never reads one.
+                break
 
-        shifted = np.zeros(capacity + 1, dtype=bool)
-        shifted[v:] = reachable[: capacity + 1 - v]
-        newly = shifted & ~reachable
-        choice[newly] = idx
-        reachable |= shifted
-
-    best = int(np.max(np.flatnonzero(reachable)))
-    # Reconstruct: walk back through first-reacher items.  Because choice[s]
-    # records the item that *first* made s reachable, and items were
-    # processed in order, the predecessor sum s - v was reachable using only
-    # earlier items, so the walk terminates with distinct indices.
+    best = reach.bit_length() - 1
+    # Reconstruct: walk back through first-reacher items.  The item that
+    # *first* made s reachable is the owner of the first history entry
+    # holding bit s; the predecessor sum s - v was reachable from earlier
+    # items only, so each search is bounded by the previous hit and the
+    # walk yields distinct indices.
     selected: list[int] = []
     s = best
+    hi = len(history)
     while s > 0:
-        idx = int(choice[s])
+        lo = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if history[mid] >> s & 1:
+                hi = mid
+            else:
+                lo = mid + 1
+        idx = owners[hi]
         selected.append(idx)
-        s -= int(vals[idx])
+        s -= items[idx]
     selected.reverse()
     return SSPSolution(selected=tuple(selected), total=float(best))
 

@@ -9,6 +9,32 @@ from hypothesis import given, settings, strategies as st
 from repro.core.ssp import SSPSolution, brute_force_ssp, dp_ssp, greedy_ssp
 
 
+def _numpy_dp_oracle(values: np.ndarray, capacity: int):
+    """The row-shifting numpy DP the bitset ``dp_ssp`` replaced.
+
+    ``choice[s]`` is the item that first made sum ``s`` reachable; the
+    walk back from the best sum follows first reachers.
+    """
+    if values.size == 0 or capacity == 0:
+        return (), 0.0
+    choice = np.full(capacity + 1, -1, dtype=np.int64)
+    reachable = np.zeros(capacity + 1, dtype=bool)
+    reachable[0] = True
+    for idx, v in enumerate(values.tolist()):
+        if v == 0 or v > capacity:
+            continue
+        shifted = np.zeros(capacity + 1, dtype=bool)
+        shifted[v:] = reachable[: capacity + 1 - v]
+        choice[shifted & ~reachable] = idx
+        reachable |= shifted
+    s = best = int(np.flatnonzero(reachable)[-1])
+    selected: list[int] = []
+    while s > 0:
+        selected.append(int(choice[s]))
+        s -= int(values[selected[-1]])
+    return tuple(reversed(selected)), float(best)
+
+
 class TestDpSsp:
     def test_empty_input(self):
         result = dp_ssp(np.array([], dtype=np.int64), 10)
@@ -49,6 +75,14 @@ class TestDpSsp:
         with pytest.raises(TypeError):
             dp_ssp(np.array([1.5, 2.5]), 3)
 
+    @pytest.mark.parametrize("capacity", [9.5, 9.0, "9", None])
+    def test_rejects_non_integer_capacity(self, capacity):
+        with pytest.raises(TypeError, match="capacity"):
+            dp_ssp(np.array([3, 5, 7]), capacity)
+
+    def test_accepts_numpy_integer_capacity(self):
+        assert dp_ssp(np.array([3, 5, 7]), np.int64(12)).total == 12
+
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             dp_ssp(np.array([-1, 2]), 3)
@@ -74,6 +108,35 @@ class TestDpSsp:
         # And the DP's own selection is consistent and feasible.
         assert sum(int(arr[i]) for i in dp.selected) == dp.total
         assert dp.total <= capacity
+
+    @given(
+        values=st.lists(st.integers(0, 120), max_size=40),
+        capacity=st.integers(0, 300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_dp(self, values, capacity):
+        """Same first-reacher selection as the numpy DP, item for item."""
+        arr = np.array(values, dtype=np.int64)
+        dp = dp_ssp(arr, capacity)
+        assert (dp.selected, dp.total) == _numpy_dp_oracle(arr, capacity)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_items=st.integers(1, 400),
+        epsilon=st.sampled_from([0.05, 0.1, 0.3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_numpy_dp_in_fastssp_regime(
+        self, seed, num_items, epsilon
+    ):
+        """FastSSP's quantized instances: clusters of at least ``3/ε``
+        quanta against ``⌊9/ε²⌋``, often far more clusters than fit."""
+        rng = np.random.default_rng(seed)
+        capacity = int(9 / epsilon**2)
+        low = int(np.ceil(3 / epsilon))
+        arr = rng.integers(low, 4 * low, num_items)
+        dp = dp_ssp(arr, capacity)
+        assert (dp.selected, dp.total) == _numpy_dp_oracle(arr, capacity)
 
 
 class TestGreedySsp:

@@ -12,6 +12,11 @@ subnormal delta-underflow capacities from ``fastssp.py``'s
 normalization guard), and the epsilon grid; a single differing bit
 fails the property.
 
+Rows of 10^4 and more demands carry the contract past every window
+the kernel reads in (the clustering's list buffer, the greedy's take
+runs), and the order helper is held to the stable ``argsort`` it
+replaces.
+
 The one fill loop (:func:`repro.core.pairfill.fill_pair`) is held to
 the same contract between its two FastSSP implementations — over
 multi-tunnel fills, so the order hint's remap after removals is
@@ -24,7 +29,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.fastssp import SSP_PHASE_KEYS, fast_ssp, fast_ssp_sorted
+from repro.core.fastssp import (
+    SSP_PHASE_KEYS,
+    descending_order,
+    fast_ssp,
+    fast_ssp_sorted,
+)
 from repro.core.pairfill import (
     fill_pair,
     fill_pairs,
@@ -152,6 +162,92 @@ def test_presorted_hints_equal_unsorted(instances, epsilon):
 
 
 @st.composite
+def long_row_instances(draw):
+    """One contended instance of 10^4 or more demands.
+
+    A head of unit-scale demands forms the clusters — often hundreds,
+    small enough that the clustering scan reads several list windows of
+    the row before they outgrow it — and a tail of demands a factor
+    ``tiny`` smaller fills the DP's slack, so the greedy takes runs of
+    thousands of consecutive values, far past its first window.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    head = rng.uniform(0.5, 1.5, draw(st.integers(2_000, 6_000)))
+    tiny = draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
+    tail = rng.uniform(0.5, 1.5, draw(st.integers(8_000, 14_000))) * tiny
+    if draw(st.booleans()):
+        # Ties across the head and the tail.
+        head, tail = np.round(head, 2), np.round(tail / tiny, 2) * tiny
+    values = np.concatenate((head, tail))
+    rng.shuffle(values)
+    frac = draw(st.sampled_from([0.005, 0.02, 0.1, 0.5]))
+    return values, float(head.sum()) * frac
+
+
+@settings(max_examples=12, deadline=None)
+@given(instance=long_row_instances(), epsilon=st.sampled_from(EPSILONS))
+def test_long_rows_equal_reference(instance, epsilon):
+    """Rows past every window of the kernel still match bit for bit."""
+    values, capacity = instance
+    _assert_results_equal(
+        fast_ssp_sorted(values, capacity, epsilon=epsilon),
+        fast_ssp(values, capacity, epsilon=epsilon),
+        f"n={values.size} cap={capacity!r} eps={epsilon}",
+    )
+
+
+#: Values that tie, straddle zero's sign, sit below the normal range or
+#: do not compare at all.
+_ORDER_POOL = [
+    0.0,
+    -0.0,
+    5e-324,
+    1e-310,
+    2.2250738585072014e-308,
+    1.0,
+    1.0 + 2**-52,
+    3.5,
+    np.inf,
+    -np.inf,
+    np.nan,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.sampled_from(_ORDER_POOL)
+        | st.floats(allow_nan=True, allow_subnormal=True),
+        max_size=200,
+    )
+)
+def test_descending_order_is_the_stable_argsort(values):
+    """Empty, one element, heavy ties, ±0.0, subnormals, NaN: the order
+    helper returns the stable sort's permutation exactly."""
+    x = np.asarray(values, dtype=np.float64)
+    got = descending_order(x)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(-x, kind="stable"))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    decimals=st.sampled_from([None, 4, 1]),
+    nan_share=st.sampled_from([0.0, 0.01]),
+)
+def test_descending_order_large(seed, decimals, nan_share):
+    """10^5 demands, with no ties, many ties or nearly all tied."""
+    rng = np.random.default_rng(seed)
+    x = rng.exponential(1.0, 100_000)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    x[rng.random(x.size) < nan_share] = np.nan
+    x[rng.random(x.size) < 0.01] = -0.0
+    assert np.array_equal(descending_order(x), np.argsort(-x, kind="stable"))
+
+
+@st.composite
 def pair_fill_cases(draw):
     """Per-pair (volumes, alloc, fill_order) cases for the fill test."""
     num = draw(st.integers(min_value=1, max_value=6))
@@ -224,6 +320,16 @@ def test_batch_validation_errors():
         fast_ssp_sorted(np.array([-1.0]), 1.0)
     with pytest.raises(ValueError, match="epsilon"):
         fast_ssp_sorted(np.ones(1), 1.0, epsilon=1.5)
+    # A NaN capacity is rejected by both implementations alike ...
+    for solve in (fast_ssp, fast_ssp_sorted):
+        with pytest.raises(ValueError, match="capacity"):
+            solve(np.array([1.0, 2.0]), float("nan"))
+        with pytest.raises(ValueError, match="capacity"):
+            solve(np.empty(0), np.float64("nan"))
+    # ... while an infinite one fits everything.
+    res = fast_ssp_sorted(np.array([1.0, 2.0]), float("inf"))
+    assert res == fast_ssp(np.array([1.0, 2.0]), float("inf"))
+    assert res.selected == (0, 1) and res.error_bound == 0.0
     # The fill loop validates every tunnel's free demands.
     with pytest.raises(ValueError, match="non-negative"):
         fill_pair(
