@@ -70,16 +70,19 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Written so that NaN fails every check; inf passes where it
+        # means "no limit" (the cap, the budget).
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff multiplier must be >= 1")
+        for name in ("backoff_base_s", "backoff_cap_s"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"RetryPolicy.{name} must be >= 0")
+        if not self.backoff_multiplier >= 1.0:
+            raise ValueError("RetryPolicy.backoff_multiplier must be >= 1")
         if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if self.poll_budget_s <= 0:
-            raise ValueError("poll budget must be positive")
+            raise ValueError("RetryPolicy.jitter must be in [0, 1)")
+        if not self.poll_budget_s > 0:
+            raise ValueError("RetryPolicy.poll_budget_s must be positive")
 
     def delay_s(self, attempt: int, token: int = 0) -> float:
         """The backoff before retry ``attempt`` (0-based), jittered."""
@@ -146,6 +149,13 @@ class EndpointAgent:
     _config_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # One sum is NaN when any schedule field is: the fleet builds a
+        # million agents, so the common case costs one comparison.
+        total = self.poll_period_s + self.poll_offset_s + self.max_staleness_s
+        if total != total:
+            for name in ("poll_period_s", "poll_offset_s", "max_staleness_s"):
+                if math.isnan(getattr(self, name)):
+                    raise ValueError(f"EndpointAgent.{name} must not be NaN")
         # Every poll checks this key.
         self._config_key = config_key(self.endpoint_id)
 

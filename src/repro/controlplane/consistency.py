@@ -117,7 +117,7 @@ def simulate_convergence(
         ``inf`` delay).
 
     A failed poll — capacity rejection or an injected fault when the
-    database is wrapped in a :class:`~.faults.FaultyTEDatabase` — never
+    database has a :class:`~.faults.FaultPlan` attached — never
     aborts the simulation: the agent simply has not converged yet and
     keeps polling on its schedule (agents with a retry policy handle
     the error themselves; bare agents have it swallowed here).

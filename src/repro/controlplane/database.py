@@ -18,18 +18,31 @@ configs) and the version of the endpoint's own config key.  Both come
 from one shard, so they cannot disagree about what that shard holds, and
 the fleet's checks spread over the shards the way the config keys do —
 no key is read by everyone.
+
+Faults are a hook this one store consults (:mod:`.faults`): an attached
+:class:`~.faults.FaultPlan` admits or fails every query, and may serve
+it from a lagged replica — a view into the per-key history and
+per-shard commit log the store keeps, trimmed to what a view can still
+ask for, only while a plan is attached.  Without one, each query costs
+one ``is None`` test more than a plain store.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Hashable, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Sequence
 
 from ..obs import get_registry
 
+if TYPE_CHECKING:
+    from .faults import FaultPlan
+
 __all__ = [
+    "FaultStats",
     "ShardStats",
     "SyncError",
     "TEDatabase",
@@ -42,17 +55,10 @@ __all__ = [
 #: shard this key hashes to.  Nothing is stored under it.
 VERSION_KEY = "te:version"
 
+#: Default per-operation timeout budget (seconds): injected latency at or
+#: above this makes the caller give up on the query.
+DEFAULT_OP_TIMEOUT_S = 1.0
 
-def _record_query(op: str, count: int = 1) -> None:
-    """Count ``count`` served queries in the shared metrics registry."""
-    registry = get_registry()
-    if not registry.enabled:
-        return
-    registry.counter(
-        "megate_tedb_queries_total",
-        "TE database queries served, by operation",
-        labelnames=("op",),
-    ).labels(op=op).inc(count)
 
 #: Queries per second one shard sustains (two shards -> 160k, §3.2).
 SHARD_CAPACITY_QPS = 80_000
@@ -92,10 +98,47 @@ class ShardStats:
     peak_qps: int = 0
 
 
+@dataclass
+class FaultStats:
+    """What a fault plan did to the store, by class: queries failed
+    (the first five, summed by :attr:`total_injected`), reads served
+    from a lagged replica, keys re-sharded and keys reconciled."""
+
+    unavailable: int = 0
+    partitioned: int = 0
+    timeouts: int = 0
+    read_errors: int = 0
+    write_errors: int = 0
+    stale_reads: int = 0
+    resharded_keys: int = 0
+    reconciled_keys: int = 0
+
+    @property
+    def total_injected(self) -> int:
+        failed = self.unavailable + self.partitioned + self.timeouts
+        return failed + self.read_errors + self.write_errors
+
+
 @dataclass(slots=True)
 class _VersionedValue:
     value: Any
     version: int
+
+
+_time = itemgetter(0)
+
+
+def _newest(
+    log: list[tuple] | None, cutoff: float, restart: float | None = None
+) -> tuple | None:
+    """Newest entry of a time-ordered log written at or before ``cutoff``
+    or, when ``restart`` is given, at or after it."""
+    if not log:
+        return None
+    if restart is not None and log[-1][0] >= restart:
+        return log[-1]
+    idx = bisect_right(log, cutoff, key=_time)
+    return log[idx - 1] if idx else None
 
 
 class TEDatabase:
@@ -109,7 +152,16 @@ class TEDatabase:
             only counted (useful for offline load studies).
 
     Time is explicit: every operation takes a ``now`` timestamp (seconds),
-    so simulations control the clock.
+    so simulations control the clock.  Under a fault plan it must not run
+    backwards past a write — no operation earlier than a ``put`` or
+    ``commit_version`` already served (reads may run ahead, as agents'
+    retries do): the history is trimmed on that.
+
+    Attributes:
+        plan: The :class:`~.faults.FaultPlan` attached by
+            :func:`~.faults.FaultyTEDatabase`, or None.
+        timeout_s: Per-operation budget the plan's latency is held to.
+        injected: What the plan did to this store.
     """
 
     def __init__(
@@ -120,8 +172,8 @@ class TEDatabase:
     ) -> None:
         if num_shards < 1:
             raise ValueError("need at least one shard")
-        if shard_capacity_qps < 1:
-            raise ValueError("shard capacity must be positive")
+        if not shard_capacity_qps >= 1:  # NaN too
+            raise ValueError("shard_capacity_qps must be at least 1")
         self.num_shards = num_shards
         self.shard_capacity_qps = shard_capacity_qps
         self.enforce_capacity = enforce_capacity
@@ -135,17 +187,54 @@ class TEDatabase:
         self._second_load: list[dict[int, int]] = [
             {} for _ in range(num_shards)
         ]
+        self.plan: FaultPlan | None = None
+        self.timeout_s = DEFAULT_OP_TIMEOUT_S
+        self.injected = FaultStats()
+        self._hook: FaultPlan | None = None  # None under the null plan
+        self._op_counter = 0  # the plan's coin draws
+        # Key -> [(time, stored)] and shard -> [(time, version)] of its
+        # commits, time-ordered: the replication stream lagged views read.
+        self._history: dict[Hashable, list[tuple[float, _VersionedValue]]] = {}
+        self._commits: list[list[tuple[float, int]]] = [
+            [] for _ in range(num_shards)
+        ]
+        # The trim floor, and the write time it was computed for.
+        self._floor = (math.nan, -math.inf)
+        # Keys reshard() moved, to (their shard, their hash home); per
+        # home, their oldest replica cutoff; per shard, its last reconcile.
+        self._overrides: dict[Hashable, tuple[int, int]] = {}
+        self._evacuated: dict[int, float] = {}
+        self._reconciled_at: dict[int, float] = {}
+
+    def _attach(self, plan: FaultPlan, timeout_s: float) -> None:
+        """Consult ``plan`` from now on (:mod:`.faults` calls this)."""
+        if not timeout_s > 0:  # NaN too
+            raise ValueError("timeout_s must be positive")
+        self.plan, self.timeout_s = plan, timeout_s
+        self._hook = None if plan.is_null() else plan
+        if self._hook is None:
+            self._history = {}
+            self._commits = [[] for _ in range(self.num_shards)]
+        self._floor = (math.nan, -math.inf)
+
+    @property
+    def inner(self) -> TEDatabase:
+        """The store a plan is attached to: this one."""
+        return self
 
     # -- internals ----------------------------------------------------------
 
     def shard_of(self, key: Hashable) -> int:
-        """Deterministic shard assignment by key hash.
+        """The shard answering for ``key``: its hash home, unless
+        :meth:`reshard` moved it.
 
         String and bytes keys hash via CRC-32 rather than ``hash()``,
         whose per-process salt (``PYTHONHASHSEED``) would give every
         run a different key-to-shard layout — chaos runs and the CI
         seed matrix need layouts that replay across processes.
         """
+        if self._overrides and key in self._overrides:
+            return self._overrides[key][0]
         if isinstance(key, str):
             h = zlib.crc32(key.encode("utf-8"))
         elif isinstance(key, bytes):
@@ -154,31 +243,92 @@ class TEDatabase:
             h = hash(key)
         return h % self.num_shards
 
-    def _account(self, shard: int, now: float) -> None:
+    def _charge(self, shard: int, now: float, op: str) -> None:
+        """Charge one ``op`` query to ``shard``'s capacity this second;
+        over capacity, count it rejected and raise :class:`QueryRejected`."""
         second = int(now)
         loads = self._second_load[shard]
         attempted = loads.get(second, 0) + 1
         stats = self._stats[shard]
+        registry = get_registry()
         if self.enforce_capacity and attempted > self.shard_capacity_qps:
-            raise self._reject(shard, second)
+            stats.rejected += 1
+            if registry.enabled:
+                registry.counter(
+                    "megate_tedb_rejected_total",
+                    "TE database queries rejected for shard capacity",
+                ).inc()
+            raise QueryRejected(f"shard {shard} over capacity at t={second}s")
         loads[second] = attempted
         stats.peak_qps = max(stats.peak_qps, attempted)
         stats.queries += 1
-
-    def _reject(self, shard: int, second: int) -> QueryRejected:
-        """Count one query ``shard`` refused for capacity; the error to raise.
-
-        The shard never served it: the served-load counters (and
-        peak_qps) stay untouched.
-        """
-        self._stats[shard].rejected += 1
-        registry = get_registry()
         if registry.enabled:
             registry.counter(
-                "megate_tedb_rejected_total",
-                "TE database queries rejected for shard capacity",
-            ).inc()
-        return QueryRejected(f"shard {shard} over capacity at t={second}s")
+                "megate_tedb_queries_total",
+                "TE database queries served, by operation",
+                labelnames=("op",),
+            ).labels(op=op).inc()
+
+    def _admit(self, shard: int, now: float, op: str) -> None:
+        """Charge one ``op`` query, through the plan's gauntlet if any."""
+        if self._hook is None:
+            self._charge(shard, now, op)
+        else:
+            self._hook.admit(self, shard, now, op)
+
+    def _lookup(self, key: Hashable, now: float, op: str) -> tuple[int, Any]:
+        """One ``op`` query for ``key``: ``(committed, stored key)`` as
+        its shard serves them — live, or both through the same lagged
+        view."""
+        shard = self.shard_of(key)
+        if self._hook is None:
+            self._charge(shard, now, op)
+            return self._committed[shard], self._data[shard].get(key)
+        self._hook.admit(self, shard, now, op)
+        committed, stored = self._committed[shard], self._data[shard].get(key)
+        view = self._hook.view(shard, now)
+        if view is not None and (
+            view[1] is None
+            or self._reconciled_at.get(shard, -math.inf) < view[1]
+        ):
+            self.injected.stale_reads += 1
+            # The commit is read at the cutoff alone: a restarted shard
+            # may have lost config writes a later commit would vouch for.
+            commit = _newest(self._commits[shard], view[0])
+            committed = commit[1] if commit else 0
+            entry = _newest(self._history.get(key), *view)
+            stored = entry[1] if entry else None
+        log = self._history.get(key)
+        version = stored.version if stored else 0
+        if key in self._overrides and log and version != log[-1][1].version:
+            # An evacuated key not rewritten since: the copy is what its
+            # crashed home's replica had, so only the commits that
+            # replica had seen vouch for it.
+            home = self._overrides[key][1]
+            seen = _newest(self._commits[home], self._evacuated[home])
+            committed = min(committed, seen[1] if seen else 0)
+        return committed, stored
+
+    def _append(self, log: list[tuple], entry: tuple, now: float) -> None:
+        """Append to a time-ordered log and drop every entry older than
+        the newest one at or before the floor: the oldest cutoff a view
+        can still ask for once nothing is earlier than ``now``."""
+        if self._floor[0] != now:
+            reconciled = self._reconciled_at
+            cutoffs = [
+                self._hook.oldest_cutoff(s, now, reconciled.get(s, -math.inf))
+                for s in range(self.num_shards)
+            ]
+            self._floor = now, min(cutoffs + list(self._evacuated.values()))
+        log.append(entry)
+        stale = bisect_right(log, self._floor[1], key=_time) - 1
+        if stale > 0:
+            del log[:stale]
+
+    def _newest_stored(self, key: Hashable, shard: int) -> _VersionedValue:
+        """The key's newest write: the history's, else ``shard``'s copy."""
+        log = self._history.get(key)
+        return log[-1][1] if log else self._data[shard][key]
 
     # -- API ----------------------------------------------------------------
 
@@ -196,70 +346,51 @@ class TEDatabase:
         values: Sequence[Any],
         now: float = 0.0,
     ) -> list[int]:
-        """Store ``values[i]`` under ``keys[i]``, in order, in one call.
-
-        Exactly :meth:`put` once per key — the same versions (a key
-        listed twice is written twice), query counts, per-second loads
-        and ``peak_qps`` — for the cost of one pass.  Returns the new
-        versions.
+        """:meth:`put` each ``values[i]`` under ``keys[i]``, in order;
+        returns the new versions.
 
         Raises:
-            QueryRejected: under ``enforce_capacity``, for the first key
-                whose shard is over capacity this second.  The keys
-                before it are stored (their versions are the error's
-                ``stored``); it and the rest are not tried.
+            SyncError: for the first key its shard rejects for capacity,
+                or the plan fails.  The keys before it are stored (their
+                versions are the error's ``stored``); the rest are not.
             ValueError: when ``keys`` and ``values`` differ in length.
         """
         if len(keys) != len(values):
             raise ValueError("put_many needs one value per key")
-        shards = [self.shard_of(key) for key in keys]
-        second = int(now)
-        accepted = len(shards)
-        if self.enforce_capacity:
-            room = [
-                self.shard_capacity_qps - loads.get(second, 0)
-                for loads in self._second_load
-            ]
-            for i, shard in enumerate(shards):
-                room[shard] -= 1
-                if room[shard] < 0:
-                    accepted = i
-                    break
-        served = shards[:accepted]
-        for shard, count in Counter(served).items():
-            # A shard's load only grows within the call, so its peak is
-            # where the call leaves it.
-            loads = self._second_load[shard]
-            load = loads[second] = loads.get(second, 0) + count
-            stats = self._stats[shard]
-            stats.peak_qps = max(stats.peak_qps, load)
-            stats.queries += count
-        if accepted:
-            _record_query("put", accepted)
-        versions = []
-        for key, value, shard in zip(keys, values, served):
-            data = self._data[shard]
-            existing = data.get(key)
-            version = (existing.version + 1) if existing else 1
-            data[key] = _VersionedValue(value=value, version=version)
-            versions.append(version)
-        if accepted < len(shards):
-            error = self._reject(shards[accepted], second)
-            error.stored = versions
-            raise error
+        versions: list[int] = []
+        try:
+            for key, value in zip(keys, values):
+                shard = self.shard_of(key)
+                self._admit(shard, now, "put")
+                data = self._data[shard]
+                existing = data.get(key)
+                version = (existing.version + 1) if existing else 1
+                log = None
+                if self._hook is not None:
+                    log = self._history.setdefault(key, [])
+                    if log and log[-1][1].version >= version:
+                        # A copy restored from a stale replica carries an
+                        # old version; never hand out a used one again.
+                        version = log[-1][1].version + 1
+                stored = data[key] = _VersionedValue(value, version)
+                if log is not None:
+                    self._append(log, (now, stored), now)
+                versions.append(version)
+        except SyncError as exc:
+            exc.stored = versions
+            raise
         return versions
 
     def get(self, key: Hashable, now: float = 0.0) -> tuple[Any, int]:
-        """Read ``(value, version)``.
+        """Read ``(value, version)`` — under a plan, maybe a lagged one.
 
         Raises:
-            KeyError: for an unknown key.
-            QueryRejected: when the shard is over capacity this second.
+            KeyError: for a key the shard does not (visibly) hold.
+            SyncError: when the shard rejects or the plan fails the query.
         """
-        shard = self.shard_of(key)
-        self._account(shard, now)
-        _record_query("get")
-        stored = self._data[shard][key]
+        stored = self._lookup(key, now, "get")[1]
+        if stored is None:
+            raise KeyError(key)
         return stored.value, stored.version
 
     def get_version(self, key: Hashable, now: float = 0.0) -> int:
@@ -270,10 +401,7 @@ class TEDatabase:
         """
         if key == VERSION_KEY:
             return self.check_version(key, now=now)[0]
-        shard = self.shard_of(key)
-        self._account(shard, now)
-        _record_query("get_version")
-        stored = self._data[shard].get(key)
+        stored = self._lookup(key, now, "get_version")[1]
         return stored.version if stored else 0
 
     def check_version(
@@ -281,15 +409,12 @@ class TEDatabase:
     ) -> tuple[int, int]:
         """The agents' freshness check: one query, no value.
 
-        Returns ``(committed, key_version)`` from the shard holding
-        ``key``: the TE version last committed there, and the version
-        of ``key`` itself (0 when the shard holds no such key).
+        Returns ``(committed, key_version)`` from the shard answering
+        for ``key``: the TE version last committed there, and the
+        version of ``key`` itself (0 when the shard holds no such key).
         """
-        shard = self.shard_of(key)
-        self._account(shard, now)
-        _record_query("check_version")
-        stored = self._data[shard].get(key)
-        return self._committed[shard], stored.version if stored else 0
+        committed, stored = self._lookup(key, now, "check_version")
+        return committed, stored.version if stored else 0
 
     def commit_version(self, version: int, now: float = 0.0) -> None:
         """Mark TE version ``version`` committed on every shard.
@@ -297,104 +422,133 @@ class TEDatabase:
         The publish step that follows the config writes: one write per
         shard, carrying the version number itself, so repeating it after
         a failure changes nothing on the shards it already reached.
-        Every shard is tried before the first failure is raised.
-
-        Raises:
-            QueryRejected: when some shard was over capacity; the
-                others hold the commit.
+        Every shard is tried before the first failure is raised
+        (:class:`SyncError`); the others hold the commit.
         """
         failure = None
         for shard in range(self.num_shards):
             try:
-                self.commit_to_shard(shard, version, now=now)
+                self._admit(shard, now, "commit_version")
             except SyncError as exc:
                 failure = failure or exc
+                continue
+            self._committed[shard] = max(self._committed[shard], version)
+            log = self._commits[shard]
+            # A repeat of the last logged version changes no view.
+            if self._hook is not None and (not log or log[-1][1] != version):
+                self._append(log, (now, version), now)
         if failure is not None:
             raise failure
-
-    # -- shard-addressed API -------------------------------------------------
-    #
-    # The plain API above routes every key through ``shard_of``.  Wrappers
-    # that need to re-home keys (the fault-injection layer's re-sharding,
-    # :func:`repro.controlplane.failover.orchestrate_shard_failover`)
-    # address shards explicitly instead.  Semantics are identical to the
-    # plain API when ``shard == shard_of(key)``.
-
-    def account(self, shard: int, now: float) -> None:
-        """Charge one query to ``shard``'s per-second capacity bucket.
-
-        Raises:
-            QueryRejected: when the shard is over capacity this second.
-        """
-        self._account(shard, now)
-
-    def write_to_shard(
-        self,
-        shard: int,
-        key: Hashable,
-        value: Any,
-        now: float = 0.0,
-        version: int | None = None,
-        account: bool = True,
-    ) -> int:
-        """Store ``key`` on an explicit shard.
-
-        Args:
-            version: Explicit version to store (replica restores and key
-                migrations preserve versions); defaults to incrementing
-                the shard's current entry.
-            account: Charge the write against shard capacity.  Internal
-                replica-side restores run out of band and pass False.
-        """
-        if account:
-            self._account(shard, now)
-        if version is None:
-            existing = self._data[shard].get(key)
-            version = (existing.version + 1) if existing else 1
-        self._data[shard][key] = _VersionedValue(value=value, version=version)
-        return version
-
-    def read_from_shard(
-        self, shard: int, key: Hashable, now: float = 0.0
-    ) -> tuple[Any, int]:
-        """Read ``(value, version)`` from an explicit shard."""
-        self._account(shard, now)
-        stored = self._data[shard][key]
-        return stored.value, stored.version
-
-    def version_from_shard(
-        self, shard: int, key: Hashable, now: float = 0.0
-    ) -> int:
-        """Read only the version from an explicit shard (0 if absent)."""
-        self._account(shard, now)
-        stored = self._data[shard].get(key)
-        return stored.version if stored else 0
-
-    def commit_to_shard(
-        self,
-        shard: int,
-        version: int,
-        now: float = 0.0,
-        account: bool = True,
-    ) -> None:
-        """Record ``version`` as committed on one shard (never lowers it)."""
-        if account:
-            self._account(shard, now)
-            _record_query("commit_version")
-        if version > self._committed[shard]:
-            self._committed[shard] = version
 
     def committed_version(self, shard: int) -> int:
         """The TE version committed on ``shard`` (no capacity charge)."""
         return self._committed[shard]
 
-    def shard_keys(self, shard: int) -> list[Hashable]:
-        """Keys currently stored on ``shard`` (no capacity charge)."""
-        return list(self._data[shard])
+    # -- health and recovery -------------------------------------------------
 
-    def drop_from_shard(self, shard: int, key: Hashable) -> None:
-        """Remove a key from an explicit shard (no capacity charge)."""
-        self._data[shard].pop(key, None)
+    def unhealthy_shards(self, now: float) -> list[int]:
+        """The shards a health probe finds unreachable or answering past
+        the timeout at ``now``."""
+        hook = self._hook
+        return [
+            s
+            for s in range(self.num_shards)
+            if hook is not None and not hook.healthy(s, now, self.timeout_s)
+        ]
+
+    def crashed_shards(self, now: float) -> list[int]:
+        hook = self._hook
+        return [s for s in range(self.num_shards) if hook and hook.crashed(s, now)]
+
+    def reshard(
+        self, now: float, shards: Iterable[int] | None = None
+    ) -> int:
+        """Move the keys ``shards`` (default: every unhealthy shard)
+        answer for to the next healthy shard, out of band and versions
+        preserved, and route their queries there; returns how many.
+
+        A crashed shard's keys move as its replica had them — the
+        history up to ``crash_start - stale_lag_s``; a shard that is
+        merely unreachable or slow hands over each key's newest write.
+        """
+        down = self.unhealthy_shards(now)
+        moved = 0
+        for shard in down if shards is None else shards:
+            cutoff = self._hook and self._hook.crash_cutoff(shard, now)
+            ring = [(shard + i) % self.num_shards for i in range(1, self.num_shards)]
+            target = next((s for s in ring if s not in down), None)
+            if target is None:
+                continue  # every shard is down; nothing to move to
+            for key in list(self._data[shard]):
+                if self.shard_of(key) != shard:
+                    continue  # a leftover copy: routing points elsewhere
+                if cutoff is None:
+                    stored = self._newest_stored(key, shard)
+                else:
+                    entry = _newest(self._history.get(key), cutoff)
+                    if entry is None:
+                        continue  # nothing replicated before the crash
+                    stored = entry[1]
+                self._data[target][key] = stored
+                home = self._overrides.get(key, (shard, shard))[1]
+                self._overrides[key] = (target, home)
+                restored = now if cutoff is None else cutoff
+                self._evacuated[home] = min(
+                    restored, self._evacuated.get(home, restored)
+                )
+                moved += 1
+        self.injected.resharded_keys += moved
+        self._floor = (math.nan, -math.inf)
+        return moved
+
+    def reconcile(self, shard: int, now: float) -> int:
+        """Bring a restarted shard back to fresh, authoritative state.
+
+        Sends the keys evacuated from it home with their newest write,
+        drops its copies of keys it no longer answers for, and marks it
+        caught up, so reads stop serving the lagged view.  (A key that
+        never left holds its newest write: a view lags, the data does
+        not.)  Returns the number of keys restored.
+        """
+        data = self._data[shard]
+        restored = 0
+        for key, (target, home) in list(self._overrides.items()):
+            if home != shard:
+                continue
+            newest = self._newest_stored(key, target)
+            current = data.get(key)
+            if current is None or current.version != newest.version:
+                data[key] = newest
+                restored += 1
+            del self._overrides[key]
+            if target != shard:
+                self._data[target].pop(key, None)
+        for key in list(data):
+            if self.shard_of(key) != shard:  # another shard's leftover copy
+                del data[key]
+        self._evacuated.pop(shard, None)
+        self._reconciled_at[shard] = now
+        self._floor = (math.nan, -math.inf)
+        self.injected.reconciled_keys += restored
+        return restored
+
+    def reconcile_restarted(self, now: float) -> list[int]:
+        """Reconcile each healthy shard restarted since its last reconcile
+        or with keys evacuated (a passing partition or slowdown)."""
+        homes = {home for _, home in self._overrides.values()}
+        down = self.unhealthy_shards(now)
+        done = []
+        for shard in range(self.num_shards):
+            if shard in down:
+                continue
+            crash = self._hook and self._hook.last_crash_before(shard, now)
+            if shard in homes or (
+                crash is not None
+                and self._reconciled_at.get(shard, -math.inf) < crash.end
+            ):
+                self.reconcile(shard, now)
+                done.append(shard)
+        return done
 
     # -- introspection -------------------------------------------------------
 

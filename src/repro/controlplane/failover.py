@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..simulation.failures import surviving_volume
-from .faults import FaultyTEDatabase
+from .database import TEDatabase
 from .hybrid import HybridPlan
 from .watcher import ShardHealthMonitor
 
@@ -190,7 +190,7 @@ class ShardFailoverReport:
 
 
 def orchestrate_shard_failover(
-    database: FaultyTEDatabase,
+    database: TEDatabase,
     now: float,
     monitor: ShardHealthMonitor | None = None,
 ) -> ShardFailoverReport:
@@ -208,7 +208,7 @@ def orchestrate_shard_failover(
     fibers.
 
     Args:
-        database: The fault-wrapped TE database.
+        database: The TE database, with its fault plan attached.
         now: Current time.
         monitor: Optional :class:`~.watcher.ShardHealthMonitor`; when
             given, re-sharding waits for its hysteresis to declare a

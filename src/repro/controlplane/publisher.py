@@ -18,7 +18,7 @@ told), so its agents may move on while the others wait.
 
 Shared by the chaos study (:mod:`repro.experiments.chaos_sync`) and the
 soak engine (:mod:`repro.simulation.soak`), which both drive a fleet of
-agents against a fault-wrapped database on the simulated clock.
+agents against a database under a fault plan on the simulated clock.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Figure 16 shows MegaTE's availability across the rollout under
 fair-weather conditions; this study replicates the shape of that claim
 with the weather turned bad.  A fleet of retrying endpoint agents polls
-a fault-wrapped TE database (:mod:`repro.controlplane.faults`) while a
+a TE database under a fault plan (:mod:`repro.controlplane.faults`) while a
 publisher keeps pushing new config versions through the same faulty
 store, and a shard-failover pass (detect → re-shard → reconcile) runs on
 every tick.  Sweeping the fault intensity yields the availability and
@@ -94,7 +94,7 @@ class ChaosSimResult:
     Attributes:
         row: The summary row.
         agents: The fleet, in its final state.
-        database: The fault-wrapped database.
+        database: The TE database, with the run's fault plan attached.
         published_version: Newest version whose commit was issued.
         staleness_samples: Every (agent, tick) staleness sample taken.
         violations: Human-readable invariant violations (empty unless
@@ -103,7 +103,7 @@ class ChaosSimResult:
 
     row: ChaosSyncRow
     agents: list[EndpointAgent]
-    database: FaultyTEDatabase
+    database: TEDatabase
     published_version: int
     staleness_samples: np.ndarray
     violations: list[str] = field(default_factory=list)

@@ -15,7 +15,7 @@ events firing on schedules, all four planes live at once:
 * **data plane** — the assignment is realized by the flow simulator, so
   overload during a flash crowd shows up as lost delivered volume;
 * **sync plane** — a fleet of retrying endpoint agents polls a
-  fault-wrapped TE database while a resumable publisher pushes one
+  TE database under a fault plan while a resumable publisher pushes one
   config version per interval and shard failover runs every tick;
 * **telemetry** — the obs registry is *always on* for the run, because
   the run's verdict — the :class:`SLOReport` — is computed from the
@@ -813,7 +813,7 @@ def run_soak(
         optimizer = MegaTEOptimizer()
     optimizer.reset_incremental_state()
 
-    # Sync plane: fault-wrapped store, resumable publisher, agent fleet.
+    # Sync plane: store under the fault plan, resumable publisher, agent fleet.
     plan = _fault_plan(events, interval_s, num_shards, seed)
     database = FaultyTEDatabase(
         TEDatabase(

@@ -1,6 +1,14 @@
-"""Tests for the deterministic fault-injection layer."""
+"""Tests for the deterministic fault-injection layer.
+
+``CHAOS_EXAMPLES`` sets the Hypothesis budget of the store properties
+(default 100), so the scheduled chaos CI lane can run more.
+"""
 
 from __future__ import annotations
+
+import gc
+import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +35,11 @@ from repro.controlplane import (
     orchestrate_shard_failover,
     wrap_database,
 )
+
+
+CHAOS_EXAMPLES = int(os.environ.get("CHAOS_EXAMPLES", "100"))
+NAN = float("nan")
+INF = float("inf")
 
 
 def _key_on_shard(db: TEDatabase, shard: int) -> str:
@@ -593,19 +606,18 @@ class TestPutMany:
     key through the gauntlet in turn."""
 
     @staticmethod
-    def _state(db: FaultyTEDatabase):
-        inner = db.inner
+    def _state(db: TEDatabase):
         return (
-            inner._data,
-            [inner.stats(s) for s in range(inner.num_shards)],
-            inner._second_load,
-            db._log,
+            db._data,
+            [db.stats(s) for s in range(db.num_shards)],
+            db._second_load,
+            db._history,
             db._overrides,
             db.injected,
             db._op_counter,
         )
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=CHAOS_EXAMPLES, deadline=None)
     @given(
         num_shards=st.integers(1, 4),
         capacity=st.integers(2, 8),
@@ -666,10 +678,17 @@ class TestPutMany:
             assert str(raised.value) == str(failure)
             assert list(raised.value.stored) == want
         assert self._state(bulk) == self._state(each)
-        # Every stored write is in the replication log stale reads use.
-        for key, value, version in zip(batch, values, want):
-            logged = [(e.time, e.version, e.value) for e in bulk._log[key]]
-            assert (now, version, value) in logged
+        # Under a plan each key's newest write is in the history lagged
+        # views read; the null plan keeps no history.
+        newest = {key: (v, value) for key, value, v in zip(batch, values, want)}
+        for key, (version, value) in newest.items():
+            if plan.is_null():
+                assert key not in bulk._history
+            else:
+                time, stored = bulk._history[key][-1]
+                assert (time, stored.version, stored.value) == (
+                    now, version, value,
+                )
 
     def test_null_plan_is_one_inner_batch(self, monkeypatch):
         inner = TEDatabase(num_shards=2)
@@ -684,7 +703,219 @@ class TestPutMany:
         db = FaultyTEDatabase(inner)
         assert db.put_many(["a", "b", "a"], [1, 2, 3], now=1.0) == [1, 1, 2]
         assert calls == [3]
-        assert [e.version for e in db._log["a"]] == [1, 2]
+        assert db._history == {}
+
+
+class _Untrimmed(TEDatabase):
+    """The reference model: the same store with nothing ever trimmed —
+    every write and every commit stays in its log, so each lagged view
+    reads the full history."""
+
+    def _append(self, log, entry, now):
+        log.append(entry)
+
+
+#: Read ops may run ahead of the clock (an agent's retries do); writes,
+#: re-sharding and reconciles never do.
+_READS = ("get", "get_version", "check_version")
+
+
+def _apply(db: TEDatabase, op: str, keys, step: int, now: float):
+    """Run one drawn op; its answer, or the type of error it raised."""
+    try:
+        if op == "put":
+            return db.put(keys[0], (step, 0), now=now)
+        if op == "put_many":
+            values = [(step, i) for i in range(len(keys))]
+            return db.put_many(keys, values, now=now)
+        if op == "commit_version":
+            return db.commit_version(step, now=now)
+        if op in _READS:
+            return getattr(db, op)(keys[0], now=now)
+        return getattr(db, op)(now)
+    except (SyncError, KeyError) as exc:
+        return type(exc), list(getattr(exc, "stored", ()))
+
+
+#: Scripted runs, one per kind of cutoff the trim floor keeps: a floor
+#: without it would drop an entry the last query needs.
+_FLOOR_SCENARIOS = {
+    # A restarted, unreconciled shard answers from its replica's commits.
+    "restart": (
+        1,
+        FaultPlan(
+            shards={
+                0: ShardFaults(
+                    crash_windows=(FaultWindow(100.0, 120.0),),
+                    stale_lag_s=30.0,
+                )
+            }
+        ),
+        [("commit_version", 5.0), ("commit_version", 10.0), ("put", 10.0),
+         ("commit_version", 80.0), ("put", 80.0), ("commit_version", 130.0),
+         ("check_version", 131.0)],
+    ),
+    # An open stale window reads ``stale_lag_s`` back from every read.
+    "stale window": (
+        1,
+        FaultPlan(
+            shards={
+                0: ShardFaults(
+                    stale_lag_s=10.0,
+                    stale_windows=(FaultWindow(100.0, 200.0),),
+                )
+            }
+        ),
+        [("put", 40.0), ("put", 50.0), ("put", 92.0), ("put", 100.0),
+         ("get", 101.0)],
+    ),
+    # A key evacuated off its partitioned home, then read through its new
+    # shard's restart view, answers with the commits its home had seen.
+    "evacuation": (
+        2,
+        FaultPlan(
+            shards={
+                1: ShardFaults(
+                    crash_windows=(FaultWindow(130.0, 140.0),),
+                    stale_lag_s=5.0,
+                )
+            },
+            partitions=((FaultWindow(100.0, 121.0), frozenset({0})),),
+        ),
+        [("put", 10.0), ("commit_version", 10.0), ("put", 90.0),
+         ("commit_version", 90.0), ("reshard", 110.0),
+         ("commit_version", 122.0), ("put", 128.0),
+         ("commit_version", 130.0), ("check_version", 141.0)],
+    ),
+}
+
+
+class TestHistory:
+    """The store keeps the history lagged views read only while a plan is
+    attached, and trims it to what a view can still ask for."""
+
+    @pytest.mark.parametrize("scenario", sorted(_FLOOR_SCENARIOS))
+    def test_the_floor_keeps_each_cutoff_a_view_asks_for(self, scenario):
+        num_shards, plan, script = _FLOOR_SCENARIOS[scenario]
+        trimmed, full = (
+            FaultyTEDatabase(store(num_shards, 10_000), plan)
+            for store in (TEDatabase, _Untrimmed)
+        )
+        key = [_key_on_shard(trimmed, 0)]
+        for step, (op, now) in enumerate(script, start=1):
+            assert _apply(trimmed, op, key, step, now) == _apply(
+                full, op, key, step, now
+            ), (op, now)
+
+        def kept(db):
+            return sum(map(len, db._commits)) + len(db._history[key[0]])
+
+        assert kept(trimmed) < kept(full)  # the run did trim
+
+    @settings(max_examples=CHAOS_EXAMPLES, deadline=None)
+    @given(
+        plan_seed=st.integers(0, 2**16),
+        num_shards=st.integers(1, 3),
+        capacity=st.sampled_from([4, 10_000]),
+        steps=st.lists(
+            st.tuples(
+                # Commits and checks weighted up: they meet the most views.
+                st.sampled_from(
+                    ("put", "put_many", "commit_version", "commit_version",
+                     "reshard", "reconcile_restarted", "check_version")
+                    + _READS
+                ),
+                st.lists(st.sampled_from("abc"), min_size=1, max_size=4),
+                st.sampled_from([0.0, 1.0, 5.0, 20.0]),
+                st.booleans(),
+            ),
+            min_size=20,
+            max_size=80,
+        ),
+    )
+    def test_trimmed_history_answers_like_the_full_log(
+        self, plan_seed, num_shards, capacity, steps
+    ):
+        plan = FaultPlan.generate(
+            seed=plan_seed, num_shards=num_shards, horizon_s=200.0,
+            intensity=1.0,
+        )
+        trimmed, full = (
+            FaultyTEDatabase(store(num_shards, capacity), plan)
+            for store in (TEDatabase, _Untrimmed)
+        )
+        now = 0.0
+        for step, (op, keys, dt, ahead) in enumerate(steps, start=1):
+            now += dt
+            at = now + 2.5 if ahead and op in _READS else now
+            assert _apply(trimmed, op, keys, step, at) == _apply(
+                full, op, keys, step, at
+            ), (step, op, at)
+        assert trimmed.injected == full.injected
+        for key, entries in full._history.items():
+            assert trimmed._history[key][-1] == entries[-1]
+            assert len(trimmed._history[key]) <= len(entries)
+
+    def test_history_bytes_stay_bounded(self):
+        """40 keys written every 300 s under recurring crash and stale
+        windows: what the store holds at interval 500 is what it held at
+        interval 100."""
+        cycle = 3000.0  # ten intervals: 100 and 500 share a phase
+        windows = [(k * cycle, (k + 1) * cycle) for k in range(60)]
+        plan = FaultPlan(
+            shards={
+                0: ShardFaults(
+                    crash_windows=tuple(
+                        FaultWindow(a + 700.0, a + 1300.0) for a, _ in windows
+                    ),
+                    stale_lag_s=400.0,
+                ),
+                1: ShardFaults(
+                    stale_windows=tuple(
+                        FaultWindow(a + 1800.0, a + 2500.0)
+                        for a, _ in windows
+                    ),
+                    stale_lag_s=650.0,
+                ),
+            }
+        )
+        db = FaultyTEDatabase(TEDatabase(num_shards=2), plan)
+        keys = [f"k{i}" for i in range(40)]
+
+        def run(intervals) -> None:
+            for interval in intervals:
+                now = 300.0 * interval
+                orchestrate_shard_failover(db, now)
+                db.put_many(keys, [(interval, key) for key in keys], now=now)
+                try:
+                    db.commit_version(interval + 1, now=now)
+                except SyncError:
+                    pass
+                for key in keys:
+                    try:
+                        db.check_version(key, now=now + 1.0)
+                    except SyncError:
+                        pass
+                # Per-second load buckets are not history.
+                db.reset_load_accounting()
+
+        def traced() -> int:
+            gc.collect()  # caught errors sit in cycles with their frames
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            run(range(100))
+            at_100 = traced()
+            run(range(100, 500))
+            at_500 = traced()
+        finally:
+            tracemalloc.stop()
+        assert db.injected.stale_reads and db.injected.resharded_keys
+        # Slack for what does grow: version numbers outgrow the small-int
+        # cache, and tracemalloc keeps books of its own.  At the parent
+        # commit the write log alone grew by megabytes.
+        assert at_500 <= at_100 + 16_384, (at_100, at_500)
 
 
 class TestValidation:
@@ -695,6 +926,64 @@ class TestValidation:
     def test_bad_timeout(self):
         with pytest.raises(ValueError):
             FaultyTEDatabase(TEDatabase(), timeout_s=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("read_error_rate", 1.5),
+            ("write_error_rate", -0.2),
+            ("read_error_rate", NAN),
+            ("stale_lag_s", -5.0),
+            ("stale_lag_s", NAN),
+            ("extra_latency_s", NAN),
+            ("extra_latency_s", -1.0),
+        ],
+    )
+    def test_shard_faults_fields_are_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ShardFaults(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("backoff_base_s", NAN),
+            ("backoff_base_s", -1.0),
+            ("backoff_cap_s", NAN),
+            ("backoff_multiplier", NAN),
+            ("jitter", NAN),
+            ("poll_budget_s", NAN),
+            ("poll_budget_s", 0.0),
+        ],
+    )
+    def test_retry_policy_fields_are_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
+
+    def test_nan_is_rejected_everywhere_else(self):
+        with pytest.raises(ValueError, match="start"):
+            FaultWindow(NAN, NAN)
+        with pytest.raises(ValueError, match="end"):
+            FaultWindow(0.0, NAN)
+        with pytest.raises(ValueError, match="horizon_s"):
+            FaultPlan.generate(1, 2, horizon_s=NAN)
+        with pytest.raises(ValueError, match="timeout_s"):
+            FaultyTEDatabase(TEDatabase(), timeout_s=NAN)
+        with pytest.raises(ValueError, match="timeout_s"):
+            wrap_database(TEDatabase(), timeout_s=NAN)
+
+    def test_inf_still_means_forever(self):
+        never_answers = FaultPlan(shards={0: ShardFaults(extra_latency_s=INF)})
+        with pytest.raises(ShardTimeout):
+            FaultyTEDatabase(TEDatabase(num_shards=1), never_answers).put(
+                "k", "v", now=0.0
+            )
+        slow = FaultPlan(shards={0: ShardFaults(extra_latency_s=1e6)})
+        patient = FaultyTEDatabase(TEDatabase(num_shards=1), slow, INF)
+        assert patient.put("k", "v", now=0.0) == 1
+        assert ShardFaults(stale_lag_s=INF).stale_lag_s == INF
+        assert FaultWindow(0.0, INF).contains(1e12)
+        policy = RetryPolicy(backoff_cap_s=INF, poll_budget_s=INF)
+        assert policy.delay_s(3) > 0.0
 
     def test_sync_error_covers_every_fault(self):
         for exc in (
