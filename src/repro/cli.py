@@ -19,8 +19,10 @@ import argparse
 import io
 import json
 import sys
+import time
 from contextlib import contextmanager
 from dataclasses import asdict
+from functools import partial
 
 from . import obs
 from .experiments import (
@@ -435,18 +437,41 @@ def _write_replay_telemetry(args) -> None:
         with open(args.trace_out, "w", encoding="utf-8") as handle:
             written = obs.get_tracer().to_jsonl(handle)
         print(f"wrote {written} spans to {args.trace_out}")
-    if args.metrics_out:
-        registry = obs.get_registry()
-        if args.metrics_out.endswith(".json"):
-            text = (
-                json.dumps(obs.registry_to_json(registry), indent=2)
-                + "\n"
-            )
-        else:
-            text = obs.registry_to_prometheus(registry)
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote metrics to {args.metrics_out}")
+    _write_metrics(args.metrics_out)
+
+
+def _append_history(path: str, kind: str, make_record) -> None:
+    """Append ``make_record(timestamp=..., git_sha=...)`` to the
+    bench-history artifact at ``path``."""
+    from .experiments.bench_history import append_history_record
+
+    record = make_record(
+        timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        git_sha=git_sha(),
+    )
+    total = append_history_record(path, record)
+    print(
+        f"appended {kind} record {record['config_name']} to "
+        f"{path} ({total} history records)"
+    )
+
+
+def _metrics_text(as_json: bool) -> str:
+    """The metrics registry as a JSON snapshot or Prometheus text."""
+    registry = obs.get_registry()
+    if as_json:
+        return json.dumps(obs.registry_to_json(registry), indent=2) + "\n"
+    return obs.registry_to_prometheus(registry)
+
+
+def _write_metrics(path: str | None) -> None:
+    """Dump the metrics registry to ``path`` (JSON when it ends in
+    ``.json``, Prometheus text otherwise); no-op without a path."""
+    if not path:
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(_metrics_text(path.endswith(".json")))
+    print(f"wrote metrics to {path}")
 
 
 def _cmd_chaos(args) -> None:
@@ -491,10 +516,7 @@ def _cmd_soak(args) -> None:
     then evaluates the run's Prometheus snapshot against the SLO spec.
     Exits non-zero on any violation unless ``--no-gate``.
     """
-    import time
-
     from .experiments.soak_study import (
-        append_soak_record,
         run_soak_study,
         soak_config,
         soak_history_record,
@@ -510,55 +532,16 @@ def _cmd_soak(args) -> None:
         num_shards=args.shards,
     )
     report = run_soak_study(args.scenario, **overrides)
-    if args.metrics_out:
-        # run_soak leaves its series in the registry for exactly this.
-        registry = obs.get_registry()
-        if args.metrics_out.endswith(".json"):
-            text = (
-                json.dumps(obs.registry_to_json(registry), indent=2)
-                + "\n"
-            )
-        else:
-            text = obs.registry_to_prometheus(registry)
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote metrics to {args.metrics_out}")
+    # run_soak leaves its series in the registry for exactly this.
+    _write_metrics(args.metrics_out)
     if args.history:
         cfg = soak_config(args.scenario, **overrides)
-        record = soak_history_record(
-            report,
-            cfg,
-            timestamp=time.strftime(
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-            ),
-            git_sha=git_sha(),
-        )
-        total = append_soak_record(args.history, record)
-        print(
-            f"appended soak record {record['config_name']} to "
-            f"{args.history} ({total} history records)"
+        _append_history(
+            args.history, "soak", partial(soak_history_record, report, cfg)
         )
     if args.json:
         _emit(json.dumps(report.as_dict(), indent=2) + "\n", args.out)
     else:
-        slo, spec = report.slo, report.slo_spec
-        rows = [
-            ("availability", slo.availability,
-             f">= {spec.min_availability}",
-             slo.availability >= spec.min_availability),
-            ("staleness_p99_s", slo.staleness_p99_s,
-             f"<= {spec.max_staleness_p99_s}",
-             slo.staleness_p99_s <= spec.max_staleness_p99_s),
-            ("degraded_fraction", slo.degraded_fraction,
-             f"<= {spec.max_degraded_fraction}",
-             slo.degraded_fraction <= spec.max_degraded_fraction),
-            ("delivered_floor", slo.delivered_floor,
-             f">= {spec.min_delivered_floor}",
-             slo.delivered_floor >= spec.min_delivered_floor),
-            ("solver_phase_p99_s", slo.solver_phase_p99_s,
-             f"<= {spec.max_solver_phase_p99_s}",
-             slo.solver_phase_p99_s <= spec.max_solver_phase_p99_s),
-        ]
         lines = [
             f"Soak: scenario {report.scenario} on {report.topology} "
             f"({report.num_flows} flows, {report.num_intervals} "
@@ -567,7 +550,8 @@ def _cmd_soak(args) -> None:
             render_table(
                 ["slo", "value", "bound", "ok"],
                 [(name, value, bound, "yes" if ok else "NO")
-                 for name, value, bound, ok in rows],
+                 for name, value, bound, ok
+                 in report.slo.checks(report.slo_spec)],
                 precision=4,
             ),
             "",
@@ -611,10 +595,7 @@ def _cmd_stream(args) -> None:
     with/without admission control — and reports the satisfied-volume
     ratio, the solve budget, and the QoS-1 protection margin.
     """
-    import time
-
     from .experiments.stream_study import (
-        append_stream_record,
         run_stream_study,
         stream_history_record,
     )
@@ -635,32 +616,12 @@ def _cmd_stream(args) -> None:
         predictor=_make_predictor(args.predictor),
         **overrides,
     )
-    if args.metrics_out:
-        # The headline (admission-on) run leaves its series in the
-        # registry for exactly this.
-        registry = obs.get_registry()
-        if args.metrics_out.endswith(".json"):
-            text = (
-                json.dumps(obs.registry_to_json(registry), indent=2)
-                + "\n"
-            )
-        else:
-            text = obs.registry_to_prometheus(registry)
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote metrics to {args.metrics_out}")
+    # The headline (admission-on) run leaves its series in the
+    # registry for exactly this.
+    _write_metrics(args.metrics_out)
     if args.history:
-        record = stream_history_record(
-            study,
-            timestamp=time.strftime(
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-            ),
-            git_sha=git_sha(),
-        )
-        total = append_stream_record(args.history, record)
-        print(
-            f"appended stream record {record['config_name']} to "
-            f"{args.history} ({total} history records)"
+        _append_history(
+            args.history, "stream", partial(stream_history_record, study)
         )
     if args.json:
         _emit(json.dumps(study, indent=2) + "\n", args.out)
@@ -695,12 +656,7 @@ def _cmd_stream(args) -> None:
 
 def _cmd_metrics(args) -> None:
     _instrumented_replay(args)
-    registry = obs.get_registry()
-    if args.json:
-        text = json.dumps(obs.registry_to_json(registry), indent=2) + "\n"
-    else:
-        text = obs.registry_to_prometheus(registry)
-    _emit(text, args.out)
+    _emit(_metrics_text(args.json), args.out)
 
 
 def _cmd_trace(args) -> None:
@@ -769,6 +725,30 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--out", default=None, metavar="FILE",
         help="write the report to FILE instead of stdout",
+    )
+
+
+def _add_scenario_flags(
+    p: argparse.ArgumentParser, endpoints: int, pairs: int, seed: int
+) -> None:
+    """The built scenario's flags: topology, scale and seed."""
+    p.add_argument("--topology", default="twan")
+    p.add_argument("--endpoints", type=int, default=endpoints)
+    p.add_argument("--pairs", type=int, default=pairs)
+    p.add_argument("--seed", type=int, default=seed)
+
+
+def _add_study_files(p: argparse.ArgumentParser, kind: str, whose: str) -> None:
+    """A study's ``--metrics-out`` and ``--history`` files."""
+    p.add_argument(
+        "--metrics-out", default=None, metavar="FILE",
+        help=f"write {whose} metrics snapshot (Prometheus text, or a "
+             "JSON snapshot for .json files)",
+    )
+    p.add_argument(
+        "--history", default=None, metavar="FILE",
+        help=f"append a validated '{kind}' record to this bench-history "
+             "artifact (e.g. BENCH_interval_solve.json)",
     )
 
 
@@ -850,23 +830,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", choices=list(SCENARIO_NAMES), default="full-mix",
         help="which event mix to replay (see simulation.soak)",
     )
-    p.add_argument("--topology", default="twan")
-    p.add_argument("--endpoints", type=int, default=20_000)
-    p.add_argument("--pairs", type=int, default=60)
+    _add_scenario_flags(p, endpoints=20_000, pairs=60, seed=0)
     p.add_argument("--intervals", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--agents", type=int, default=40)
     p.add_argument("--shards", type=int, default=4)
-    p.add_argument(
-        "--metrics-out", default=None, metavar="FILE",
-        help="write the run's metrics snapshot (Prometheus text, or a "
-             "JSON snapshot for .json files)",
-    )
-    p.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="append a validated 'soak' record to this bench-history "
-             "artifact (e.g. BENCH_interval_solve.json)",
-    )
+    _add_study_files(p, "soak", "the run's")
     p.add_argument(
         "--no-gate", action="store_true",
         help="report SLO violations without failing the process",
@@ -896,10 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--events", type=int, default=96, metavar="EPOCHS",
         help="controller epochs to run (one event batch per epoch)",
     )
-    p.add_argument("--topology", default="twan")
-    p.add_argument("--endpoints", type=int, default=6_000)
-    p.add_argument("--pairs", type=int, default=36)
-    p.add_argument("--seed", type=int, default=0)
+    _add_scenario_flags(p, endpoints=6_000, pairs=36, seed=0)
     p.add_argument(
         "--tick", type=float, default=30.0,
         help="simulated seconds per controller epoch",
@@ -912,27 +877,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--refresh", type=float, default=600.0,
         help="hybrid trigger's staleness-bounded full refresh (seconds)",
     )
-    p.add_argument(
-        "--metrics-out", default=None, metavar="FILE",
-        help="write the headline run's metrics snapshot (Prometheus "
-             "text, or a JSON snapshot for .json files)",
-    )
-    p.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="append a validated 'stream' record to this bench-history "
-             "artifact (e.g. BENCH_interval_solve.json)",
-    )
+    _add_study_files(p, "stream", "the headline run's")
     _add_output_flags(p)
 
     p = sub.add_parser(
         "replay",
         help="interval-loop replay: cold vs incremental solve engine",
     )
-    p.add_argument("--topology", default="twan")
-    p.add_argument("--endpoints", type=int, default=20_000)
-    p.add_argument("--pairs", type=int, default=60)
+    _add_scenario_flags(p, endpoints=20_000, pairs=60, seed=42)
     p.add_argument("--intervals", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument(
         "--load", type=float, default=1.0,
         help="target offered load (fraction of bisection capacity); "
@@ -959,11 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("trace", "run an instrumented replay, profile its spans"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--topology", default="twan")
-        p.add_argument("--endpoints", type=int, default=2_000)
-        p.add_argument("--pairs", type=int, default=20)
+        _add_scenario_flags(p, endpoints=2_000, pairs=20, seed=42)
         p.add_argument("--intervals", type=int, default=3)
-        p.add_argument("--seed", type=int, default=42)
         _add_output_flags(p)
 
     p = sub.add_parser("fastssp", help="FastSSP accuracy study")

@@ -1,41 +1,31 @@
 """Chaos study: sync-plane availability under injected store faults.
 
-Figure 16 shows MegaTE's availability across the rollout under
-fair-weather conditions; this study replicates the shape of that claim
-with the weather turned bad.  A fleet of retrying endpoint agents polls
-a TE database under a fault plan (:mod:`repro.controlplane.faults`) while a
-publisher keeps pushing new config versions through the same faulty
-store, and a shard-failover pass (detect → re-shard → reconcile) runs on
-every tick.  Sweeping the fault intensity yields the availability and
-config-staleness CDF versus fault intensity — the degraded-conditions
-counterpart of Fig. 16.
+Figure 16 shows MegaTE's availability across the rollout in fair
+weather; this study turns the weather bad.  It is the scenario
+engine's :class:`~repro.simulation.engine.SyncPlane` without a solver:
+retrying agents poll a TE database under a generated fault plan while
+a publisher pushes versions through the same store and a shard
+failover pass runs every tick (the soak engine drives the same plane
+under its event schedule).  Sweeping the fault intensity yields the
+availability and staleness CDF versus intensity.
 
-The whole simulation is deterministic from its seed: fault schedules,
-error coins, retry jitter, and poll offsets all derive from explicit
-seeds, and time is the simulation clock.  Invariants are checked *inside*
-the loop on every sample (never-newer-than-published, monotone versions,
-staleness bound honoured) and surface in the row, so the chaos property
-suite and the bench share one harness.
+Everything derives from explicit seeds on the simulated clock.  The
+plane checks its invariants on every tick (never newer than published,
+monotone versions, staleness bound honoured) and the row counts them,
+so the chaos property suite and the bench share one harness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..controlplane import (
-    EndpointAgent,
-    FaultPlan,
-    FaultyTEDatabase,
-    ResumablePublisher,
-    RetryPolicy,
-    ShardHealthMonitor,
-    orchestrate_shard_failover,
-    spread_offsets,
-)
+from ..controlplane import EndpointAgent, FaultPlan
 from ..controlplane.database import TEDatabase
 from ..obs import get_registry, get_tracer
+from ..simulation.engine import SyncPlane, check_clock
 
 __all__ = ["ChaosSyncRow", "ChaosSimResult", "simulate", "run"]
 
@@ -137,57 +127,40 @@ def simulate(
             each tick (the production posture); disable to measure the
             unmanaged store.
     """
-    if staleness_slo_s is None:
-        staleness_slo_s = 3.0 * poll_period_s
-    inner = TEDatabase(
-        num_shards=num_shards,
-        shard_capacity_qps=1_000_000,
-        enforce_capacity=True,
+    check_clock(
+        tick_s=tick_s,
+        poll_period_s=poll_period_s,
+        publish_period_s=publish_period_s,
     )
+    if not 0 < horizon_s < math.inf:
+        raise ValueError(
+            f"horizon_s must be positive and finite, got {horizon_s!r}"
+        )
     plan = FaultPlan.generate(
         seed=seed,
         num_shards=num_shards,
         horizon_s=horizon_s,
         intensity=intensity,
     )
-    database = FaultyTEDatabase(inner, plan)
-    offsets = spread_offsets(num_agents, poll_period_s, seed=seed)
-    agents = [
-        EndpointAgent(
-            endpoint_id=e,
-            poll_period_s=poll_period_s,
-            poll_offset_s=float(offsets[e]),
-            retry_policy=RetryPolicy(
-                max_retries=3,
-                backoff_base_s=0.2,
-                backoff_cap_s=2.0,
-                poll_budget_s=poll_period_s / 2.0,
-                seed=seed,
-            ),
-            max_staleness_s=staleness_slo_s,
-        )
-        for e in range(num_agents)
-    ]
-    monitor = ShardHealthMonitor(down_after=2, up_after=1)
-    publisher = ResumablePublisher(database, num_agents)
+    plane = SyncPlane(
+        plan,
+        num_agents,
+        num_shards,
+        poll_period_s,
+        tick_s,
+        seed,
+        staleness_slo_s,
+        manage_failover,
+    )
+    agents, publisher = plane.agents, plane.publisher
 
-    violations: list[str] = []
-    prev_versions = [0] * num_agents
     samples: list[float] = []
     fresh_samples = 0
     total_samples = 0
-    resharded = 0
-    warmup_s = poll_period_s + tick_s
-
     next_publish = 0.0
     publish_count = 0
     t = 0.0
     while t <= horizon_s:
-        if manage_failover:
-            report = orchestrate_shard_failover(
-                database, t, monitor=monitor
-            )
-            resharded += report.resharded_keys
         # Publish on schedule, but leave the fleet at least one poll
         # period to converge on the final version before the horizon.
         if (
@@ -197,44 +170,22 @@ def simulate(
             publish_count += 1
             publisher.start(publish_count)
             next_publish += publish_period_s
-        publisher.pump(t)
-        for agent in agents:
-            agent.maybe_poll(database, now=t)
-        published = publisher.published_version
-        for idx, agent in enumerate(agents):
-            if agent.local_version > published:
-                violations.append(
-                    f"t={t:.0f}s agent {idx} at v{agent.local_version} "
-                    f"> published v{published}"
-                )
-            if agent.local_version < prev_versions[idx]:
-                violations.append(
-                    f"t={t:.0f}s agent {idx} rolled back "
-                    f"v{prev_versions[idx]} -> v{agent.local_version}"
-                )
-            prev_versions[idx] = agent.local_version
-            if t < warmup_s:
-                continue
-            staleness = agent.staleness_s(t)
-            samples.append(staleness)
-            total_samples += 1
-            serving = agent.serving_paths(t)
-            if serving is not None:
-                fresh_samples += 1
-                if staleness > agent.max_staleness_s:
-                    violations.append(
-                        f"t={t:.0f}s agent {idx} served a config "
-                        f"{staleness:.1f}s stale past its "
-                        f"{agent.max_staleness_s:.1f}s bound"
-                    )
+        plane.step(t)
+        if t >= plane.warmup_s:
+            for agent in agents:
+                samples.append(agent.staleness_s(t))
+                total_samples += 1
+                if agent.serving_paths(t) is not None:
+                    fresh_samples += 1
         t += tick_s
 
     # Every row metric is measured within the horizon — snapshot them
     # before the convergence grace below adds polls/retries/faults.
     failed = sum(a.failed_polls for a in agents)
-    total_retries = sum(a.retries for a in agents)
-    total_regressions = sum(a.version_regressions for a in agents)
-    total_injected = database.injected.total_injected
+    retries = sum(a.retries for a in agents)
+    regressions = sum(a.version_regressions for a in agents)
+    injected = plane.database.injected.total_injected
+    resharded = plane.resharded_keys
 
     # Clear-weather convergence grace.  The claim under test is that the
     # fleet converges on the final version *once the weather clears*:
@@ -246,36 +197,21 @@ def simulate(
     # fleet catches up, invariants checked throughout.
     grace_end = horizon_s + 10.0 * poll_period_s
     while t <= grace_end:
-        if manage_failover:
-            orchestrate_shard_failover(database, t, monitor=monitor)
-        publisher.pump(t)
-        published = publisher.published_version
-        if all(a.local_version == published for a in agents):
+        plane.settle(t)
+        if plane.converged_fraction() == 1.0:
             break
-        for agent in agents:
-            agent.maybe_poll(database, now=t)
-        published = publisher.published_version
-        for idx, agent in enumerate(agents):
-            if agent.local_version > published:
-                violations.append(
-                    f"t={t:.0f}s agent {idx} at v{agent.local_version} "
-                    f"> published v{published}"
-                )
-            if agent.local_version < prev_versions[idx]:
-                violations.append(
-                    f"t={t:.0f}s agent {idx} rolled back "
-                    f"v{prev_versions[idx]} -> v{agent.local_version}"
-                )
-            prev_versions[idx] = agent.local_version
+        plane.poll(t)
         t += tick_s
 
     published = publisher.published_version
     staleness_arr = np.asarray(samples, dtype=np.float64)
     finite = staleness_arr[np.isfinite(staleness_arr)]
-    slots_per_agent = max(
-        0, int((horizon_s - 0.0) // poll_period_s) + 1
+    mean, p50, p99 = (
+        (finite.mean(), *np.percentile(finite, [50, 99]))
+        if finite.size
+        else (math.inf,) * 3
     )
-    total_polls = slots_per_agent * num_agents
+    total_polls = (int(horizon_s // poll_period_s) + 1) * num_agents
     row = ChaosSyncRow(
         intensity=intensity,
         seed=seed,
@@ -286,63 +222,44 @@ def simulate(
         poll_success_rate=(
             1.0 - failed / total_polls if total_polls else 1.0
         ),
-        mean_staleness_s=(
-            float(finite.mean()) if finite.size else float("inf")
-        ),
-        p50_staleness_s=(
-            float(np.percentile(finite, 50))
-            if finite.size
-            else float("inf")
-        ),
-        p99_staleness_s=(
-            float(np.percentile(finite, 99))
-            if finite.size
-            else float("inf")
-        ),
+        mean_staleness_s=float(mean),
+        p50_staleness_s=float(p50),
+        p99_staleness_s=float(p99),
         max_staleness_s=(
-            float(staleness_arr.max())
-            if staleness_arr.size
-            else 0.0
+            float(staleness_arr.max()) if staleness_arr.size else 0.0
         ),
-        final_converged_fraction=(
-            sum(a.local_version == published for a in agents)
-            / num_agents
-            if num_agents
-            else 1.0
-        ),
+        final_converged_fraction=plane.converged_fraction(),
         publishes=published,
         failed_polls=failed,
-        retries=total_retries,
-        version_regressions=total_regressions,
-        injected_faults=total_injected,
+        retries=retries,
+        version_regressions=regressions,
+        injected_faults=injected,
         resharded_keys=resharded,
-        invariant_violations=len(violations),
+        invariant_violations=len(plane.violations),
     )
     registry = get_registry()
     if registry.enabled:
-        labels = {"intensity": f"{intensity:g}"}
-        registry.gauge(
-            "megate_chaos_availability",
-            "Fraction of agent samples within the staleness SLO",
-            labelnames=("intensity",),
-        ).labels(**labels).set(row.availability)
-        registry.gauge(
-            "megate_chaos_poll_success_rate",
-            "Polls that reached the database over polls attempted",
-            labelnames=("intensity",),
-        ).labels(**labels).set(row.poll_success_rate)
-        registry.gauge(
-            "megate_chaos_p99_staleness_seconds",
-            "99th-percentile sampled config staleness",
-            labelnames=("intensity",),
-        ).labels(**labels).set(row.p99_staleness_s)
+        for name, help_text, value in (
+            ("megate_chaos_availability",
+             "Fraction of agent samples within the staleness SLO",
+             row.availability),
+            ("megate_chaos_poll_success_rate",
+             "Polls that reached the database over polls attempted",
+             row.poll_success_rate),
+            ("megate_chaos_p99_staleness_seconds",
+             "99th-percentile sampled config staleness",
+             row.p99_staleness_s),
+        ):
+            registry.gauge(name, help_text, labelnames=("intensity",)).labels(
+                intensity=f"{intensity:g}"
+            ).set(value)
     return ChaosSimResult(
         row=row,
         agents=agents,
-        database=database,
+        database=plane.database,
         published_version=published,
         staleness_samples=staleness_arr,
-        violations=violations,
+        violations=plane.violations,
     )
 
 

@@ -33,6 +33,8 @@ from ..traffic import DemandMatrix, generate_demands, scale_to_load
 __all__ = [
     "Scenario",
     "build_scenario",
+    "study_config",
+    "scale_label",
     "default_schemes",
     "sample_site_pairs",
     "PAPER_ENDPOINTS",
@@ -46,6 +48,25 @@ PAPER_ENDPOINTS = {
     "Cogentco": 1_970_000,
     "TWAN": 1_000_000,
 }
+
+
+def study_config(
+    kind: str, defaults: dict, scenario: str, overrides: dict
+) -> dict:
+    """A study's config: ``defaults`` with ``overrides`` and ``scenario``."""
+    unknown = set(overrides) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown {kind} config keys: {sorted(unknown)}")
+    return {**defaults, **overrides, "scenario": scenario}
+
+
+def scale_label(endpoints: int) -> str:
+    """An endpoint count as a config-name label (``20k``, ``1m``)."""
+    if endpoints and endpoints % 1_000_000 == 0:
+        return f"{endpoints // 1_000_000}m"
+    if endpoints and endpoints % 1_000 == 0:
+        return f"{endpoints // 1_000}k"
+    return str(endpoints)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from ..simulation.soak import (
 )
 from ..traffic import DiurnalSequence
 from .bench_history import append_history_record, validate_history_record
-from .common import build_scenario
+from .common import build_scenario, scale_label, study_config
 
 __all__ = [
     "SOAK_DEFAULTS",
@@ -60,26 +60,14 @@ SOAK_DEFAULTS = dict(
 
 def soak_config(scenario: str = "full-mix", **overrides) -> dict:
     """The study config for one scenario mix (defaults + overrides)."""
-    unknown = set(overrides) - set(SOAK_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown soak config keys: {sorted(unknown)}")
-    cfg = dict(SOAK_DEFAULTS)
-    cfg.update(overrides)
-    cfg["scenario"] = scenario
-    return cfg
+    return study_config("soak", SOAK_DEFAULTS, scenario, overrides)
 
 
 def soak_config_name(cfg: dict) -> str:
     """The history trajectory name of a soak config."""
-    endpoints = cfg["total_endpoints"]
-    if endpoints and endpoints % 1_000_000 == 0:
-        scale = f"{endpoints // 1_000_000}m"
-    elif endpoints and endpoints % 1_000 == 0:
-        scale = f"{endpoints // 1_000}k"
-    else:
-        scale = str(endpoints)
     return (
-        f"soak-{cfg['scenario']}-{cfg['topology_name']}-{scale}"
+        f"soak-{cfg['scenario']}-{cfg['topology_name']}"
+        f"-{scale_label(cfg['total_endpoints'])}"
         f"-{cfg['num_intervals']}i-s{cfg['seed']}"
     )
 
@@ -171,13 +159,7 @@ def soak_history_record(
 
 
 def append_soak_record(path: Path | str, record: dict) -> int:
-    """Append one validated soak record to a history artifact in place.
-
-    Only extends ``history`` — whatever snapshot block the perf
-    benchmarks last wrote is preserved.  Loads strictly first, refusing
-    to append after a corrupt or config-drifted history.
-
-    Returns:
-        The history length after the append.
-    """
+    """Append one validated soak record to a history artifact
+    (:func:`~.bench_history.append_history_record`); returns the
+    history length after the append."""
     return append_history_record(path, record)

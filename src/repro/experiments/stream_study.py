@@ -2,20 +2,21 @@
 
 Experiment wrapper around the streaming control loop
 (:mod:`repro.simulation.streaming`): it pins the study configuration,
-builds the TWAN scenario, and runs the same seeded event stream four
-ways —
+builds the TWAN scenario, and drains the same seeded event stream
+through four configurations —
 
 1. the **oracle** (full re-solve on every event batch, admission off):
    the competitive-ratio baseline from the online-TE literature;
 2. the **candidate trigger** (admission off): what fraction of the
    oracle's satisfied volume does it keep, at what fraction of the
    oracle's solves;
-3. the candidate trigger **without admission** — the QoS-1 baseline
-   that shows flash-crowd damage is real;
-4. the candidate trigger **with admission** — the headline run whose
-   QoS-1 floor the acceptance gate checks.  This run is last, so the
-   ``megate_stream_*`` series left in the metrics registry (each run
-   owns and resets it) describe the headline run for ``--metrics-out``.
+3. the candidate **without admission** — the QoS-1 baseline that shows
+   flash-crowd damage is real.  It differs from 2 only by the
+   predictor, so without one it is the same run, reported twice;
+4. the candidate **with admission** — the headline run whose QoS-1
+   floor the acceptance gate checks.  It runs last, so the
+   ``megate_stream_*`` series left in the metrics registry describe
+   it for ``--metrics-out``.
 
 The outcome dict becomes a ``kind: "stream"`` bench-history record so
 control-loop regressions (oracle ratio, solve budget, QoS-1 floor)
@@ -42,7 +43,7 @@ from ..simulation.streaming import (
     stream_scenario_events,
 )
 from .bench_history import append_history_record, validate_history_record
-from .common import build_scenario
+from .common import build_scenario, scale_label, study_config
 
 __all__ = [
     "STREAM_DEFAULTS",
@@ -73,29 +74,15 @@ STREAM_DEFAULTS = dict(
 
 def stream_config(scenario: str = "flash-crowd", **overrides) -> dict:
     """The study config for one scenario (defaults + overrides)."""
-    unknown = set(overrides) - set(STREAM_DEFAULTS)
-    if unknown:
-        raise ValueError(
-            f"unknown stream config keys: {sorted(unknown)}"
-        )
-    cfg = dict(STREAM_DEFAULTS)
-    cfg.update(overrides)
-    cfg["scenario"] = scenario
-    return cfg
+    return study_config("stream", STREAM_DEFAULTS, scenario, overrides)
 
 
 def stream_config_name(cfg: dict, trigger: str = "hybrid") -> str:
     """The history trajectory name of a stream config."""
-    endpoints = cfg["total_endpoints"]
-    if endpoints and endpoints % 1_000_000 == 0:
-        scale = f"{endpoints // 1_000_000}m"
-    elif endpoints and endpoints % 1_000 == 0:
-        scale = f"{endpoints // 1_000}k"
-    else:
-        scale = str(endpoints)
     return (
         f"stream-{cfg['scenario']}-{trigger}-{cfg['topology_name']}"
-        f"-{scale}-{cfg['num_epochs']}e-s{cfg['seed']}"
+        f"-{scale_label(cfg['total_endpoints'])}"
+        f"-{cfg['num_epochs']}e-s{cfg['seed']}"
     )
 
 
@@ -190,7 +177,7 @@ def run_stream_study(
 
     oracle = one(OracleTrigger())
     cand = one(candidate, use_predictor=True)
-    no_admission = one(candidate)
+    no_admission = cand if predictor is None else one(candidate)
     # Headline run last: its megate_stream_* series stay in the
     # registry for the CLI's --metrics-out dump.
     admission = one(
@@ -262,9 +249,6 @@ def stream_history_record(
 
 
 def append_stream_record(path: Path | str, record: dict) -> int:
-    """Append one validated stream record to a history artifact.
-
-    Returns:
-        The history length after the append.
-    """
+    """Append one validated stream record to a history artifact;
+    returns the history length after the append."""
     return append_history_record(path, record)

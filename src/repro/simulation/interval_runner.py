@@ -18,9 +18,8 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from ..core.qos import QoSClass
-from ..core.types import TEResult
 from ..obs import get_registry, get_tracer
-from .flowsim import simulate
+from .engine import EpochLoop
 from .latency import compute_flow_latencies
 
 if TYPE_CHECKING:
@@ -108,11 +107,9 @@ def run_intervals(
         measured against the interval's *actual* traffic.
     """
     series = IntervalSeries()
-    # A run is one fresh control loop: an incremental solver must not
-    # inherit carried state from whatever drove it before this call.
-    reset = getattr(solver, "reset_incremental_state", None)
-    if callable(reset):
-        reset()
+    # A run is one fresh control loop: the first epoch's FULL solve
+    # drops whatever carried state an incremental solver holds.
+    loop = EpochLoop(solver)
     previous: "DemandMatrix | None" = None
     tracer = get_tracer()
     for n, actual in enumerate(matrices):
@@ -126,25 +123,10 @@ def run_intervals(
                 solve_on = previous
             else:
                 solve_on = actual
-            result = solver.solve(topology, solve_on)
-            for k, pair in enumerate(actual):
-                if result.assignment.per_pair[k].size != pair.num_pairs:
-                    raise ValueError(
-                        "interval matrices must keep flow identities "
-                        f"(site pair {k} changed size)"
-                    )
-            realized = TEResult(
-                scheme=result.scheme,
-                assignment=result.assignment,
-                demands=actual,
-                satisfied_volume=result.satisfied_volume,
-                runtime_s=result.runtime_s,
-                site_allocation=result.site_allocation,
-                stats=result.stats,
-            )
-            outcome = simulate(topology, realized)
+            epoch = loop.step(topology, solve_on, actual)
+            result, outcome = epoch.solved, epoch.flow
             latencies = compute_flow_latencies(
-                topology, realized, metric="ms"
+                topology, epoch.realized, metric="ms"
             )
             total = actual.total_demand
             record = IntervalRecord(

@@ -1,46 +1,36 @@
-"""Long-horizon soak engine: overlapping disturbances, SLOs from metrics.
+"""Long-horizon soak: overlapping disturbances, SLOs from metrics.
 
-The chaos study (:mod:`repro.experiments.chaos_sync`) and the failure
-study (:mod:`repro.simulation.failures`) each stress one subsystem in
-isolation.  Production does not: link cuts land during flash crowds
-while a database shard is restoring from a stale replica, and the claim
-that matters (§6.3, Fig. 16) is that availability and satisfied volume
-hold up through *sustained, overlapping* disturbance.  This module
-replays a long run of TE intervals with a scenario matrix of seeded
-events firing on schedules, all four planes live at once:
+The claim that matters (§6.3, Fig. 16) is that availability and
+satisfied volume hold up through *sustained, overlapping* disturbance:
+link cuts land during flash crowds while a database shard restores
+from a stale replica.  The soak is the scenario engine (:mod:`.engine`)
+with every plane live at once:
 
-* **solver** — every interval solves on the current (possibly degraded)
-  topology through a caller-supplied optimizer, typically with the
-  incremental engine active;
-* **data plane** — the assignment is realized by the flow simulator, so
-  overload during a flash crowd shows up as lost delivered volume;
-* **sync plane** — a fleet of retrying endpoint agents polls a
-  TE database under a fault plan while a resumable publisher pushes one
-  config version per interval and shard failover runs every tick;
-* **telemetry** — the obs registry is *always on* for the run, because
-  the run's verdict — the :class:`SLOReport` — is computed from the
-  Prometheus snapshot, not from privileged internal state.
+* **solver and data plane** — the engine's lockstep epoch loop solves
+  each interval on the current (possibly degraded) topology, typically
+  with the incremental engine active, and realizes it with the flow
+  simulator, so overload shows up as lost delivered volume;
+* **sync plane** — the engine's :class:`~.engine.SyncPlane`, the same
+  one the chaos study (:mod:`repro.experiments.chaos_sync`) drives:
+  retrying agents poll a TE database under a fault plan while a
+  resumable publisher pushes one config version per interval;
+* **telemetry** — the obs registry is *always on*, because the verdict,
+  the :class:`SLOReport`, is computed from the Prometheus snapshot.
 
-Event kinds map onto the subsystems they disturb: :class:`LinkCut`
-(:mod:`repro.topology.failures`), :class:`ShardFailover` and
-:class:`StaleReplicaStorm` (:mod:`repro.controlplane.faults` windows),
-:class:`FlashCrowd` and :class:`MaintenanceDrain` (traffic scaling on a
-seeded subset of site pairs).  Overlapping traffic events compose in
-schedule order; overlapping link cuts fail the union of their fibers.
+Events map onto the planes they disturb: :class:`LinkCut` (the union
+of active cuts' fibers fails), :class:`ShardFailover` and
+:class:`StaleReplicaStorm` (fault-plan windows), :class:`FlashCrowd`
+and :class:`MaintenanceDrain` (one product of factors per interval on
+seeded pairs, in schedule order).
 
-Everything is deterministic from the seeds: fault coins, retry jitter,
-event placement, and pair choices all derive from explicit seeds, and
-time is the simulated clock.  A run with an *empty* event schedule is
-bit-identical to the plain interval replay
-(:func:`repro.experiments.interval_replay.replay_intervals`) — same
-per-interval assignment digest — which is the anchor the property suite
-pins the event machinery against.
+Everything derives from explicit seeds on the simulated clock.  A run
+with an *empty* schedule is bit-identical to the plain interval replay
+(:func:`repro.experiments.interval_replay.replay_intervals`): the
+anchor the property suite pins the event machinery against.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Sequence
@@ -48,12 +38,17 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from ..core import MegaTEOptimizer
-from ..core.flowtable import FlowTable
-from ..obs import get_registry, get_tracer
-from ..topology.failures import sample_failure_scenarios
+from ..obs import get_tracer
 from ..traffic import DiurnalSequence
 from ..traffic.demand import DemandMatrix
-from .flowsim import simulate
+from .engine import (
+    CutTopologies,
+    EpochLoop,
+    RunIdentity,
+    SyncPlane,
+    check_clock,
+    owned_registry,
+)
 
 __all__ = [
     "SoakEvent",
@@ -237,85 +232,65 @@ def scenario_events(
         raise ValueError("num_intervals must be positive")
     events: list[SoakEvent] = []
     per_kind = max(1, num_intervals // 12)
+    few = max(1, per_kind // 2)
     duration = max(2, num_intervals // 16)
+
+    def place(count: int, length: int, tag: int, make) -> None:
+        starts = _stagger(num_intervals, count, length, seed, tag)
+        events.extend(make(i, start) for i, start in enumerate(starts))
+
     if name in ("link-flap", "full-mix"):
-        for i, start in enumerate(
-            _stagger(num_intervals, per_kind, duration, seed, tag=1)
-        ):
-            events.append(
-                LinkCut(
-                    start=start,
-                    duration=duration,
-                    num_fibers=1 + i % 2,
-                    scenario_seed=seed * 1000 + i,
-                )
-            )
+        place(per_kind, duration, 1, lambda i, start: LinkCut(
+            start=start,
+            duration=duration,
+            num_fibers=1 + i % 2,
+            scenario_seed=seed * 1000 + i,
+        ))
     if name in ("sync-storm", "full-mix"):
-        for i, start in enumerate(
-            _stagger(num_intervals, per_kind, duration, seed, tag=2)
-        ):
-            events.append(
-                ShardFailover(
-                    start=start,
-                    duration=duration,
-                    shard=i % num_shards,
-                )
-            )
-        for i, start in enumerate(
-            _stagger(
-                num_intervals,
-                max(1, per_kind // 2),
-                duration + 1,
-                seed,
-                tag=3,
-            )
-        ):
-            events.append(
-                StaleReplicaStorm(
-                    start=start,
-                    duration=duration + 1,
-                    shards=tuple(
-                        s % num_shards for s in (i, i + 1)
-                    ),
-                    lag_s=120.0,
-                )
-            )
+        place(per_kind, duration, 2, lambda i, start: ShardFailover(
+            start=start, duration=duration, shard=i % num_shards
+        ))
+        place(few, duration + 1, 3, lambda i, start: StaleReplicaStorm(
+            start=start,
+            duration=duration + 1,
+            shards=tuple(s % num_shards for s in (i, i + 1)),
+            lag_s=120.0,
+        ))
     if name in ("traffic-surge", "full-mix"):
-        for i, start in enumerate(
-            _stagger(num_intervals, per_kind, duration, seed, tag=4)
-        ):
-            events.append(
-                FlashCrowd(
-                    start=start,
-                    duration=duration,
-                    magnitude=2.5,
-                    pair_fraction=0.25,
-                    choice_seed=seed * 2000 + i,
-                )
-            )
-        for i, start in enumerate(
-            _stagger(
-                num_intervals,
-                max(1, per_kind // 2),
-                duration,
-                seed,
-                tag=5,
-            )
-        ):
-            events.append(
-                MaintenanceDrain(
-                    start=start,
-                    duration=duration,
-                    residual=0.3,
-                    pair_fraction=0.2,
-                    choice_seed=seed * 3000 + i,
-                )
-            )
+        place(per_kind, duration, 4, lambda i, start: FlashCrowd(
+            start=start,
+            duration=duration,
+            magnitude=2.5,
+            pair_fraction=0.25,
+            choice_seed=seed * 2000 + i,
+        ))
+        place(few, duration, 5, lambda i, start: MaintenanceDrain(
+            start=start,
+            duration=duration,
+            residual=0.3,
+            pair_fraction=0.2,
+            choice_seed=seed * 3000 + i,
+        ))
     return tuple(events)
 
 
 # ---------------------------------------------------------------------------
 # SLOs
+
+
+#: One row per SLO: label, :class:`SLOReport` metric, :class:`SLOSpec`
+#: bound (``min_`` a floor, ``max_`` a ceiling), value format and unit.
+_SLOS = (
+    ("availability", "availability", "min_availability", ".4f", ""),
+    ("staleness p99", "staleness_p99_s", "max_staleness_p99_s", ".1f", "s"),
+    ("degraded fraction", "degraded_fraction", "max_degraded_fraction", ".4f", ""),
+    ("delivered floor", "delivered_floor", "min_delivered_floor", ".4f", ""),
+    ("solver phase p99", "solver_phase_p99_s", "max_solver_phase_p99_s", ".3f", "s"),
+)
+
+
+def _holds(value: float, limit: float, bound: str) -> bool:
+    return not (value < limit if bound.startswith("min_") else value > limit)
 
 
 @dataclass(frozen=True)
@@ -325,6 +300,8 @@ class SLOSpec:
     Thresholds cover the five snapshot-derived metrics of
     :class:`SLOReport`; ``max_solver_phase_p99_s`` is the only
     wall-clock-dependent one (keep it generous on shared CI runners).
+    Fraction bounds lie in [0, 1]; second bounds are non-negative
+    (``inf`` never fails); NaN is rejected everywhere.
     """
 
     min_availability: float = 0.92
@@ -332,6 +309,15 @@ class SLOSpec:
     max_degraded_fraction: float = 0.08
     min_delivered_floor: float = 0.30
     max_solver_phase_p99_s: float = 30.0
+
+    def __post_init__(self) -> None:
+        for _, _, bound, _, unit in _SLOS:
+            value = getattr(self, bound)
+            top = math.inf if unit else 1.0
+            if not 0.0 <= value <= top:
+                raise ValueError(
+                    f"SLOSpec.{bound} must lie in [0, {top}], got {value!r}"
+                )
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -471,34 +457,27 @@ class SLOReport:
             ),
         )
 
+    def checks(self, spec: SLOSpec) -> list[tuple[str, float, str, bool]]:
+        """``(metric, value, bound, holds)`` per SLO, bound as ``">= 0.92"``."""
+        rows = []
+        for _, metric, bound, _, _ in _SLOS:
+            value, limit = getattr(self, metric), getattr(spec, bound)
+            sign = ">=" if bound.startswith("min_") else "<="
+            rows.append(
+                (metric, value, f"{sign} {limit}", _holds(value, limit, bound))
+            )
+        return rows
+
     def violations(self, spec: SLOSpec) -> list[str]:
         """Human-readable SLO misses (empty when every SLO holds)."""
-        out: list[str] = []
-        if self.availability < spec.min_availability:
-            out.append(
-                f"availability {self.availability:.4f} < "
-                f"{spec.min_availability:.4f}"
-            )
-        if self.staleness_p99_s > spec.max_staleness_p99_s:
-            out.append(
-                f"staleness p99 {self.staleness_p99_s:.1f}s > "
-                f"{spec.max_staleness_p99_s:.1f}s"
-            )
-        if self.degraded_fraction > spec.max_degraded_fraction:
-            out.append(
-                f"degraded fraction {self.degraded_fraction:.4f} > "
-                f"{spec.max_degraded_fraction:.4f}"
-            )
-        if self.delivered_floor < spec.min_delivered_floor:
-            out.append(
-                f"delivered floor {self.delivered_floor:.4f} < "
-                f"{spec.min_delivered_floor:.4f}"
-            )
-        if self.solver_phase_p99_s > spec.max_solver_phase_p99_s:
-            out.append(
-                f"solver phase p99 {self.solver_phase_p99_s:.3f}s > "
-                f"{spec.max_solver_phase_p99_s:.3f}s"
-            )
+        out = []
+        for label, metric, bound, fmt, unit in _SLOS:
+            value, limit = getattr(self, metric), getattr(spec, bound)
+            if not _holds(value, limit, bound):
+                sign = "<" if bound.startswith("min_") else ">"
+                out.append(
+                    f"{label} {value:{fmt}}{unit} {sign} {limit:{fmt}}{unit}"
+                )
         return out
 
     def as_dict(self) -> dict:
@@ -536,7 +515,7 @@ class SoakIntervalRecord:
 
 
 @dataclass
-class SoakReport:
+class SoakReport(RunIdentity):
     """Aggregate outcome of one soak run.
 
     :meth:`identity` / :meth:`identity_digest` cover the deterministic
@@ -567,24 +546,11 @@ class SoakReport:
 
     def as_dict(self) -> dict:
         return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "topology": self.topology,
-            "num_intervals": self.num_intervals,
-            "num_flows": self.num_flows,
-            "interval_s": self.interval_s,
-            "num_agents": self.num_agents,
-            "num_shards": self.num_shards,
-            "assignment_digest": self.assignment_digest,
+            **self.identity(),
             "records": [r.as_dict() for r in self.records],
-            "event_log": list(self.event_log),
             "slo": self.slo.as_dict() if self.slo else None,
             "slo_spec": self.slo_spec.as_dict(),
             "violations": list(self.violations),
-            "publishes": self.publishes,
-            "final_converged_fraction": self.final_converged_fraction,
-            "resharded_keys": self.resharded_keys,
-            "injected_faults": self.injected_faults,
             "total_runtime_s": self.total_runtime_s,
             "identity_digest": self.identity_digest(),
         }
@@ -601,14 +567,7 @@ class SoakReport:
             "num_agents": self.num_agents,
             "num_shards": self.num_shards,
             "assignment_digest": self.assignment_digest,
-            "records": [
-                {
-                    k: v
-                    for k, v in r.as_dict().items()
-                    if k != "runtime_s"
-                }
-                for r in self.records
-            ],
+            "records": self.timeless(self.records),
             "event_log": list(self.event_log),
             "slo": (
                 self.slo.deterministic_fields() if self.slo else None
@@ -618,11 +577,6 @@ class SoakReport:
             "resharded_keys": self.resharded_keys,
             "injected_faults": self.injected_faults,
         }
-
-    def identity_digest(self) -> str:
-        """SHA-256 over the canonical JSON of :meth:`identity`."""
-        payload = json.dumps(self.identity(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def assert_slos(self) -> None:
         """Raise :class:`SLOViolation` when any SLO was missed."""
@@ -717,15 +671,7 @@ def _scaled_matrix(
             else event.residual
         )
         mult[mask] *= factor
-    scaled = FlowTable(
-        offsets=table.offsets,
-        volumes=table.volumes * mult,
-        qos=table.qos,
-        src_endpoints=table.src_endpoints,
-        dst_endpoints=table.dst_endpoints,
-        has_endpoints=table.has_endpoints,
-    )
-    return DemandMatrix.from_table(scaled)
+    return matrix.with_volumes(table.volumes * mult)
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +697,9 @@ def run_soak(
 ) -> SoakReport:
     """Replay ``num_intervals`` TE intervals under the event schedule.
 
-    The run *owns the metrics registry*: telemetry is force-enabled and
-    the registry reset at the start (the SLO report is computed from
-    the final snapshot), and the caller's previous enablement is
-    restored on exit — export the metrics before starting another run.
+    The run owns the metrics registry (:func:`~.engine.owned_registry`)
+    and computes the SLO report from its final snapshot; export the
+    metrics before starting another run.
 
     Args:
         topology: Healthy contracted two-layer topology; link cuts
@@ -781,101 +726,16 @@ def run_soak(
         scenario: Scenario name recorded in the report.
         topology_name: Topology label recorded in the report.
     """
-    # Imported lazily: controlplane.failover imports the simulation
-    # package, so a module-level import here would close a cycle.
-    from ..controlplane import (
-        EndpointAgent,
-        FaultyTEDatabase,
-        ResumablePublisher,
-        RetryPolicy,
-        ShardHealthMonitor,
-        orchestrate_shard_failover,
-        spread_offsets,
-    )
-    from ..controlplane.database import TEDatabase
-
     if num_intervals <= 0:
         raise ValueError("num_intervals must be positive")
-    if interval_s <= 0 or tick_s <= 0 or tick_s > interval_s:
-        raise ValueError("need 0 < tick_s <= interval_s")
-    if staleness_slo_s is None:
-        staleness_slo_s = 3.0 * poll_period_s
+    check_clock(
+        interval_s=interval_s, tick_s=tick_s, poll_period_s=poll_period_s
+    )
+    if not tick_s <= interval_s < math.inf:
+        raise ValueError("interval_s must be finite and at least tick_s")
     spec = slo_spec if slo_spec is not None else SLOSpec()
     events = tuple(events)
-
-    registry = get_registry()
     tracer = get_tracer()
-    prior_enabled = registry.enabled
-    registry.enabled = True
-    registry.reset()
-
-    if optimizer is None:
-        optimizer = MegaTEOptimizer()
-    optimizer.reset_incremental_state()
-
-    # Sync plane: store under the fault plan, resumable publisher, agent fleet.
-    plan = _fault_plan(events, interval_s, num_shards, seed)
-    database = FaultyTEDatabase(
-        TEDatabase(
-            num_shards=num_shards,
-            shard_capacity_qps=1_000_000,
-            enforce_capacity=True,
-        ),
-        plan,
-    )
-    offsets = spread_offsets(num_agents, poll_period_s, seed=seed)
-    agents = [
-        EndpointAgent(
-            endpoint_id=e,
-            poll_period_s=poll_period_s,
-            poll_offset_s=float(offsets[e]),
-            retry_policy=RetryPolicy(
-                max_retries=3,
-                backoff_base_s=0.2,
-                backoff_cap_s=2.0,
-                poll_budget_s=poll_period_s / 2.0,
-                seed=seed,
-            ),
-            max_staleness_s=staleness_slo_s,
-        )
-        for e in range(num_agents)
-    ]
-    monitor = ShardHealthMonitor(down_after=2, up_after=1)
-    publisher = ResumablePublisher(database, num_agents)
-
-    intervals_c = registry.counter(
-        "megate_soak_intervals_total", "Soak intervals completed"
-    )
-    events_c = registry.counter(
-        "megate_soak_events_total",
-        "Soak event windows opened, by kind",
-        labelnames=("kind",),
-    )
-    samples_c = registry.counter(
-        "megate_soak_agent_samples_total",
-        "Post-warmup (agent, tick) freshness samples taken",
-    )
-    fresh_c = registry.counter(
-        "megate_soak_agent_fresh_samples_total",
-        "Samples whose agent served a config within its bound",
-    )
-    degraded_c = registry.counter(
-        "megate_soak_agent_degraded_samples_total",
-        "Samples whose agent was past its staleness bound",
-    )
-    floor_g = registry.gauge(
-        "megate_soak_delivered_fraction_floor",
-        "Worst per-interval delivered volume fraction so far",
-    )
-    # The agent's own staleness histogram only observes at poll
-    # completion (where a successful poll reads ~0); sampling every
-    # post-warmup tick measures *serving* staleness between polls,
-    # which is what the staleness SLO is about.
-    staleness_h = registry.histogram(
-        "megate_soak_agent_staleness_seconds",
-        "Sampled agent config staleness (simulated clock)",
-    )
-
     report = SoakReport(
         scenario=scenario,
         seed=seed,
@@ -889,17 +749,54 @@ def run_soak(
         slo_spec=spec,
     )
 
-    digest = hashlib.sha256()
-    delivered_floor = 1.0
-    resharded = 0
-    sync_violations: list[str] = []
-    prev_versions = [0] * num_agents
-    warmup_s = poll_period_s + tick_s
-    ticks_per_interval = max(1, int(round(interval_s / tick_s)))
-    cut_fibers: dict[LinkCut, tuple] = {}
-    degraded_topologies: dict[tuple, object] = {}
+    with owned_registry() as registry:
+        loop = EpochLoop(optimizer if optimizer is not None else MegaTEOptimizer())
+        plane = SyncPlane(
+            _fault_plan(events, interval_s, num_shards, seed),
+            num_agents,
+            num_shards,
+            poll_period_s,
+            tick_s,
+            seed,
+            staleness_slo_s,
+        )
+        cuts = CutTopologies(topology)
 
-    try:
+        intervals_c = registry.counter(
+            "megate_soak_intervals_total", "Soak intervals completed"
+        )
+        events_c = registry.counter(
+            "megate_soak_events_total",
+            "Soak event windows opened, by kind",
+            labelnames=("kind",),
+        )
+        samples_c = registry.counter(
+            "megate_soak_agent_samples_total",
+            "Post-warmup (agent, tick) freshness samples taken",
+        )
+        fresh_c = registry.counter(
+            "megate_soak_agent_fresh_samples_total",
+            "Samples whose agent served a config within its bound",
+        )
+        degraded_c = registry.counter(
+            "megate_soak_agent_degraded_samples_total",
+            "Samples whose agent was past its staleness bound",
+        )
+        floor_g = registry.gauge(
+            "megate_soak_delivered_fraction_floor",
+            "Worst per-interval delivered volume fraction so far",
+        )
+        # The agent's own staleness histogram only observes at poll
+        # completion (where a successful poll reads ~0); sampling every
+        # post-warmup tick measures *serving* staleness between polls,
+        # which is what the staleness SLO is about.
+        staleness_h = registry.histogram(
+            "megate_soak_agent_staleness_seconds",
+            "Sampled agent config staleness (simulated clock)",
+        )
+
+        delivered_floor = 1.0
+        ticks_per_interval = max(1, int(round(interval_s / tick_s)))
         for interval in range(num_intervals):
             active = [e for e in events if e.active(interval)]
             for event in events:
@@ -909,38 +806,13 @@ def run_soak(
                         {"interval": interval, **event.describe()}
                     )
 
-            # Topology under the active link cuts (union of fibers);
-            # degraded variants are cached so repeat windows reuse one
-            # object — that is what keeps the per-topology solver cache
-            # and the incremental engine's revalidation effective.
+            # Topology under the active link cuts (union of fibers).
             fibers: set = set()
             for event in active:
                 if isinstance(event, LinkCut):
-                    if event not in cut_fibers:
-                        scenario_obj = sample_failure_scenarios(
-                            topology.network,
-                            event.num_fibers,
-                            num_scenarios=1,
-                            seed=event.scenario_seed,
-                        )[0]
-                        cut_fibers[event] = scenario_obj.fibers
-                    fibers.update(cut_fibers[event])
-            if fibers:
-                key = tuple(sorted(fibers))
-                interval_topology = degraded_topologies.get(key)
-                if interval_topology is None:
-                    failed_links = [
-                        link
-                        for a, b in key
-                        for link in ((a, b), (b, a))
-                    ]
-                    interval_topology = topology.with_failures(
-                        failed_links
+                    fibers.update(
+                        cuts.fibers(event.num_fibers, event.scenario_seed)
                     )
-                    degraded_topologies[key] = interval_topology
-            else:
-                interval_topology = topology
-
             # Horizons longer than one diurnal cycle wrap around the
             # day (interval N repeats interval N mod num_intervals).
             matrix = _scaled_matrix(
@@ -953,11 +825,9 @@ def run_soak(
                 interval=interval,
                 num_events=len(active),
             ):
-                result = optimizer.solve(interval_topology, matrix)
-                outcome = simulate(interval_topology, result)
+                epoch = loop.step(cuts.topology(fibers), matrix, matrix)
+            result, outcome = epoch.solved, epoch.flow
 
-            for arr in result.assignment.per_pair:
-                digest.update(arr.tobytes())
             total = matrix.total_demand
             delivered_fraction = (
                 outcome.delivered_volume / total if total > 0 else 1.0
@@ -980,36 +850,16 @@ def run_soak(
 
             # Publish the interval's config version, then advance the
             # sync plane across the interval on the simulated clock.
-            publisher.start(interval + 1)
+            plane.publisher.start(interval + 1)
             t0 = interval * interval_s
             for tick in range(ticks_per_interval):
                 t = t0 + tick * tick_s
-                failover = orchestrate_shard_failover(
-                    database, t, monitor=monitor
-                )
-                resharded += failover.resharded_keys
-                publisher.pump(t)
-                for agent in agents:
-                    agent.maybe_poll(database, now=t)
-                published = publisher.published_version
+                plane.step(t)
+                if t < plane.warmup_s:
+                    continue
                 fresh = 0
                 degraded = 0
-                for idx, agent in enumerate(agents):
-                    if agent.local_version > published:
-                        sync_violations.append(
-                            f"t={t:.0f}s agent {idx} at "
-                            f"v{agent.local_version} > published "
-                            f"v{published}"
-                        )
-                    if agent.local_version < prev_versions[idx]:
-                        sync_violations.append(
-                            f"t={t:.0f}s agent {idx} rolled back "
-                            f"v{prev_versions[idx]} -> "
-                            f"v{agent.local_version}"
-                        )
-                    prev_versions[idx] = agent.local_version
-                    if t < warmup_s:
-                        continue
+                for agent in plane.agents:
                     if agent.serving_paths(t) is not None:
                         fresh += 1
                     if agent.is_degraded(t):
@@ -1017,45 +867,36 @@ def run_soak(
                     staleness = agent.staleness_s(t)
                     if math.isfinite(staleness):
                         staleness_h.observe(staleness)
-                if t >= warmup_s:
-                    samples_c.inc(num_agents)
-                    fresh_c.inc(fresh)
-                    degraded_c.inc(degraded)
-    finally:
-        registry.enabled = prior_enabled
+                samples_c.inc(num_agents)
+                fresh_c.inc(fresh)
+                degraded_c.inc(degraded)
 
-    # Run-end bookkeeping folded into the registry *before* the
-    # snapshot the SLO report is computed from.
-    registry.enabled = True
-    published = publisher.published_version
-    converged = (
-        sum(a.local_version == published for a in agents) / num_agents
-        if num_agents
-        else 1.0
-    )
-    registry.gauge(
-        "megate_soak_final_converged_fraction",
-        "Agents on the newest published version at the horizon",
-    ).set(converged)
-    registry.counter(
-        "megate_soak_resharded_keys_total",
-        "Keys migrated off crashed shards during the run",
-    ).inc(resharded)
-    registry.counter(
-        "megate_soak_injected_faults_total",
-        "Store faults injected across the run (all classes)",
-    ).inc(database.injected.total_injected)
-    snapshot = registry.snapshot()
-    registry.enabled = prior_enabled
+        # Run-end bookkeeping folded into the registry *before* the
+        # snapshot the SLO report is computed from.
+        converged = plane.converged_fraction()
+        injected = plane.database.injected.total_injected
+        registry.gauge(
+            "megate_soak_final_converged_fraction",
+            "Agents on the newest published version at the horizon",
+        ).set(converged)
+        registry.counter(
+            "megate_soak_resharded_keys_total",
+            "Keys migrated off crashed shards during the run",
+        ).inc(plane.resharded_keys)
+        registry.counter(
+            "megate_soak_injected_faults_total",
+            "Store faults injected across the run (all classes)",
+        ).inc(injected)
+        snapshot = registry.snapshot()
 
-    report.assignment_digest = digest.hexdigest()
-    report.publishes = published
+    report.assignment_digest = loop.digest.hexdigest()
+    report.publishes = plane.publisher.published_version
     report.final_converged_fraction = converged
-    report.resharded_keys = resharded
-    report.injected_faults = database.injected.total_injected
+    report.resharded_keys = plane.resharded_keys
+    report.injected_faults = injected
     report.slo = SLOReport.from_snapshot(snapshot)
     report.violations = report.slo.violations(spec)
     report.violations.extend(
-        f"sync invariant: {v}" for v in sync_violations[:10]
+        f"sync invariant: {v}" for v in plane.violations[:10]
     )
     return report

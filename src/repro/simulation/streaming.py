@@ -1,67 +1,62 @@
 """Streaming control loop: event-driven demands and re-solve triggers.
 
-Everything else in the repro is lockstep: :mod:`.interval_runner` and
-the soak engine advance a matrix sequence and solve every interval.
-Real endpoints emit demand *events* — flows arrive, depart, change
-volume, burst — and the controller's real decision is *when* a solve
-is worth it.  This module models that loop:
+One configuration of the scenario engine (:mod:`.engine`): the soak
+engine and the interval runner solve every interval in lockstep, while
+here the controller decides *when* a solve is worth it.  The engine's
+epoch loop solves, digests, actuates and realizes; this module adds:
 
 * a deterministic seeded **event stream** of per-site-pair updates
   (:class:`VolumeScale`, :class:`VolumeSet`, :class:`FlowArrival`,
   :class:`FlowDeparture`, :class:`BurstStart`/:class:`BurstEnd`,
   :class:`TopologyChange`), drained in epoch-sized batches;
-* a pluggable **trigger policy** deciding, per batch, between no-op,
-  the incremental delta fast path, and a full re-solve —
-  :class:`OracleTrigger` (solve on every event, the competitive-ratio
-  baseline from the online-TE literature), :class:`PeriodicTrigger`,
-  :class:`DeltaTrigger` (reusing :mod:`repro.core.incremental`'s
-  relative-delta semantics), and :class:`HybridTrigger`
-  (delta + staleness refresh);
-* optional **prediction** (:mod:`repro.traffic.prediction`): the
-  forecast drift feeds the trigger alongside the measured drift, so a
-  predicted surge can trip a solve before the measured delta does;
-* optional **admission control** (:mod:`.admission`): best-effort
-  classes are shed to per-pair budgets before the solver sees the
-  matrix, and shed volume is charged against delivered fraction.
+* a pluggable **trigger policy** choosing no-op, the incremental delta
+  path or a full re-solve: :class:`OracleTrigger` (every event, the
+  online-TE competitive-ratio baseline), :class:`PeriodicTrigger`,
+  :class:`DeltaTrigger` (:mod:`repro.core.incremental`'s relative-delta
+  semantics) and :class:`HybridTrigger` (delta + staleness refresh);
+* optional **prediction** (:mod:`repro.traffic.prediction`), whose
+  forecast drift feeds the trigger alongside the measured drift;
+* optional **admission control** (:mod:`.admission`), which sheds
+  best-effort classes to per-pair budgets, charged against delivered
+  fraction.
 
 **Actuation delay.**  A solve decided at epoch *t* takes effect at
-epoch *t+1* — the paper's weak coupling between controller and data
-plane.  Exceptions: the epoch-0 bootstrap and topology-change epochs
-actuate immediately (there may be nothing valid to keep serving).
-The delay applies identically to every trigger, including the oracle,
-so trigger comparisons are fair; it is also what makes stale
-allocations *cost* something — an un-resolved flash crowd overloads
-links under the old allocation until the next solve actuates.
+epoch *t+1* — the paper's weak coupling — except the epoch-0 bootstrap
+and topology changes, which have nothing valid to keep serving.  Every
+trigger pays the same delay, so comparisons are fair, and an
+un-resolved flash crowd overloads links until the next solve actuates.
 
-**Determinism anchors.**  Events only mutate volumes (and, for
-:class:`TopologyChange`, swap among seeded topology variants): flow
-identities, offsets, and QoS never change, so the incremental engine's
-population contract holds.  Two anchors pin the machinery:
-(1) a :class:`DeltaTrigger` at threshold 0 with :func:`lockstep_events`
-aligned to interval boundaries reproduces the plain interval replay's
-per-solve assignment digest bit-for-bit; (2) same-seed runs agree on
-:meth:`StreamReport.identity_digest`, which excludes wall-clock
-timings.
+**Determinism anchors.**  Events mutate volumes (and swap among seeded
+topology variants), never flow identities, so the incremental engine's
+population contract holds.  (1) A threshold-0 :class:`DeltaTrigger` on
+:func:`lockstep_events` reproduces the plain interval replay's
+assignment digest bit-for-bit; (2) same-seed runs agree on
+:meth:`StreamReport.identity_digest`, which excludes wall-clock timings.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from ..core import MegaTEOptimizer
-from ..core.flowtable import FlowTable
 from ..core.incremental import _REL_FLOOR  # shared rel-delta semantics
-from ..core.types import TEResult
-from ..obs import get_registry, get_tracer
-from ..topology.failures import sample_failure_scenarios
+from ..obs import get_tracer
 from ..traffic.demand import DemandMatrix
 from .admission import AdmissionConfig, AdmissionController
-from .flowsim import simulate
+from .engine import (
+    DELTA,
+    FULL,
+    NOOP,
+    CutTopologies,
+    EpochLoop,
+    RunIdentity,
+    check_clock,
+    owned_registry,
+)
 
 __all__ = [
     "NOOP",
@@ -92,11 +87,6 @@ __all__ = [
 ]
 
 
-#: Trigger decisions, cheapest to most expensive.
-NOOP = "noop"
-DELTA = "delta"
-FULL = "full"
-
 #: Named streaming scenarios (see :func:`stream_scenario_events`).
 STREAM_SCENARIO_NAMES = ("flash-crowd", "diurnal-shift", "failure-surge")
 
@@ -121,8 +111,8 @@ class StreamEvent:
     time: float
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError("event time must be non-negative")
+        if not self.time >= 0:  # NaN too
+            raise ValueError(f"event time must be non-negative, got {self.time!r}")
 
     def describe(self) -> dict:
         """JSON-serializable event descriptor (for the event log)."""
@@ -165,8 +155,8 @@ class VolumeScale(StreamEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.factor < 0:
-            raise ValueError("scale factor must be non-negative")
+        if not self.factor >= 0:  # NaN too
+            raise ValueError(f"scale factor must be non-negative, got {self.factor!r}")
 
 
 @dataclass(frozen=True)
@@ -256,11 +246,8 @@ class StreamState:
         self.healthy_topology = topology
         self.topology = topology
         table = base.table
+        self._base = base
         self._offsets = table.offsets
-        self._qos = table.qos
-        self._src = table.src_endpoints
-        self._dst = table.dst_endpoints
-        self._has_endpoints = table.has_endpoints
         self._base_volumes = table.volumes.astype(np.float64, copy=True)
         self.volumes = table.volumes.astype(np.float64, copy=True)
         self.num_pairs = table.num_pairs
@@ -268,7 +255,7 @@ class StreamState:
         #: the top of every epoch.
         self.topology_changed = False
         self._saved_bursts: dict[int, tuple[int, np.ndarray]] = {}
-        self._degraded_cache: dict[tuple[int, int], object] = {}
+        self._cuts = CutTopologies(topology)
 
     def _pair_slice(self, pair: int) -> slice:
         if not 0 <= pair < self.num_pairs:
@@ -333,44 +320,19 @@ class StreamState:
             pair, volumes = saved
             self.volumes[self._pair_slice(pair)] = volumes
         elif isinstance(event, TopologyChange):
-            self.topology = self._topology_for(event)
+            fibers = (
+                self._cuts.fibers(event.num_fibers, event.scenario_seed)
+                if event.num_fibers > 0
+                else ()
+            )
+            self.topology = self._cuts.topology(fibers)
             self.topology_changed = True
         else:
             raise TypeError(f"unknown stream event {type(event).__name__}")
 
-    def _topology_for(self, event: TopologyChange):
-        if event.num_fibers <= 0:
-            return self.healthy_topology
-        key = (event.num_fibers, event.scenario_seed)
-        cached = self._degraded_cache.get(key)
-        if cached is None:
-            scenario = sample_failure_scenarios(
-                self.healthy_topology.network,
-                event.num_fibers,
-                num_scenarios=1,
-                seed=event.scenario_seed,
-            )[0]
-            failed_links = [
-                link
-                for a, b in scenario.fibers
-                for link in ((a, b), (b, a))
-            ]
-            cached = self.healthy_topology.with_failures(failed_links)
-            self._degraded_cache[key] = cached
-        return cached
-
     def matrix(self) -> DemandMatrix:
         """Snapshot the current demands as a fresh matrix."""
-        return DemandMatrix.from_table(
-            FlowTable(
-                offsets=self._offsets,
-                volumes=self.volumes.copy(),
-                qos=self._qos,
-                src_endpoints=self._src,
-                dst_endpoints=self._dst,
-                has_endpoints=self._has_endpoints,
-            )
-        )
+        return self._base.with_volumes(self.volumes.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +385,11 @@ class TriggerContext:
         return max(self.measured_drift, self.predicted_drift)
 
 
+def _check_threshold(threshold: float) -> None:
+    if not threshold >= 0:  # NaN too
+        raise ValueError(f"threshold must be non-negative, got {threshold!r}")
+
+
 @dataclass(frozen=True)
 class OracleTrigger:
     """Full re-solve on every epoch that saw any event.
@@ -448,8 +415,7 @@ class PeriodicTrigger:
     period_s: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
+        check_clock(period_s=self.period_s)
 
     def decide(self, ctx: TriggerContext) -> str:
         if ctx.topology_changed or ctx.staleness_s >= self.period_s:
@@ -471,8 +437,7 @@ class DeltaTrigger:
     threshold: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
+        _check_threshold(self.threshold)
 
     def decide(self, ctx: TriggerContext) -> str:
         if ctx.topology_changed:
@@ -497,10 +462,8 @@ class HybridTrigger:
     refresh_s: float = 900.0
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
-        if self.refresh_s <= 0:
-            raise ValueError("refresh_s must be positive")
+        _check_threshold(self.threshold)
+        check_clock(refresh_s=self.refresh_s)
 
     def decide(self, ctx: TriggerContext) -> str:
         if ctx.topology_changed or ctx.staleness_s >= self.refresh_s:
@@ -569,8 +532,7 @@ def stream_scenario_events(
         )
     if num_pairs <= 0 or num_epochs <= 0:
         raise ValueError("num_pairs and num_epochs must be positive")
-    if tick_s <= 0:
-        raise ValueError("tick_s must be positive")
+    check_clock(tick_s=tick_s)
 
     rng = np.random.default_rng(seed)
     events: list[StreamEvent] = []
@@ -763,7 +725,7 @@ class StreamEpochRecord:
 
 
 @dataclass
-class StreamReport:
+class StreamReport(RunIdentity):
     """Aggregate outcome of one streaming run.
 
     :meth:`identity` / :meth:`identity_digest` cover the deterministic
@@ -843,14 +805,7 @@ class StreamReport:
             "solves_full": self.solves_full,
             "solves_delta": self.solves_delta,
             "assignment_digest": self.assignment_digest,
-            "records": [
-                {
-                    k: v
-                    for k, v in r.as_dict().items()
-                    if k != "runtime_s"
-                }
-                for r in self.records
-            ],
+            "records": self.timeless(self.records),
             "event_log": list(self.event_log),
             "offered_volume": self.offered_volume,
             "admitted_volume": self.admitted_volume,
@@ -862,11 +817,6 @@ class StreamReport:
             "delivered_floor": self.delivered_floor,
             "admission": self.admission,
         }
-
-    def identity_digest(self) -> str:
-        """SHA-256 over the canonical JSON of :meth:`identity`."""
-        payload = json.dumps(self.identity(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -898,10 +848,8 @@ def run_stream(
     topology-change solves actuate immediately) and account delivered
     and shed volume.
 
-    The run owns the metrics registry the way the soak engine does:
-    telemetry is force-enabled and the registry reset at the start,
-    and the caller's previous enablement is restored on exit — the
-    ``megate_stream_*`` series stay in the registry for export.
+    The run owns the metrics registry (:func:`~.engine.owned_registry`);
+    the ``megate_stream_*`` series stay in it for export.
 
     Args:
         topology: Healthy contracted two-layer topology.
@@ -925,20 +873,9 @@ def run_stream(
     """
     if num_epochs <= 0:
         raise ValueError("num_epochs must be positive")
-    if tick_s <= 0:
-        raise ValueError("tick_s must be positive")
+    check_clock(tick_s=tick_s)
     if trigger is None:
         trigger = HybridTrigger()
-
-    registry = get_registry()
-    tracer = get_tracer()
-    prior_enabled = registry.enabled
-    registry.enabled = True
-    registry.reset()
-
-    if optimizer is None:
-        optimizer = MegaTEOptimizer()
-    optimizer.reset_incremental_state()
 
     controller: AdmissionController | None
     if isinstance(admission, AdmissionController):
@@ -953,42 +890,10 @@ def run_stream(
             "AdmissionController, or None"
         )
 
-    events_c = registry.counter(
-        "megate_stream_events_total",
-        "Stream events applied, by kind",
-        labelnames=("kind",),
-    )
-    resolves_c = registry.counter(
-        "megate_stream_resolves_total",
-        "Controller solves issued, by trigger decision",
-        labelnames=("trigger",),
-    )
-    epochs_c = registry.counter(
-        "megate_stream_epochs_total", "Controller epochs completed"
-    )
-    staleness_g = registry.gauge(
-        "megate_stream_staleness_seconds",
-        "Simulated seconds since the last solve",
-    )
-    shed_c = registry.counter(
-        "megate_stream_shed_volume_total",
-        "Volume shed by admission control across the run",
-    )
-    delivered_g = registry.gauge(
-        "megate_stream_delivered_fraction",
-        "Delivered fraction of offered volume, latest epoch",
-    )
-    qos1_floor_g = registry.gauge(
-        "megate_stream_qos1_fraction_floor",
-        "Worst per-epoch QoS-1 satisfied fraction so far",
-    )
-
+    tracer = get_tracer()
     state = StreamState(topology, base)
-    # Stable (time, insertion order) queue.
-    queue = sorted(
-        enumerate(events), key=lambda kv: (kv[1].time, kv[0])
-    )
-    queue = [e for _, e in queue]
+    # Stable sort: same-time events keep their order in the stream.
+    queue = sorted(events, key=lambda e: e.time)
     cursor = 0
 
     report = StreamReport(
@@ -1004,14 +909,44 @@ def run_stream(
         solves_delta=0,
         assignment_digest="",
     )
-
-    digest = hashlib.sha256()
     last_solved_site: np.ndarray | None = None
     last_solve_t: float | None = None
-    current: TEResult | None = None  # actuated allocation
-    pending: TEResult | None = None  # solved, actuates next epoch
 
-    try:
+    with owned_registry() as registry:
+        loop = EpochLoop(
+            optimizer if optimizer is not None else MegaTEOptimizer(),
+            delay_actuation=True,
+        )
+        events_c = registry.counter(
+            "megate_stream_events_total",
+            "Stream events applied, by kind",
+            labelnames=("kind",),
+        )
+        resolves_c = registry.counter(
+            "megate_stream_resolves_total",
+            "Controller solves issued, by trigger decision",
+            labelnames=("trigger",),
+        )
+        epochs_c = registry.counter(
+            "megate_stream_epochs_total", "Controller epochs completed"
+        )
+        staleness_g = registry.gauge(
+            "megate_stream_staleness_seconds",
+            "Simulated seconds since the last solve",
+        )
+        shed_c = registry.counter(
+            "megate_stream_shed_volume_total",
+            "Volume shed by admission control across the run",
+        )
+        delivered_g = registry.gauge(
+            "megate_stream_delivered_fraction",
+            "Delivered fraction of offered volume, latest epoch",
+        )
+        qos1_floor_g = registry.gauge(
+            "megate_stream_qos1_fraction_floor",
+            "Worst per-epoch QoS-1 satisfied fraction so far",
+        )
+
         for epoch in range(num_epochs):
             t = epoch * tick_s
             state.topology_changed = False
@@ -1037,16 +972,7 @@ def run_stream(
             shed_this = 0.0
             if controller is not None:
                 outcome = controller.admit(raw.table)
-                admitted = DemandMatrix.from_table(
-                    FlowTable(
-                        offsets=raw.table.offsets,
-                        volumes=outcome.volumes,
-                        qos=raw.table.qos,
-                        src_endpoints=raw.table.src_endpoints,
-                        dst_endpoints=raw.table.dst_endpoints,
-                        has_endpoints=raw.table.has_endpoints,
-                    )
-                )
+                admitted = raw.with_volumes(outcome.volumes)
                 shed_this = outcome.shed_total
                 shed_c.inc(shed_this)
             else:
@@ -1076,68 +1002,39 @@ def run_stream(
                     predicted = max_rel_delta(
                         forecast.site_demands(), last_solved_site
                     )
+            context = TriggerContext(
+                epoch=epoch,
+                time=t,
+                num_events=drained,
+                measured_drift=measured,
+                predicted_drift=predicted,
+                staleness_s=staleness_s,
+                topology_changed=state.topology_changed,
+            )
 
-            if epoch == 0 or state.topology_changed:
-                # Controller invariant, not a policy choice: there is
-                # nothing actuated yet (bootstrap) or the actuated
-                # allocation routes over links that no longer exist.
-                decision = FULL
-            else:
-                decision = trigger.decide(
-                    TriggerContext(
-                        epoch=epoch,
-                        time=t,
-                        num_events=drained,
-                        measured_drift=measured,
-                        predicted_drift=predicted,
-                        staleness_s=staleness_s,
-                        topology_changed=state.topology_changed,
-                    )
-                )
-            if decision not in (NOOP, DELTA, FULL):
-                raise ValueError(
-                    f"trigger returned unknown decision {decision!r}"
-                )
-
+            # The actuated allocation is realized on this epoch's actual
+            # (admitted) demands; shed volume counts against delivered
+            # fraction because raw volume is the denominator.
+            step = loop.step(
+                state.topology,
+                admitted,
+                admitted,
+                decide=partial(trigger.decide, context),
+                topology_changed=state.topology_changed,
+            )
+            decision, sim = step.decision, step.flow
             runtime_s = 0.0
-            if decision != NOOP:
-                if decision == FULL:
-                    optimizer.reset_incremental_state()
-                with tracer.span(
-                    "stream.solve", epoch=epoch, decision=decision
-                ):
-                    result = optimizer.solve(state.topology, admitted)
-                for arr in result.assignment.per_pair:
-                    digest.update(arr.tobytes())
+            if step.solved is not None:
                 resolves_c.labels(trigger=decision).inc()
                 if decision == FULL:
                     report.solves_full += 1
                 else:
                     report.solves_delta += 1
-                runtime_s = result.runtime_s
-                report.total_runtime_s += result.runtime_s
+                runtime_s = step.solved.runtime_s
+                report.total_runtime_s += runtime_s
                 last_solved_site = raw_site
                 last_solve_t = t
                 staleness_s = 0.0
-                if current is None or state.topology_changed:
-                    current = result
-                    pending = None
-                else:
-                    pending = result
-
-            # Realize the *actuated* allocation on this epoch's actual
-            # (admitted) demands; shed volume counts against delivered
-            # fraction because raw volume is the denominator.
-            realized = TEResult(
-                scheme=current.scheme,
-                assignment=current.assignment,
-                demands=admitted,
-                satisfied_volume=current.satisfied_volume,
-                runtime_s=current.runtime_s,
-                site_allocation=current.site_allocation,
-                stats=current.stats,
-            )
-            sim = simulate(state.topology, realized)
 
             fractions = np.concatenate(sim.flow_delivery)
             q1 = raw.table.qos == 1
@@ -1194,14 +1091,7 @@ def run_stream(
             if predictor is not None:
                 predictor.observe(raw)
 
-            # Actuate: the epoch's solve serves from the next epoch on.
-            if pending is not None:
-                current = pending
-                pending = None
-    finally:
-        registry.enabled = prior_enabled
-
-    report.assignment_digest = digest.hexdigest()
+    report.assignment_digest = loop.digest.hexdigest()
     if controller is not None:
         report.admission = {
             **controller.config.as_dict(),

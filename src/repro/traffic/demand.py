@@ -154,6 +154,20 @@ class DemandMatrix:
         """Wrap an existing columnar table without copying."""
         return cls(table=table)
 
+    def with_volumes(self, volumes: np.ndarray) -> "DemandMatrix":
+        """The same flows carrying ``volumes`` (other columns shared)."""
+        t = self._table
+        return DemandMatrix.from_table(
+            FlowTable(
+                offsets=t.offsets,
+                volumes=volumes,
+                qos=t.qos,
+                src_endpoints=t.src_endpoints,
+                dst_endpoints=t.dst_endpoints,
+                has_endpoints=t.has_endpoints,
+            )
+        )
+
     @property
     def table(self) -> FlowTable:
         """The canonical columnar store."""

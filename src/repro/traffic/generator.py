@@ -255,13 +255,4 @@ def scale_to_load(
     factor = target_load * alpha
     # Scale on the flat column rather than pair-by-pair: one multiply
     # over the flow axis, no per-pair rebuild at million-flow scale.
-    table = matrix.table
-    scaled = FlowTable(
-        offsets=table.offsets,
-        volumes=table.volumes * factor,
-        qos=table.qos,
-        src_endpoints=table.src_endpoints,
-        dst_endpoints=table.dst_endpoints,
-        has_endpoints=table.has_endpoints,
-    )
-    return DemandMatrix.from_table(scaled)
+    return matrix.with_volumes(matrix.table.volumes * factor)

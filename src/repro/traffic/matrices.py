@@ -14,7 +14,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core.flowtable import FlowTable
 from .demand import DemandMatrix
 
 __all__ = ["DiurnalSequence"]
@@ -79,15 +78,7 @@ class DiurnalSequence:
             self.jitter_sigma,
             size=table.num_flows,
         )
-        jittered = FlowTable(
-            offsets=table.offsets,
-            volumes=table.volumes * factor * jitter,
-            qos=table.qos,
-            src_endpoints=table.src_endpoints,
-            dst_endpoints=table.dst_endpoints,
-            has_endpoints=table.has_endpoints,
-        )
-        return DemandMatrix.from_table(jittered)
+        return self.base.with_volumes(table.volumes * factor * jitter)
 
     def __iter__(self) -> Iterator[DemandMatrix]:
         for n in range(self.num_intervals):

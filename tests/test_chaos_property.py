@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.controlplane import (
@@ -127,6 +128,24 @@ def test_unmanaged_store_still_never_lies():
             **SMALL_SIM,
         )
         _assert_invariants(result)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tick_s", 0.0),
+        ("tick_s", -1.0),
+        ("tick_s", float("nan")),
+        ("publish_period_s", float("nan")),
+        ("poll_period_s", float("nan")),
+        ("horizon_s", float("inf")),
+    ],
+)
+def test_bad_clocks_rejected(field, value):
+    # A zero or negative tick used to loop forever; a NaN one to
+    # publish nothing.
+    with pytest.raises(ValueError, match=field):
+        chaos_sync.simulate(0.5, **{**SMALL_SIM, field: value})
 
 
 def test_seeded_plan_sweep():

@@ -426,8 +426,8 @@ class TestObservabilityCLI:
         assert "identity digest" in out
 
     def test_soak_gate_exits_nonzero_on_violation(self, tmp_path, capsys):
-        # An impossible delivered-volume floor cannot be met; the gate
-        # must exit non-zero.  --no-gate downgrades it to a report.
+        # A zero staleness bound cannot be met; the gate must exit
+        # non-zero.  --no-gate downgrades it to a report.
         import json
 
         import repro.simulation.soak as soak_mod
@@ -441,7 +441,7 @@ class TestObservabilityCLI:
         ]
         import unittest.mock
 
-        strict = soak_mod.SLOSpec(min_delivered_floor=2.0)
+        strict = soak_mod.SLOSpec(max_staleness_p99_s=0.0)
         with unittest.mock.patch.object(
             soak_mod, "SLOSpec", lambda: strict
         ):
@@ -450,7 +450,7 @@ class TestObservabilityCLI:
             assert main(argv + ["--no-gate"]) == 0
         report = json.loads((tmp_path / "r.json").read_text())
         assert any(
-            "delivered floor" in v for v in report["violations"]
+            "staleness p99" in v for v in report["violations"]
         )
 
 

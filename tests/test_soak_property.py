@@ -52,6 +52,7 @@ SMALL = dict(
     seed=7,
 )
 NUM_INTERVALS = 6
+NAN = float("nan")
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +226,62 @@ class TestSnapshotHelpers:
             intervals=5,
         )
         assert healthy.violations(SLOSpec()) == []
+
+
+class TestValidation:
+    def test_nan_bounds_cannot_disable_the_gate(self):
+        with pytest.raises(ValueError, match="min_availability"):
+            SLOSpec(min_availability=NAN)
+        for field in (
+            "max_staleness_p99_s",
+            "max_degraded_fraction",
+            "min_delivered_floor",
+            "max_solver_phase_p99_s",
+        ):
+            with pytest.raises(ValueError, match=field):
+                SLOSpec(**{field: NAN})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_availability", -1.0),
+            ("min_availability", 1.5),
+            ("max_degraded_fraction", 5.0),
+            ("min_delivered_floor", 2.0),
+            ("max_staleness_p99_s", -1.0),
+        ],
+    )
+    def test_bounds_that_can_never_fail_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SLOSpec(**{field: value})
+
+    def test_worst_report_misses_every_default_slo(self):
+        worst = SLOReport(
+            availability=0.0,
+            staleness_p99_s=1e9,
+            degraded_fraction=1.0,
+            delivered_floor=0.0,
+            solver_phase_p99_s=0.0,
+            agent_samples=1,
+            intervals=1,
+        )
+        assert len(worst.violations(SLOSpec())) == 4
+        assert SLOSpec(max_staleness_p99_s=math.inf).max_staleness_p99_s == (
+            math.inf
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(interval_s=NAN), "interval_s"),
+            (dict(tick_s=NAN), "tick_s"),
+            (dict(tick_s=0.0), "tick_s"),
+            (dict(poll_period_s=NAN), "poll_period_s"),
+            (dict(interval_s=math.inf), "interval_s"),
+            (dict(tick_s=600.0), "interval_s"),
+        ],
+    )
+    def test_bad_clocks_rejected(self, small_scenario, kwargs, field):
+        topology, sequence = small_scenario
+        with pytest.raises(ValueError, match=field):
+            run_soak(topology, sequence, 2, (), **kwargs)

@@ -31,6 +31,7 @@ from repro.simulation.streaming import (
     HybridTrigger,
     OracleTrigger,
     PeriodicTrigger,
+    StreamEvent,
     StreamState,
     TopologyChange,
     TriggerContext,
@@ -44,6 +45,9 @@ from repro.simulation.streaming import (
 from repro.traffic.demand import DemandMatrix
 
 from conftest import make_pair_demands
+
+NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.fixture(autouse=True)
@@ -267,6 +271,25 @@ class TestTriggers:
         with pytest.raises(ValueError):
             HybridTrigger(refresh_s=0.0)
 
+    @pytest.mark.parametrize(
+        "name, kwargs, field",
+        [
+            ("delta", dict(threshold=NAN), "threshold"),
+            ("periodic", dict(period_s=NAN), "period_s"),
+            ("hybrid", dict(refresh_s=NAN), "refresh_s"),
+            ("hybrid", dict(threshold=NAN), "threshold"),
+        ],
+    )
+    def test_nan_rejected(self, name, kwargs, field):
+        # A NaN bound compares False both ways: the trigger would
+        # never solve (or never refresh).
+        with pytest.raises(ValueError, match=field):
+            make_trigger(name, **kwargs)
+
+    def test_inf_still_means_never(self):
+        assert PeriodicTrigger(period_s=INF).decide(_ctx()) == NOOP
+        assert HybridTrigger(refresh_s=INF).decide(_ctx()) == NOOP
+
     def test_max_rel_delta_uses_incremental_semantics(self):
         ref = np.array([10.0, 0.0])
         cur = np.array([12.0, 0.0])
@@ -280,6 +303,16 @@ class TestScenarios:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             stream_scenario_events("nope", 24, 10)
+
+    def test_nan_tick_rejected(self):
+        with pytest.raises(ValueError, match="tick_s"):
+            stream_scenario_events("flash-crowd", 24, 10, tick_s=NAN)
+
+    def test_nan_event_fields_rejected(self):
+        with pytest.raises(ValueError, match="time"):
+            StreamEvent(time=NAN)
+        with pytest.raises(ValueError, match="factor"):
+            VolumeScale(time=0.0, pair=0, factor=NAN)
 
     @pytest.mark.parametrize("name", STREAM_SCENARIO_NAMES)
     def test_events_sorted_and_bounded(self, name):
@@ -474,6 +507,18 @@ class TestRunStream:
                 (),
                 2,
                 admission=object(),
+            )
+
+    @pytest.mark.parametrize("tick_s", [NAN, 0.0, -1.0])
+    def test_bad_tick_rejected(self, small_scenario, tick_s):
+        # A NaN tick used to drain none of the events.
+        with pytest.raises(ValueError, match="tick_s"):
+            run_stream(
+                small_scenario.topology,
+                small_scenario.demands,
+                stream_scenario_events("flash-crowd", 24, 4, seed=0),
+                4,
+                tick_s=tick_s,
             )
 
     def test_registry_enablement_restored(self, small_scenario):
