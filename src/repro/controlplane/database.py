@@ -141,6 +141,21 @@ def _newest(
     return log[idx - 1] if idx else None
 
 
+def _hash(key: Hashable) -> int:
+    """A key's shard hash.
+
+    String and bytes keys hash via CRC-32 rather than ``hash()``, whose
+    per-process salt (``PYTHONHASHSEED``) would give every run a
+    different key-to-shard layout — chaos runs and the CI seed matrix
+    need layouts that replay across processes.
+    """
+    if isinstance(key, str):
+        return zlib.crc32(key.encode("utf-8"))
+    if isinstance(key, bytes):
+        return zlib.crc32(key)
+    return hash(key)
+
+
 class TEDatabase:
     """Sharded versioned KV store with per-second capacity accounting.
 
@@ -200,10 +215,13 @@ class TEDatabase:
         ]
         # The trim floor, and the write time it was computed for.
         self._floor = (math.nan, -math.inf)
-        # Keys reshard() moved, to (their shard, their hash home); per
-        # home, their oldest replica cutoff; per shard, its last reconcile.
-        self._overrides: dict[Hashable, tuple[int, int]] = {}
+        # Per hash home reshard() routed away, the shard answering for
+        # it and its oldest replica cutoff; keys moved or first written
+        # there since, to (their shard, their hash home); per shard, its
+        # last reconcile.  Every override's home is routed.
+        self._routes: dict[int, int] = {}
         self._evacuated: dict[int, float] = {}
+        self._overrides: dict[Hashable, tuple[int, int]] = {}
         self._reconciled_at: dict[int, float] = {}
 
     def _attach(self, plan: FaultPlan, timeout_s: float) -> None:
@@ -226,22 +244,19 @@ class TEDatabase:
 
     def shard_of(self, key: Hashable) -> int:
         """The shard answering for ``key``: its hash home, unless
-        :meth:`reshard` moved it.
-
-        String and bytes keys hash via CRC-32 rather than ``hash()``,
-        whose per-process salt (``PYTHONHASHSEED``) would give every
-        run a different key-to-shard layout — chaos runs and the CI
-        seed matrix need layouts that replay across processes.
-        """
-        if self._overrides and key in self._overrides:
-            return self._overrides[key][0]
+        :meth:`reshard` moved the key or routed the home away."""
+        # _hash inlined: every query comes through here.
         if isinstance(key, str):
             h = zlib.crc32(key.encode("utf-8"))
         elif isinstance(key, bytes):
             h = zlib.crc32(key)
         else:
             h = hash(key)
-        return h % self.num_shards
+        home = h % self.num_shards
+        if self._routes:
+            moved = self._overrides.get(key)
+            return self._routes.get(home, home) if moved is None else moved[0]
+        return home
 
     def _charge(self, shard: int, now: float, op: str) -> None:
         """Charge one ``op`` query to ``shard``'s capacity this second;
@@ -300,13 +315,16 @@ class TEDatabase:
             stored = entry[1] if entry else None
         log = self._history.get(key)
         version = stored.version if stored else 0
-        if key in self._overrides and log and version != log[-1][1].version:
-            # An evacuated key not rewritten since: the copy is what its
-            # crashed home's replica had, so only the commits that
-            # replica had seen vouch for it.
-            home = self._overrides[key][1]
-            seen = _newest(self._commits[home], self._evacuated[home])
-            committed = min(committed, seen[1] if seen else 0)
+        if self._routes and log and version != log[-1][1].version:
+            moved = self._overrides.get(key)
+            home = moved[1] if moved else _hash(key) % self.num_shards
+            if moved or home != shard:
+                # A key of a routed home not rewritten since: the copy
+                # (or its absence) is what the crashed home's replica
+                # had, so only the commits that replica had seen vouch
+                # for it.
+                seen = _newest(self._commits[home], self._evacuated[home])
+                committed = min(committed, seen[1] if seen else 0)
         return committed, stored
 
     def _append(self, log: list[tuple], entry: tuple, now: float) -> None:
@@ -324,6 +342,13 @@ class TEDatabase:
         stale = bisect_right(log, self._floor[1], key=_time) - 1
         if stale > 0:
             del log[:stale]
+
+    def _pin(self, key: Hashable, shard: int) -> None:
+        """Override a key first written on the shard its home is routed
+        to, so that :meth:`reconcile` sends it home."""
+        home = _hash(key) % self.num_shards
+        if home != shard and key not in self._overrides:
+            self._overrides[key] = (shard, home)
 
     def _newest_stored(self, key: Hashable, shard: int) -> _VersionedValue:
         """The key's newest write: the history's, else ``shard``'s copy."""
@@ -364,6 +389,8 @@ class TEDatabase:
                 self._admit(shard, now, "put")
                 data = self._data[shard]
                 existing = data.get(key)
+                if existing is None and self._routes:
+                    self._pin(key, shard)
                 version = (existing.version + 1) if existing else 1
                 log = None
                 if self._hook is not None:
@@ -465,7 +492,8 @@ class TEDatabase:
     ) -> int:
         """Move the keys ``shards`` (default: every unhealthy shard)
         answer for to the next healthy shard, out of band and versions
-        preserved, and route their queries there; returns how many.
+        preserved, and route their queries there — those of keys they
+        have yet to hold too; returns how many keys moved.
 
         A crashed shard's keys move as its replica had them — the
         history up to ``crash_start - stale_lag_s``; a shard that is
@@ -475,10 +503,17 @@ class TEDatabase:
         moved = 0
         for shard in down if shards is None else shards:
             cutoff = self._hook and self._hook.crash_cutoff(shard, now)
+            restored = now if cutoff is None else cutoff
             ring = [(shard + i) % self.num_shards for i in range(1, self.num_shards)]
             target = next((s for s in ring if s not in down), None)
             if target is None:
                 continue  # every shard is down; nothing to move to
+            if shard not in self._routes:
+                # Its keys left behind (never written, or lost with the
+                # crash) answer with what its replica had.
+                self._evacuated[shard] = min(
+                    restored, self._evacuated.get(shard, restored)
+                )
             for key in list(self._data[shard]):
                 if self.shard_of(key) != shard:
                     continue  # a leftover copy: routing points elsewhere
@@ -492,11 +527,15 @@ class TEDatabase:
                 self._data[target][key] = stored
                 home = self._overrides.get(key, (shard, shard))[1]
                 self._overrides[key] = (target, home)
-                restored = now if cutoff is None else cutoff
                 self._evacuated[home] = min(
                     restored, self._evacuated.get(home, restored)
                 )
                 moved += 1
+            # Route the shard's home, and the homes routed to it, on.
+            self._routes[shard] = shard
+            for home, via in self._routes.items():
+                if via == shard:
+                    self._routes[home] = target
         self.injected.resharded_keys += moved
         self._floor = (math.nan, -math.inf)
         return moved
@@ -523,6 +562,7 @@ class TEDatabase:
             del self._overrides[key]
             if target != shard:
                 self._data[target].pop(key, None)
+        self._routes.pop(shard, None)
         for key in list(data):
             if self.shard_of(key) != shard:  # another shard's leftover copy
                 del data[key]
@@ -535,14 +575,13 @@ class TEDatabase:
     def reconcile_restarted(self, now: float) -> list[int]:
         """Reconcile each healthy shard restarted since its last reconcile
         or with keys evacuated (a passing partition or slowdown)."""
-        homes = {home for _, home in self._overrides.values()}
         down = self.unhealthy_shards(now)
         done = []
         for shard in range(self.num_shards):
             if shard in down:
                 continue
             crash = self._hook and self._hook.last_crash_before(shard, now)
-            if shard in homes or (
+            if shard in self._routes or (
                 crash is not None
                 and self._reconciled_at.get(shard, -math.inf) < crash.end
             ):

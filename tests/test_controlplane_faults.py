@@ -51,6 +51,11 @@ def _key_on_shard(db: TEDatabase, shard: int) -> str:
     raise AssertionError("no key found")  # pragma: no cover
 
 
+def _endpoint_on_shard(db: TEDatabase, shard: int) -> int:
+    """An endpoint whose config key's hash home is the given shard."""
+    return next(e for e in range(10_000) if db.shard_of(config_key(e)) == shard)
+
+
 class TestDeterministicUniform:
     def test_stable_and_bounded(self):
         a = deterministic_uniform(7, 1, 2, 3)
@@ -523,6 +528,37 @@ class TestReshardAndFailover:
         assert db.get(key, now=201.0) == ("v", 1)
         # Idempotent: nothing left to heal.
         assert db.reconcile_restarted(now=201.0) == []
+
+    def test_shard_crashed_before_its_first_write_routes_new_keys(self):
+        # Shard 0 is down from t=0, before it holds anything: the
+        # failover pass has no key to move, but must still route the
+        # shard's home, or every write to it fails until the restart.
+        inner = TEDatabase(num_shards=3, enforce_capacity=False)
+        endpoint = _endpoint_on_shard(inner, 0)
+        key = config_key(endpoint)
+        plan = FaultPlan(
+            shards={0: ShardFaults(crash_windows=(FaultWindow(0.0, 100.0),))}
+        )
+        db = FaultyTEDatabase(inner, plan)
+        with pytest.raises(ShardUnavailable):
+            db.put(key, "lost", now=1.0)
+        assert orchestrate_shard_failover(db, now=2.0).resharded_keys == 0
+        config = EndpointConfig(
+            endpoint_id=endpoint, version=1, paths={9: ("a", "b")}
+        )
+        assert db.put(key, config, now=3.0) == 1
+        with pytest.raises(ShardUnavailable):
+            db.commit_version(1, now=3.0)  # reaches the live shards
+        agent = EndpointAgent(endpoint_id=endpoint, poll_period_s=10.0)
+        assert agent.poll(db, now=4.0)
+        assert agent.local_version == 1
+        assert agent.paths == {9: ("a", "b")}
+        # After the restart, reconcile sends the key home and drops the
+        # route.
+        assert db.reconcile_restarted(now=100.0) == [0]
+        assert db.shard_of(key) == 0
+        assert db.get(key, now=101.0) == (config, 1)
+        assert db.put(key, config, now=102.0) == 2
 
     def test_all_shards_down_is_a_noop(self):
         inner = TEDatabase(num_shards=2, enforce_capacity=False)

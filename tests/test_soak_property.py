@@ -32,6 +32,7 @@ from repro.simulation.soak import (
     FlashCrowd,
     LinkCut,
     MaintenanceDrain,
+    ShardFailover,
     SLOReport,
     SLOSpec,
     run_soak,
@@ -101,6 +102,23 @@ class TestReplayEquivalence:
         )
         assert stormy.assignment_digest != baseline.assignment_digest
         assert stormy.event_log
+
+
+    def test_shard_crashed_from_the_start_keeps_the_slos(
+        self, small_scenario
+    ):
+        # The shard is down before the first publish writes to it; the
+        # failover pass routes its keys away instead of stalling every
+        # publish until the restart (availability used to read 0.8755).
+        topology, sequence = small_scenario
+        report = run_soak(
+            topology, sequence, 8,
+            (ShardFailover(start=0, duration=4, shard=0),),
+            num_agents=8, seed=0, scenario="crash-at-start",
+        )
+        assert report.violations == []
+        assert report.slo.availability > 0.99
+        assert report.publishes == 8
 
 
 class TestDeterminism:
