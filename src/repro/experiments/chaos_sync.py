@@ -182,9 +182,9 @@ def simulate(
     # Every row metric is measured within the horizon — snapshot them
     # before the convergence grace below adds polls/retries/faults.
     failed = sum(a.failed_polls for a in agents)
-    retries = sum(a.retries for a in agents)
-    regressions = sum(a.version_regressions for a in agents)
-    injected = plane.database.injected.total_injected
+    total_retries = sum(a.retries for a in agents)
+    total_regressions = sum(a.version_regressions for a in agents)
+    total_injected = plane.database.injected.total_injected
     resharded = plane.resharded_keys
 
     # Clear-weather convergence grace.  The claim under test is that the
@@ -231,9 +231,9 @@ def simulate(
         final_converged_fraction=plane.converged_fraction(),
         publishes=published,
         failed_polls=failed,
-        retries=retries,
-        version_regressions=regressions,
-        injected_faults=injected,
+        retries=total_retries,
+        version_regressions=total_regressions,
+        injected_faults=total_injected,
         resharded_keys=resharded,
         invariant_violations=len(plane.violations),
     )

@@ -107,6 +107,9 @@ class CutTopologies:
         self._variants: dict[tuple, object] = {(): healthy}
 
     def fibers(self, num_fibers: int, scenario_seed: int) -> tuple:
+        """The fibers one seeded cut fails (none for ``num_fibers <= 0``)."""
+        if num_fibers <= 0:
+            return ()
         key = (num_fibers, scenario_seed)
         if key not in self._fibers:
             self._fibers[key] = sample_failure_scenarios(

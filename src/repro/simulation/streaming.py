@@ -320,12 +320,8 @@ class StreamState:
             pair, volumes = saved
             self.volumes[self._pair_slice(pair)] = volumes
         elif isinstance(event, TopologyChange):
-            fibers = (
-                self._cuts.fibers(event.num_fibers, event.scenario_seed)
-                if event.num_fibers > 0
-                else ()
-            )
-            self.topology = self._cuts.topology(fibers)
+            cut = self._cuts.fibers(event.num_fibers, event.scenario_seed)
+            self.topology = self._cuts.topology(cut)
             self.topology_changed = True
         else:
             raise TypeError(f"unknown stream event {type(event).__name__}")
