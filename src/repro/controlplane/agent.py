@@ -42,6 +42,11 @@ from .faults import deterministic_uniform
 
 __all__ = ["EndpointAgent", "RetryPolicy"]
 
+# The process-wide registry, read once (``owned_registry`` toggles this
+# same object).
+_registry = get_registry()
+_INF = math.inf
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -201,9 +206,7 @@ class EndpointAgent:
         since the last poll), ``"unchanged"`` (a new version, but not
         for this endpoint), ``"installed"`` or ``"regressed"``.
         """
-        committed, key_version = database.check_version(
-            self._config_key, now=now
-        )
+        committed, key_version = database.check_version(self._config_key, now)
         if (
             committed < self.local_version
             or key_version < self._installed_key_version
@@ -248,7 +251,10 @@ class EndpointAgent:
         policy = self.retry_policy
         if policy is None:
             outcome = self._poll_once(database, now)
-            self._note_poll(outcome, now)
+            # With no registry and no bound there is nothing to note:
+            # an agent with an infinite bound is never degraded.
+            if _registry.enabled or self.max_staleness_s != _INF:
+                self._note_poll(outcome, now)
             return outcome == "installed"
         deadline = now + policy.poll_budget_s
         t = now
@@ -265,9 +271,8 @@ class EndpointAgent:
                     break
                 t += delay
                 self.retries += 1
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter(
+                if _registry.enabled:
+                    _registry.counter(
                         "megate_agent_retries_total",
                         "Endpoint-agent poll retry attempts",
                     ).inc()
@@ -280,7 +285,7 @@ class EndpointAgent:
         degraded = self.is_degraded(now)
         newly_degraded = degraded and not self._was_degraded
         self._was_degraded = degraded
-        registry = get_registry()
+        registry = _registry
         if not registry.enabled:
             return
         registry.counter(

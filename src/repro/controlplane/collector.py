@@ -14,7 +14,9 @@ the interval into Gbps demands, and tags each pair with its QoS class
 
 from __future__ import annotations
 
-from array import array
+import math
+import operator
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -64,6 +66,14 @@ def _check_qos(qos: int) -> None:
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+#: One buffered report: src, dst, bytes, qos, packed little-endian.
+_ROW = struct.Struct("<qqqb")
+_pack = _ROW.pack
+_ROW_DTYPE = np.dtype(
+    [("src", "<i8"), ("dst", "<i8"), ("bytes", "<i8"), ("qos", "i1")]
+)
+assert _ROW_DTYPE.itemsize == _ROW.size
+
 
 def _group_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Exact int64 sum of each run of ``values`` beginning at ``starts``.
@@ -109,8 +119,9 @@ class DemandCollector:
             ordering the matrix must align with.
         interval_seconds: TE interval length (converts bytes → Gbps).
 
-    :meth:`ingest` only validates a report and appends it to four typed
-    column buffers.  Everything per-flow — endpoint→site resolution,
+    :meth:`ingest` only validates a report and appends it to one buffer
+    as a packed 25-byte row (src, dst, bytes as int64, qos as int8), whole
+    or not at all.  Everything per-flow — endpoint→site resolution,
     site-pair lookup, unroutable accounting and same-``(src, dst)``
     aggregation — happens vectorised in one *drain* that
     :meth:`build_matrix`, :attr:`num_flows` and :attr:`unroutable_bytes`
@@ -126,17 +137,16 @@ class DemandCollector:
         topology: "TwoLayerTopology",
         interval_seconds: float = 300.0,
     ) -> None:
-        if interval_seconds <= 0:
-            raise ValueError("interval must be positive")
+        if not 0 < interval_seconds < math.inf:  # NaN too
+            raise ValueError(
+                "interval_seconds must be positive and finite, "
+                f"got {interval_seconds!r}"
+            )
         self.topology = topology
         self.interval_seconds = interval_seconds
         self._num_endpoints = topology.layout.num_endpoints
-        # Reports not drained yet, one typed column each.  ``_dst`` is
-        # appended last, so its length is the count of whole reports.
-        self._src = array("q")
-        self._dst = array("q")
-        self._bytes = array("q")
-        self._qos = array("b")
+        # Reports not drained yet, one packed ``_ROW`` each.
+        self._rows = bytearray()
         # Drained reports as (src, dst, bytes, qos, k) columns: one row
         # per distinct (src, dst), ordered (site pair k, src, dst), with
         # exact int64 byte sums.
@@ -153,31 +163,25 @@ class DemandCollector:
         Raises:
             IndexError: for an endpoint id outside the layout.
             OverflowError: for a byte count beyond int64.
-        """
-        self._append(
-            record.src_endpoint,
-            record.dst_endpoint,
-            record.bytes_sent,
-            record.qos,
-        )
+            TypeError: for a field that is not an integer.
 
-    def _append(self, src: int, dst: int, sent: int, qos: int) -> None:
+        A report that raises leaves nothing behind.
+        """
+        src = record.src_endpoint
+        dst = record.dst_endpoint
         n = self._num_endpoints
         if not 0 <= src < n:
             raise IndexError(f"endpoint {src} out of range")
         if not 0 <= dst < n:
             raise IndexError(f"endpoint {dst} out of range")
         try:
-            self._bytes.append(sent)
-            self._qos.append(qos)
-            self._src.append(src)
-            self._dst.append(dst)
-        except (OverflowError, TypeError):
-            # Drop the partial row so the columns stay aligned.
-            whole = len(self._dst)
-            for column in (self._bytes, self._qos, self._src):
-                del column[whole:]
-            raise
+            self._rows += _pack(src, dst, record.bytes_sent, record.qos)
+        except struct.error:
+            # struct has one error for both ways a field can fail: a
+            # non-integer raises TypeError here, so the rest is range.
+            for field in (src, dst, record.bytes_sent, record.qos):
+                operator.index(field)
+            raise OverflowError("byte count does not fit int64") from None
 
     def ingest_host_report(
         self,
@@ -205,8 +209,9 @@ class DemandCollector:
                 self._unroutable_bytes += byte_count
                 continue
             qos = qos_of.get(instance, QoSClass.CLASS2)
-            _check_qos(qos)
-            self._append(instance, destination_of[instance], byte_count, qos)
+            self.ingest(
+                FlowRecord(instance, destination_of[instance], byte_count, qos)
+            )
 
     @property
     def num_flows(self) -> int:
@@ -257,12 +262,15 @@ class DemandCollector:
         A byte sum that does not fit int64 raises ``OverflowError`` and
         leaves both the buffers and the drained rows as they were.
         """
-        if not self._dst:
+        if not self._rows:
             return
-        src = np.frombuffer(self._src, dtype=np.int64)
-        dst = np.frombuffer(self._dst, dtype=np.int64)
-        sent = np.frombuffer(self._bytes, dtype=np.int64)
-        qos = np.frombuffer(self._qos, dtype=np.int8)
+        # Views of the packed rows' fields, not copies: a copy of the
+        # endpoint columns would raise the epoch's peak memory.  Gathers
+        # from them use ``np.take``, several times faster than ``[]`` on
+        # strided, unaligned fields.
+        buffered = np.frombuffer(self._rows, dtype=_ROW_DTYPE)
+        src, dst = buffered["src"], buffered["dst"]
+        sent, qos = buffered["bytes"], buffered["qos"]
         k = self._site_pairs(src, dst)
         rows = (src, dst, sent, qos, k)
         unroutable = 0
@@ -296,7 +304,7 @@ class DemandCollector:
         else:
             # lexsort's last key is primary.
             order = np.lexsort((dst, src, k))
-        src, dst, sent, qos, k = (column[order] for column in rows)
+        src, dst, sent, qos, k = (np.take(column, order) for column in rows)
         new_group = np.ones(k.size, dtype=bool)
         np.not_equal(src[1:], src[:-1], out=new_group[1:])
         new_group[1:] |= dst[1:] != dst[:-1]
@@ -307,15 +315,12 @@ class DemandCollector:
             # wherever the unstable sort put it.
             first = np.flatnonzero(new_group)
             sent = _group_sums(sent, first)
-            qos = rows[3][np.maximum.reduceat(order, first)]
+            qos = np.take(rows[3], np.maximum.reduceat(order, first))
             src, dst, k = src[first], dst[first], k[first]
         self._drained = (src, dst, sent, qos, k)
         self._unroutable_bytes += unroutable
-        # Fresh buffers: the old ones stay pinned by the views above.
-        self._src = array("q")
-        self._dst = array("q")
-        self._bytes = array("q")
-        self._qos = array("b")
+        # A fresh buffer: the old one stays pinned by the views above.
+        self._rows = bytearray()
 
     def build_matrix(self, clear: bool = True) -> DemandMatrix:
         """The interval's demand matrix, aligned with the catalog.

@@ -15,6 +15,7 @@ real :class:`~repro.controlplane.agent.EndpointAgent` objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,10 @@ def spread_offsets(
     """
     if num_agents < 0:
         raise ValueError("num_agents must be non-negative")
+    if not 0 <= window_s < math.inf:  # NaN too
+        raise ValueError(
+            f"window_s must be non-negative and finite, got {window_s!r}"
+        )
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, window_s, size=num_agents)
 

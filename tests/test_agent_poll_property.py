@@ -10,7 +10,10 @@ here as the oracle.  Over random publish sequences on a fault-free store
 every flow and getting one back, an endpoint that never sources any,
 polls landing between a publish's config writes and its commit) both
 fleets must hold the same ``paths`` and ``local_version`` after every
-pass, and the new one must never ask the store for more.
+pass, and the new one must never ask the store for more.  It runs with
+the metrics registry on and off and with a finite and an infinite
+staleness bound: a poll notes its outcome only when one of those can
+record it, and that must not change what the agent does.
 
 The scheduled chaos CI lane raises the example budget through
 ``CHAOS_EXAMPLES``.
@@ -18,10 +21,12 @@ The scheduled chaos CI lane raises the example budget through
 
 from __future__ import annotations
 
+import math
 import os
 
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.controlplane import (
     EndpointAgent,
     TEController,
@@ -82,20 +87,43 @@ class PollingMidPublish(TEDatabase):
         max_size=8,
     ),
     st.booleans(),
+    st.booleans(),
+    st.sampled_from([math.inf, 100.0]),
 )
-def test_one_query_agent_matches_two_query_agent(epochs, delta_publish):
+def test_one_query_agent_matches_two_query_agent(
+    epochs, delta_publish, registry_enabled, max_staleness_s
+):
+    was = obs.telemetry_enabled()
+    obs.set_enabled(registry_enabled)
+    obs.reset()
+    try:
+        _check_against_two_query_agents(
+            epochs, delta_publish, registry_enabled, max_staleness_s
+        )
+    finally:
+        obs.set_enabled(was)
+        obs.reset()
+
+
+def _check_against_two_query_agents(
+    epochs, delta_publish, registry_enabled, max_staleness_s
+):
     database = PollingMidPublish()
     controller = TEController(database, delta_publish=delta_publish)
-    fleet = [EndpointAgent(endpoint_id=e) for e in FLEET]
+    fleet = [
+        EndpointAgent(endpoint_id=e, max_staleness_s=max_staleness_s)
+        for e in FLEET
+    ]
     reference = [TwoQueryAgent(e) for e in FLEET]
     queries = {"new": 0, "reference": 0}
-    installs = 0
+    installs = polls = 0
 
     def poll(endpoints, now: float) -> None:
-        nonlocal installs
+        nonlocal installs, polls
         for e in endpoints:
             before = database.total_queries()
             installs += fleet[e].poll(database, now)
+            polls += 1
             queries["new"] += database.total_queries() - before
             before = database.total_queries()
             reference[e].poll(database, now)
@@ -121,3 +149,6 @@ def test_one_query_agent_matches_two_query_agent(epochs, delta_publish):
     assert queries["new"] <= queries["reference"]
     assert installs <= sum(ref.installs for ref in reference)
     assert not any(agent.version_regressions for agent in fleet)
+    series = obs.get_registry().snapshot().get("megate_agent_polls_total")
+    noted = sum(e["state"]["value"] for e in series["series"]) if series else 0
+    assert noted == (polls if registry_enabled else 0)

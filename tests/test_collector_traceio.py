@@ -167,6 +167,23 @@ class TestDemandCollector:
         assert table.src_endpoints.tolist() == [a[1]]
         assert table.qos.tolist() == [1]
 
+    def test_non_integer_field_raises_at_ingest(
+        self, collector, tiny_topology
+    ):
+        """Both records construct; neither may leave a row behind."""
+        a, b = self._eps(tiny_topology)
+        collector.ingest(FlowRecord(a[1], b[1], 1_000))
+        for record in (FlowRecord(a[0], b[0], 1.5), FlowRecord(None, b[0], 1)):
+            with pytest.raises(TypeError):
+                collector.ingest(record)
+        assert collector.num_flows == 1
+        table = collector.build_matrix().table
+        assert table.src_endpoints.tolist() == [a[1]]
+        assert table.dst_endpoints.tolist() == [b[1]]
+        np.testing.assert_array_equal(
+            table.volumes, [1_000 * 8.0 / 100.0 / 1e9]
+        )
+
     def test_per_flow_sum_beyond_int64_raises(
         self, collector, tiny_topology
     ):
@@ -192,6 +209,10 @@ class TestDemandCollector:
     def test_invalid_interval(self, tiny_topology):
         with pytest.raises(ValueError):
             DemandCollector(tiny_topology, interval_seconds=0.0)
+        # NaN would emit NaN volumes and inf all-zero ones.
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="interval_seconds"):
+                DemandCollector(tiny_topology, interval_seconds=bad)
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):

@@ -365,6 +365,11 @@ class TestConvergence:
         assert offsets.min() >= 0.0
         assert offsets.max() < 10.0
 
+    @pytest.mark.parametrize("window_s", [float("nan"), float("inf"), -5.0])
+    def test_spread_offsets_rejects_a_bad_window(self, window_s):
+        with pytest.raises(ValueError, match="window_s"):
+            spread_offsets(10, window_s=window_s)
+
     def test_analytic_converges_within_one_period(self):
         offsets = spread_offsets(500, window_s=10.0, seed=1)
         report = analytic_convergence(
