@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .. import checks
 from ..obs import monotonic
 from ..core.types import FlowAssignment, SiteAllocation, TEResult
 from .hash_te import hash_realize
@@ -55,10 +56,9 @@ class TealTE:
         rho: float = 0.5,
         temperature: float = 0.3,
     ) -> None:
-        if admm_iterations < 0:
-            raise ValueError("admm_iterations must be non-negative")
-        if rho <= 0 or temperature <= 0:
-            raise ValueError("rho and temperature must be positive")
+        checks.nonnegative("admm_iterations", admm_iterations)
+        checks.positive("rho", rho)
+        checks.positive("temperature", temperature)
         self.admm_iterations = admm_iterations
         self.rho = rho
         self.temperature = temperature

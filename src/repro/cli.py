@@ -297,8 +297,9 @@ def _cmd_verify(args) -> None:
 
 
 @contextmanager
-def _input_file(option: str, path: str):
-    """Guard reading a ``repro solve`` input: a bad file is a usage error.
+def _input_file(command: str, option: str, path: str):
+    """Guard reading a ``repro <command>`` input: a bad file is a usage
+    error.
 
     A missing, unreadable or malformed file exits with status 2 and one
     line on stderr instead of a traceback.
@@ -311,7 +312,7 @@ def _input_file(option: str, path: str):
         reason = str(exc)
     else:
         return
-    print(f"repro solve: {option} {path}: {reason}", file=sys.stderr)
+    print(f"repro {command}: {option} {path}: {reason}", file=sys.stderr)
     raise SystemExit(2)
 
 
@@ -335,10 +336,10 @@ def _cmd_solve(args) -> None:
         "pop": POPTE,
         "conventional": ConventionalMCF,
     }
-    with _input_file("--topology", args.topology):
+    with _input_file("solve", "--topology", args.topology):
         topology = load_topology(args.topology)
     if args.demands:
-        with _input_file("--demands", args.demands), open(
+        with _input_file("solve", "--demands", args.demands), open(
             args.demands, encoding="utf-8"
         ) as handle:
             demands = read_demands_csv(
@@ -440,6 +441,16 @@ def _write_replay_telemetry(args) -> None:
     _write_metrics(args.metrics_out)
 
 
+def _check_history(command: str, path: str | None) -> None:
+    """Load an existing ``--history`` file before the run, so a bad one
+    fails at once (status 2) rather than after the whole run."""
+    from .experiments.bench_history import load_history
+
+    if path:
+        with _input_file(command, "--history", path):
+            load_history(path)
+
+
 def _append_history(path: str, kind: str, make_record) -> None:
     """Append ``make_record(timestamp=..., git_sha=...)`` to the
     bench-history artifact at ``path``."""
@@ -531,6 +542,7 @@ def _cmd_soak(args) -> None:
         num_agents=args.agents,
         num_shards=args.shards,
     )
+    _check_history("soak", args.history)
     report = run_soak_study(args.scenario, **overrides)
     # run_soak leaves its series in the registry for exactly this.
     _write_metrics(args.metrics_out)
@@ -610,6 +622,7 @@ def _cmd_stream(args) -> None:
         threshold=args.threshold,
         refresh_s=args.refresh,
     )
+    _check_history("stream", args.history)
     study = run_stream_study(
         args.scenario,
         trigger=args.trigger,

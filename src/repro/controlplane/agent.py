@@ -35,6 +35,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .. import checks
 from ..obs import get_registry
 from .controller import EndpointConfig, config_key
 from .database import SyncError, TEDatabase
@@ -46,6 +47,7 @@ __all__ = ["EndpointAgent", "RetryPolicy"]
 # same object).
 _registry = get_registry()
 _INF = math.inf
+_NEG_INF = -math.inf
 
 
 @dataclass(frozen=True)
@@ -75,19 +77,19 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails every check; inf passes where it
-        # means "no limit" (the cap, the budget).
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        for name in ("backoff_base_s", "backoff_cap_s"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"RetryPolicy.{name} must be >= 0")
-        if not self.backoff_multiplier >= 1.0:
-            raise ValueError("RetryPolicy.backoff_multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("RetryPolicy.jitter must be in [0, 1)")
-        if not self.poll_budget_s > 0:
-            raise ValueError("RetryPolicy.poll_budget_s must be positive")
+        checks.nonnegative("RetryPolicy.max_retries", self.max_retries)
+        checks.nonnegative("RetryPolicy.backoff_base_s", self.backoff_base_s)
+        checks.in_range(
+            "RetryPolicy.backoff_multiplier", self.backoff_multiplier, 1, _INF, "[)"
+        )
+        checks.in_range("RetryPolicy.jitter", self.jitter, 0, 1, "[)")
+        # inf: no cap on a delay, no budget for a poll.
+        checks.nonnegative(
+            "RetryPolicy.backoff_cap_s", self.backoff_cap_s, allow_inf=True
+        )
+        checks.positive(
+            "RetryPolicy.poll_budget_s", self.poll_budget_s, allow_inf=True
+        )
 
     def delay_s(self, attempt: int, token: int = 0) -> float:
         """The backoff before retry ``attempt`` (0-based), jittered."""
@@ -154,20 +156,22 @@ class EndpointAgent:
     _config_key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # One sum is NaN when any schedule field is: the fleet builds a
-        # million agents, so the common case costs one comparison.
+        # Inline, not repro.checks: the fleet builds a million agents.
+        # The sum is NaN or -inf when any schedule field is; only a
+        # failure calls the module, which names the field.
         total = self.poll_period_s + self.poll_offset_s + self.max_staleness_s
-        if total != total:
-            for name in ("poll_period_s", "poll_offset_s", "max_staleness_s"):
-                if math.isnan(getattr(self, name)):
-                    raise ValueError(f"EndpointAgent.{name} must not be NaN")
+        if not (total > _NEG_INF and 0 < self.poll_period_s < _INF):
+            checks.positive("EndpointAgent.poll_period_s", self.poll_period_s)
+            # inf: an agent that never polls, or never goes stale.
+            for name in ("poll_offset_s", "max_staleness_s"):
+                checks.finite(
+                    f"EndpointAgent.{name}", getattr(self, name), allow_inf=True
+                )
         # Every poll checks this key.
         self._config_key = config_key(self.endpoint_id)
 
     def next_poll_time(self, now: float) -> float:
         """The first scheduled poll at or after ``now``."""
-        if self.poll_period_s <= 0:
-            raise ValueError("poll period must be positive")
         slot = int(
             max(0.0, (now - self.poll_offset_s)) // self.poll_period_s
         )
@@ -313,8 +317,6 @@ class EndpointAgent:
 
     def maybe_poll(self, database: TEDatabase, now: float) -> bool:
         """Poll only when ``now`` lands on a new scheduled slot."""
-        if self.poll_period_s <= 0:
-            raise ValueError("poll period must be positive")
         slot = int((now - self.poll_offset_s) // self.poll_period_s)
         if now < self.poll_offset_s or slot <= self._last_poll_slot:
             return False

@@ -15,11 +15,11 @@ real :class:`~repro.controlplane.agent.EndpointAgent` objects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import checks
 from .agent import EndpointAgent
 from .database import SyncError, TEDatabase
 
@@ -68,12 +68,8 @@ def spread_offsets(
     several parts, and each part initiates queries asynchronously during a
     specific time period (e.g., 10 seconds)".
     """
-    if num_agents < 0:
-        raise ValueError("num_agents must be non-negative")
-    if not 0 <= window_s < math.inf:  # NaN too
-        raise ValueError(
-            f"window_s must be non-negative and finite, got {window_s!r}"
-        )
+    checks.nonnegative("num_agents", num_agents)
+    checks.nonnegative("window_s", window_s)
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, window_s, size=num_agents)
 
@@ -88,8 +84,7 @@ def analytic_convergence(
     Agent ``a`` polls at ``offset_a + n * period``; its delay is the gap
     from ``publish_time`` to the first such slot not before it.
     """
-    if poll_period_s <= 0:
-        raise ValueError("poll period must be positive")
+    checks.positive("poll_period_s", poll_period_s)
     n = np.ceil((publish_time - offsets) / poll_period_s)
     n = np.maximum(n, 0)
     first_slot = offsets + n * poll_period_s

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .. import checks
 from ..simulation.failures import surviving_volume
 from .database import TEDatabase
 from .hybrid import HybridPlan
@@ -99,8 +100,7 @@ def orchestrate_failover(
     Returns:
         A :class:`FailoverTimeline`.
     """
-    if database_outage_s < 0:
-        raise ValueError("database outage must be non-negative")
+    checks.nonnegative("database_outage_s", database_outage_s)
     if hybrid_plan is not None and endpoint_volumes is None:
         raise ValueError("hybrid_plan requires endpoint_volumes")
     before = solver.solve(topology, demands)

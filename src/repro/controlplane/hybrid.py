@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import checks
 from .sync import (
     CPU_PERCENT_PER_CONNECTION,
     MEMORY_MB_PER_CONNECTION,
@@ -64,13 +65,11 @@ def plan_hybrid_sync(
             persistent connections.
         spread_window_s: Poll-spreading window for the pulled tail.
     """
-    if not 0.0 < volume_coverage <= 1.0:
-        raise ValueError("volume_coverage must be in (0, 1]")
+    checks.in_range("volume_coverage", volume_coverage, 0, 1, "(]")
     volumes = np.asarray(endpoint_volumes, dtype=np.float64)
     if volumes.ndim != 1 or volumes.size == 0:
         raise ValueError("endpoint_volumes must be a non-empty vector")
-    if np.any(volumes < 0):
-        raise ValueError("volumes must be non-negative")
+    checks.nonnegative_array("endpoint_volumes", volumes)
     order = np.argsort(-volumes, kind="stable")
     cumulative = np.cumsum(volumes[order])
     total = float(cumulative[-1])
@@ -133,12 +132,9 @@ def exposure_after_failure(
             its poll slot, so the mean stale delay grows by exactly the
             outage.  Pushed endpoints are unaffected.
     """
-    if poll_period_s <= 0:
-        raise ValueError("poll period must be positive")
-    if not 0.0 <= affected_fraction <= 1.0:
-        raise ValueError("affected_fraction must be a fraction")
-    if database_outage_s < 0:
-        raise ValueError("database outage must be non-negative")
+    checks.positive("poll_period_s", poll_period_s)
+    checks.fraction("affected_fraction", affected_fraction)
+    checks.nonnegative("database_outage_s", database_outage_s)
     volumes = np.asarray(endpoint_volumes, dtype=np.float64)
     order = np.argsort(-volumes, kind="stable")
     total = float(volumes.sum())

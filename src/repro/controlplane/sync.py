@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .. import checks
 from .database import SHARD_CAPACITY_QPS
 
 __all__ = [
@@ -66,8 +67,7 @@ def persistent_connection_load(
 
     CPU saturates at 100%; beyond that the VM is simply overloaded.
     """
-    if num_connections < 0:
-        raise ValueError("connection count must be non-negative")
+    checks.nonnegative("num_connections", num_connections)
     cpu = min(100.0, num_connections * CPU_PERCENT_PER_CONNECTION)
     memory_mb = num_connections * MEMORY_MB_PER_CONNECTION
     return cpu, memory_mb
@@ -79,8 +79,7 @@ def topdown_resources(num_endpoints: int) -> ResourceEstimate:
     Cores are provisioned so sustained utilization stays at the 90%
     operating point the paper's pressure test used.
     """
-    if num_endpoints < 0:
-        raise ValueError("endpoint count must be non-negative")
+    checks.nonnegative("num_endpoints", num_endpoints)
     raw_cpu_percent = num_endpoints * CPU_PERCENT_PER_CONNECTION
     cores = max(1.0, raw_cpu_percent / TARGET_CPU_UTILIZATION)
     memory_gb = max(
@@ -99,10 +98,8 @@ def required_shards(
 
     Peak aggregate qps = endpoints × queries-per-poll / window.
     """
-    if num_endpoints < 0:
-        raise ValueError("endpoint count must be non-negative")
-    if spread_window_s <= 0:
-        raise ValueError("spread window must be positive")
+    checks.nonnegative("num_endpoints", num_endpoints)
+    checks.positive("spread_window_s", spread_window_s)
     peak_qps = num_endpoints * queries_per_poll / spread_window_s
     return max(1, math.ceil(peak_qps / shard_capacity_qps))
 

@@ -49,17 +49,18 @@ which fixes its numerics:
    no state, so jumping over a run of them is exact.
 3. Ties sort identically: :func:`descending_order` reproduces the
    stable sort's permutation, ties in original index order.
-4. ``NaN`` demands are never eligible and never selected, but they do
-   reach the two minima the reference takes over *all* unselected
+4. Oversized demands are never eligible and never selected, but they
+   do reach the two minima the reference takes over *all* unselected
    demands (the greedy gate and ``error_bound``), so the kernel carries
-   the oversized values' minimum — ``NaN``-propagating, as ``np.min``
-   is — beside the row.
+   their minimum beside the row.  (A ``NaN`` demand never gets here:
+   both reject it, :mod:`repro.checks`.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .. import checks
 from ..obs import monotonic
 from .ssp import dp_ssp, greedy_ssp
 
@@ -246,12 +247,10 @@ def _triage(
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    if np.any(vals < 0):
-        raise ValueError("demands must be non-negative")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    if capacity != capacity:
-        raise ValueError("capacity must not be NaN")
+    checks.nonnegative_array("values", vals)
+    checks.in_range("epsilon", epsilon, 0, 1, "()")
+    # inf: a capacity that never binds; below 0 it clamps to 0.
+    checks.finite("capacity", capacity, allow_inf=True)
     if capacity <= 0 or vals.size == 0:
         return vals, FastSSPResult(
             selected_array=_EMPTY_SELECTION,
@@ -410,8 +409,7 @@ def _cluster_row(row: np.ndarray, threshold: float) -> tuple[list, list]:
             # Small-cluster fast path: a plain Python running total over
             # the next few items.  ``running += v`` is the same IEEE add
             # sequence as the sliced cumsum (and as the reference scan),
-            # so the crossing decision is bit-identical; a NaN total
-            # never compares >= t and falls through to the windowed scan.
+            # so the crossing decision is bit-identical.
             stop = pos + small
             if stop > n:
                 stop = n
@@ -527,8 +525,7 @@ def _min_unselected(
     """``min`` over every unselected demand (``inf`` when there is none).
 
     The row is descending, so its unselected minimum is its last
-    unselected element; ``np.minimum`` folds in the oversized minimum
-    and propagates its ``NaN`` the way the reference's ``np.min`` does.
+    unselected element; ``np.minimum`` folds in the oversized minimum.
     """
     rest = np.flatnonzero(~selected)
     low = svals[rest[-1]] if rest.size else np.inf
@@ -548,9 +545,8 @@ def fast_ssp_sorted(
         values / capacity / epsilon: As for :func:`fast_ssp`.
         order: Optional sort hint — a permutation of
             ``arange(len(values))`` ordering the demands by ``(-value,
-            index)`` (descending, stable; must not be given when the
-            demands hold ``NaN``).  With it the sort step is a capacity
-            bisection.  The result is bit-identical with or without.
+            index)`` (descending, stable).  With it the sort step is a
+            capacity bisection.  The result is bit-identical with or without.
         phase_out: Optional dict accumulating the seconds a contended
             instance spends in each phase (keys :data:`SSP_PHASE_KEYS`).
 
@@ -563,8 +559,8 @@ def fast_ssp_sorted(
     cap = float(capacity)
 
     # Sort: eligible demands (<= capacity) descending, ties in index
-    # order, exactly like the reference's argsort.  The rest — oversized
-    # and NaN — can never be selected; only their minimum is needed.
+    # order, exactly like the reference's argsort.  The rest, oversized,
+    # can never be selected; only their minimum is needed.
     # A hinted row is already descending, so its eligible demands are
     # the positions from the first value <= capacity on.
     t0 = monotonic()

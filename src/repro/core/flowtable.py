@@ -38,6 +38,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .. import checks
+
 __all__ = ["csr_offsets", "segment_sums", "PairViews", "FlowTable"]
 
 
@@ -346,5 +348,4 @@ class FlowTable:
         if self.assigned_tunnel is not None:
             if self.assigned_tunnel.size != n:
                 raise ValueError(f"assigned_tunnel must have {n} entries")
-        if np.any(self.volumes < 0):
-            raise ValueError("demands must be non-negative")
+        checks.nonnegative_array("volumes", self.volumes)

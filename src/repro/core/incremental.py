@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .. import checks
 from .fastssp import descending_order
 from .types import UNASSIGNED
 
@@ -86,10 +87,8 @@ class IncrementalConfig:
     refresh_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.delta_threshold < 0:
-            raise ValueError("delta_threshold must be >= 0")
-        if self.refresh_every < 0:
-            raise ValueError("refresh_every must be >= 0")
+        checks.nonnegative("delta_threshold", self.delta_threshold)
+        checks.nonnegative("refresh_every", self.refresh_every)
 
 
 @dataclass

@@ -94,8 +94,7 @@ def fill_pair(
     # total the kernel's own triage compares — and the order is carried
     # as the kernel's hint from then on: positions into ``free``, in
     # ``(-volume, index)`` order, remapped through each tunnel's removal
-    # mask.  A pair holding NaN never promotes (a NaN total compares
-    # false, and the hint's bisection needs comparable values).
+    # mask.
     hint: np.ndarray | None = None
     steps = contended = 0
     for t_index in fill_order:

@@ -44,6 +44,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from .. import checks
 from ..obs import get_registry, get_tracer
 from .flowtable import csr_offsets
 from .lp_backend import LPSolveError, solve_lp
@@ -391,8 +392,7 @@ class SiteFlowSolver:
             )
         if not np.all(np.isfinite(site_demands)):
             raise ValueError("site_demands must be finite (no NaN or inf)")
-        if np.any(site_demands < 0):
-            raise ValueError("site demands must be non-negative")
+        checks.nonnegative_array("site_demands", site_demands)
         caps = self.capacities if capacities is None else capacities
         if caps.shape != self.capacities.shape:
             raise ValueError("capacities must align with the link index")
@@ -410,8 +410,8 @@ class SiteFlowSolver:
             )
         if not np.all(np.isfinite(weights)):
             raise ValueError("tunnel_weights must be finite (no NaN or inf)")
-        if epsilon is not None and not np.isfinite(epsilon):
-            raise ValueError("epsilon must be finite (no NaN or inf)")
+        if epsilon is not None:
+            checks.finite("epsilon", epsilon)
         if num_vars == 0:
             return SiteFlowSolution(
                 np.empty(0, dtype=np.float64),
@@ -748,8 +748,7 @@ def max_concurrent_scale(
     catalog = problem.topology.catalog
     if site_demands.shape != (catalog.num_pairs,):
         raise ValueError("site_demands must have one entry per site pair")
-    if np.any(site_demands < 0):
-        raise ValueError("site demands must be non-negative")
+    checks.nonnegative_array("site_demands", site_demands)
     caps = problem.capacities if capacities is None else capacities
     num_vars = problem.num_tunnel_vars
     active = np.flatnonzero(site_demands > 0)

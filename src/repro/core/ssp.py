@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import checks
+
 __all__ = [
     "SSPSolution",
     "dp_ssp",
@@ -69,10 +71,8 @@ def dp_ssp(values: np.ndarray, capacity: int) -> SSPSolution:
         raise TypeError(
             f"dp_ssp requires an integer capacity, got {capacity!r}"
         )
-    if np.any(vals < 0):
-        raise ValueError("values must be non-negative")
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
+    checks.nonnegative_array("values", vals)
+    checks.nonnegative("capacity", capacity)
     capacity = int(capacity)
     if vals.size == 0 or capacity == 0:
         return SSPSolution(selected=(), total=0.0)
@@ -130,10 +130,8 @@ def greedy_ssp(values: np.ndarray, capacity: float) -> SSPSolution:
     Works on real-valued inputs; ``O(n log n)``.
     """
     vals = np.asarray(values, dtype=np.float64)
-    if np.any(vals < 0):
-        raise ValueError("values must be non-negative")
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
+    checks.nonnegative_array("values", vals)
+    checks.nonnegative("capacity", capacity, allow_inf=True)  # never binds
     order = np.argsort(-vals, kind="stable")
     remaining = float(capacity)
     selected: list[int] = []
@@ -195,8 +193,7 @@ def meet_in_the_middle_ssp(
         ValueError: for more than 40 items.
     """
     vals = np.asarray(values, dtype=np.float64)
-    if np.any(vals < 0):
-        raise ValueError("values must be non-negative")
+    checks.nonnegative_array("values", vals)
     n = int(vals.size)
     if n > 40:
         raise ValueError("meet-in-the-middle limited to 40 items")

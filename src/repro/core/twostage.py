@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from .. import checks
 from ..obs import get_registry, get_tracer, monotonic
 from .flowtable import segment_sums
 from .formulation import MaxAllFlowProblem
@@ -283,8 +284,7 @@ class MegaTEOptimizer:
         shard_workers: int | None = None,
         ssp_backend: str | None = None,
     ) -> None:
-        if not 0 < fastssp_epsilon < 1:
-            raise ValueError("fastssp_epsilon must be in (0, 1)")
+        checks.in_range("fastssp_epsilon", fastssp_epsilon, 0, 1, "()")
         if second_stage not in ("batched", "serial"):
             raise ValueError(
                 "second_stage must be 'batched' or 'serial'"

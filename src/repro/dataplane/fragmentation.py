@@ -9,6 +9,7 @@ fragments that program must cope with.
 
 from __future__ import annotations
 
+from .. import checks
 from .packet import (
     FiveTuple,
     IPV4_HEADER_LEN,
@@ -40,8 +41,7 @@ def build_udp_fragments(
         Encoded IPv4 packets: a single packet when it fits, otherwise
         fragments with correct offsets and MF flags.
     """
-    if payload_length < 0:
-        raise ValueError("payload_length must be non-negative")
+    checks.nonnegative("payload_length", payload_length)
     if payload_length > MAX_UDP_PAYLOAD:
         raise ValueError(
             f"UDP payload limited to {MAX_UDP_PAYLOAD} bytes; split the "

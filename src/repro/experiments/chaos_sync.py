@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import checks
 from ..controlplane import EndpointAgent, FaultPlan
 from ..controlplane.database import TEDatabase
 from ..obs import get_registry, get_tracer
-from ..simulation.engine import SyncPlane, check_clock
+from ..simulation.engine import SyncPlane
 
 __all__ = ["ChaosSyncRow", "ChaosSimResult", "simulate", "run"]
 
@@ -127,15 +128,11 @@ def simulate(
             each tick (the production posture); disable to measure the
             unmanaged store.
     """
-    check_clock(
-        tick_s=tick_s,
-        poll_period_s=poll_period_s,
-        publish_period_s=publish_period_s,
-    )
-    if not 0 < horizon_s < math.inf:
-        raise ValueError(
-            f"horizon_s must be positive and finite, got {horizon_s!r}"
-        )
+    checks.positive("tick_s", tick_s)
+    checks.positive("poll_period_s", poll_period_s)
+    # inf: one publish, at t = 0, and never again.
+    checks.positive("publish_period_s", publish_period_s, allow_inf=True)
+    checks.positive("horizon_s", horizon_s)
     plan = FaultPlan.generate(
         seed=seed,
         num_shards=num_shards,

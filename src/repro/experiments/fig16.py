@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import checks
 from ..baselines import ConventionalMCF
 from ..core import MegaTEOptimizer
 from ..traffic import DemandMatrix, PairDemands
@@ -73,8 +74,7 @@ def run(
     seed: int = 0,
 ) -> list[Fig16Row]:
     """Reproduce Figure 16's monthly availability timeline."""
-    if not 0 <= rollout_month <= num_months:
-        raise ValueError("rollout month out of range")
+    checks.in_range("rollout_month", rollout_month, 0, num_months)
     production = production or build_production_scenario(seed=seed)
     topology = production.topology
     base = production.scenario.demands

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from .. import checks
 from ..core import MegaTEOptimizer
 from ..core.types import PHASE_KEYS, StatKey
 from ..obs import get_tracer
@@ -148,8 +149,7 @@ def replay_intervals(
             when omitted.
         topology_name: Label recorded in the report.
     """
-    if num_intervals <= 0:
-        raise ValueError("num_intervals must be positive")
+    checks.positive("num_intervals", num_intervals)
     if optimizer is None:
         optimizer = MegaTEOptimizer()
     # A replay is one fresh control-loop run: never inherit carried

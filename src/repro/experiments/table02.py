@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import checks
 from ..topology import WeibullEndpointModel, attach_endpoints, topology_by_name
 from .common import PAPER_ENDPOINTS
 
@@ -38,8 +39,7 @@ class TopologyRow:
 
 def run(scale: float = 0.01, seed: int = 0) -> list[TopologyRow]:
     """Build all Table 2 topologies at ``scale`` × the paper's endpoints."""
-    if not 0 < scale <= 1:
-        raise ValueError("scale must be in (0, 1]")
+    checks.in_range("scale", scale, 0, 1, "(]")
     rows: list[TopologyRow] = []
     for name, paper_count in PAPER_ENDPOINTS.items():
         network = topology_by_name(name)

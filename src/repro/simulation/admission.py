@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import checks
 from ..core.flowtable import FlowTable
 from ..traffic.demand import DemandMatrix
 
@@ -61,8 +62,7 @@ class AdmissionConfig:
     defer: bool = False
 
     def __post_init__(self) -> None:
-        if self.budget_factor <= 0:
-            raise ValueError("budget_factor must be positive")
+        checks.positive("budget_factor", self.budget_factor)
         if not self.shed_order:
             raise ValueError("shed_order must name at least one class")
         overlap = set(self.protected) & set(self.shed_order)
@@ -111,8 +111,7 @@ class AdmissionController:
     ) -> None:
         self.config = config if config is not None else AdmissionConfig()
         self.budgets = np.asarray(budgets, dtype=np.float64)
-        if np.any(self.budgets < 0):
-            raise ValueError("budgets must be non-negative")
+        checks.nonnegative_array("budgets", self.budgets)
         # Per-(pair, class) deferred backlog; only populated in defer
         # mode, keyed by (pair index, qos class).
         self._backlog: dict[tuple[int, int], float] = {}

@@ -10,7 +10,7 @@ pieces; nothing here serves only one of them:
 * :class:`CutTopologies` (soak, stream) — cached degraded topologies;
 * :class:`EpochLoop` (soak, stream, interval runner) — decide, solve,
   digest, actuate and realize one epoch;
-* :func:`owned_registry`, :class:`RunIdentity` and :func:`check_clock`.
+* :func:`owned_registry` and :class:`RunIdentity`.
 
 Each driver keeps its own event vocabulary, sampling and report.
 """
@@ -34,7 +34,6 @@ __all__ = [
     "NOOP",
     "DELTA",
     "FULL",
-    "check_clock",
     "owned_registry",
     "RunIdentity",
     "CutTopologies",
@@ -48,14 +47,6 @@ __all__ = [
 NOOP = "noop"
 DELTA = "delta"
 FULL = "full"
-
-
-def check_clock(**fields: float) -> None:
-    """Raise :class:`ValueError` naming the first field that is not
-    positive (NaN included); ``inf`` passes, meaning "never"."""
-    for name, value in fields.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 @contextmanager

@@ -42,6 +42,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+from .. import checks
 from ..core import MegaTEOptimizer
 from ..core.incremental import _REL_FLOOR  # shared rel-delta semantics
 from ..obs import get_tracer
@@ -54,7 +55,6 @@ from .engine import (
     CutTopologies,
     EpochLoop,
     RunIdentity,
-    check_clock,
     owned_registry,
 )
 
@@ -107,12 +107,16 @@ class StreamEvent:
     """
 
     kind: ClassVar[str] = "event"
+    #: The subclass's numeric fields, each with its :mod:`repro.checks` rule.
+    rules: ClassVar[tuple] = ()
 
     time: float
 
     def __post_init__(self) -> None:
-        if not self.time >= 0:  # NaN too
-            raise ValueError(f"event time must be non-negative, got {self.time!r}")
+        # inf: an event that never applies.
+        checks.nonnegative("time", self.time, allow_inf=True)
+        for name, rule in self.rules:
+            rule(name, getattr(self, name))
 
     def describe(self) -> dict:
         """JSON-serializable event descriptor (for the event log)."""
@@ -149,14 +153,10 @@ class VolumeScale(StreamEvent):
     """Scale one site pair's current volumes by ``factor``."""
 
     kind: ClassVar[str] = "volume_scale"
+    rules: ClassVar[tuple] = (("factor", checks.nonnegative),)
 
     pair: int = 0
     factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.factor >= 0:  # NaN too
-            raise ValueError(f"scale factor must be non-negative, got {self.factor!r}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,10 @@ class FlowArrival(StreamEvent):
     """
 
     kind: ClassVar[str] = "flow_arrival"
+    rules: ClassVar[tuple] = (
+        ("fraction", checks.fraction),
+        ("volume_scale", checks.nonnegative),
+    )
 
     pair: int = 0
     fraction: float = 0.25
@@ -182,6 +186,7 @@ class FlowDeparture(StreamEvent):
     """A seeded subset of one pair's flows departs (volume -> 0)."""
 
     kind: ClassVar[str] = "flow_departure"
+    rules: ClassVar[tuple] = (("fraction", checks.fraction),)
 
     pair: int = 0
     fraction: float = 0.25
@@ -199,6 +204,7 @@ class BurstStart(StreamEvent):
     """
 
     kind: ClassVar[str] = "burst_start"
+    rules: ClassVar[tuple] = (("magnitude", checks.nonnegative),)
 
     pair: int = 0
     magnitude: float = 2.0
@@ -381,11 +387,6 @@ class TriggerContext:
         return max(self.measured_drift, self.predicted_drift)
 
 
-def _check_threshold(threshold: float) -> None:
-    if not threshold >= 0:  # NaN too
-        raise ValueError(f"threshold must be non-negative, got {threshold!r}")
-
-
 @dataclass(frozen=True)
 class OracleTrigger:
     """Full re-solve on every epoch that saw any event.
@@ -411,7 +412,7 @@ class PeriodicTrigger:
     period_s: float = 300.0
 
     def __post_init__(self) -> None:
-        check_clock(period_s=self.period_s)
+        checks.positive("period_s", self.period_s, allow_inf=True)  # never
 
     def decide(self, ctx: TriggerContext) -> str:
         if ctx.topology_changed or ctx.staleness_s >= self.period_s:
@@ -433,7 +434,7 @@ class DeltaTrigger:
     threshold: float = 0.25
 
     def __post_init__(self) -> None:
-        _check_threshold(self.threshold)
+        checks.nonnegative("threshold", self.threshold, allow_inf=True)
 
     def decide(self, ctx: TriggerContext) -> str:
         if ctx.topology_changed:
@@ -458,8 +459,9 @@ class HybridTrigger:
     refresh_s: float = 900.0
 
     def __post_init__(self) -> None:
-        _check_threshold(self.threshold)
-        check_clock(refresh_s=self.refresh_s)
+        # inf: never solve on drift, never refresh.
+        checks.nonnegative("threshold", self.threshold, allow_inf=True)
+        checks.positive("refresh_s", self.refresh_s, allow_inf=True)
 
     def decide(self, ctx: TriggerContext) -> str:
         if ctx.topology_changed or ctx.staleness_s >= self.refresh_s:
@@ -526,9 +528,9 @@ def stream_scenario_events(
             f"unknown scenario {name!r}; "
             f"choose from {STREAM_SCENARIO_NAMES}"
         )
-    if num_pairs <= 0 or num_epochs <= 0:
-        raise ValueError("num_pairs and num_epochs must be positive")
-    check_clock(tick_s=tick_s)
+    checks.positive("num_pairs", num_pairs)
+    checks.positive("num_epochs", num_epochs)
+    checks.positive("tick_s", tick_s)
 
     rng = np.random.default_rng(seed)
     events: list[StreamEvent] = []
@@ -867,9 +869,8 @@ def run_stream(
         scenario: Scenario name recorded in the report.
         topology_name: Topology label recorded in the report.
     """
-    if num_epochs <= 0:
-        raise ValueError("num_epochs must be positive")
-    check_clock(tick_s=tick_s)
+    checks.positive("num_epochs", num_epochs)
+    checks.positive("tick_s", tick_s)
     if trigger is None:
         trigger = HybridTrigger()
 

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .. import checks
 from .graph import SiteNetwork
 
 __all__ = [
@@ -42,8 +43,8 @@ class WeibullEndpointModel:
     scale: float = 1000.0
 
     def __post_init__(self) -> None:
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("Weibull parameters must be positive")
+        checks.positive("shape", self.shape)
+        checks.positive("scale", self.scale)
 
     def sample_counts(
         self, num_sites: int, rng: np.random.Generator
@@ -90,8 +91,7 @@ class EndpointLayout:
         self._site_index: dict[str, int] = {}
         next_id = 0
         for site, count in counts_by_site.items():
-            if count < 0:
-                raise ValueError(f"negative endpoint count at {site!r}")
+            checks.nonnegative(f"endpoint count at {site!r}", count)
             self._site_index[site] = len(self._sites)
             self._sites.append(site)
             self._counts.append(int(count))
@@ -147,8 +147,7 @@ class EndpointLayout:
 
     def scaled(self, factor: float) -> "EndpointLayout":
         """A layout with every site's count scaled by ``factor`` (min 1)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        checks.positive("factor", factor)
         return EndpointLayout(
             {
                 site: max(1, round(count * factor))

@@ -13,11 +13,12 @@ capacity per direction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
 import networkx as nx
+
+from .. import checks
 
 __all__ = ["Link", "SiteNetwork"]
 
@@ -48,21 +49,10 @@ class Link:
         if self.src == self.dst:
             raise ValueError(f"self-loop link at site {self.src!r}")
         for name in ("capacity", "latency_ms", "cost_per_gbps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} on {self.src}->{self.dst} must be finite, "
-                    f"got {getattr(self, name)!r}"
-                )
-        if self.capacity < 0:
-            raise ValueError(f"negative capacity on {self.src}->{self.dst}")
-        if self.latency_ms < 0:
-            raise ValueError(f"negative latency on {self.src}->{self.dst}")
-        if self.cost_per_gbps < 0:
-            raise ValueError(
-                f"negative cost_per_gbps on {self.src}->{self.dst}"
+            checks.nonnegative(
+                f"{name} on {self.src}->{self.dst}", getattr(self, name)
             )
-        if not 0.0 <= self.availability <= 1.0:
-            raise ValueError("availability must be a probability")
+        checks.fraction("availability", self.availability)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -241,8 +231,7 @@ class SiteNetwork:
 
     def scaled_capacity(self, factor: float) -> "SiteNetwork":
         """A copy with every link capacity multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError("capacity scale factor must be non-negative")
+        checks.nonnegative("factor", factor)
         copy = SiteNetwork(name=self.name)
         for site in self._sites:
             copy.add_site(site)

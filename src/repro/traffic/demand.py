@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .. import checks
 from ..core.flowtable import FlowTable, segment_sums
 from ..core.qos import QoSClass
 
@@ -47,8 +48,7 @@ class PairDemands:
             raise ValueError("volumes must be one-dimensional")
         if self.qos.shape != self.volumes.shape:
             raise ValueError("qos and volumes must align")
-        if np.any(self.volumes < 0):
-            raise ValueError("demands must be non-negative")
+        checks.nonnegative_array("volumes", self.volumes)
         valid = np.isin(self.qos, [q.value for q in QoSClass])
         if not bool(np.all(valid)):
             raise ValueError("qos values must be 1, 2 or 3")
@@ -259,8 +259,7 @@ class DemandMatrix:
         ... we randomly select the traffic demands from endpoint pairs
         connecting to the same site pair."
         """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
+        checks.in_range("fraction", fraction, 0, 1, "(]")
         rng = np.random.default_rng(seed)
         out = []
         for pair in self._per_pair:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import checks
 from ..core.flowtable import FlowTable, csr_offsets
 from ..core.qos import QoSClass
 from ..obs import get_tracer
@@ -58,8 +59,7 @@ class TraceStyleGenerator:
     def __post_init__(self) -> None:
         if abs(sum(self.qos_mix) - 1.0) > 1e-9:
             raise ValueError("qos_mix must sum to 1")
-        if self.pairs_per_endpoint <= 0:
-            raise ValueError("pairs_per_endpoint must be positive")
+        checks.positive("pairs_per_endpoint", self.pairs_per_endpoint)
 
     def generate(
         self, topology: TwoLayerTopology, seed: int = 0
@@ -112,7 +112,7 @@ class TraceStyleGenerator:
 
 
 @dataclass(frozen=True)
-class FlatTraceGenerator:
+class FlatTraceGenerator(TraceStyleGenerator):
     """Columnar variant of :class:`TraceStyleGenerator` for huge matrices.
 
     Same statistical model (geometric-mean pair counts, log-normal
@@ -125,21 +125,9 @@ class FlatTraceGenerator:
     The draw *order* differs from :class:`TraceStyleGenerator` (one flat
     stream versus one stream segment per pair), so the two generators are
     not bit-compatible for the same seed.  Use this one for new large
-    configs; existing pinned digests keep the per-pair generator.
+    configs; existing pinned digests keep the per-pair generator.  The
+    parameters, and their checks, are the parent's.
     """
-
-    pairs_per_endpoint: float = 1.0
-    max_pairs_per_site_pair: int = 200_000
-    volume_mu: float = -4.0
-    volume_sigma: float = 1.2
-    qos_mix: tuple[float, float, float] = (0.15, 0.6, 0.25)
-    bulk_multiplier: float = 4.0
-
-    def __post_init__(self) -> None:
-        if abs(sum(self.qos_mix) - 1.0) > 1e-9:
-            raise ValueError("qos_mix must sum to 1")
-        if self.pairs_per_endpoint <= 0:
-            raise ValueError("pairs_per_endpoint must be positive")
 
     def generate(
         self, topology: TwoLayerTopology, seed: int = 0
@@ -241,8 +229,7 @@ def scale_to_load(
     from ..core.formulation import MaxAllFlowProblem
     from ..core.siteflow import max_concurrent_scale
 
-    if target_load <= 0:
-        raise ValueError("target_load must be positive")
+    checks.positive("target_load", target_load)
     total = matrix.total_demand
     if total <= 0:
         return matrix

@@ -14,6 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .. import checks
 from .demand import DemandMatrix
 
 __all__ = ["DiurnalSequence"]
@@ -43,10 +44,8 @@ class DiurnalSequence:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.interval_minutes <= 0:
-            raise ValueError("interval must be positive")
-        if self.peak_to_trough < 1.0:
-            raise ValueError("peak_to_trough must be >= 1")
+        checks.positive("interval_minutes", self.interval_minutes)
+        checks.in_range("peak_to_trough", self.peak_to_trough, 1, math.inf, "[)")
 
     @property
     def num_intervals(self) -> int:

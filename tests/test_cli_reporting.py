@@ -350,6 +350,32 @@ class TestObservabilityCLI:
             for flag in ("seed", "json", "out"):
                 assert hasattr(args, flag), (command, flag)
 
+    @pytest.mark.parametrize("command", ["soak", "stream"])
+    @pytest.mark.parametrize(
+        "content", ["not json\n", '{"history": [{"kind": "soak"}]}\n']
+    )
+    def test_bad_history_fails_before_any_interval(
+        self, tmp_path, capsys, monkeypatch, command, content
+    ):
+        """A malformed ``--history`` file is a usage error (status 2, one
+        ``repro <command>:`` line) raised before the run starts."""
+        from repro.experiments import soak_study, stream_study
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("an interval ran before --history was read")
+
+        monkeypatch.setattr(soak_study, "run_soak_study", no_run)
+        monkeypatch.setattr(stream_study, "run_stream_study", no_run)
+        bad = tmp_path / "bad.json"
+        bad.write_text(content, encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--history", str(bad)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro {command}: --history {bad}: ")
+        assert captured.out == ""
+
     def test_soak_json_report_and_history(self, tmp_path):
         import json
 

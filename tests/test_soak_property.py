@@ -247,18 +247,6 @@ class TestSnapshotHelpers:
 
 
 class TestValidation:
-    def test_nan_bounds_cannot_disable_the_gate(self):
-        with pytest.raises(ValueError, match="min_availability"):
-            SLOSpec(min_availability=NAN)
-        for field in (
-            "max_staleness_p99_s",
-            "max_degraded_fraction",
-            "min_delivered_floor",
-            "max_solver_phase_p99_s",
-        ):
-            with pytest.raises(ValueError, match=field):
-                SLOSpec(**{field: NAN})
-
     @pytest.mark.parametrize(
         "field, value",
         [

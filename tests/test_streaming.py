@@ -31,7 +31,6 @@ from repro.simulation.streaming import (
     HybridTrigger,
     OracleTrigger,
     PeriodicTrigger,
-    StreamEvent,
     StreamState,
     TopologyChange,
     TriggerContext,
@@ -307,12 +306,6 @@ class TestScenarios:
     def test_nan_tick_rejected(self):
         with pytest.raises(ValueError, match="tick_s"):
             stream_scenario_events("flash-crowd", 24, 10, tick_s=NAN)
-
-    def test_nan_event_fields_rejected(self):
-        with pytest.raises(ValueError, match="time"):
-            StreamEvent(time=NAN)
-        with pytest.raises(ValueError, match="factor"):
-            VolumeScale(time=0.0, pair=0, factor=NAN)
 
     @pytest.mark.parametrize("name", STREAM_SCENARIO_NAMES)
     def test_events_sorted_and_bounded(self, name):
