@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .. import checks
-from ..core.flowtable import FlowTable, csr_offsets
+from ..core.flowtable import FlowTable, concat_ranges, csr_offsets
 from ..core.qos import QoSClass
 from ..obs import get_registry, get_tracer
 from ..traffic.demand import DemandMatrix
@@ -109,7 +109,7 @@ def _no_rows() -> tuple[np.ndarray, ...]:
         np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.int8),
-        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int32),
     )
 
 
@@ -150,10 +150,11 @@ class DemandCollector:
         # exact int64 byte sums.
         self._drained = _no_rows()
         self._unroutable_bytes = 0
-        # Sorted ``src_site * S + dst_site`` keys of the catalog's pairs
-        # and the pair index of each (built at the first drain).
-        self._pair_keys: np.ndarray | None = None
-        self._pair_of_key: np.ndarray | None = None
+        # Catalog pair index (int32, -1 if none) of every site pair, at
+        # ``src_site * S + dst_site``, and the catalog pair count it was
+        # built for (built at the first drain).
+        self._pair_table = np.empty(0, dtype=np.int32)
+        self._pair_table_pairs = -1
 
     def ingest(self, record: FlowRecord) -> None:
         """Add one agent report (same-pair reports accumulate).
@@ -223,35 +224,33 @@ class DemandCollector:
         return self._unroutable_bytes
 
     def _site_pairs(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Catalog pair index of each ``(src, dst)`` row, ``-1`` if none."""
+        """Catalog pair index of each ``(src, dst)`` row, ``-1`` if none:
+        three gathers (endpoint -> site twice, site pair -> catalog pair)."""
         catalog = self.topology.catalog
         layout = self.topology.layout
-        sites = layout.sites
-        if self._pair_keys is None or (
-            self._pair_keys.size != catalog.num_pairs + 1
-        ):
-            index = {site: i for i, site in enumerate(sites)}
-            keys = np.array(
-                [
-                    index[a] * len(sites) + index[b]
-                    if a in index and b in index
-                    else -1
-                    for a, b in catalog.pairs
-                ],
-                dtype=np.int64,
-            )
-            order = np.argsort(keys, kind="stable")
-            # A sentinel past every real key keeps searchsorted's
-            # insertion point a valid index.
-            self._pair_keys = np.append(keys[order], _INT64_MAX)
-            self._pair_of_key = np.append(order, -1)
-        key = layout.site_indices(src)
-        key *= len(sites)
-        key += layout.site_indices(dst)
-        at = np.searchsorted(self._pair_keys, key)
-        return np.where(
-            self._pair_keys[at] == key, self._pair_of_key[at], -1
+        num_sites = len(layout.sites)
+        if self._pair_table_pairs != catalog.num_pairs:
+            index = {site: i for i, site in enumerate(layout.sites)}
+            cells = [
+                (index[a] * num_sites + index[b], k)
+                for k, (a, b) in enumerate(catalog.pairs)
+                if a in index and b in index
+            ]
+            table = np.full(num_sites * num_sites, -1, dtype=np.int32)
+            if cells:
+                cell, pair = np.array(cells, dtype=np.int64).T
+                # A repeated site pair keeps its first catalog index.
+                cell, first = np.unique(cell, return_index=True)
+                table[cell] = pair[first]
+            self._pair_table = table
+            self._pair_table_pairs = catalog.num_pairs
+        cell = np.multiply(
+            layout.site_indices(src),
+            num_sites,
+            dtype=np.min_scalar_type(-self._pair_table.size),
         )
+        cell += layout.site_indices(dst)
+        return np.take(self._pair_table, cell)
 
     def _drain(self) -> None:
         """Fold the buffered reports into the drained flow rows.
@@ -261,12 +260,14 @@ class DemandCollector:
         """
         if not self._rows:
             return
-        # Views of the packed rows' fields, not copies: a copy of the
-        # endpoint columns would raise the epoch's peak memory.  Gathers
-        # from them use ``np.take``, several times faster than ``[]`` on
-        # strided, unaligned fields.
+        # The endpoint columns are copied out of the packed rows once:
+        # the site gathers, the sort key and the final gathers all read
+        # them, several times faster from contiguous memory than from the
+        # strided, unaligned fields.  Bytes and qos stay views until
+        # their one copy, after the sort.
         buffered = np.frombuffer(self._rows, dtype=_ROW_DTYPE)
-        src, dst = buffered["src"], buffered["dst"]
+        src = np.ascontiguousarray(buffered["src"])
+        dst = np.ascontiguousarray(buffered["dst"])
         sent, qos = buffered["bytes"], buffered["qos"]
         k = self._site_pairs(src, dst)
         rows = (src, dst, sent, qos, k)
@@ -280,41 +281,63 @@ class DemandCollector:
                 (lost & 0xFFFFFFFF).sum()
             )
             rows = tuple(column[routable] for column in rows)
+        del routable
         if self._drained[0].size:
             # Earlier rows first: a row's index is its report order.
             rows = tuple(
                 np.concatenate(both) for both in zip(self._drained, rows)
             )
-        src, dst, _, _, k = rows
-        # (k, src, dst) order.  Indexing by it also copies the rows out
-        # of the report buffers.
+        src, dst, sent, qos, k = rows
+        # (k, src, dst) order, and whether each sorted row repeats the
+        # (src, dst) before it.
         n = self._num_endpoints
         pairs = self.topology.catalog.num_pairs
+        repeats = np.zeros(k.size, dtype=bool)
         if pairs.bit_length() + 2 * n.bit_length() <= 63:
             # One unstable sort of (k * n + src) * n + dst, which fits
             # int64, is several times faster than a stable one or three.
-            key = k * n
+            key = np.multiply(k, n, dtype=np.int64)
             key += src
             key *= n
             key += dst
             order = np.argsort(key)
+            key = np.take(key, order)
+            np.equal(key[1:], key[:-1], out=repeats[1:])
         else:
             # lexsort's last key is primary.
             order = np.lexsort((dst, src, k))
-        src, dst, sent, qos, k = (np.take(column, order) for column in rows)
-        new_group = np.ones(k.size, dtype=bool)
-        np.not_equal(src[1:], src[:-1], out=new_group[1:])
-        new_group[1:] |= dst[1:] != dst[:-1]
-        if not new_group.all():
-            # Several reports for one (src, dst): sum their bytes (in
-            # any order, exactly); the latest report's qos (the latest
-            # registration) wins — the highest row index in the group,
-            # wherever the unstable sort put it.
-            first = np.flatnonzero(new_group)
-            sent = _group_sums(sent, first)
-            qos = np.take(rows[3], np.maximum.reduceat(order, first))
-            src, dst, k = src[first], dst[first], k[first]
-        self._drained = (src, dst, sent, qos, k)
+            key = np.take(src, order)
+            np.equal(key[1:], key[:-1], out=repeats[1:])
+            key = np.take(dst, order)
+            repeats[1:] &= key[1:] == key[:-1]
+        del key
+        sent = np.ascontiguousarray(sent)
+        qos = np.ascontiguousarray(qos)
+        # Each (src, dst) group's first sorted row leads it.  Only groups
+        # of several reports are reduced: their bytes summed (in any
+        # order, exactly), the latest report's qos (the latest
+        # registration) taken — the highest row index in the group,
+        # wherever the unstable sort put it.
+        rows = (src, dst, sent, qos, k)
+        if not repeats.any():
+            drained = tuple(np.take(column, order) for column in rows)
+        else:
+            first = np.flatnonzero(~repeats)
+            size = np.diff(first, append=k.size)
+            multi = np.flatnonzero(size > 1)
+            members = np.take(
+                order, concat_ranges(first[multi], size[multi])
+            )
+            bounds = csr_offsets(size[multi])[:-1]
+            sums = _group_sums(np.take(sent, members), bounds)
+            latest = np.maximum.reduceat(members, bounds)
+            del members, size
+            leader = np.take(order, first)
+            del order, first
+            drained = tuple(np.take(column, leader) for column in rows)
+            drained[2][multi] = sums
+            drained[3][multi] = np.take(qos, latest)
+        self._drained = drained
         self._unroutable_bytes += unroutable
         # A fresh buffer: the old one stays pinned by the views above.
         self._rows = bytearray()
@@ -339,16 +362,20 @@ class DemandCollector:
             self._drain()
             src, dst, sent, qos, k = self._drained
             sp.set_attribute("num_flows", int(k.size))
-            counts = np.bincount(
-                k, minlength=self.topology.catalog.num_pairs
+            # Rows are in pair order: one boundary search per pair.
+            offsets = np.searchsorted(
+                k, np.arange(self.topology.catalog.num_pairs + 1, dtype=k.dtype)
             )
+            volumes = sent * 8.0
+            volumes /= self.interval_seconds
+            volumes /= 1e9
             table = FlowTable(
-                csr_offsets(counts),
-                sent * 8.0 / self.interval_seconds / 1e9,
+                offsets,
+                volumes,
                 qos,
                 src,
                 dst,
-                has_endpoints=counts > 0,
+                has_endpoints=np.diff(offsets) > 0,
             )
             if clear:
                 self._drained = _no_rows()

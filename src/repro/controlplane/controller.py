@@ -9,6 +9,7 @@ pull at their own pace.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from itertools import islice
@@ -17,6 +18,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from ..core.flowtable import concat_ranges, csr_offsets
 from ..core.twostage import MegaTEOptimizer
 from .database import SyncError, TEDatabase
 
@@ -77,7 +79,17 @@ class _RowPaths(Mapping[int, tuple[str, ...]]):
         return iter(self._ids()[::2].tolist())
 
     def __getitem__(self, dst: int) -> tuple[str, ...]:
-        return self._as_dict()[dst]
+        # A binary search of the ascending dst column: one lookup reads
+        # O(log n) rows, not all of them.
+        ids = self._ids()
+        dsts = ids[::2]
+        try:
+            i = bisect_left(dsts, dst)
+            if i < len(dsts) and dsts[i] == dst:
+                return self._table[ids[2 * i + 1]]
+        except TypeError:  # not comparable with an int: not a key
+            pass
+        raise KeyError(dst)
 
     def _as_dict(self) -> dict[int, tuple[str, ...]]:
         ids = self._ids().tolist()
@@ -107,6 +119,14 @@ _DST_MASK = 2**_DST_BITS - 1
 _MAX_ENDPOINT_ID = 2 ** (63 - _DST_BITS) - 1
 
 
+def _packable(src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether every endpoint id lies in ``[0, 2**31)``."""
+    return not src.size or (
+        0 <= min(src.min(), dst.min())
+        and max(src.max(), dst.max()) <= _MAX_ENDPOINT_ID
+    )
+
+
 class TEController:
     """Periodic TE recomputation + versioned publication.
 
@@ -132,7 +152,12 @@ class TEController:
         # packed key (ascending) and interned path id.  This is what
         # delta publish diffs the next assignment against.
         self._pub_key = np.empty(0, dtype=np.int64)
-        self._pub_path = np.empty(0, dtype=np.int64)
+        self._pub_path = np.empty(0, dtype=np.int32)
+        # Their segment index: each published endpoint (ascending) and
+        # the CSR offsets of its rows, so endpoint i's segment is
+        # ``_pub_offsets[i]:_pub_offsets[i + 1]``.
+        self._pub_endpoints = np.empty(0, dtype=np.int32)
+        self._pub_offsets = np.zeros(1, dtype=np.int64)
         # Site paths interned to integer ids (insertion order is id
         # order), so rows compare as integers and an id means the same
         # path under every catalog this controller publishes from —
@@ -197,36 +222,58 @@ class TEController:
         """
         next_version = self.current_version + 1
         key, path = self._publishable_rows(topology.catalog, result)
-        # Endpoints sourcing flows this interval, ascending, with where
-        # each one's rows start and how many it has.
+        # Endpoints sourcing flows this interval, ascending, and the CSR
+        # offsets of each one's rows.
         src = key >> _DST_BITS
         first = np.ones(src.size, dtype=bool)
         np.not_equal(src[1:], src[:-1], out=first[1:])
         starts = np.flatnonzero(first)
-        counts = np.diff(starts, append=src.size)
-        endpoints = src[starts]
-        changed = np.ones(endpoints.size, dtype=bool)
-        if self.delta_publish and endpoints.size and self._pub_key.size:
-            # Unchanged: every row is among the published rows with the
-            # same path, and the endpoint has no other published row.
-            at = np.searchsorted(self._pub_key, key)
-            at[at == self._pub_key.size] = 0
-            same = (self._pub_key[at] == key) & (self._pub_path[at] == path)
-            low = endpoints << _DST_BITS
-            published = np.searchsorted(
-                self._pub_key, low | _DST_MASK, side="right"
-            ) - np.searchsorted(self._pub_key, low)
-            changed = ~np.logical_and.reduceat(same, starts) | (
-                published != counts
+        endpoints = np.take(src, starts)
+        del src
+        offsets = np.append(starts, key.size)
+        counts = np.diff(offsets)
+        # Each endpoint's published segment: one search per endpoint,
+        # not per row.  ``at`` is where the endpoint is or would go.
+        at = np.searchsorted(self._pub_endpoints, endpoints)
+        known = np.zeros(endpoints.size, dtype=bool)
+        if self._pub_endpoints.size:
+            known = np.take(self._pub_endpoints, at, mode="clip") == endpoints
+        changed = ~known
+        if self.delta_publish and known.any():
+            # Unchanged: the endpoint has a published segment of as many
+            # rows, and they equal its rows now, compared by a gather at
+            # the aligned offset: row r of segment i sits at r + shift[i]
+            # among the published rows.
+            old_start = np.take(self._pub_offsets, at)
+            changed |= (
+                np.take(self._pub_offsets, at + 1, mode="clip") - old_start
+                != counts
             )
+            segment = np.cumsum(first, dtype=np.int32)
+            segment -= 1
+            shift = old_start - starts
+            aligned = np.take(shift, segment)
+            del shift
+            aligned += np.arange(key.size)
+            differs = np.take(self._pub_key, aligned, mode="clip") != key
+            differs |= np.take(self._pub_path, aligned, mode="clip") != path
+            del aligned
+            changed[np.take(segment, np.flatnonzero(differs))] = True
+            del differs, segment
+        elif not self.delta_publish:
+            changed[:] = True
+        del first
 
         # The changed endpoints' rows, packed as int64 (dst, path id)
         # pairs; each config gets its own slice of them.
-        rows = np.repeat(changed, counts)
-        packed = np.column_stack((key[rows] & _DST_MASK, path[rows])).tobytes()
-        bounds = np.append(0, 16 * np.cumsum(counts[changed])).tolist()
-        to_write = endpoints[changed]
-        endpoint_ids = to_write.tolist()
+        written = np.flatnonzero(changed)
+        rows = concat_ranges(starts[written], counts[written])
+        packed = np.column_stack(
+            (np.take(key, rows) & _DST_MASK, np.take(path, rows))
+        ).tobytes()
+        del rows
+        bounds = np.append(0, 16 * np.cumsum(counts[written])).tolist()
+        endpoint_ids = endpoints[written].tolist()
         table = self._path_table
         configs = [
             EndpointConfig(
@@ -236,6 +283,7 @@ class TEController:
             )
             for endpoint_id, lo, hi in zip(endpoint_ids, bounds, bounds[1:])
         ]
+        del packed
         writes = 0
         try:
             self.database.put_many(
@@ -249,7 +297,11 @@ class TEController:
             # What was written is published even if a put raised
             # part-way, so a retry resumes instead of starting over.
             if writes:
-                self._record_published(to_write[:writes], key, path)
+                # Unwritten: changed, but its put never landed.
+                changed[written[:writes]] = False
+                self._record_published(
+                    key, path, endpoints, offsets, at, known, ~changed
+                )
         self.database.commit_version(next_version, now=now)
         self.current_version = next_version
         self.last_result = result
@@ -257,18 +309,52 @@ class TEController:
         return next_version
 
     def _record_published(
-        self, written: np.ndarray, key: np.ndarray, path: np.ndarray
+        self,
+        key: np.ndarray,
+        path: np.ndarray,
+        endpoints: np.ndarray,
+        offsets: np.ndarray,
+        at: np.ndarray,
+        known: np.ndarray,
+        current: np.ndarray,
     ) -> None:
-        """Replace the ``written`` endpoints' published rows by theirs
-        among ``(key, path)``; other endpoints' rows stay."""
-        stale = np.isin(self._pub_key >> _DST_BITS, written)
-        fresh = np.isin(key >> _DST_BITS, written)
-        merged = np.concatenate((self._pub_key[~stale], key[fresh]))
-        order = np.argsort(merged, kind="stable")
-        self._pub_key = merged[order]
-        self._pub_path = np.concatenate(
-            (self._pub_path[~stale], path[fresh])
-        )[order]
+        """Make the published rows what the database now holds.
+
+        That is this publish's segment (``key``, ``path``, ``endpoints``,
+        ``offsets``) of every endpoint in ``current`` — written, or
+        unchanged, whose rows are the published ones — and the published
+        segment of every other endpoint: absent from this publish, or
+        changed but not written.  Both runs are ascending and disjoint,
+        so the kept old segments are inserted into the current ones, by
+        position, in time linear in the rows.  ``at`` and ``known`` are
+        the endpoints' segment search.
+        """
+        counts = np.diff(offsets)
+        if not current.all():
+            rows = np.repeat(current, counts)
+            key, path = key[rows], path[rows]
+            endpoints, counts = endpoints[current], counts[current]
+            offsets = csr_offsets(counts)
+        # Old segments no current segment replaces.
+        kept = np.ones(self._pub_endpoints.size, dtype=bool)
+        kept[at[current & known]] = False
+        kept = np.flatnonzero(kept)
+        if kept.size:
+            old_start = self._pub_offsets[kept]
+            old_count = self._pub_offsets[kept + 1] - old_start
+            old_endpoints = self._pub_endpoints[kept]
+            place = np.searchsorted(endpoints, old_endpoints)
+            before = np.repeat(np.take(offsets, place), old_count)
+            rows = concat_ranges(old_start, old_count)
+            key = np.insert(key, before, np.take(self._pub_key, rows))
+            path = np.insert(path, before, np.take(self._pub_path, rows))
+            endpoints = np.insert(endpoints, place, old_endpoints)
+            counts = np.insert(counts, place, old_count)
+            offsets = csr_offsets(counts)
+        self._pub_key = key
+        self._pub_path = path
+        self._pub_endpoints = endpoints.astype(np.int32)
+        self._pub_offsets = offsets
 
     def _publishable_rows(
         self, catalog: "TunnelCatalog", result: "TEResult"
@@ -282,26 +368,45 @@ class TEController:
         arrays = catalog.columnar()
         table = result.demands.table
         assigned = result.assignment.assigned_tunnel
-        pair = table.pair_ids()
-        flows = np.flatnonzero((assigned >= 0) & table.has_endpoints[pair])
-        pair = pair[flows]
-        tunnel = assigned[flows].astype(np.int64)
-        if (tunnel >= arrays.tunnels_per_pair()[pair]).any():
-            raise IndexError("assigned tunnel index outside the catalog")
-        tunnel += arrays.tunnel_offsets[pair]
-        src = table.src_endpoints[flows]
-        dst = table.dst_endpoints[flows]
-        if flows.size and not (
-            0 <= min(src.min(), dst.min())
-            and max(src.max(), dst.max()) <= _MAX_ENDPOINT_ID
+        counts = table.counts
+        nonempty = table.offsets[:-1][counts > 0]
+        if nonempty.size:
+            # A pair's largest assigned index, against its tunnel count.
+            largest = np.maximum.reduceat(assigned, nonempty)
+            pairs = counts > 0
+            if (
+                (largest >= arrays.tunnels_per_pair()[pairs])
+                & table.has_endpoints[pairs]
+            ).any():
+                raise IndexError("assigned tunnel index outside the catalog")
+        # Every flow's global tunnel id (meaningless where unassigned).
+        tunnel = np.repeat(arrays.tunnel_offsets[:-1], counts)
+        tunnel += assigned
+        usable = assigned >= 0
+        if not table.has_endpoints.all():
+            usable &= np.repeat(table.has_endpoints, counts)
+        src, dst = table.src_endpoints, table.dst_endpoints
+        if not _packable(src, dst) and not _packable(
+            src[usable], dst[usable]
         ):
             raise ValueError("endpoint id outside [0, 2**31)")
-        key = (src << _DST_BITS) | dst
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        key = src << _DST_BITS
+        key |= dst
+        # Flows a publish cannot act on sort first, under key -1, and are
+        # cut off after the sort.
+        unusable = key.size - np.count_nonzero(usable)
+        if unusable:
+            np.putmask(key, ~usable, -1)
+        del usable
+        order = np.argsort(key, kind="stable")[unusable:]
+        key = np.take(key, order)
         last = np.ones(key.size, dtype=bool)
         np.not_equal(key[1:], key[:-1], out=last[:-1])
-        return key[last], self._path_ids_of(catalog)[tunnel[order[last]]]
+        if not last.all():
+            key, order = key[last], order[last]
+        return key, np.take(
+            self._path_ids_of(catalog), np.take(tunnel, order)
+        )
 
     def _path_ids_of(self, catalog: "TunnelCatalog") -> np.ndarray:
         """Interned path id of every tunnel, by global tunnel id.
@@ -318,7 +423,7 @@ class TEController:
                     intern.setdefault(tunnel.path, len(intern))
                     for _, _, tunnel in catalog.all_tunnels()
                 ),
-                dtype=np.int64,
+                dtype=np.int32,
                 count=arrays.num_tunnels,
             )
             self._path_table.extend(

@@ -40,7 +40,9 @@ import numpy as np
 
 from .. import checks
 
-__all__ = ["csr_offsets", "segment_sums", "PairViews", "FlowTable"]
+__all__ = [
+    "csr_offsets", "concat_ranges", "segment_sums", "PairViews", "FlowTable",
+]  # fmt: skip
 
 
 def csr_offsets(counts: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -49,6 +51,24 @@ def csr_offsets(counts: Sequence[int] | np.ndarray) -> np.ndarray:
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets
+
+
+def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i] .. starts[i] + counts[i] - 1`` for every ``i``, one run
+    after another, as one int64 array (every count at least 1).
+
+    A single cumulative sum of unit steps, each run's first step jumping
+    from the previous run's end to its start; no ``repeat`` or ``arange``
+    temporaries.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if not counts.size:
+        return np.empty(0, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    step = np.ones(int(counts.sum()), dtype=np.int64)
+    step[0] = starts[0]
+    step[np.cumsum(counts[:-1])] = starts[1:] - starts[:-1] - counts[:-1] + 1
+    return np.cumsum(step, out=step)
 
 
 def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -75,6 +76,11 @@ __all__ = [
 # Events
 
 
+def _each_finite(name: str, values: Sequence[int]) -> None:
+    for value in values:
+        checks.finite(name, value)
+
+
 @dataclass(frozen=True)
 class SoakEvent:
     """A disturbance active over intervals ``[start, start + duration)``.
@@ -87,6 +93,8 @@ class SoakEvent:
     """
 
     kind: ClassVar[str] = "event"
+    #: The subclass's numeric fields, each with its :mod:`repro.checks` rule.
+    rules: ClassVar[tuple] = ()
 
     start: int
     duration: int
@@ -94,6 +102,8 @@ class SoakEvent:
     def __post_init__(self) -> None:
         checks.nonnegative("start", self.start)
         checks.in_range("duration", self.duration, 1, math.inf, "[)")
+        for name, rule in self.rules:
+            rule(name, getattr(self, name))
 
     @property
     def end(self) -> int:
@@ -116,9 +126,11 @@ class LinkCut(SoakEvent):
     site network with ``scenario_seed``
     (:func:`repro.topology.failures.sample_failure_scenarios`, connected
     scenarios only); overlapping cuts fail the union of their fibers.
+    ``num_fibers <= 0`` cuts nothing.
     """
 
     kind: ClassVar[str] = "link_cut"
+    rules: ClassVar[tuple] = (("num_fibers", checks.finite),)
 
     num_fibers: int = 1
     scenario_seed: int = 0
@@ -126,9 +138,16 @@ class LinkCut(SoakEvent):
 
 @dataclass(frozen=True)
 class FlashCrowd(SoakEvent):
-    """Multiply a seeded subset of site pairs' volumes by ``magnitude``."""
+    """Multiply a seeded subset of site pairs' volumes by ``magnitude``.
+
+    ``pair_fraction`` of the pairs (at least one) are chosen.
+    """
 
     kind: ClassVar[str] = "flash_crowd"
+    rules: ClassVar[tuple] = (
+        ("magnitude", checks.nonnegative),
+        ("pair_fraction", checks.fraction),
+    )
 
     magnitude: float = 3.0
     pair_fraction: float = 0.25
@@ -146,6 +165,10 @@ class MaintenanceDrain(SoakEvent):
     """
 
     kind: ClassVar[str] = "maintenance_drain"
+    rules: ClassVar[tuple] = (
+        ("residual", checks.nonnegative),
+        ("pair_fraction", checks.fraction),
+    )
 
     residual: float = 0.25
     pair_fraction: float = 0.25
@@ -154,18 +177,30 @@ class MaintenanceDrain(SoakEvent):
 
 @dataclass(frozen=True)
 class ShardFailover(SoakEvent):
-    """Crash one TE-database shard for the window (then stale restore)."""
+    """Crash one TE-database shard for the window (then stale restore).
+
+    ``shard`` is any integer, taken modulo the shard count.
+    """
 
     kind: ClassVar[str] = "shard_failover"
+    rules: ClassVar[tuple] = (("shard", checks.finite),)
 
     shard: int = 0
 
 
 @dataclass(frozen=True)
 class StaleReplicaStorm(SoakEvent):
-    """Serve several shards from replicas lagging ``lag_s`` seconds."""
+    """Serve several shards from replicas lagging ``lag_s`` seconds.
+
+    ``shards`` are integers taken modulo the shard count; an infinite
+    ``lag_s`` is a replica that never catches up.
+    """
 
     kind: ClassVar[str] = "stale_replica_storm"
+    rules: ClassVar[tuple] = (
+        ("shards", _each_finite),
+        ("lag_s", partial(checks.nonnegative, allow_inf=True)),
+    )
 
     shards: tuple[int, ...] = (0,)
     lag_s: float = 120.0

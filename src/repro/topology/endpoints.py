@@ -9,7 +9,6 @@ to sites — the second layer of the contracted topology.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -82,6 +81,13 @@ class EndpointLayout:
 
     Endpoints are numbered globally ``0 .. num_endpoints-1``; each belongs
     to exactly one site (Figure 5's "singular and direct" connections).
+
+    Endpoint -> site lookups gather from a per-endpoint table of site
+    indices, built on first use in the smallest signed integer dtype that
+    holds the site count (one byte per endpoint up to 127 sites).  The
+    table stops at the first id of the last site with endpoints: every
+    later id belongs to that site, and the gather clips to it, so one huge
+    trailing site costs nothing.
     """
 
     def __init__(self, counts_by_site: Mapping[str, int]) -> None:
@@ -99,6 +105,7 @@ class EndpointLayout:
             next_id += int(count)
         self._total = next_id
         self._starts = list(self._first_id.values())
+        self._table: np.ndarray | None = None
 
     @property
     def sites(self) -> list[str]:
@@ -126,24 +133,34 @@ class EndpointLayout:
         """The site an endpoint hangs off."""
         if not 0 <= endpoint_id < self._total:
             raise IndexError(f"endpoint {endpoint_id} out of range")
-        # The last site whose first id is <= endpoint_id (zero-count
-        # sites share their successor's first id and never match).
-        return self._sites[bisect_right(self._starts, endpoint_id) - 1]
+        table = self._site_table()
+        return self._sites[table[min(endpoint_id, table.size - 1)]]
 
     def site_indices(self, endpoint_ids: np.ndarray) -> np.ndarray:
         """Index into :attr:`sites` of every endpoint in an id column.
 
-        The columnar twin of :meth:`site_of`; ids must already lie in
-        ``[0, num_endpoints)``.
+        The columnar twin of :meth:`site_of`: one gather, in the table's
+        dtype; ids must already lie in ``[0, num_endpoints)``.
         """
-        return (
-            np.searchsorted(
-                np.asarray(self._starts, dtype=np.int64),
-                endpoint_ids,
-                side="right",
+        return np.take(self._site_table(), endpoint_ids, mode="clip")
+
+    def _site_table(self) -> np.ndarray:
+        """Site index of every endpoint id up to the last site's first."""
+        if self._table is None:
+            counts = np.array(self._counts, dtype=np.int64)
+            occupied = np.flatnonzero(counts)
+            if occupied.size:
+                # The last occupied site gets one entry; clipping maps
+                # every id past it there.
+                counts[occupied[-1]] = 1
+            self._table = np.repeat(
+                np.arange(
+                    len(self._sites),
+                    dtype=np.min_scalar_type(-len(self._sites)),
+                ),
+                counts,
             )
-            - 1
-        )
+        return self._table
 
     def scaled(self, factor: float) -> "EndpointLayout":
         """A layout with every site's count scaled by ``factor`` (min 1)."""

@@ -278,3 +278,110 @@ def test_built_table_is_detached_from_later_ingests(clear):
     collector.build_matrix()
     for column, expected in before.items():
         np.testing.assert_array_equal(getattr(table, column), expected)
+
+
+# -- drawn layouts and catalogs ----------------------------------------------
+
+SITES = ("a", "b", "c", "d")
+_INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def _drawn_topologies(draw) -> TwoLayerTopology:
+    """A ring of four sites under a drawn layout and catalog: zero-count
+    sites, catalog pairs whose sites the layout lacks, pair indices in
+    any order, and now and then a site pair the catalog lists twice."""
+    net = SiteNetwork(name="square")
+    for u, v in (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")):
+        net.add_duplex_link(u, v, capacity=10.0, latency_ms=1.0)
+    in_layout = draw(
+        st.lists(st.sampled_from(SITES), min_size=1, max_size=4, unique=True)
+    )
+    layout = EndpointLayout(
+        {site: draw(st.integers(0, 3)) for site in in_layout}
+    )
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(SITES), st.sampled_from(SITES)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    catalog = build_tunnels(net, site_pairs=pairs, tunnels_per_pair=1)
+    if draw(st.booleans()):
+        # ``add_pair`` refuses a repeat, so list one behind its back:
+        # the catalog's own index keeps the first registration.
+        repeated = draw(st.integers(0, len(pairs) - 1))
+        catalog._pairs.append(catalog._pairs[repeated])
+        catalog._tunnels.append(list(catalog._tunnels[repeated]))
+    return TwoLayerTopology(network=net, catalog=catalog, layout=layout)
+
+
+def _overflows(reference: ReferenceCollector) -> bool:
+    return any(sent > _INT64_MAX for sent, _, _ in reference.flows.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_topologies(), st.data())
+def test_drawn_layouts_and_catalogs_match_reference(topology, data):
+    """Any layout and catalog, duplicate-heavy reports over a handful of
+    endpoints, ``clear=False`` merges and peeks: the table, the flow
+    count and the unroutable bytes are the reference's.  A same-pair sum
+    beyond int64 raises ``OverflowError`` at the drain and leaves the
+    collector as it was."""
+    n = topology.layout.num_endpoints
+    endpoint = st.integers(0, max(n - 1, 0))
+    sent = st.one_of(
+        st.integers(0, 10**6),
+        st.integers(0, 2**56),
+        st.integers(2**61, _INT64_MAX),
+    )
+    report = st.tuples(st.just("ingest"), endpoint, endpoint, sent,
+                       st.sampled_from(QOS))  # fmt: skip
+    ops = data.draw(
+        st.lists(
+            st.one_of(
+                report, report, report, report,
+                st.tuples(st.just("build"), st.booleans()),
+                st.tuples(st.just("peek")),
+            ),
+            max_size=60 if n else 4,
+        )
+    )  # fmt: skip
+    collector = DemandCollector(topology, interval_seconds=INTERVAL_S)
+    reference = ReferenceCollector(topology)
+    for op in [*ops, ("build", False), ("build", True)]:
+        if op[0] == "ingest":
+            if n:
+                _, src, dst, size, qos = op
+                collector.ingest(FlowRecord(src, dst, size, qos))
+                reference.ingest(src, dst, size, qos.value)
+            continue
+        if _overflows(reference):
+            with pytest.raises(OverflowError):
+                collector.build_matrix(clear=True)
+            with pytest.raises(OverflowError):
+                collector.num_flows
+            return
+        if op[0] == "build":
+            _assert_same_table(
+                collector.build_matrix(clear=op[1]).table,
+                reference.build(clear=op[1]),
+            )
+        assert collector.num_flows == len(reference.flows)
+        assert collector.unroutable_bytes == reference.unroutable_bytes
+
+
+def test_repeated_catalog_pair_keeps_its_first_index():
+    topology = _topology()
+    catalog = topology.catalog
+    catalog._pairs.append(catalog._pairs[2])  # ("a", "c") at 2 and 3
+    catalog._tunnels.append(list(catalog._tunnels[2]))
+    a = topology.layout.endpoint_ids("a")[0]
+    c = topology.layout.endpoint_ids("c")[0]
+    collector = DemandCollector(topology, interval_seconds=INTERVAL_S)
+    collector.ingest(FlowRecord(a, c, 100))
+    assert collector.build_matrix().table.counts.tolist() == [0, 0, 1, 0]

@@ -52,7 +52,15 @@ from repro.experiments import chaos_sync
 from repro.experiments.common import build_scenario
 from repro.obs.metrics import log_linear_buckets
 from repro.simulation.admission import AdmissionConfig
-from repro.simulation.soak import LinkCut, SLOSpec, run_soak
+from repro.simulation.soak import (
+    FlashCrowd,
+    LinkCut,
+    MaintenanceDrain,
+    ShardFailover,
+    SLOSpec,
+    StaleReplicaStorm,
+    run_soak,
+)
 from repro.simulation.streaming import (
     BurstStart,
     DeltaTrigger,
@@ -241,6 +249,21 @@ REGISTRY = [
     Case("FlowDeparture.fraction", _kw(FlowDeparture, "fraction", time=0.0),
          high=1.5),
     Case("BurstStart.magnitude", _kw(BurstStart, "magnitude", time=0.0)),
+    # soak events
+    *[
+        Case(f"{name}.{f}", _kw(factory, f, start=0, duration=1), high=high)
+        for name, factory, f, high in [
+            ("FlashCrowd", FlashCrowd, "magnitude", None),
+            ("FlashCrowd", FlashCrowd, "pair_fraction", 1.5),
+            ("MaintenanceDrain", MaintenanceDrain, "residual", None),
+            ("MaintenanceDrain", MaintenanceDrain, "pair_fraction", 1.5),
+            ("LinkCut", LinkCut, "num_fibers", None),
+            ("ShardFailover", ShardFailover, "shard", None),
+            ("StaleReplicaStorm", StaleReplicaStorm, "lag_s", None),
+        ]
+    ],
+    Case("StaleReplicaStorm.shards",
+         lambda v: StaleReplicaStorm(start=0, duration=1, shards=(0, v))),
     # counts of at least one elsewhere: buckets, maps, monitors, models
     *[
         Case(f"{name}.{f}", _kw(factory, f, **base), count=True,
@@ -329,7 +352,7 @@ ACCEPTED = {
         "SLOSpec.max_staleness_p99_s SLOSpec.max_solver_phase_p99_s "
         "PeriodicTrigger.period_s DeltaTrigger.threshold "
         "HybridTrigger.threshold HybridTrigger.refresh_s StreamEvent.time "
-        "chaos_sync.simulate.publish_period_s",
+        "chaos_sync.simulate.publish_period_s StaleReplicaStorm.lag_s",
         "inf",
     ),
     # 0 is a legal count, delay, rate, bound, scale or value.
@@ -356,8 +379,18 @@ ACCEPTED = {
         "meet_in_the_middle_ssp.values fast_ssp.capacity "
         "fast_ssp_sorted.capacity greedy_ssp.capacity "
         "solve_priced.site_demands solve_priced.capacities "
-        "solve_priced.tunnel_weights solve_priced.epsilon",
+        "solve_priced.tunnel_weights solve_priced.epsilon "
+        "FlashCrowd.magnitude FlashCrowd.pair_fraction "
+        "MaintenanceDrain.residual MaintenanceDrain.pair_fraction "
+        "LinkCut.num_fibers ShardFailover.shard StaleReplicaStorm.shards "
+        "StaleReplicaStorm.lag_s",
         "0",
+    ),
+    **_accept(
+        "a soak cut of no fibers cuts nothing; a shard id is taken modulo "
+        "the shard count",
+        "LinkCut.num_fibers ShardFailover.shard StaleReplicaStorm.shards",
+        "-1",
     ),
     # A time, phase or weight may be any real.
     **_accept(

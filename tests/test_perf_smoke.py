@@ -346,3 +346,70 @@ def test_sync_plane_hot_path_frames():
         assert collector.num_flows == 1
     finally:
         obs.set_enabled(was)
+
+
+def test_drain_and_publish_search_no_flow_rows(monkeypatch):
+    """``build_matrix`` and a warm ``publish`` resolve rows by gathers:
+    no ``np.searchsorted`` or ``np.isin`` call takes a needle as long as
+    the flow rows (endpoint -> site, site pair -> catalog pair and the
+    publish diff are tables, searched at most once per endpoint).
+
+    Structural, like the frame guard above: a per-row search put back
+    on either layer fails here, where its time would drift in noise."""
+    import numpy as np
+
+    from repro.controlplane import (
+        DemandCollector,
+        FlowRecord,
+        TEController,
+        TEDatabase,
+    )
+    from repro.core import FlowAssignment, TEResult
+    from repro.core.qos import QoSClass
+    from repro.experiments.common import build_scenario
+
+    scenario = build_scenario(
+        "twan", total_endpoints=2_000, num_site_pairs=20, seed=7
+    )
+    topology, table = scenario.topology, scenario.demands.table
+    collector = DemandCollector(topology, interval_seconds=300.0)
+    for src, dst, qos in zip(
+        table.src_endpoints.tolist(),
+        table.dst_endpoints.tolist(),
+        table.qos.tolist(),
+    ):
+        collector.ingest(FlowRecord(src, dst, 1_000, QoSClass(qos)))
+    controller = TEController(TEDatabase(enforce_capacity=False))
+    result = MegaTEOptimizer().solve(topology, scenario.demands)
+    controller.publish(topology, result)
+    # Warm: every 7th flow moves to its pair's first tunnel or goes
+    # unassigned, so endpoints change, appear and disappear.
+    assigned = result.assignment.assigned_tunnel.copy()
+    assigned[::7] = np.where(assigned[::7] == 0, -1, 0)
+    moved = TEResult(
+        scheme="moved",
+        assignment=FlowAssignment.from_flat(assigned, table.offsets),
+        demands=scenario.demands,
+        satisfied_volume=0.0,
+        runtime_s=0.0,
+    )
+
+    needles: list[tuple[str, int]] = []
+    searchsorted, isin = np.searchsorted, np.isin
+
+    def counted_searchsorted(a, v, *args, **kwargs):
+        needles.append(("searchsorted", np.size(v)))
+        return searchsorted(a, v, *args, **kwargs)
+
+    def counted_isin(element, *args, **kwargs):
+        needles.append(("isin", np.size(element)))
+        return isin(element, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted_searchsorted)
+    monkeypatch.setattr(np, "isin", counted_isin)
+    # Same-(src, dst) reports merge: fewer flow rows than reports.
+    rows = collector.build_matrix().table.num_flows
+    controller.publish(topology, moved)
+    assert controller.last_publish_writes > 0
+    assert needles  # the guard sees the layers' searches
+    assert all(size < rows for _, size in needles), (rows, needles)

@@ -397,3 +397,119 @@ def test_packed_paths_walk_their_rows_once(monkeypatch):
     assert dict(paths.items()) == expected
     assert list(paths.values()) == list(expected.values())
     assert list(paths) == list(expected)
+
+
+# -- the segment index and the published rows --------------------------------
+
+
+def _assert_published(controller: TEController, reference) -> None:
+    """The controller's segment index is the one its published rows
+    imply, and those rows are the reference's published configs."""
+    key = controller._pub_key
+    assert (np.diff(key) > 0).all()  # ascending, one row per (src, dst)
+    assert controller._pub_path.shape == key.shape
+    endpoints, starts = np.unique(key >> 32, return_index=True)
+    np.testing.assert_array_equal(controller._pub_endpoints, endpoints)
+    np.testing.assert_array_equal(
+        controller._pub_offsets, np.append(starts, key.size)
+    )
+    table = controller._path_table
+    published: dict[int, dict[int, tuple[str, ...]]] = {}
+    for row, path_id in zip(key.tolist(), controller._pub_path.tolist()):
+        published.setdefault(row >> 32, {})[row & (2**32 - 1)] = table[path_id]
+    assert published == reference.published
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_interval, min_size=1, max_size=8),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 12)),
+)
+def test_segment_index_follows_every_publish(intervals, delta_publish, reject):
+    """After every publish — cold (every endpoint written), warm, with
+    endpoints appearing and disappearing, and one whose ``put_many`` is
+    rejected part-way and then retried — the segment index matches one
+    recomputed from ``_pub_key``, and the published rows are what the
+    reference published."""
+    database = RecordingDatabase(reject_put=reject)
+    expected = RecordingDatabase(reject_put=reject)
+    controller = TEController(database, delta_publish=delta_publish)
+    reference = ReferencePublisher(expected, delta_publish)
+    _assert_published(controller, reference)
+    for variant, flows, has_endpoints in intervals:
+        result = _result(variant, flows, has_endpoints)
+        rejected = []
+        for publisher in (controller, reference):
+            try:
+                publisher.publish(TOPOLOGIES[variant], result)
+            except QueryRejected:
+                rejected.append(publisher)
+        if rejected:
+            assert rejected == [controller, reference]
+            _assert_published(controller, reference)
+            for publisher in rejected:
+                publisher.publish(TOPOLOGIES[variant], result)
+        assert controller.last_publish_writes == reference.last_publish_writes
+        _assert_published(controller, reference)
+
+
+def test_cold_publish_of_many_endpoints_then_every_one_moves():
+    """Hundreds of endpoints written at once, twice: a cold publish, then
+    one where every path moves."""
+    everything = [True] * NUM_PAIRS
+    database, expected = RecordingDatabase(), RecordingDatabase()
+    controller = TEController(database)
+    reference = ReferencePublisher(expected, delta_publish=True)
+    for choice in (1, 2):
+        flows = [
+            (src % NUM_PAIRS, src, dst, choice)
+            for src in range(300)
+            for dst in range(src % 4)
+        ]
+        result = _result(0, flows, everything)
+        controller.publish(TOPOLOGIES[0], result)
+        reference.publish(TOPOLOGIES[0], result)
+        assert controller.last_publish_writes == 225
+        _assert_published(controller, reference)
+        _assert_same_puts(database, expected)
+
+
+class _LookupOnly:
+    """Paths view whose whole-dict build fails the test."""
+
+    def _as_dict(self):
+        pytest.fail("a lookup built the whole dict")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 2**31 - 1), st.integers(0, 2), max_size=40),
+    st.lists(
+        st.one_of(
+            st.integers(-3, 2**32),
+            st.floats(allow_nan=True),
+            st.text(max_size=2),
+            st.none(),
+        ),
+        max_size=20,
+    ),
+)
+def test_packed_path_lookups_equal_the_dicts(paths_by_dst, probes):
+    """``[]``, ``get`` and ``in`` answer as the dict would, by a binary
+    search of the rows — never by building the dict."""
+    from repro.controlplane.controller import _RowPaths
+
+    table = [("a",), ("a", "b"), ("a", "c", "b")]
+    rows = np.array(sorted(paths_by_dst.items()), dtype=np.int64).reshape(-1, 2)
+    view = type("Probe", (_LookupOnly, _RowPaths), {})(rows.tobytes(), table)
+    expected = {dst: table[i] for dst, i in paths_by_dst.items()}
+    missing = object()
+    for probe in [*probes, *expected]:
+        assert view.get(probe, missing) == expected.get(probe, missing)
+        assert (probe in view) == (probe in expected)
+        if probe in expected:
+            assert view[probe] == expected[probe]
+        else:
+            with pytest.raises(KeyError):
+                view[probe]

@@ -108,6 +108,16 @@ class TestEndpointLayout:
         with pytest.raises(IndexError):
             layout.site_of(-1)
 
+    def test_site_table_is_a_byte_per_endpoint_up_to_the_last_site(self):
+        """The lookup table holds one int8 per id before the last
+        occupied site's first; every later id clips to that site."""
+        layout = EndpointLayout({"a": 3, "b": 0, "c": 2**40, "d": 0})
+        ids = np.array([0, 2, 3, 2**40 + 2])
+        assert layout.site_indices(ids).tolist() == [0, 0, 2, 2]
+        assert layout.site_of(2**40 + 2) == "c"
+        table = layout._site_table()
+        assert table.dtype == np.int8 and table.size == 4
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             EndpointLayout({"a": -1})
