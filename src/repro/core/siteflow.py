@@ -62,13 +62,10 @@ __all__ = [
     "max_concurrent_scale",
 ]
 
-#: The price-guided reduction's thresholds (measured: EXPERIMENTS.md,
-#: "Price-guided stage 1").  Pairs left to the LP: a few per link around
-#: the smallest decision margins, where price drift re-decides.
-_FREE_PAIRS_PER_LINK = 4
-_MIN_FREE_PAIRS = 256
-#: Restricted solves before the whole LP is handed over instead.
-_MAX_GUIDED_ROUNDS = 3
+#: Demand-carrying pairs below which a class is solved whole: a
+#: restricted LP keeps every capacity row and a HiGHS call's fixed cost,
+#: so a small class has nothing to gain.
+_MIN_ACTIVE_PAIRS = 512
 #: Free share of the demand-carrying pairs above which the whole LP is
 #: solved: every capacity row stays in, so past half the columns the
 #: restricted LP costs what the whole one does.
@@ -76,6 +73,9 @@ _WHOLE_LP_ABOVE = 0.5
 #: Slack of the KKT check's reduced-profit comparisons: objective lost
 #: per unit of demand by a decision accepted within it.
 _KKT_TOL = 1e-9
+#: Flow off a free pair's hinted placement, as a share of its demand,
+#: above which the pair counts as moved by the LP.
+_MOVED_ABOVE = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +99,9 @@ class SiteFlowSolution(NamedTuple):
     (the hint's own decisions are optimal: no LP built), ``"guided"``,
     or ``"fallback:<reason>"`` (hint abandoned, whole LP solved);
     ``pairs_fixed`` / ``pairs_free`` count the demand-carrying pairs the
-    prices decided / the LP did, and ``rounds`` the restricted LPs
-    solved.
+    prices decided / the LP did, ``pairs_moved`` the free pairs a guided
+    solve placed off their hinted decisions (0 on every other outcome),
+    and ``rounds`` the restricted LPs solved.
     """
 
     x: np.ndarray
@@ -109,6 +110,7 @@ class SiteFlowSolution(NamedTuple):
     outcome: str
     pairs_fixed: int
     pairs_free: int
+    pairs_moved: int
     rounds: int
 
 
@@ -146,7 +148,8 @@ class SiteFlowSolver:
     * the link-tunnel incidence ``L(t, e)`` in COO arrays *and* as a CSR
       matrix (for vectorized residual-capacity accounting);
     * the stacked LP constraint matrix (demand rows over capacity rows)
-      in CSR form — the expensive part of each legacy solve call;
+      in CSR form — the expensive part of each legacy solve call — and
+      a CSC copy the restricted LPs slice their columns from;
     * per-attribute flat tunnel values and per-pair fill orders, used by
       the second stage's tunnel-preference policies.
 
@@ -262,6 +265,15 @@ class SiteFlowSolver:
         self._tunnel_link_matrix = self.link_tunnel_matrix.T.tocsr()
         self._has_tunnels = np.diff(self.tunnel_offsets) > 0
         self._tunnelled_pairs = np.flatnonzero(self._has_tunnels)
+        # Column slices of the stacked matrix (the restricted LPs), and
+        # random per-link keys: two tunnels cross the same set of links
+        # when the sums of their links' keys agree.
+        self._constraint_columns = (
+            None
+            if self.constraint_matrix is None
+            else self.constraint_matrix.tocsc()
+        )
+        self._link_keys = np.random.default_rng(0).random(num_links) + 1.0
 
     @classmethod
     def for_topology(
@@ -416,7 +428,7 @@ class SiteFlowSolver:
             return SiteFlowSolution(
                 np.empty(0, dtype=np.float64),
                 LinkPrices(np.zeros(caps.size), weakref.ref(self)),
-                False, "whole", 0, 0, 0,
+                False, "whole", 0, 0, 0, 0,
             )  # fmt: skip
         if epsilon is None:
             if tunnel_weights is None:
@@ -436,7 +448,7 @@ class SiteFlowSolver:
                 else self._solve_guided(-cost, site_demands, link_caps, lam)
             )
             if isinstance(guided, tuple):
-                x, prices, fixed, free, rounds = guided
+                x, prices, fixed, free, moved, rounds = guided
                 outcome = "guided" if rounds else "certified"
                 warm = True
             else:
@@ -448,11 +460,11 @@ class SiteFlowSolver:
                 )
                 warm = False
                 prices = row_prices[self.num_pairs :]
-                fixed, rounds = 0, 0
+                fixed = moved = rounds = 0
                 free = int(np.count_nonzero(site_demands))
             solution = SiteFlowSolution(
                 x, LinkPrices(prices, weakref.ref(self)),
-                warm, outcome, fixed, free, rounds,
+                warm, outcome, fixed, free, moved, rounds,
             )  # fmt: skip
             for key, value in zip(solution._fields[2:], solution[2:]):
                 sp.set_attribute(key, value)
@@ -481,15 +493,23 @@ class SiteFlowSolver:
         )
         return top
 
+    def _pair_minima(self, values: np.ndarray) -> np.ndarray:
+        """Per pair, the least of its tunnels' values (+inf if none)."""
+        low = np.full(self.num_pairs, np.inf)
+        low[self._tunnelled_pairs] = np.minimum.reduceat(
+            values, self.tunnel_offsets[self._tunnelled_pairs]
+        )
+        return low
+
     def _solve_guided(
         self,
         profit: np.ndarray,
         demands: np.ndarray,
         caps: np.ndarray,
         lam: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, int, int, int] | str | None:
+    ) -> tuple[np.ndarray, np.ndarray, int, int, int, int] | str | None:
         """The hint as a certificate, else the LP restricted to the pairs
-        the prices leave undecided.
+        the prices leave open.
 
         Under link prices ``λ`` a tunnel's reduced profit is
         ``ρ_t = (1 − ε·w_t) − Σ_{e∈t} λ_e`` and the LP's optimality
@@ -500,13 +520,18 @@ class SiteFlowSolver:
         overloads and every link with ``λ_e > 0`` is exactly full, that
         ``x`` with the hint's ``λ`` satisfies the whole LP's KKT
         conditions (below) and is returned without building an LP.
-        Otherwise pairs whose decision under the *hinted* prices has
-        margin are fixed that way; the smallest-margin pairs stay free,
-        and the LP is solved over the free pairs' columns only, with
-        every capacity row kept and its right-hand side reduced by the
-        fixed flows.  The restricted LP's own capacity duals then
-        re-check every fixed decision; a pair they contradict is released
-        and the LP re-solved.
+
+        Otherwise the links where that check fails say how far prices
+        must move (:meth:`_cover`), and every pair whose decision a
+        move that large could change (:meth:`_decision_margins`) stays
+        free — the ties among them.  The rest are fixed on their hinted
+        decisions, and the LP is solved over the free pairs' columns
+        only, with every capacity row kept and its right-hand side
+        reduced by the fixed flows.  The restricted LP's own capacity
+        duals then re-check every fixed decision; a pair they contradict
+        is released and the LP re-solved — until the restricted LPs have
+        been handed as many columns as the whole LP has, or half the
+        active pairs are free, when the whole LP is cheaper.
 
         A result that passes the check satisfies the *whole* LP's KKT
         conditions — primal feasible by construction, dual feasible with
@@ -514,21 +539,19 @@ class SiteFlowSolver:
         optimum, not an approximation.
 
         Returns:
-            ``(x, prices, pairs_fixed, pairs_free, rounds)``, where
-            ``rounds == 0`` means the hint itself certified ``x``; ``None``
-            when the instance is too small for the reduction to pay
-            (nothing attempted); or the reason (a short word) the
-            attempt was abandoned.  The caller solves the whole LP for
-            the last two.
+            ``(x, prices, pairs_fixed, pairs_free, pairs_moved, rounds)``,
+            where ``rounds == 0`` means the hint itself certified ``x``
+            and ``pairs_moved`` counts the free pairs the LP placed off
+            their hinted decisions; ``None`` when the instance is too
+            small for the reduction to pay (nothing attempted); or the
+            reason (a short word) the attempt was abandoned.  The caller
+            solves the whole LP for the last two.
         """
         active = (demands > 0) & self._has_tunnels
         num_active = int(np.count_nonzero(active))
-        budget = max(
-            _FREE_PAIRS_PER_LINK * caps.size, _MIN_FREE_PAIRS
-        )
-        most_free = _WHOLE_LP_ABOVE * num_active
-        if budget > most_free:
+        if num_active < _MIN_ACTIVE_PAIRS:
             return None
+        most_free = _WHOLE_LP_ABOVE * num_active
         pair_of_col = self._pair_of_col
         num_vars = self.num_tunnel_vars
 
@@ -544,54 +567,93 @@ class SiteFlowSolver:
         # The hint as a certificate of the whole LP: every pair on its
         # hinted decision, no link over, every priced link exactly full.
         full = np.flatnonzero(takes_all)
-        x = np.zeros(num_vars)
-        x[best_col[full]] = demands[full]
-        left = caps - self.link_tunnel_matrix @ x
-        if np.all(left >= 0) and not np.any(left[lam > 0]):
-            return x, lam, num_active, 0, 0
-        # A pair the optimum splits ties its two tunnels exactly: margin 0.
-        rho[best_col[self._tunnelled_pairs]] = -np.inf
-        margin = np.where(
-            best > 0,
-            np.minimum(best, best - self._pair_maxima(rho)),
-            -best,
+        hinted = np.zeros(num_vars)
+        hinted[best_col[full]] = demands[full]
+        left = caps - self.link_tunnel_matrix @ hinted
+        over = left < 0
+        under = (lam > 0) & (left > 0)
+        if not (over.any() or under.any()):
+            return hinted, lam, num_active, 0, 0, 0
+        decision = np.where(takes_all, best_col, -1)
+        margin = self._decision_margins(
+            rho, np.maximum(best, 0.0), decision, (lam > 0) | over
         )
-        candidates = np.flatnonzero(active)
-        free = np.zeros(self.num_pairs, dtype=bool)
-        free[
-            candidates[
-                np.argsort(margin[candidates], kind="stable")[:budget]
-            ]
-        ] = True
+        # Per incidence entry: the gap the link's price must move by to
+        # change the entry pair's decision there — a rider's margin, or
+        # how far the tunnel trails the pair's decision.
+        entry_col = self.incidence_cols
+        entry_pair = pair_of_col[entry_col]
+        rides = hinted[entry_col] > 0
+        gap = np.where(
+            rides,
+            margin[entry_pair],
+            np.maximum(best[entry_pair], 0.0) - rho[entry_col],
+        )
+        # An overloaded link sheds riders; an under-filled priced one
+        # draws the others, but its price cannot fall below 0, so a
+        # tunnel trailing by more than that price is never drawn.
+        entry_link = self.incidence_rows
+        sheds = over[entry_link] & rides
+        draws = (
+            under[entry_link]
+            & ~rides
+            & active[entry_pair]
+            & (gap <= lam[entry_link])
+        )
+        move = self._cover(
+            np.flatnonzero(sheds | draws), np.abs(left), gap, demands
+        )[1]
+        # A move within the link's own price is drift the whole class
+        # shares: links are coupled through the pairs crossing several.
+        # A move past it — a link turning hot — re-decides only the pairs
+        # crossing that link, by at most the moves along their options.
+        hot = self._tunnel_link_matrix @ np.where(move > lam, move, 0.0)
+        reach = np.maximum(
+            move[move <= lam].max(initial=0.0),
+            self._pair_maxima(hot)
+            + np.where(decision >= 0, hot[np.maximum(decision, 0)], 0.0),
+        )
+        free = active & (margin <= reach)
 
-        capacity_rows = self.num_pairs + np.arange(caps.size)
-        rounds = 0
-        while rounds < _MAX_GUIDED_ROUNDS:
+        rounds = spent = 0
+        while True:
             full = np.flatnonzero(takes_all & ~free)
             x = np.zeros(num_vars)
             x[best_col[full]] = demands[full]
             left = caps - self.link_tunnel_matrix @ x
             if np.any(left < 0):
-                # The fixed flows alone overload a link: every fixed pair
-                # riding it is the LP's to decide (then nothing overloads).
-                riding = self._tunnel_link_matrix[best_col[full]] @ (left < 0)
-                free[full[riding > 0]] = True
+                # The fixed flows alone overload a link: its riders are
+                # the LP's to decide, least margin first, until the rest
+                # fit.
+                over = left < 0
+                taken = self._cover(
+                    np.flatnonzero(over[entry_link] & (x[entry_col] > 0)),
+                    -left,
+                    gap,
+                    demands,
+                )[0]
+                free[taken] = True
                 continue
             free_pairs = np.flatnonzero(free)
             if free_pairs.size > most_free:
                 return "free_set"
-            rounds += 1
             cols = np.flatnonzero(free[pair_of_col])
-            rows = np.concatenate([free_pairs, capacity_rows])
-            try:
-                x[cols], row_prices = solve_lp(
-                    -profit[cols],
-                    self.constraint_matrix[rows][:, cols],
-                    np.concatenate([demands[free_pairs], left]),
+            # Past the whole LP's columns the restricted rounds cost more
+            # than the whole LP they were to save.
+            spent += cols.size
+            if spent > num_vars:
+                return "cost"
+            rounds += 1
+            lam = np.zeros(caps.size)
+            if cols.size:
+                a_ub, b_ub, binds = self._restricted_lp(
+                    free_pairs, cols, demands, left
                 )
-            except LPSolveError as exc:
-                return f"lp_status_{exc.status}"
-            lam = row_prices[free_pairs.size :]
+                try:
+                    x[cols], row_prices = solve_lp(-profit[cols], a_ub, b_ub)
+                except LPSolveError as exc:
+                    return f"lp_status_{exc.status}"
+                lam[binds] = row_prices[free_pairs.size :]
             # KKT check of the fixed decisions under the LP's own duals.
             rho = profit - self._tunnel_link_matrix @ lam
             top = self._pair_maxima(rho)
@@ -602,12 +664,118 @@ class SiteFlowSolver:
                 active & (top > _KKT_TOL),
             )
             if not wrong.any():
+                off_hint = np.bincount(
+                    pair_of_col[cols],
+                    weights=np.abs(x[cols] - hinted[cols]),
+                    minlength=self.num_pairs,
+                ) > _MOVED_ABOVE * demands
                 return (
-                    x, lam, num_active - free_pairs.size,
-                    free_pairs.size, rounds,
+                    x, lam, num_active - free_pairs.size, free_pairs.size,
+                    int(np.count_nonzero(off_hint)), rounds,
                 )  # fmt: skip
             free |= wrong
-        return "rounds"
+
+    def _restricted_lp(
+        self,
+        free_pairs: np.ndarray,
+        cols: np.ndarray,
+        demands: np.ndarray,
+        left: np.ndarray,
+    ) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray]:
+        """``A_ub``, ``b_ub`` of the LP over the free pairs' columns, and
+        which capacity rows it keeps.
+
+        The columns meet only their pairs' demand rows and the capacity
+        rows.  A capacity row the free pairs cannot fill — even each one
+        sending its whole demand down every tunnel over it — never binds,
+        so its price is 0 and it is left out.
+        """
+        sub = self._constraint_columns[:, cols]
+        rows = sub.indices
+        carried = np.repeat(
+            demands[self._pair_of_col[cols]], np.diff(sub.indptr)
+        )
+        link_entry = rows >= self.num_pairs
+        reach = np.bincount(
+            rows[link_entry] - self.num_pairs,
+            weights=carried[link_entry],
+            minlength=left.size,
+        )
+        binds = reach >= left
+        row_of = np.full(sub.shape[0], -1, dtype=rows.dtype)
+        row_of[free_pairs] = np.arange(free_pairs.size)
+        kept_links = np.flatnonzero(binds)
+        row_of[self.num_pairs + kept_links] = free_pairs.size + np.arange(
+            kept_links.size
+        )
+        kept = row_of[rows] >= 0
+        matrix = sparse.csc_matrix(
+            (
+                sub.data[kept],
+                row_of[rows[kept]],
+                csr_offsets(np.add.reduceat(kept, sub.indptr[:-1])),
+            ),
+            shape=(free_pairs.size + kept_links.size, cols.size),
+        )
+        b_ub = np.concatenate([demands[free_pairs], left[binds]])
+        return matrix, b_ub, binds
+
+    def _decision_margins(
+        self,
+        rho: np.ndarray,
+        value: np.ndarray,
+        decision: np.ndarray,
+        priced: np.ndarray,
+    ) -> np.ndarray:
+        """Per pair, how far link prices must move to change its decision.
+
+        A pair's options are its tunnels and carrying nothing (value 0,
+        no links); ``decision`` is the tunnel it takes (−1: nothing),
+        worth ``value``.  Only the ``priced`` links' prices move, so an
+        option crossing the same priced links as the decision keeps its
+        distance to it whatever they do.  The margin is the least
+        ``value − ρ`` over the other options (+inf when none differs); a
+        tie is a margin of 0.
+        """
+        # The sum of a tunnel's priced links' keys names that link set (a
+        # collision, vanishingly unlikely, only leaves a pair fixed that
+        # the KKT check then releases).
+        names = self._tunnel_link_matrix @ np.where(
+            priced, self._link_keys, 0.0
+        )
+        pair_of_col = self._pair_of_col
+        chosen = np.where(decision >= 0, names[np.maximum(decision, 0)], 0.0)
+        differs = names != chosen[pair_of_col]
+        gap = np.where(differs, value[pair_of_col] - rho, np.inf)
+        margin = self._pair_minima(gap)
+        # Carrying nothing instead of the decision's tunnel.
+        drop = chosen != 0
+        margin[drop] = np.minimum(margin[drop], value[drop])
+        return margin
+
+    def _cover(
+        self,
+        entries: np.ndarray,
+        need: np.ndarray,
+        gap: np.ndarray,
+        demands: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Cover each link's ``need`` by the ``entries`` over it, least
+        ``gap`` first: the pairs taken, and per link the gap its price
+        had to move by (the last entry taken; 0 where none was)."""
+        links = self.incidence_rows[entries]
+        order = np.lexsort((gap[entries], links))
+        entries, links = entries[order], links[order]
+        pairs = self._pair_of_col[self.incidence_cols[entries]]
+        first = np.ones(links.size, dtype=bool)
+        first[1:] = links[1:] != links[:-1]
+        before = np.cumsum(demands[pairs]) - demands[pairs]
+        if before.size:
+            before -= before[first][np.cumsum(first) - 1]
+        taken = before < need[links]
+        move = np.zeros(need.size)
+        np.maximum.at(move, links[taken], gap[entries[taken]])
+        return pairs[taken], move
 
     def split(self, flat: np.ndarray) -> SiteAllocation:
         """View a flat ``F_{k,t}`` vector as a :class:`SiteAllocation`."""

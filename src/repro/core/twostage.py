@@ -570,6 +570,7 @@ class MegaTEOptimizer:
                     "outcome": solved.outcome,
                     "pairs_fixed": solved.pairs_fixed,
                     "pairs_free": solved.pairs_free,
+                    "pairs_moved": solved.pairs_moved,
                     "rounds": solved.rounds,
                 }
             cls.alloc_flat = alloc_flat

@@ -67,7 +67,7 @@ class StatKey:
     SSP_BATCH_PHASE_S = "ssp_batch_phase_s"
     #: Per class solved by the LP: ``{"outcome": "whole" | "certified" |
     #: "guided" | "fallback:<reason>", "pairs_fixed", "pairs_free",
-    #: "rounds"}``.
+    #: "pairs_moved", "rounds"}``.
     STAGE1 = "stage1"
 
     # Phases of the ``phase_s`` breakdown.

@@ -85,37 +85,39 @@ class SimulationOutcome:
         return self.link_states[(src, dst)].utilization
 
 
-def _realized_tunnel_volumes(
+def _realized_tunnels(
     arrays,
     table,
     assigned: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Map a flat assignment onto global tunnel ids.
 
-    Returns ``(valid, global_tunnel, per_tunnel_volume)`` where ``valid``
-    masks flows carrying traffic (assigned a tunnel index that exists in
-    their pair's tunnel set), ``global_tunnel`` is each flow's global
-    tunnel id (meaningful where ``valid``), and ``per_tunnel_volume`` is
-    the carried volume per global tunnel.
+    Returns ``(valid, global_tunnel)`` where ``valid`` masks flows
+    carrying traffic (assigned a tunnel index that exists in their
+    pair's tunnel set) and ``global_tunnel`` is each flow's global
+    tunnel id (meaningful where ``valid``).
     """
-    counts = arrays.tunnels_per_pair()
     if table.num_flows == 0:
-        return (
-            np.zeros(0, dtype=bool),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(arrays.num_tunnels, dtype=np.float64),
-        )
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
     pair_of_flow = table.pair_ids()
-    valid = (assigned >= 0) & (assigned < counts[pair_of_flow])
+    valid = (assigned >= 0) & (
+        assigned < arrays.tunnels_per_pair()[pair_of_flow]
+    )
     global_tunnel = arrays.tunnel_offsets[pair_of_flow] + np.where(
         valid, assigned, 0
     )
-    per_tunnel = np.bincount(
+    return valid, global_tunnel
+
+
+def _per_tunnel_volumes(
+    arrays, table, valid: np.ndarray, global_tunnel: np.ndarray
+) -> np.ndarray:
+    """The carried volume per global tunnel of :func:`_realized_tunnels`."""
+    return np.bincount(
         global_tunnel[valid],
         weights=table.volumes[valid],
         minlength=arrays.num_tunnels,
     )
-    return valid, global_tunnel, per_tunnel
 
 
 def simulate(
@@ -134,10 +136,10 @@ def simulate(
         assigned = result.assignment.assigned_tunnel
         volumes = table.volumes
 
-        valid, global_tunnel, per_tunnel = _realized_tunnel_volumes(
-            arrays, table, assigned
+        valid, global_tunnel = _realized_tunnels(arrays, table, assigned)
+        link_loads = arrays.link_loads(
+            _per_tunnel_volumes(arrays, table, valid, global_tunnel)
         )
-        link_loads = arrays.link_loads(per_tunnel)
 
         link_states = {
             key: LinkState(

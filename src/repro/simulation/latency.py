@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Literal
 import numpy as np
 
 from ..core.qos import QoSClass
-from .flowsim import _realized_tunnel_volumes
+from .flowsim import _per_tunnel_volumes, _realized_tunnels
 
 if TYPE_CHECKING:
     from ..core.types import TEResult
@@ -99,14 +99,14 @@ def compute_flow_latencies(
     table = result.demands.table
     assigned = result.assignment.assigned_tunnel
 
-    valid, global_tunnel, per_tunnel = _realized_tunnel_volumes(
-        arrays, table, assigned
-    )
+    valid, global_tunnel = _realized_tunnels(arrays, table, assigned)
 
     if metric == "hops":
         tunnel_latency = arrays.num_hops
     elif congestion_aware:
-        link_loads = arrays.link_loads(per_tunnel)
+        link_loads = arrays.link_loads(
+            _per_tunnel_volumes(arrays, table, valid, global_tunnel)
+        )
         # ρ = min(0.95, load / capacity); zero-capacity links pin at 0.95.
         rho = np.full(arrays.num_links, 0.95, dtype=np.float64)
         has_cap = arrays.capacity > 0

@@ -114,9 +114,9 @@ def tiny_demands() -> DemandMatrix:
 
 @pytest.fixture(scope="session")
 def twan_6000_scenario() -> tuple[TwoLayerTopology, DemandMatrix]:
-    """TWAN with 6 000 site pairs — the smallest round pair count at
-    which every QoS class carries the ≥ 4 480 active pairs the
-    price-guided stage 1 needs to engage (≈ 4 s to build, once)."""
+    """TWAN with 6 000 site pairs, where every QoS class carries
+    4 600–5 900 active pairs and the price-guided stage 1 engages on
+    each (≈ 4 s to build, once)."""
     from repro.experiments.common import build_scenario
 
     scenario = build_scenario(

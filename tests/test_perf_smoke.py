@@ -243,6 +243,30 @@ def test_stage1_guided_path_by_counts(twan_6000_scenario, monkeypatch):
         ] == ["whole"] * len(result.stats["stage1"])
 
 
+def test_stage1_free_sets_stay_half_of_four_per_link(twan_6000_scenario):
+    """Stage 1's free sets grow from the instance, not from a per-link
+    budget — asserted on counts, not time.  Over a warm diurnal stretch
+    at 6 000 TWAN pairs the guided class-solves free at most half of the
+    ``max(4 · links, 256)`` pairs a four-per-link budget frees before any
+    release, so a budget that grows back fails here."""
+    from repro.traffic import DiurnalSequence
+
+    topology, base = twan_6000_scenario
+    sequence = DiurnalSequence(base=base, seed=11)
+    optimizer = MegaTEOptimizer()
+    per_solve = max(4 * len(topology.network.links), 256)
+    freed = budgeted = 0
+    for interval in range(5):
+        result = optimizer.solve(topology, sequence.matrix(interval))
+        for record in result.stats["stage1"].values():
+            if record["outcome"] == "guided":
+                assert record["pairs_moved"] <= record["pairs_free"]
+                freed += record["pairs_free"]
+                budgeted += per_solve
+    assert budgeted >= 8 * per_solve
+    assert freed <= 0.5 * budgeted
+
+
 #: Traced-allocation ceiling of one contended fill, per flow.  The fill
 #: holds a few numpy columns per flow (the free set, its sorted row and
 #: order, masks): about 62 bytes at 2×10^5 flows.  A whole-row Python
